@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +81,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _print_table(header: list[str], rows: list[list]) -> None:
     cells = [header] + [[_fmt(c) for c in r] for r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
@@ -103,13 +110,12 @@ class PolicySpec:
 
     name: str
     k: int = 2
-    checkpoint: str | None = None
+    policy_set: nn.MlpSet | None = None
     fluid_solution: fluid.FluidSolution | None = None
 
     def build(self, config: NetworkConfig):
         if self.name == "ppo":
-            pset = nn.load_set(self.checkpoint)
-            return ppo.NeuralPolicy(config, pset)
+            return ppo.NeuralPolicy(config, self.policy_set)
         if self.name == "power-of-k":
             return baselines.PowerOfKPolicy(config, k=self.k)
         if self.name == "fluid":
@@ -128,6 +134,8 @@ def parse_policy(token: str) -> PolicySpec:
             k = int(parts[1]) if len(parts) > 1 else int(parts[0])
         except ValueError as exc:
             raise InvalidArgument(f"bad power-of-k policy {token!r}") from exc
+        if k < 1:
+            raise InvalidArgument(f"bad power-of-k policy {token!r}: k must be >= 1")
         return PolicySpec("power-of-k", k=k)
     if token in ("ppo", "fluid", "random"):
         return PolicySpec(token)
@@ -137,27 +145,7 @@ def parse_policy(token: str) -> PolicySpec:
 
 def _trajectory_worker(payload) -> dict:
     config, spec, days, seed_words = payload
-    policy = spec.build(config)
-    rng = np.random.default_rng(list(seed_words))
-    traces = sim.run_days(config, policy, days, rng)
-    status = []
-    for tr in traces:
-        for state in tr.states[:-1]:
-            eta = state.vehicles.sum(axis=2)          # (V, eta_cap+1)
-            idle = int(eta[:, 0].sum())
-            charging = int(state.chargers[:, :, 1:].sum())
-            busy = config.fleet_size - idle - charging
-            status.append((idle, busy, charging))
-    return {
-        "daily_rewards": [tr.total_reward for tr in traces],
-        "fulfilled": sum(i.fulfilled for tr in traces for i in tr.infos),
-        "arrived": sum(i.arrived for tr in traces for i in tr.infos),
-        "abandoned": sum(i.abandoned for tr in traces for i in tr.infos),
-        "repositioned": sum(i.repositioned for tr in traces for i in tr.infos),
-        "charges_started": sum(i.charges_started for tr in traces for i in tr.infos),
-        "rewards_by_epoch": [i.reward for tr in traces for i in tr.infos],
-        "status_by_epoch": status,
-    }
+    return sim.score_trajectory(config, spec.build(config), days, seed_words)
 
 
 def evaluate_spec(config: NetworkConfig, spec: PolicySpec, trajectories: int,
@@ -169,44 +157,28 @@ def evaluate_spec(config: NetworkConfig, spec: PolicySpec, trajectories: int,
             results = list(pool.map(_trajectory_worker, payloads))
     else:
         results = [_trajectory_worker(p) for p in payloads]
-    traj_means = [math.fsum(r["daily_rewards"]) / days for r in results]
-    mean = math.fsum(traj_means) / trajectories
-    if trajectories > 1:
-        var = math.fsum((m - mean) ** 2 for m in traj_means) / (trajectories - 1)
-        stderr = math.sqrt(var / trajectories)
-    else:
-        stderr = 0.0
-    fulfilled = sum(r["fulfilled"] for r in results)
-    arrived = sum(r["arrived"] for r in results)
     return {
         "policy": spec.name if spec.name != "power-of-k" else f"power-of-{spec.k}",
         "trajectories": trajectories,
         "days": days,
-        "mean_daily_reward": mean,
-        "stderr": stderr,
-        "trajectory_means": traj_means,
-        "fulfilled": fulfilled,
-        "arrived": arrived,
-        "abandoned": sum(r["abandoned"] for r in results),
-        "repositioned": sum(r["repositioned"] for r in results),
-        "charges_started": sum(r["charges_started"] for r in results),
-        "fulfillment_rate": fulfilled / arrived if arrived else 0.0,
+        **sim.summarize_scores(results),
         "last_trajectory": results[-1],
     }
 
 
-def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args) -> PolicySpec:
-    """Attach artifacts (checkpoint path, fluid solution) a spec needs."""
+def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args,
+                  bound: fluid.FluidSolution | None = None) -> PolicySpec:
+    """Attach artifacts (loaded policy network, fluid solution) a spec needs;
+    fluid reuses ``bound`` when the caller has already solved it."""
     if spec.name == "ppo":
         path = getattr(args, "checkpoint", None)
         if not path:
             raise ConfigError("ppo policy needs --checkpoint FILE")
         if not os.path.exists(path):
             raise FileNotFoundError(path)
-        return PolicySpec("ppo", checkpoint=path)
+        return PolicySpec("ppo", policy_set=nn.load_set(path))
     if spec.name == "fluid":
-        sol = fluid.upper_bound(config)
-        return PolicySpec("fluid", fluid_solution=sol)
+        return PolicySpec("fluid", fluid_solution=bound or fluid.upper_bound(config))
     return spec
 
 
@@ -227,7 +199,6 @@ def cmd_calibrate(args) -> int:
         config = scale_demand(config, args.scale_fleet, ref)
         print(f"reference fleet estimate: {ref}; demand scaled by "
               f"{args.scale_fleet / ref:.6g}")
-    config.validate()
     config.save(args.out)
     lam = config.arrival_rate
     print(f"wrote {args.out} (digest {config.digest()})")
@@ -241,7 +212,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    config.validate()
     pcfg = ppo.PpoConfig(seed=args.seed)
     if args.iterations is not None:
         pcfg.policy_iterations = args.iterations
@@ -272,7 +242,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    config.validate()
     spec = _resolve_spec(parse_policy(args.policy), config, args)
     report = evaluate_spec(config, spec, args.trajectories, args.days,
                            args.seed, jobs=args.jobs)
@@ -297,7 +266,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bound(args) -> int:
     config = _load_config(args)
-    config.validate()
     sol = fluid.upper_bound(config, formulation=args.formulation)
     if args.out:
         with open(args.out, "w") as f:
@@ -315,16 +283,11 @@ def cmd_bound(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
-    config.validate()
     bound = fluid.upper_bound(config)
     rows = []
     reports = []
     for token in args.policies:
-        spec = parse_policy(token)
-        if spec.name == "fluid":
-            spec = PolicySpec("fluid", fluid_solution=bound)
-        else:
-            spec = _resolve_spec(spec, config, args)
+        spec = _resolve_spec(parse_policy(token), config, args, bound)
         rep = evaluate_spec(config, spec, args.trajectories, args.days,
                             args.seed, jobs=args.jobs)
         rep.pop("last_trajectory")
@@ -355,17 +318,12 @@ def _sweep_point(config: NetworkConfig, label: str, args) -> tuple[list, dict]:
     if args.trajectories is not None:
         pcfg.trajectories_per_iter = args.trajectories
     result = ppo.train(config, pcfg)
-    eval_days, eval_trajs = args.days, args.eval_trajectories
-
-    def _eval(policy):
-        means = []
-        for k in range(eval_trajs):
-            rng = np.random.default_rng([args.seed, 5, k, 11])
-            traces = sim.run_days(config, policy, eval_days, rng)
-            means.append(sim.average_daily_reward(traces))
-        return math.fsum(means) / len(means)
-    ppo_reward = _eval(ppo.NeuralPolicy(config, result.policy))
-    pok_reward = _eval(baselines.PowerOfKPolicy(config, k=args.k))
+    ppo_reward = evaluate_spec(config, PolicySpec("ppo", policy_set=result.policy),
+                               args.eval_trajectories, args.days,
+                               args.seed)["mean_daily_reward"]
+    pok_reward = evaluate_spec(config, PolicySpec("power-of-k", k=args.k),
+                               args.eval_trajectories, args.days,
+                               args.seed)["mean_daily_reward"]
     ratio = (lambda r: r / bound.objective if abs(bound.objective) > 1e-12
              else float("nan"))
     row = [label, f"{bound.objective:.10g}", f"{ppo_reward:.10g}",
@@ -381,56 +339,46 @@ SWEEP_HEADER = ["configuration", "upper_bound", "ppo_reward",
                 "power_of_k_reward", "ppo_ratio", "power_of_k_ratio"]
 
 
-def _finish_sweep(rows, details, args) -> int:
+def _charger_point(base: NetworkConfig, alloc: str) -> NetworkConfig:
+    """--allocation N,N,...: per-region counts of the first charger rate."""
+    try:
+        counts = [int(x) for x in alloc.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad allocation {alloc!r}: comma-separated "
+                          f"integers expected") from exc
+    if len(counts) != base.num_regions:
+        raise ConfigError(f"allocation {alloc!r} has {len(counts)} entries "
+                          f"for {base.num_regions} regions")
+    charger_counts = np.zeros_like(base.charger_counts)
+    charger_counts[:, 0] = counts
+    return base.with_updates(charger_counts=charger_counts)
+
+
+def _hardware_point(base: NetworkConfig, pair: str) -> NetworkConfig:
+    """--pair RATE:CAPACITY: one charge rate for every class, and the battery size."""
+    try:
+        rate_s, cap_s = pair.split(":")
+        rate, cap = int(rate_s), int(cap_s)
+    except ValueError as exc:
+        raise ConfigError(f"bad pair {pair!r}: expected RATE:CAPACITY") from exc
+    return base.with_updates(charge_rates=(rate,) * len(base.charge_rates),
+                             battery_capacity=cap)
+
+
+def cmd_sweep(args) -> int:
+    """One sweep row per point; args.point_config maps a point to its config."""
+    base = _load_config(args)
+    rows, details = [], []
+    for point in args.points:
+        row, detail = _sweep_point(args.point_config(base, point), point, args)
+        rows.append(row)
+        details.append(detail)
     _print_table(SWEEP_HEADER, rows)
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER, rows)
     if args.out:
         _write_json(args.out, {"seed": args.seed, "points": details})
     return EXIT_OK
-
-
-def cmd_sweep_chargers(args) -> int:
-    base = _load_config(args)
-    base.validate()
-    rows, details = [], []
-    for alloc in args.allocation:
-        try:
-            counts = [int(x) for x in alloc.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad allocation {alloc!r}: comma-separated "
-                              f"integers expected") from exc
-        if len(counts) != base.num_regions:
-            raise ConfigError(f"allocation {alloc!r} has {len(counts)} entries "
-                              f"for {base.num_regions} regions")
-        charger_counts = np.zeros_like(base.charger_counts)
-        charger_counts[:, 0] = counts
-        config = base.with_updates(charger_counts=charger_counts)
-        config.validate()
-        row, detail = _sweep_point(config, alloc, args)
-        rows.append(row)
-        details.append(detail)
-    return _finish_sweep(rows, details, args)
-
-
-def cmd_sweep_hardware(args) -> int:
-    base = _load_config(args)
-    base.validate()
-    rows, details = [], []
-    for pair in args.pair:
-        try:
-            rate_s, cap_s = pair.split(":")
-            rate, cap = int(rate_s), int(cap_s)
-        except ValueError as exc:
-            raise ConfigError(f"bad pair {pair!r}: expected RATE:CAPACITY") from exc
-        config = base.with_updates(
-            charge_rates=(rate,) * len(base.charge_rates),
-            battery_capacity=cap)
-        config.validate()
-        row, detail = _sweep_point(config, pair, args)
-        rows.append(row)
-        details.append(detail)
-    return _finish_sweep(rows, details, args)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -443,8 +391,8 @@ def _add_config_args(p):
 
 
 def _add_eval_args(p):
-    p.add_argument("--trajectories", type=int, default=10)
-    p.add_argument("--days", type=int, default=10,
+    p.add_argument("--trajectories", type=positive_int, default=10)
+    p.add_argument("--days", type=positive_int, default=10,
                    help="days per trajectory")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes for independent trajectories")
@@ -474,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a dispatch policy")
     _add_config_args(p)
     p.add_argument("--out", required=True, help="checkpoint directory")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--trajectories", type=int, default=None)
-    p.add_argument("--days", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
+    p.add_argument("--iterations", type=positive_int, default=None)
+    p.add_argument("--trajectories", type=positive_int, default=None)
+    p.add_argument("--days", type=positive_int, default=None)
+    p.add_argument("--hidden", type=positive_int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="roll a named policy")
@@ -508,25 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="CSV report path")
     p.set_defaults(func=cmd_compare)
 
-    for name, fn, flag, metavar, helptext in (
-        ("sweep-chargers", cmd_sweep_chargers, "--allocation", "N,N,...",
+    for name, point_config, flag, metavar, helptext in (
+        ("sweep-chargers", _charger_point, "--allocation", "N,N,...",
          "per-region charger counts (repeatable)"),
-        ("sweep-hardware", cmd_sweep_hardware, "--pair", "RATE:CAPACITY",
+        ("sweep-hardware", _hardware_point, "--pair", "RATE:CAPACITY",
          "charge rate and battery capacity (repeatable)"),
     ):
         p = sub.add_parser(name, help=f"bound+train+evaluate over {metavar}")
         _add_config_args(p)
-        p.add_argument(flag, action="append", default=[], metavar=metavar,
-                       help=helptext)
+        p.add_argument(flag, dest="points", action="append", default=[],
+                       metavar=metavar, help=helptext)
         p.add_argument("--train-iterations", type=int, default=5)
-        p.add_argument("--trajectories", type=int, default=None,
+        p.add_argument("--trajectories", type=positive_int, default=None,
                        help="training trajectories per iteration")
-        p.add_argument("--eval-trajectories", type=int, default=5)
-        p.add_argument("--days", type=int, default=5)
-        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--eval-trajectories", type=positive_int, default=5)
+        p.add_argument("--days", type=positive_int, default=5)
+        p.add_argument("--k", type=positive_int, default=2)
         p.add_argument("--csv", help="CSV report path")
         p.add_argument("--out", help="JSON report path")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_sweep, point_config=point_config)
 
     return parser
 

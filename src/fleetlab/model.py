@@ -90,9 +90,6 @@ class SystemState:
             out.extend([VehicleStatus(int(v), int(e), int(-nb))] * int(self.vehicles[v, e, -nb]))
         return out
 
-    def replace_time(self, t: int) -> "SystemState":
-        return SystemState(t, self.vehicles, self.trips, self.chargers)
-
     def key(self) -> tuple:
         """Hashable identity, used by the exact-solution oracle."""
         return (self.t, self.vehicles.tobytes(), self.trips.tobytes(), self.chargers.tobytes())
@@ -146,9 +143,6 @@ class FleetAction:
             self.pass_count[vehicle] = self.pass_count.get(vehicle, 0) + 1
         else:
             raise InvalidArgument(f"unknown atomic action kind {action.kind!r}")
-
-    def all_pass(self) -> bool:
-        return not (self.fulfill or self.reposition or self.charge)
 
 
 def all_pass_action(config: NetworkConfig, state: SystemState) -> FleetAction:
@@ -229,8 +223,9 @@ def _check_vehicle(config: NetworkConfig, state: SystemState, vehicle: VehicleSt
 def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleStatus) -> np.ndarray:
     """Boolean mask over the atomic action index space for one vehicle.
 
-    Trip queues and charger availability are read from `state`, so passing an
-    intra-epoch working state yields the sequential-assignment feasible set.
+    Only `state.vehicles`, `state.trips` and `state.chargers` are read, so an
+    intra-epoch `sim.WorkingState` may be passed as is; it yields the
+    sequential-assignment feasible set.
     """
     _check_vehicle(config, state, vehicle)
     V, Lc1, R = config.num_regions, config.connection_patience + 1, config.num_rates
@@ -254,13 +249,6 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
             if state.chargers[u, r, 0] > 0:
                 mask[nf + V + r] = True
     return mask
-
-
-def feasible_atomic_actions(
-    config: NetworkConfig, state: SystemState, vehicle: VehicleStatus
-) -> set[AtomicAction]:
-    mask = feasible_mask(config, state, vehicle)
-    return {index_to_action(config, i) for i in np.nonzero(mask)[0]}
 
 
 def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetAction) -> None:

@@ -108,13 +108,6 @@ class Mlp:
             d = d @ self.weights[i].T
         return grads, d
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.params()]
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                   self.activations)
-
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over unmasked entries; masked entries exactly 0."""
@@ -150,9 +143,6 @@ class MlpSet:
 
     def param_count(self) -> int:
         return sum(net.param_count() for net in self.nets)
-
-    def copy(self) -> "MlpSet":
-        return MlpSet([n.copy() for n in self.nets], self.shared, self.horizon, self.kind)
 
 
 def create_policy_set(obs_dim: int, veh_dim: int, n_actions: int, horizon: int,

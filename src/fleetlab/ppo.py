@@ -23,7 +23,7 @@ from .config import NetworkConfig
 from .errors import InvalidArgument, TrainingDiagnostic
 from .model import action_count
 from .reduce import obs_dim, reduce_vector, vehicle_feature_dim, vehicle_features
-from .sim import DayTrace, initial_state, run_days
+from .sim import DayTrace, run_days, score_trajectory, summarize_scores
 
 
 @dataclass
@@ -297,20 +297,10 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
 
 def evaluate_policy(config: NetworkConfig, policy, days: int, seed: int,
                     warmup_days: int = 1) -> dict:
-    """Mean daily reward and service metrics over one evaluation rollout."""
-    rng = np.random.default_rng([seed, 0])
-    traces = run_days(config, policy, warmup_days + days, rng)
-    scored = traces[warmup_days:]
-    daily = [tr.total_reward for tr in scored]
-    fulfilled = sum(i.fulfilled for tr in scored for i in tr.infos)
-    arrived = sum(i.arrived for tr in scored for i in tr.infos)
-    return {
-        "mean_daily_reward": math.fsum(daily) / len(daily),
-        "daily_rewards": daily,
-        "fulfilled": fulfilled,
-        "arrived": arrived,
-        "fulfillment_rate": fulfilled / arrived if arrived else 0.0,
-    }
+    """Mean daily reward and service metrics over one evaluation rollout,
+    seeded ``[seed, 0]``, scored after ``warmup_days``."""
+    score = score_trajectory(config, policy, days, (seed, 0), warmup_days)
+    return {**score, **summarize_scores([score])}
 
 
 @dataclass

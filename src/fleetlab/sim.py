@@ -198,7 +198,7 @@ def run_epoch(
     if hasattr(policy, "begin_epoch"):
         policy.begin_epoch(config, state, rng)
     for vehicle in state.vehicle_units():
-        mask = feasible_mask(config, _as_state_view(work), vehicle)
+        mask = feasible_mask(config, work, vehicle)
         idx, prob = policy.act(config, work, vehicle, mask, rng)
         if not mask[idx]:
             raise ContractViolation(f"policy chose infeasible action index {idx}")
@@ -208,16 +208,6 @@ def run_epoch(
         action.add_atomic(vehicle, atomic)
         work.commit(config, vehicle, atomic)
     return EpochResult(action, records)
-
-
-def _as_state_view(work: WorkingState) -> SystemState:
-    # feasible_mask only reads trips/chargers/vehicle presence; build a light view
-    view = object.__new__(SystemState)
-    object.__setattr__(view, "t", work.t)
-    object.__setattr__(view, "vehicles", work.vehicles)
-    object.__setattr__(view, "trips", work.trips)
-    object.__setattr__(view, "chargers", work.chargers)
-    return view
 
 
 # -- rollouts -----------------------------------------------------------------
@@ -249,12 +239,9 @@ def run_day(
     return DayTrace(epochs, states, total)
 
 
-def run_days(
-    config: NetworkConfig, policy, days: int, rng: np.random.Generator,
-    state: SystemState | None = None,
-) -> list[DayTrace]:
-    if state is None:
-        state = initial_state(config)
+def run_days(config: NetworkConfig, policy, days: int, rng: np.random.Generator) -> list[DayTrace]:
+    """Consecutive days from the day-zero state."""
+    state = initial_state(config)
     traces = []
     for _ in range(days):
         tr = run_day(config, state, policy, rng)
@@ -265,3 +252,45 @@ def run_days(
 
 def average_daily_reward(traces: list[DayTrace]) -> float:
     return math.fsum(t.total_reward for t in traces) / len(traces)
+
+
+# -- scoring ------------------------------------------------------------------
+
+
+SERVICE_COUNTERS = ("fulfilled", "arrived", "abandoned", "repositioned", "charges_started")
+
+
+def score_trajectory(config: NetworkConfig, policy, days: int, seed_words,
+                     warmup_days: int = 0) -> dict:
+    """Roll one trajectory from day zero under ``default_rng(seed_words)`` and
+    score the ``days`` after ``warmup_days``: the daily rewards, the summed
+    SERVICE_COUNTERS, and per epoch its reward and the (idle, busy, charging)
+    fleet split before it. Plain data, so worker processes can return it."""
+    rng = np.random.default_rng(list(seed_words))
+    scored = run_days(config, policy, warmup_days + days, rng)[warmup_days:]
+    infos = [i for tr in scored for i in tr.infos]
+    score = {name: sum(getattr(i, name) for i in infos) for name in SERVICE_COUNTERS}
+    score["daily_rewards"] = [tr.total_reward for tr in scored]
+    score["rewards_by_epoch"] = [i.reward for i in infos]
+    score["status_by_epoch"] = []
+    for tr in scored:
+        for state in tr.states[:-1]:
+            idle = int(state.vehicles[:, 0, :].sum())
+            charging = int(state.chargers[:, :, 1:].sum())
+            score["status_by_epoch"].append((idle, config.fleet_size - idle - charging, charging))
+    return score
+
+
+def summarize_scores(scores: list[dict]) -> dict:
+    """Mean over trajectories of their mean daily reward, its standard error,
+    the per-trajectory means, the summed counters and the fulfilment rate."""
+    traj_means = [math.fsum(s["daily_rewards"]) / len(s["daily_rewards"]) for s in scores]
+    n = len(traj_means)
+    mean = math.fsum(traj_means) / n
+    var = math.fsum((m - mean) ** 2 for m in traj_means) / (n - 1) if n > 1 else 0.0
+    summary = {name: sum(s[name] for s in scores) for name in SERVICE_COUNTERS}
+    summary.update(mean_daily_reward=mean, stderr=math.sqrt(var / n),
+                   trajectory_means=traj_means)
+    arrived = summary["arrived"]
+    summary["fulfillment_rate"] = summary["fulfilled"] / arrived if arrived else 0.0
+    return summary

@@ -2,12 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 from conftest import tiny_config
+from fleetlab.cli import parse_policy
 
 CLI = [sys.executable, "-m", "fleetlab.cli"]
 
@@ -90,6 +94,18 @@ def test_evaluate_trace_csv(tiny_json, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "day,epoch,reward,idle,busy,charging"
     assert len(lines) > 1
+
+
+def test_evaluate_report_independent_of_jobs(tiny_json, tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        out, trace = tmp_path / f"j{jobs}.json", tmp_path / f"j{jobs}.csv"
+        r = run_cli("--seed", "3", "evaluate", "--config", tiny_json,
+                    "--policy", "random", "--trajectories", "3", "--days", "2",
+                    "--jobs", jobs, "--out", str(out), "--trace-csv", str(trace))
+        assert r.returncode == 0, r.stderr
+        outputs.append((r.stdout, out.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
@@ -198,3 +214,54 @@ def test_sweep_chargers_csv(tiny_json, tmp_path):
     lines = csvp.read_text().splitlines()
     assert len(lines) == 2  # header + one allocation
     assert "bound" in lines[0]
+
+
+def test_sweep_hardware_two_pairs(tiny_json, tmp_path):
+    csvp, out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    r = run_cli("sweep-hardware", "--config", tiny_json,
+                "--pair", "1:3", "--pair", "2:4", "--train-iterations", "1",
+                "--trajectories", "2", "--eval-trajectories", "1",
+                "--days", "1", "--csv", str(csvp), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    lines = csvp.read_text().splitlines()
+    assert lines[0].startswith("configuration,upper_bound")
+    assert [line.split(",")[0] for line in lines[1:]] == ["1:3", "2:4"]
+    points = json.loads(out.read_text())["points"]
+    assert [p["label"] for p in points] == ["1:3", "2:4"]
+
+
+SWEEP = ["sweep-chargers", "--config", "{cfg}", "--allocation", "1,1",
+         "--train-iterations", "1", "--eval-trajectories", "1", "--days", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--config", "{cfg}", "--policy", "power-of-0"],
+    ["compare", "--config", "{cfg}", "--policies", "power-of-0"],
+    ["evaluate", "--config", "{cfg}", "--policy", "random", "--trajectories", "0"],
+    ["evaluate", "--config", "{cfg}", "--policy", "random", "--days", "0"],
+    ["train", "--config", "{cfg}", "--out", "{tmp}", "--iterations", "0"],
+    ["train", "--config", "{cfg}", "--out", "{tmp}", "--hidden", "0"],
+    SWEEP + ["--eval-trajectories", "0"],
+    SWEEP + ["--days", "0"],
+    SWEEP + ["--k", "0"],
+    SWEEP + ["--trajectories", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_bad_count_inputs_exit_2(tiny_json, tmp_path, argv):
+    r = run_cli(*(a.format(cfg=tiny_json, tmp=tmp_path) for a in argv))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_readme_policy_tokens_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```\w*\n(.*?)```", readme, flags=re.S)
+    tokens = []
+    for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+        words = line.split()
+        for i, flag in enumerate(words):
+            if flag in ("--policy", "--policies"):
+                values = list(takewhile(lambda w: not w.startswith("-"), words[i + 1:]))
+                tokens += values[:1] if flag == "--policy" else values
+    assert tokens
+    for token in tokens:
+        parse_policy(token)
