@@ -126,14 +126,14 @@ class PolicySpec:
 
 
 def parse_policy(token: str) -> PolicySpec:
-    """ppo | power-of-k[:k] | fluid | random"""
+    """ppo | power-of-<k> | power-of-k:<k> | power-of-<k>:<k> | fluid | random"""
     if token.startswith("power-of-"):
-        tail = token[len("power-of-"):]
-        parts = tail.split(":")
-        try:
-            k = int(parts[1]) if len(parts) > 1 else int(parts[0])
-        except ValueError as exc:
-            raise InvalidArgument(f"bad power-of-k policy {token!r}") from exc
+        head, colon, count = token[len("power-of-"):].partition(":")
+        if not colon:
+            count = head
+        if (colon and head not in ("k", count)) or not (count.isascii() and count.isdigit()):
+            raise InvalidArgument(f"bad power-of-k policy {token!r}")
+        k = int(count)
         if k < 1:
             raise InvalidArgument(f"bad power-of-k policy {token!r}: k must be >= 1")
         return PolicySpec("power-of-k", k=k)

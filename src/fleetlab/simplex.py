@@ -1,12 +1,22 @@
-"""Dense two-phase simplex solver for the fluid-allocation linear programs.
+"""Revised two-phase simplex solver for the fluid-allocation linear programs.
 
 Problems are stated as max/min c'x subject to rows A_i x {<=,=,>=} b_i and
 x >= 0. Internally the solver works on the standard equality form with slack
-and surplus columns, runs phase 1 with artificial variables, and pivots by
-steepest reduced cost (Dantzig), falling back to Bland's least-index rule
-after a degenerate stall so cycling cannot occur. Duals are recovered from
-the final basis and optimality is certified by complementary-slackness
-residuals.
+and surplus columns, pulled once from the dense A into compressed sparse
+columns, and runs phase 1 from an all-artificial basis. Nothing the size of
+the tableau is stored: the solver keeps an explicit inverse of the m x m
+basis, updated by one rank-1 (product-form) step per pivot and computed
+afresh from the basis columns every `_REFACTOR_EVERY` pivots. Each pivot
+forms only what it needs: the entering column B^-1 a_q, the pivot row
+(row r of B^-1 times A, over the sparse columns), and the updates of the
+reduced costs and of the steepest-edge weights 1 + |B^-1 a_j|^2, which
+follow the Goldfarb-Reid recurrence instead of being recomputed. A
+deterministic jitter of the basic values keeps degenerate pivots making
+progress; after a stall pricing falls back to Bland's least-index rule so
+cycling cannot occur, and a run whose jittered basis does not restore
+cleanly is redone without jitter. The solution and duals are recovered
+from the final basis (B x_B = b, B'y = c_B) and optimality is certified by
+complementary-slackness residuals.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ from .errors import ContractViolation, InvalidArgument, LpInfeasible, LpUnbounde
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
 _STALL_LIMIT = 200
+_REFACTOR_EVERY = 200        # pivots between fresh inverses of the basis
+_SLAB = 32                   # rows per in-place block of the inverse update
 
 
 @dataclass
@@ -81,34 +93,179 @@ class LpSolution:
     objective: float
     duals: np.ndarray
     reduced_costs: np.ndarray
-    iterations: int
+    iterations: int                   # phase-1 plus phase-2 pivots
     basis: np.ndarray
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    bland_activations: int = 0        # switches from steepest edge to Bland's rule
+    refactors: int = 0                # basis inverses computed afresh
+    exact_retry: bool = False         # the unperturbed retry produced this solution
 
     def variables(self, problem: LpProblem) -> dict[str, float]:
         return dict(zip(problem.var_names, self.x.tolist()))
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    piv = T[row]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, piv)
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+class _Columns:
+    """A standard-form matrix as compressed sparse columns. Column j holds
+    `vals[ptr[j]:ptr[j+1]]` at rows `rows[ptr[j]:ptr[j+1]]`; `cols` repeats
+    each entry's column so that products with every column are one
+    `bincount`."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 m: int, n: int):
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.m, self.n = m, n
+        self.ptr = np.searchsorted(cols, np.arange(n + 1))
+
+    @classmethod
+    def standard_form(cls, A: np.ndarray, flip: np.ndarray, senses: list[str]) -> _Columns:
+        """[flip * A | slacks]: a +1 slack column per "<=" row and a -1
+        surplus column per ">=" row, in row order, after A's columns."""
+        m, n = A.shape
+        cols, rows = np.nonzero(A.T)                 # column-major order
+        vals = A[rows, cols] * flip[rows]
+        srows = np.array([i for i, s in enumerate(senses) if s != "="], dtype=np.intp)
+        ssign = np.array([1.0 if senses[i] == "<=" else -1.0 for i in srows])
+        return cls(np.concatenate([rows, srows]),
+                   np.concatenate([cols, n + np.arange(srows.size)]),
+                   np.concatenate([vals, ssign]), m, n + srows.size)
+
+    def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        s, e = self.ptr[j], self.ptr[j + 1]
+        return self.rows[s:e], self.vals[s:e]
+
+    def tdot(self, v: np.ndarray) -> np.ndarray:
+        """A'v over every column."""
+        return np.bincount(self.cols, weights=self.vals * v[self.rows], minlength=self.n)
+
+    def dense(self, js: np.ndarray) -> np.ndarray:
+        """The columns `js` as a dense block; j >= n is the unit (artificial)
+        column of row j - n."""
+        out = np.zeros((self.m, len(js)))
+        real = np.nonzero(js < self.n)[0]
+        start, stop = self.ptr[js[real]], self.ptr[js[real] + 1]
+        lens = stop - start
+        entry = np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        out[self.rows[entry], np.repeat(real, lens)] = self.vals[entry]
+        art = np.nonzero(js >= self.n)[0]
+        out[js[art] - self.n, art] = 1.0
+        return out
+
+    def keep_rows(self, keep: np.ndarray) -> _Columns:
+        new_row = np.cumsum(keep) - 1
+        sel = keep[self.rows]
+        return _Columns(new_row[self.rows[sel]], self.cols[sel], self.vals[sel],
+                        int(keep.sum()), self.n)
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
-    """Minimize the objective in the last tableau row over the first `ncols`
-    columns; returns the iteration count. Raises on unboundedness."""
-    m = T.shape[0] - 1
+class _Revised:
+    """Revised simplex state over the columns of `cols` plus one artificial
+    unit column per row (index n + i): the basis, its explicit inverse, the
+    basic values, the reduced costs and the steepest-edge weights
+    1 + |B^-1 a_j|^2 of the structural and slack columns."""
+
+    def __init__(self, cols: _Columns, rhs: np.ndarray):
+        m = cols.m
+        self.cols = cols
+        self.basis = cols.n + np.arange(m)           # all-artificial start, B = I
+        self.Binv = np.eye(m)
+        self.rhs = rhs.copy()                        # x_B = B^-1 rhs at a refactor
+        self.x = rhs.copy()
+        self.gamma = 1.0 + np.bincount(cols.cols, weights=cols.vals ** 2, minlength=cols.n)
+        self.since_refactor = 0
+        self.refactors = 0
+        self.bland_activations = 0
+
+    def set_cost(self, cost: np.ndarray) -> None:
+        """Cost over structural, slack and artificial columns; resets the
+        reduced costs and the (negated) objective value."""
+        self.cost = cost
+        self.price()
+        self.negobj = -float(cost[self.basis] @ self.x)
+
+    def price(self) -> None:
+        y = self.Binv.T @ self.cost[self.basis]
+        self.d = self.cost[:self.cols.n] - self.cols.tdot(y)
+        self.d[self.basis[self.basis < self.cols.n]] = 0.0
+
+    def ftran(self, q: int) -> np.ndarray:
+        """alpha_q = B^-1 a_q."""
+        rows, vals = self.cols.col(q)
+        return self.Binv[:, rows] @ vals
+
+    def pivot(self, r: int, q: int, alpha: np.ndarray) -> None:
+        """Column q enters the basis in position r; alpha = B^-1 a_q."""
+        n = self.cols.n
+        piv = alpha[r]
+        ratio = self.cols.tdot(self.Binv[r]) / piv           # pivot row / pivot
+        # Goldfarb-Reid update of the weights, from the old inverse
+        gq = 1.0 + float(alpha @ alpha)
+        tau = self.cols.tdot(alpha @ self.Binv)             # a_j' B^-T alpha_q
+        g = self.gamma
+        g -= ratio * (2.0 * tau - gq * ratio)
+        np.maximum(g, 1.0 + ratio * ratio, out=g)
+        dq = self.d[q]
+        self.d -= dq * ratio
+        leaving = self.basis[r]
+        if leaving < n:
+            g[leaving] = max(gq / (piv * piv), 1.0)
+        theta = self.x[r] / piv
+        self.x -= theta * alpha
+        self.x[r] = theta
+        self.negobj -= dq * theta
+        # product-form update of the explicit inverse, B^-1 <- E B^-1: only
+        # rows where alpha is nonzero change, and when row r has nonzeros in
+        # under a third of its columns, only those columns
+        row = self.Binv[r] / piv
+        nz, jz = np.flatnonzero(alpha), np.flatnonzero(row)
+        if 3 * jz.size < row.size:
+            self.Binv[np.ix_(nz, jz)] -= np.outer(alpha[nz], row[jz])
+        else:
+            # dense row: stream through slabs of rows in place, skipping
+            # slabs where alpha is zero; fancy-indexed copies cost 3x more
+            buf = np.empty((_SLAB, row.size))
+            for s in np.unique(nz // _SLAB) * _SLAB:
+                e = min(s + _SLAB, row.size)
+                np.multiply(alpha[s:e, None], row, out=buf[:e - s])
+                self.Binv[s:e] -= buf[:e - s]
+        self.Binv[r] = row
+        self.basis[r] = q
+        self.d[self.basis[self.basis < n]] = 0.0
+        self.since_refactor += 1
+        if self.since_refactor >= _REFACTOR_EVERY:
+            self.refactor()
+
+    def refactor(self) -> None:
+        """Fresh inverse of the basis columns; basic values and reduced costs
+        recomputed from it."""
+        try:
+            self.Binv = np.linalg.inv(self.cols.dense(self.basis))
+        except np.linalg.LinAlgError as exc:
+            raise ContractViolation("simplex basis became singular") from exc
+        self.x = self.Binv @ self.rhs
+        self.price()
+        self.since_refactor = 0
+        self.refactors += 1
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop rows whose artificial stays basic with a zero pivot row: with
+        those rows and their artificials gone, the inverse of the remaining
+        basis is the kept block of B^-1, and no weight changes."""
+        self.Binv = self.Binv[np.ix_(keep, keep)]
+        self.x, self.rhs, self.basis = self.x[keep], self.rhs[keep], self.basis[keep]
+        self.cols = self.cols.keep_rows(keep)
+
+
+def _run_simplex(st: _Revised) -> int:
+    """Minimize st.cost over the structural and slack columns (artificials
+    never enter); returns the pivot count. Raises on unboundedness."""
+    m, ncols = len(st.x), st.cols.n
     iters = 0
     stall = 0
     bland = False
-    last_obj = T[-1, -1]
+    last_obj = st.negobj
     while True:
-        red = T[-1, :ncols]
+        red = st.d
         if bland:
             cand = np.nonzero(red < -_TOL)[0]
             if cand.size == 0:
@@ -117,13 +274,13 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
         else:
             if red.min() >= -_TOL:
                 return iters
-            # price by reduced cost per unit step length (steepest-edge-like):
+            # price by reduced cost per unit step length (steepest edge):
             # plain most-negative pricing stalls badly on degenerate fleet LPs
-            norms = np.sqrt(1.0 + np.einsum("ij,ij->j", T[:m, :ncols], T[:m, :ncols]))
-            col = int(np.argmin(red / norms))
+            col = int(np.argmin(red / np.sqrt(st.gamma)))
+        alpha = st.ftran(col)
         ratios = np.full(m, np.inf)
-        pos = T[:m, col] > _TOL
-        ratios[pos] = T[:m, -1][pos] / T[:m, col][pos]
+        pos = alpha > _TOL
+        ratios[pos] = st.x[pos] / alpha[pos]
         row = int(np.argmin(ratios))
         if not np.isfinite(ratios[row]):
             raise LpUnbounded("objective unbounded along entering column")
@@ -131,22 +288,23 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> int:
         ties = np.nonzero(ratios <= minr + _TOL)[0]
         if bland:
             # least-index leaving variable among minimal ratios
-            row = int(ties[np.argmin(basis[ties])])
+            row = int(ties[np.argmin(st.basis[ties])])
         elif ties.size > 1:
             # break degenerate ties on the largest pivot element for stability
-            row = int(ties[np.argmax(np.abs(T[ties, col]))])
-        _pivot(T, basis, row, col)
+            row = int(ties[np.argmax(np.abs(alpha[ties]))])
+        st.pivot(row, col, alpha)
         iters += 1
-        # the objective cell holds the negated objective value, so progress
-        # on the minimization shows up as an increase here
-        if T[-1, -1] > last_obj + _TOL:
-            last_obj = T[-1, -1]
+        # negobj holds the negated objective value, so progress on the
+        # minimization shows up as an increase here
+        if st.negobj > last_obj + _TOL:
+            last_obj = st.negobj
             stall = 0
-            bland = False          # degenerate vertex escaped; back to Dantzig
+            bland = False          # degenerate vertex escaped; back to steepest edge
         else:
             stall += 1
-            if stall > _STALL_LIMIT:
+            if stall > _STALL_LIMIT and not bland:
                 bland = True
+                st.bland_activations += 1
         if iters > 50000 + 50 * (m + ncols):
             raise ContractViolation("simplex iteration limit exceeded")
 
@@ -166,96 +324,75 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
     sign = -1.0 if problem.maximize else 1.0
     c = sign * problem.objective                      # minimize internally
 
-    # standard form: append slack (<=) / surplus (>=) columns, b >= 0
-    A = problem.A.copy()
-    b = problem.b.copy()
-    extra: list[np.ndarray] = []
-    senses = list(problem.senses)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-    for i, s in enumerate(senses):
-        if s in ("<=", ">="):
-            col = np.zeros(m)
-            col[i] = 1.0 if s == "<=" else -1.0
-            extra.append(col)
-    A_std = np.hstack([A] + [e[:, None] for e in extra]) if extra else A
-    n_std = A_std.shape[1]
+    # standard form: rows with b < 0 negated, then slack (<=) / surplus (>=)
+    # columns appended, pulled once from the dense A as sparse columns
+    flip = np.where(problem.b < 0, -1.0, 1.0)
+    b = flip * problem.b
+    swap = {"<=": ">=", ">=": "<=", "=": "="}
+    senses = [swap[s] if f < 0 else s for s, f in zip(problem.senses, flip)]
+    cols = _Columns.standard_form(problem.A, flip, senses)
+    n_std = cols.n
     c_std = np.concatenate([c, np.zeros(n_std - n)])
     bscale = max(1.0, float(b.max(initial=0.0)))
     # deterministic positive jitter of the basic values: fleet LPs have mostly
-    # zero right-hand sides, and the untreated tableau stalls on degenerate
-    # pivots for tens of thousands of iterations; with every basic variable
+    # zero right-hand sides, and untreated they stall on degenerate pivots
+    # for tens of thousands of iterations; with every basic variable
     # strictly positive each pivot makes real progress.  The exact solution is
     # recovered from the final basis afterwards.
     rng = np.random.default_rng(181201)
     eps = 1e-7 * bscale * rng.uniform(0.5, 1.5, size=m) if perturb else np.zeros(m)
 
-    # phase 1: artificial basis.  The artificial block stays in the tableau
-    # throughout (pricing never scans it after phase 1) so the running basis
-    # inverse T[:, n_std:total] is always available for exact restoration.
-    total = n_std + m
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n_std] = A_std
-    T[:m, n_std:total] = np.eye(m)
-    T[:m, -1] = b + eps
-    basis = np.arange(n_std, total)
-    T[-1, :total] = -T[:m, :total].sum(axis=0)
-    T[-1, n_std:total] = 0.0                        # phase-1 reduced costs
-    T[-1, -1] = -T[:m, -1].sum()
-    it1 = _run_simplex(T, basis, n_std)             # artificials never re-enter
-    if T[-1, -1] < -(_FEAS_TOL * bscale + 1e3 * eps.sum()):
+    # phase 1 from the artificial basis: minimize the artificials' sum
+    st = _Revised(cols, b + eps)
+    st.set_cost(np.concatenate([np.zeros(n_std), np.ones(m)]))
+    it1 = _run_simplex(st)                   # artificials never re-enter
+    if st.negobj < -(_FEAS_TOL * bscale + 1e3 * eps.sum()):
         if perturb:
             # jittering equality right-hand sides can make a feasible system
             # inconsistent; only the exact run may declare infeasibility
             raise ContractViolation("perturbed phase 1 ended infeasible")
-        raise LpInfeasible(f"{problem.name}: phase-1 objective {-T[-1, -1]:.3e} > 0")
+        raise LpInfeasible(f"{problem.name}: phase-1 objective {-st.negobj:.3e} > 0")
     # a residual phase-1 objective within the inconsistency budget of the
     # jitter is fine: the exact restoration below checks the true artificial
     # mass against the unperturbed right-hand side
     if perturb:
         # restore the true right-hand side through the basis inverse
-        T[:m, -1] = T[:m, n_std:total] @ b
-        art = basis >= n_std
-        art_mass = float(np.abs(T[:m, -1][art]).sum()) if art.any() else 0.0
+        st.rhs = b.copy()
+        st.x = st.Binv @ b
+        art = st.basis >= n_std
+        art_mass = float(np.abs(st.x[art]).sum()) if art.any() else 0.0
         if art_mass > _FEAS_TOL * bscale:
             # borderline: cannot distinguish infeasibility from perturbation
             # damage here; the exact retry settles it
             raise ContractViolation(
                 f"{problem.name}: artificial mass {art_mass:.3e} after phase 1")
-        if T[:m, -1].min(initial=0.0) < -_FEAS_TOL * bscale:
+        if st.x.min(initial=0.0) < -_FEAS_TOL * bscale:
             raise ContractViolation(f"{problem.name}: basis lost feasibility")
-        np.clip(T[:m, -1], 0.0, None, out=T[:m, -1])
+        np.clip(st.x, 0.0, None, out=st.x)
 
     # drive any residual artificials out of the basis; drop redundant rows
     keep_rows = np.ones(m, dtype=bool)
     for i in range(m):
-        if basis[i] >= n_std:
-            cand = np.nonzero(np.abs(T[i, :n_std]) > _TOL)[0]
+        if st.basis[i] >= n_std:
+            cand = np.nonzero(np.abs(cols.tdot(st.Binv[i])) > _TOL)[0]
             if cand.size:
-                _pivot(T, basis, i, int(cand[0]))
+                st.pivot(i, int(cand[0]), st.ftran(int(cand[0])))
             else:
                 keep_rows[i] = False
     if not keep_rows.all():
-        rows = np.append(np.nonzero(keep_rows)[0], m)
-        T = T[rows]
-        basis = basis[keep_rows]
-    mm = T.shape[0] - 1
+        st.keep_rows(keep_rows)
 
-    # phase 2 on the same tableau, fresh jitter of the basic values
+    # phase 2 from the same basis, fresh jitter of the basic values
     if perturb:
-        T[:mm, -1] += 1e-7 * bscale * rng.uniform(0.5, 1.5, size=mm)
-    T[-1, :] = 0.0
-    T[-1, :n_std] = c_std
-    for i, bi in enumerate(basis):
-        T[-1, :] -= c_std[bi] * T[i, :]
-    it2 = _run_simplex(T, basis, n_std)
+        st.x += 1e-7 * bscale * rng.uniform(0.5, 1.5, size=len(st.x))
+        st.rhs = st.cols.dense(st.basis) @ st.x
+    st.set_cost(np.concatenate([c_std, np.zeros(m)]))
+    it2 = _run_simplex(st)
 
     # exact solution and duals from the final basis: B x_B = b, B' y = c_B
+    basis = st.basis
     rows_kept = np.nonzero(keep_rows)[0]
-    B = A_std[np.ix_(rows_kept, basis)]
+    B = st.cols.dense(basis)
     x_basic = np.linalg.solve(B, b[rows_kept])
     if x_basic.min(initial=0.0) < -_FEAS_TOL * bscale:
         raise ContractViolation(
@@ -267,15 +404,17 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
 
     y = np.zeros(m)
     y[rows_kept] = np.linalg.solve(B.T, c_std[basis])
-    rc_std = c_std - A_std.T @ y
+    rc_std = c_std - cols.tdot(y)
 
-    _certify(problem, A, b, senses, x_std, y, rc_std, n)
+    _certify(problem, flip[:, None] * problem.A, b, senses, x_std, y, rc_std, n)
 
     # map duals / reduced costs back to the user's rows and objective sense
-    flip = np.where(problem.b < 0, -1.0, 1.0)
     duals = sign * flip * y
     reduced = sign * rc_std[:n]
-    return LpSolution(x, obj, duals, reduced, it1 + it2, basis.copy())
+    return LpSolution(x, obj, duals, reduced, it1 + it2, basis.copy(),
+                      phase1_pivots=it1, phase2_pivots=it2,
+                      bland_activations=st.bland_activations,
+                      refactors=st.refactors, exact_retry=not perturb)
 
 
 def _certify(problem: LpProblem, A_flip, b_flip, senses, x_std, y, rc_std, n,

@@ -237,6 +237,8 @@ SWEEP = ["sweep-chargers", "--config", "{cfg}", "--allocation", "1,1",
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--config", "{cfg}", "--policy", "power-of-0"],
     ["compare", "--config", "{cfg}", "--policies", "power-of-0"],
+    ["evaluate", "--config", "{cfg}", "--policy", "power-of-foo:3"],
+    ["evaluate", "--config", "{cfg}", "--policy", "power-of-2:7:9"],
     ["evaluate", "--config", "{cfg}", "--policy", "random", "--trajectories", "0"],
     ["evaluate", "--config", "{cfg}", "--policy", "random", "--days", "0"],
     ["train", "--config", "{cfg}", "--out", "{tmp}", "--iterations", "0"],

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fleetlab.errors import ContractViolation, InvalidArgument, LpInfeasible, LpUnbounded
+from fleetlab.fluid import build_full_lp, build_reduced_lp
+from fleetlab.scenarios import synth_scenario
 from fleetlab.simplex import LpProblem, export_mps, solve
 
 from oracles import lp_optimum_exact
@@ -105,11 +107,58 @@ def test_degenerate_rhs_terminates():
     A[-1] = np.abs(A[-1])
     p = LpProblem(rng.uniform(-1, 1, n), A, ["="] * (m - 1) + ["<="], b,
                   maximize=True)
-    try:
-        s = solve(p)
-        assert (np.abs(p.residuals(s.x)) <= 1e-8).all()
-    except LpInfeasible:
-        pass
+    reference = _highs_objective(p)
+    if reference is None:
+        with pytest.raises(LpInfeasible):
+            solve(p)
+        return
+    s = solve(p)
+    assert p.residuals(s.x).max() <= 1e-8
+    assert abs(s.objective - reference) <= 1e-7 * max(1.0, abs(reference))
+
+
+def _highs_objective(problem):
+    """scipy HiGHS optimum in the problem's own sense; None if infeasible."""
+    from scipy.optimize import linprog
+
+    senses = np.asarray(problem.senses)
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    sign = -1.0 if problem.maximize else 1.0
+    res = linprog(sign * problem.objective,
+                  A_ub=np.vstack([problem.A[le], -problem.A[ge]]),
+                  b_ub=np.concatenate([problem.b[le], -problem.b[ge]]),
+                  A_eq=problem.A[eq] if eq.any() else None,
+                  b_eq=problem.b[eq] if eq.any() else None,
+                  bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return sign * float(res.fun)
+
+
+@pytest.mark.parametrize("template,formulation", [
+    ("two-region-commute", "reduced"), ("uniform", "reduced"),
+    ("hub-spoke-imbalanced", "reduced"), ("two-region-commute", "full"),
+])
+def test_fleet_lps_match_highs(template, formulation):
+    config = synth_scenario(template, 0)
+    build = build_reduced_lp if formulation == "reduced" else build_full_lp
+    p, _ = build(config)
+    s = solve(p)
+    reference = _highs_objective(p)
+    assert abs(s.objective - reference) <= 1e-6 * max(1.0, abs(reference))
+    scale = max(1.0, float(np.abs(p.b).max()))
+    assert p.residuals(s.x).max() <= 1e-8 * scale
+
+
+def test_diagnostics_split_the_pivot_count():
+    p = LpProblem(np.array([3.0, 2.0]),
+                  np.array([[1.0, 1.0], [2.0, 1.0]]),
+                  ["<=", "<="], np.array([4.0, 5.0]), maximize=True)
+    s = solve(p)
+    assert s.iterations > 0
+    assert s.phase1_pivots + s.phase2_pivots == s.iterations
+    assert s.bland_activations == 0 and not s.exact_retry
 
 
 def test_mps_export_round_trip_structure(tmp_path):
