@@ -29,6 +29,8 @@ from .errors import (ConfigError, ContractViolation, FleetlabError,
                      InvalidArgument, LpInfeasible, LpUnbounded,
                      ReductionUnavailable, StateSpaceTooLarge,
                      TrainingDiagnostic)
+from .model import action_count
+from .reduce import obs_dim, vehicle_feature_dim
 from .scenarios import TEMPLATES, synth_scenario
 from .simplex import export_mps
 
@@ -166,6 +168,24 @@ def evaluate_spec(config: NetworkConfig, spec: PolicySpec, trajectories: int,
     }
 
 
+def _load_policy(path: str, config: NetworkConfig) -> nn.MlpSet:
+    """A policy checkpoint whose horizon and input/output sizes fit ``config``."""
+    pset = nn.load_set(path)
+    if pset.kind != "policy":
+        raise InvalidArgument(f"{path}: a {pset.kind} network, not a policy")
+    dims = pset.nets[0].dims
+    got = (pset.horizon, dims[0], dims[-1])
+    want = (config.horizon_steps,
+            obs_dim(config) + vehicle_feature_dim(config)
+            + (config.horizon_steps if pset.shared else 0),
+            action_count(config))
+    if got != want:
+        raise InvalidArgument(
+            f"{path}: policy for horizon {got[0]} with {got[1]} inputs and {got[2]} "
+            f"actions; this scenario needs {want[0]}, {want[1]} and {want[2]}")
+    return pset
+
+
 def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args,
                   bound: fluid.FluidSolution | None = None) -> PolicySpec:
     """Attach artifacts (loaded policy network, fluid solution) a spec needs;
@@ -176,7 +196,7 @@ def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args,
             raise ConfigError("ppo policy needs --checkpoint FILE")
         if not os.path.exists(path):
             raise FileNotFoundError(path)
-        return PolicySpec("ppo", policy_set=nn.load_set(path))
+        return PolicySpec("ppo", policy_set=_load_policy(path, config))
     if spec.name == "fluid":
         return PolicySpec("fluid", fluid_solution=bound or fluid.upper_bound(config))
     return spec

@@ -5,14 +5,25 @@ Both network families are 3 hidden layers plus a linear head; the policy uses
 One network per time-of-day step by default, with an option to share a single
 time-conditioned network (time one-hot appended to the input).
 
-Parameters are float64 in memory; checkpoints are self-describing binaries of
-little-endian 32-bit floats behind an integer dimension header.
+All parameters of an ``MlpSet`` live in one contiguous float64 buffer,
+``flat``, net after net, each net as (W0, b0, W1, b1, ...): the order of
+``Mlp.params()`` and of the checkpoint file. Each net's weights and biases
+are views into it. A training step runs one grouped forward/backward
+(``MlpSet.grouped_gradient``): each time-of-day group of the minibatch goes
+through its net, and the reverse pass writes straight into that net's slice
+of the set's flat gradient buffer. One ``adam_step`` then updates the whole
+buffer in cache-sized chunks. Activations and their derivatives are computed
+in place; the gradient buffer and Adam moments are allocated on first use.
+
+Checkpoints are self-describing binaries of little-endian 32-bit floats
+behind an integer dimension header.
 """
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,57 +33,69 @@ POLICY_ACTIVATIONS = ("tanh", "tanh", "tanh")
 VALUE_ACTIVATIONS = ("tanh", "relu", "tanh")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> None:
+    """Apply the activation to z in place."""
     if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "linear":
-        return z
-    raise InvalidArgument(f"unknown activation {name!r}")
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
 
 
-def _act_grad(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - y * y
-    if name == "relu":
-        return (z > 0.0).astype(float)
-    if name == "linear":
-        return np.ones_like(z)
-    raise InvalidArgument(f"unknown activation {name!r}")
+def param_count(dims: list[int]) -> int:
+    """Number of parameters of a net with layer sizes ``dims``."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def split_params(flat: np.ndarray, dims: list[int]) -> list[np.ndarray]:
+    """Views of ``flat`` as (W0, b0, W1, b1, ...) for layer sizes ``dims``."""
+    out, o = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        out.append(flat[o:o + fan_in * fan_out].reshape(fan_in, fan_out))
+        o += fan_in * fan_out
+        out.append(flat[o:o + fan_out])
+        o += fan_out
+    return out
 
 
 class Mlp:
-    """Dense feed-forward net; layers hold (W, b), activations per layer."""
+    """Dense feed-forward net; layers hold (W, b), activations per layer.
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
-                 activations: tuple[str, ...]):
-        if len(weights) != len(biases) or len(weights) != len(activations):
-            raise InvalidArgument("layer count mismatch")
-        self.weights = weights
-        self.biases = biases
+    ``weights`` and ``biases`` are views of ``flat``, one contiguous float64
+    array in the order of ``.params()``."""
+
+    def __init__(self, flat: np.ndarray, dims: list[int], activations: tuple[str, ...]):
+        if len(dims) != len(activations) + 1 or flat.shape != (param_count(dims),):
+            raise InvalidArgument("layer sizes, activations and buffer do not match")
+        if not set(activations) <= {"tanh", "relu", "linear"}:
+            raise InvalidArgument(f"unknown activation in {activations!r}")
+        self.flat = flat
+        params = split_params(flat, dims)
+        self.weights = params[0::2]
+        self.biases = params[1::2]
         self.activations = tuple(activations)
 
     @classmethod
     def create(cls, dims: list[int], hidden_activations: tuple[str, ...],
-               rng: np.random.Generator) -> "Mlp":
-        """dims = [in, h1, h2, h3, out]; output layer is linear."""
+               rng: np.random.Generator, out: np.ndarray | None = None) -> "Mlp":
+        """dims = [in, h1, h2, h3, out]; output layer is linear. The
+        parameters are drawn into ``out`` (a new buffer if None)."""
         acts = tuple(hidden_activations) + ("linear",)
-        if len(dims) != len(acts) + 1:
-            raise InvalidArgument("dims/activations mismatch")
-        ws, bs = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            ws.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            bs.append(np.zeros(fan_out))
-        return cls(ws, bs, acts)
+        net = cls(np.empty(param_count(dims)) if out is None else out, dims, acts)
+        for w, b in zip(net.weights, net.biases):
+            bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            # rng.uniform(-bound, bound), drawn in place: low + (high - low) * u
+            rng.random(out=w)
+            w *= 2.0 * bound
+            w += -bound
+            b.fill(0.0)
+        return net
 
     @property
     def dims(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -81,32 +104,51 @@ class Mlp:
         return out
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
-        """x: (d,) or (n, d). Returns output, and the cache if requested."""
+        """x: (d,) or (n, d). Returns output, and the cache if requested.
+
+        The cache lists every layer's input and then the output; ``backward``
+        overwrites it."""
         single = x.ndim == 1
         h = np.atleast_2d(np.asarray(x, dtype=float))
-        cache = {"inputs": [], "pre": [], "post": []}
+        cache = [h] if want_cache else None
         for w, b, a in zip(self.weights, self.biases, self.activations):
-            cache["inputs"].append(h)
-            z = h @ w + b
-            h = _act(a, z)
-            cache["pre"].append(z)
-            cache["post"].append(h)
+            h = h @ w
+            h += b
+            _activate(a, h)
+            if cache is not None:
+                cache.append(h)
         if not np.isfinite(h).all():
             raise TrainingDiagnostic("non-finite network output")
         out = h[0] if single else h
         return (out, cache) if want_cache else out
 
-    def backward(self, cache: dict, dout: np.ndarray):
-        """Exact reverse pass. dout: (n, out). Returns (grads, dinput);
-        grads interleaves (dW, db) in the order of .params()."""
+    def backward(self, cache: list, dout: np.ndarray,
+                 grads: list[np.ndarray] | None = None):
+        """Exact reverse pass. dout: (n, out). Returns (grads, dinput); grads
+        interleaves (dW, db) in the order of .params().
+
+        Given ``grads`` (arrays shaped like .params()), the gradients are
+        written into them and dinput, which training never reads, is not
+        computed (None). The pass reuses the cache's buffers, so read the
+        forward output before calling it."""
+        want_input = grads is None
+        if grads is None:
+            grads = [np.empty_like(p) for p in self.params()]
         d = np.atleast_2d(dout)
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
         for i in reversed(range(len(self.weights))):
-            d = d * _act_grad(self.activations[i], cache["pre"][i], cache["post"][i])
-            grads[2 * i] = cache["inputs"][i].T @ d
-            grads[2 * i + 1] = d.sum(axis=0)
-            d = d @ self.weights[i].T
-        return grads, d
+            y = cache[i + 1]
+            a = self.activations[i]
+            if a == "tanh":                 # d * (1 - y*y)
+                np.multiply(y, y, out=y)
+                np.subtract(1.0, y, out=y)
+                d = np.multiply(d, y, out=y)
+            elif a == "relu":               # d * (y > 0), the same test as z > 0
+                d = np.multiply(d, y > 0.0, out=y)
+            np.matmul(cache[i].T, d, out=grads[2 * i])
+            np.add.reduce(d, axis=0, out=grads[2 * i + 1])
+            if i or want_input:
+                d = d @ self.weights[i].T
+        return grads, (d if want_input else None)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -122,12 +164,18 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MlpSet:
-    """One net per time-of-day step, or a single shared time-conditioned net."""
+    """One net per time-of-day step, or a single shared time-conditioned net.
+
+    ``flat`` holds the parameters of every net, net k's in the k-th of
+    ``len(nets)`` equal slices."""
 
     nets: list[Mlp]
     shared: bool
     horizon: int
     kind: str                       # "policy" | "value"
+    flat: np.ndarray = field(repr=False, compare=False)
+    _grad: np.ndarray | None = field(default=None, init=False, repr=False)
+    _grad_views: list = field(default_factory=list, init=False, repr=False)
 
     def net_for(self, t: int) -> Mlp:
         return self.nets[0] if self.shared else self.nets[t]
@@ -142,26 +190,92 @@ class MlpSet:
         return np.hstack([x, np.tile(onehot, (x.shape[0], 1))])
 
     def param_count(self) -> int:
-        return sum(net.param_count() for net in self.nets)
+        return self.flat.size
+
+    def __reduce__(self):
+        # pickle the buffer once; the nets are rebuilt as views of it
+        return _new_set, (self.kind, self.nets[0].dims, len(self.nets), self.shared,
+                          self.horizon, None, self.flat)
+
+    def views(self, buf: np.ndarray) -> list[list[np.ndarray]]:
+        """Per net, the views of ``buf`` (laid out like ``flat``) in .params() order."""
+        size, dims = self.nets[0].param_count(), self.nets[0].dims
+        return [split_params(buf[k * size:(k + 1) * size], dims) for k in range(len(self.nets))]
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Flat gradient buffer laid out like ``flat``; allocated on first use."""
+        if self._grad is None:
+            self._grad = np.empty_like(self.flat)
+            self._grad_views = self.views(self._grad)
+        return self._grad
+
+    def _groups(self, t: np.ndarray, rows: np.ndarray):
+        """(time, its rows in order) for each time among ``rows``, ascending."""
+        times = t[rows]
+        for tt in np.unique(times):
+            yield int(tt), rows[times == tt]
+
+    def forward_grouped(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Output of every row of x through the net of its time t[i], in row order."""
+        out = np.empty((len(t), self.nets[0].dims[-1]))
+        for tt, sel in self._groups(t, np.arange(len(t))):
+            out[sel] = self.net_for(tt).forward(self.augment(x[sel], tt))
+        return out
+
+    def grouped_gradient(self, x: np.ndarray, t: np.ndarray, rows: np.ndarray,
+                         head: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """Gradient of a loss over the minibatch ``rows`` of x (times t[rows]),
+        written into ``grad``, which it returns.
+
+        Each time's rows ``sel`` go forward through its net; ``head(sel, out)``
+        returns d(loss)/d(out) and the reverse pass writes the net's gradient
+        into its slice of ``grad``. Nets without rows get zeros; a shared net
+        adds up its groups in time order."""
+        grad = self.grad
+        written = [False] * len(self.nets)
+        for tt, sel in self._groups(t, rows):
+            k = 0 if self.shared else tt
+            out, cache = self.nets[k].forward(self.augment(x[sel], tt), want_cache=True)
+            dout = head(sel, out)
+            if written[k]:
+                for acc, g in zip(self._grad_views[k], self.nets[k].backward(cache, dout)[0]):
+                    acc += g
+            else:
+                self.nets[k].backward(cache, dout, self._grad_views[k])
+                written[k] = True
+        for views, done in zip(self._grad_views, written):
+            if not done:
+                for g in views:
+                    g.fill(0.0)
+        return grad
+
+
+def _new_set(kind: str, dims: list[int], count: int, shared: bool, horizon: int,
+             rng: np.random.Generator | None = None,
+             flat: np.ndarray | None = None) -> MlpSet:
+    """``count`` nets over one buffer: drawn from ``rng``, or views of ``flat``."""
+    size, acts = param_count(dims), _ACT_SETS[kind]
+    flat = np.empty(count * size) if flat is None else flat
+    parts = [flat[k * size:(k + 1) * size] for k in range(count)]
+    nets = [Mlp.create(dims, acts, rng, out=part) if rng is not None
+            else Mlp(part, dims, acts + ("linear",)) for part in parts]
+    return MlpSet(nets, shared, horizon, kind, flat)
 
 
 def create_policy_set(obs_dim: int, veh_dim: int, n_actions: int, horizon: int,
                       rng: np.random.Generator, hidden: int = 128,
                       shared: bool = False) -> MlpSet:
     din = obs_dim + veh_dim + (horizon if shared else 0)
-    dims = [din, hidden, hidden, hidden, n_actions]
-    count = 1 if shared else horizon
-    return MlpSet([Mlp.create(dims, POLICY_ACTIVATIONS, rng) for _ in range(count)],
-                  shared, horizon, "policy")
+    return _new_set("policy", [din, hidden, hidden, hidden, n_actions],
+                    1 if shared else horizon, shared, horizon, rng=rng)
 
 
 def create_value_set(obs_dim: int, horizon: int, rng: np.random.Generator,
                      hidden: int = 128, shared: bool = False) -> MlpSet:
     din = obs_dim + (horizon if shared else 0)
-    dims = [din, hidden, hidden, hidden, 1]
-    count = 1 if shared else horizon
-    return MlpSet([Mlp.create(dims, VALUE_ACTIVATIONS, rng) for _ in range(count)],
-                  shared, horizon, "value")
+    return _new_set("value", [din, hidden, hidden, hidden, 1],
+                    1 if shared else horizon, shared, horizon, rng=rng)
 
 
 def forward_policy(pset: MlpSet, obs: np.ndarray, veh: np.ndarray, mask: np.ndarray,
@@ -177,35 +291,79 @@ def forward_value(vset: MlpSet, obs: np.ndarray, t: int) -> float:
 
 # -- optimizer ----------------------------------------------------------------
 
+# Elements per Adam chunk: a chunk of the parameters, gradients, both moments
+# and the two work rows (6 x 256 KiB) stays in a core's L2 cache, and the
+# chunks are few enough that the per-call cost of the 14 ufuncs stays small.
+_ADAM_CHUNK = 32768
+
 
 @dataclass
 class AdamState:
+    """Adam moments, one array per parameter array in ``m`` and ``v``; from
+    ``for_set`` they are views of two flat buffers (``flat``) laid out like
+    the set's, which ``adam_step`` updates in one pass."""
+
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    flat: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _work: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], **kw) -> "AdamState":
         return cls([np.zeros_like(p) for p in params],
                    [np.zeros_like(p) for p in params], **kw)
 
+    @classmethod
+    def for_set(cls, mset: MlpSet, **kw) -> "AdamState":
+        flat = (np.zeros_like(mset.flat), np.zeros_like(mset.flat))
+        m, v = ([a for net in mset.views(buf) for a in net] for buf in flat)
+        return cls(m, v, flat=flat, **kw)
+
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState, lr: float) -> None:
-    """Standard Adam with bias correction; updates params in place."""
+    """Standard Adam with bias correction; updates params in place.
+
+    ``params`` and ``grads`` pair up with ``state.m``/``state.v``, or, for a
+    state from ``AdamState.for_set``, are ``[set.flat]`` and ``[set.grad]``.
+    Each element sees the operations, in order, of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, p -= lr * (m/corr1) / (sqrt(v/corr2) + eps)."""
+    moments = [state.flat] if state.flat is not None else list(zip(state.m, state.v))
+    if not len(params) == len(grads) == len(moments):
+        raise ContractViolation("adam_step: params, grads and moments differ in count")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+    if state._work is None:
+        state._work = np.empty((2, _ADAM_CHUNK))
+    for p, g, (m, v) in zip(params, grads, moments):
+        if not (p.size == g.size == m.size == v.size and p.flags.c_contiguous
+                and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ContractViolation("adam_step: arrays differ in size or are not contiguous")
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s, r = state._work[0, :hi - lo], state._work[1, :hi - lo]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=s)
+            mc += s
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=s)
+            s *= gc
+            vc += s
+            np.divide(mc, corr1, out=s)
+            s *= lr
+            np.divide(vc, corr2, out=r)
+            np.sqrt(r, out=r)
+            r += state.eps
+            s /= r
+            pc -= s
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -225,30 +383,38 @@ def save_set(path, pset: MlpSet) -> None:
         header = [1, _KINDS[pset.kind], int(pset.shared), pset.horizon,
                   len(pset.nets), len(dims)] + dims
         f.write(np.asarray(header, dtype="<i4").tobytes())
-        for net in pset.nets:
-            for p in net.params():
-                f.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+        f.write(pset.flat.astype("<f4").tobytes())
+
+
+def _read(f, n: int, path) -> bytes:
+    """Exactly n bytes, or InvalidArgument; never asks for more than the file holds."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise InvalidArgument(f"{path}: truncated checkpoint")
+    return f.read(n)
 
 
 def load_set(path) -> MlpSet:
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise InvalidArgument(f"{path}: not a network checkpoint")
-        fixed = np.frombuffer(f.read(6 * 4), dtype="<i4")
+        fixed = np.frombuffer(_read(f, 6 * 4, path), dtype="<i4")
         version, kind_id, shared, horizon, n_nets, n_dims = (int(x) for x in fixed)
         if version != 1:
             raise InvalidArgument(f"{path}: unsupported checkpoint version {version}")
-        dims = [int(x) for x in np.frombuffer(f.read(n_dims * 4), dtype="<i4")]
+        if kind_id not in _KIND_NAMES:
+            raise InvalidArgument(f"{path}: unknown network kind {kind_id}")
         kind = _KIND_NAMES[kind_id]
-        acts = _ACT_SETS[kind] + ("linear",)
-        nets = []
-        for _ in range(n_nets):
-            ws, bs = [], []
-            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-                w = np.frombuffer(f.read(fan_in * fan_out * 4), dtype="<f4")
-                ws.append(w.reshape(fan_in, fan_out).astype(float))
-                bs.append(np.frombuffer(f.read(fan_out * 4), dtype="<f4").astype(float))
-            nets.append(Mlp(ws, bs, acts))
+        if n_dims != len(_ACT_SETS[kind]) + 2:
+            raise InvalidArgument(f"{path}: {n_dims} layer sizes for a {kind} network")
+        if shared not in (0, 1) or horizon < 1 or n_nets != (1 if shared else horizon):
+            raise InvalidArgument(f"{path}: {n_nets} nets for horizon {horizon} "
+                                  f"(shared={shared})")
+        dims = [int(x) for x in np.frombuffer(_read(f, n_dims * 4, path), dtype="<i4")]
+        if min(dims) < 1:
+            raise InvalidArgument(f"{path}: bad layer sizes {dims}")
+        count = n_nets * param_count(dims)
+        flat = np.frombuffer(_read(f, count * 4, path), dtype="<f4").astype(np.float64)
         if f.read(1):
             raise InvalidArgument(f"{path}: trailing bytes in checkpoint")
-    return MlpSet(nets, bool(shared), horizon, kind)
+    return _new_set(kind, dims, n_nets, bool(shared), horizon, flat=flat)

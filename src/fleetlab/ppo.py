@@ -54,6 +54,14 @@ class PpoConfig:
             raise InvalidArgument("days_per_trajectory must be >= 1")
         if not (0 < self.initial_clip <= 1 and 0 < self.clip_decay <= 1):
             raise InvalidArgument("clip parameters out of range")
+        if self.batch_policy < 1 or self.batch_value < 1:
+            raise InvalidArgument("batch_policy and batch_value must be >= 1")
+        if self.policy_update_steps < 0 or self.value_update_steps < 0:
+            raise InvalidArgument("policy_update_steps and value_update_steps must be >= 0")
+        if self.hidden < 1:
+            raise InvalidArgument("hidden must be >= 1")
+        if not (self.lr_policy > 0 and self.lr_value > 0):
+            raise InvalidArgument("learning rates must be > 0")
 
 
 def clip_schedule(m: int, eps: float, gamma: float, floor: float = 0.01) -> float:
@@ -151,50 +159,29 @@ def value_targets(trace: EpisodeTrace, g: float, config: NetworkConfig) -> np.nd
     return adj[::-1].cumsum()[::-1]
 
 
-def _value_batch(vset: nn.MlpSet, obs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorized value forward over mixed times (grouped per network)."""
-    out = np.empty(len(t))
-    for tt in np.unique(t):
-        sel = t == tt
-        x = vset.augment(obs[sel], int(tt))
-        out[sel] = vset.net_for(int(tt)).forward(x)[:, 0]
-    return out
-
-
 def fit_value(vset: nn.MlpSet, obs: np.ndarray, t: np.ndarray, targets: np.ndarray,
               ppo: PpoConfig, rng: np.random.Generator,
               adam: nn.AdamState | None = None) -> tuple[nn.AdamState, list[float]]:
     """Minibatch Adam on mean squared error; returns losses per step."""
-    params = [p for net in vset.nets for p in net.params()]
     if adam is None:
-        adam = nn.AdamState.for_params(params)
+        adam = nn.AdamState.for_set(vset)
     losses = []
     n = len(targets)
     for _ in range(ppo.value_update_steps):
         idx = rng.choice(n, size=min(ppo.batch_value, n), replace=False)
-        grads = [np.zeros_like(p) for p in params]
         loss_terms = []
-        offset = 0
-        offsets = {}
-        for i, net in enumerate(vset.nets):
-            offsets[i] = offset
-            offset += 2 * len(net.weights)
-        for tt in np.unique(t[idx]):
-            sel = idx[t[idx] == tt]
-            net = vset.net_for(int(tt))
-            x = vset.augment(obs[sel], int(tt))
-            y, cache = net.forward(x, want_cache=True)
+
+        def head(sel, y):
             err = y[:, 0] - targets[sel]
             loss_terms.append(float(err @ err))
-            g, _ = net.backward(cache, (2.0 * err / len(idx))[:, None])
-            ni = 0 if vset.shared else int(tt)
-            for j, gj in enumerate(g):
-                grads[offsets[ni] + j] += gj
+            return (2.0 * err / len(idx))[:, None]
+
+        grad = vset.grouped_gradient(obs, t, idx, head)
         loss = math.fsum(loss_terms) / len(idx)
         if not math.isfinite(loss):
             raise TrainingDiagnostic("value loss diverged (NaN/inf)")
         losses.append(loss)
-        nn.adam_step(params, grads, adam, ppo.lr_value)
+        nn.adam_step([vset.flat], [grad], adam, ppo.lr_value)
     return adam, losses
 
 
@@ -203,7 +190,7 @@ def compute_advantages(trace: EpisodeTrace, vset: nn.MlpSet, g: float,
     """A = r - g/(T*N) + h(next obs) - h(obs); the final step bootstraps on
     the trajectory's terminal observation."""
     bias = g / (config.horizon_steps * config.fleet_size)
-    h = _value_batch(vset, trace.obs, trace.t)
+    h = vset.forward_grouped(trace.obs, trace.t)[:, 0]
     h_term = nn.forward_value(vset, trace.terminal_obs, trace.terminal_t)
     h_next = np.append(h[1:], h_term)
     return trace.reward - bias + h_next - h
@@ -242,28 +229,18 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
         obs, veh, mask, t, act = obs[keep], veh[keep], mask[keep], t[keep], act[keep]
         old_prob, advantages = old_prob[keep], advantages[keep]
 
-    params = [p for net in pset.nets for p in net.params()]
     if adam is None:
-        adam = nn.AdamState.for_params(params)
-    offsets = {}
-    off = 0
-    for i, net in enumerate(pset.nets):
-        offsets[i] = off
-        off += 2 * len(net.weights)
-
+        adam = nn.AdamState.for_set(pset)
     n = len(act)
     xfull = np.hstack([obs, veh])
     clip_fracs = []
     surrogate_before = float(advantages.mean()) if n else 0.0
     for _ in range(ppo.policy_update_steps):
         idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)
-        grads = [np.zeros_like(p) for p in params]
         clipped_ct = 0
-        for tt in np.unique(t[idx]):
-            sel = idx[t[idx] == tt]
-            net = pset.net_for(int(tt))
-            x = pset.augment(xfull[sel], int(tt))
-            logits, cache = net.forward(x, want_cache=True)
+
+        def head(sel, logits):
+            nonlocal clipped_ct
             m = mask[sel]
             z = np.where(m, logits, -np.inf)
             z = z - z.max(axis=1, keepdims=True)
@@ -278,12 +255,11 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
             coef = np.where(clipped, 0.0, adv * rho) / len(idx)
             dlogits = -coef[:, None] * p
             dlogits[np.arange(len(sel)), act[sel]] += coef
-            g, _ = net.backward(cache, -dlogits)       # ascend: negate for Adam
-            ni = 0 if pset.shared else int(tt)
-            for j, gj in enumerate(g):
-                grads[offsets[ni] + j] += gj
+            return -dlogits                     # ascend: negate for Adam
+
+        grad = pset.grouped_gradient(xfull, t, idx, head)
         clip_fracs.append(clipped_ct / len(idx))
-        nn.adam_step(params, grads, adam, ppo.lr_policy)
+        nn.adam_step([pset.flat], [grad], adam, ppo.lr_policy)
     stats = PolicyUpdateStats(
         clip_fraction=float(np.mean(clip_fracs)) if clip_fracs else 0.0,
         surrogate_before=surrogate_before,

@@ -16,6 +16,7 @@ atomic actions a vehicle may take.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,23 +27,44 @@ N_ETA_BUCKETS = 3
 N_BATTERY_CLASSES = 3
 
 
-def battery_class(config: NetworkConfig, battery: int) -> int:
-    """0 = low (<10% of B), 1 = medium (10-40%), 2 = high (>=40%); exact in ints."""
-    B = config.battery_capacity
-    if battery * 10 < B:
+def _battery_class(battery: int, capacity: int) -> int:
+    if battery * 10 < capacity:
         return 0
-    if battery * 10 < 4 * B:
+    if battery * 10 < 4 * capacity:
         return 1
     return 2
+
+
+def _eta_bucket(eta: int, pickup_patience: int) -> int:
+    if eta == 0:
+        return 0
+    if eta <= pickup_patience:
+        return 1
+    return 2
+
+
+def battery_class(config: NetworkConfig, battery: int) -> int:
+    """0 = low (<10% of B), 1 = medium (10-40%), 2 = high (>=40%); exact in ints."""
+    return _battery_class(battery, config.battery_capacity)
 
 
 def eta_bucket(config: NetworkConfig, eta: int) -> int:
     """0 = idle, 1 = en-route but dispatchable (1..L_p), 2 = busy (>L_p)."""
-    if eta == 0:
-        return 0
-    if eta <= config.pickup_patience:
-        return 1
-    return 2
+    return _eta_bucket(eta, config.pickup_patience)
+
+
+@lru_cache(maxsize=64)
+def _bucket_maps(eta_cap: int, pickup_patience: int,
+                 battery_capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 maps from eta to eta bucket, (eta_cap+1, 3), and from battery level
+    to battery class, (B+1, 3); read-only, since every caller shares them."""
+    eta = np.eye(N_ETA_BUCKETS)[[_eta_bucket(e, pickup_patience)
+                                 for e in range(eta_cap + 1)]]
+    bat = np.eye(N_BATTERY_CLASSES)[[_battery_class(b, battery_capacity)
+                                     for b in range(battery_capacity + 1)]]
+    eta.setflags(write=False)
+    bat.setflags(write=False)
+    return eta, bat
 
 
 def obs_dim(config: NetworkConfig) -> int:
@@ -78,13 +100,10 @@ class ReducedObservation:
 
 def reduce_state(config: NetworkConfig, state) -> ReducedObservation:
     """Cluster a full state (or intra-epoch working state) into an observation."""
-    V, R = config.num_regions, config.num_rates
-    fleet = np.zeros((V, N_ETA_BUCKETS, N_BATTERY_CLASSES))
-    eta_map = np.array([eta_bucket(config, e) for e in range(config.eta_cap + 1)])
-    bat_map = np.array([battery_class(config, b) for b in range(config.battery_capacity + 1)])
-    vs, es, bs = np.nonzero(state.vehicles)
-    for v, e, b in zip(vs, es, bs):
-        fleet[v, eta_map[e], bat_map[b]] += state.vehicles[v, e, b]
+    eta_map, bat_map = _bucket_maps(config.eta_cap, config.pickup_patience,
+                                    config.battery_capacity)
+    # integer counts summed in float64: exact whatever the summation order
+    fleet = eta_map.T @ state.vehicles @ bat_map
     fleet /= config.fleet_size
 
     dnorm = demand_normalizer(config)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import tiny_config
+from fleetlab import nn, ppo
 from fleetlab.cli import parse_policy
 
 CLI = [sys.executable, "-m", "fleetlab.cli"]
@@ -252,6 +253,44 @@ def test_bad_count_inputs_exit_2(tiny_json, tmp_path, argv):
     r = run_cli(*(a.format(cfg=tiny_json, tmp=tmp_path) for a in argv))
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """A policy fitting tiny_json, and checkpoints that must not load as one."""
+    d = tmp_path_factory.mktemp("ckpt")
+    pset, vset = ppo.init_networks(tiny_config(lam_scale=0.8), ppo.PpoConfig(hidden=4))
+    other, _ = ppo.init_networks(tiny_config(V=3), ppo.PpoConfig(hidden=4))
+    longer, _ = ppo.init_networks(tiny_config(T=5), ppo.PpoConfig(hidden=4))
+    for name, mset in (("policy", pset), ("value", vset), ("other", other),
+                       ("longer", longer)):
+        nn.save_set(d / f"{name}.bin", mset)
+    good = (d / "policy.bin").read_bytes()
+    (d / "truncated.bin").write_bytes(good[:-7])
+    (d / "header-only.bin").write_bytes(good[:20])
+    kind = bytearray(good)
+    kind[8:12] = (7).to_bytes(4, "little")          # header: magic, version, kind, ...
+    (d / "kind.bin").write_bytes(bytes(kind))
+    return d
+
+
+def _evaluate_checkpoint(cfg, path):
+    return run_cli("evaluate", "--config", cfg, "--policy", "ppo", "--checkpoint", str(path),
+                   "--trajectories", "1", "--days", "1", "--jobs", "1")
+
+
+def test_fitting_checkpoint_evaluates(tiny_json, checkpoints):
+    r = _evaluate_checkpoint(tiny_json, checkpoints / "policy.bin")
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("name", ["truncated", "header-only", "kind", "value", "other",
+                                  "longer"])
+def test_bad_checkpoint_exits_2(tiny_json, checkpoints, name):
+    r = _evaluate_checkpoint(tiny_json, checkpoints / f"{name}.bin")
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
 def test_readme_policy_tokens_parse():

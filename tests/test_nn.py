@@ -1,5 +1,7 @@
 """Tests for the dense networks, backprop, Adam, and checkpoints."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,107 @@ def test_load_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(InvalidArgument):
         nn.load_set(path)
+
+
+def _set_params(mset):
+    return [p for net in mset.nets for p in net.params()]
+
+
+def test_set_params_are_views_of_one_buffer(tmp_path):
+    rng = np.random.default_rng(9)
+    sets = [nn.create_policy_set(5, 3, 4, 3, rng, hidden=8),
+            nn.create_value_set(5, 3, rng, hidden=8, shared=True)]
+    for i, mset in enumerate(list(sets)):
+        nn.save_set(tmp_path / f"{i}.bin", mset)
+        sets += [nn.load_set(tmp_path / f"{i}.bin"), pickle.loads(pickle.dumps(mset))]
+    for mset in sets:
+        params = _set_params(mset)
+        assert all(p.base is mset.flat for p in params)
+        # back to back in .params() order: numbering the buffer numbers the params
+        mset.flat[:] = np.arange(mset.flat.size)
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]),
+                                      np.arange(mset.flat.size))
+
+
+def test_save_load_round_trip_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(10)
+    for i, mset in enumerate((nn.create_policy_set(5, 3, 4, 3, rng, hidden=8),
+                              nn.create_value_set(5, 2, rng, hidden=8, shared=True))):
+        first, second = tmp_path / f"{i}a.bin", tmp_path / f"{i}b.bin"
+        nn.save_set(first, mset)
+        nn.save_set(second, nn.load_set(first))
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_create_draws_what_rng_uniform_draws():
+    dims = [5, 8, 8, 8, 3]
+    net = nn.Mlp.create(dims, nn.POLICY_ACTIVATIONS, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for w, b in zip(net.weights, net.biases):
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        assert w.tobytes() == rng.uniform(-bound, bound, size=w.shape).tobytes()
+        assert not b.any()
+
+
+def test_adam_on_flat_buffer_matches_per_array_loop(monkeypatch):
+    """One adam_step over a set's flat buffers gives the bits of the plain
+    per-array update on copies, across chunk boundaries and for a net whose
+    gradient is zero."""
+    monkeypatch.setattr(nn, "_ADAM_CHUNK", 500)
+    rng = np.random.default_rng(12)
+    pset = nn.create_policy_set(5, 3, 4, 3, rng, hidden=16)
+    assert pset.flat.size > 3 * nn._ADAM_CHUNK and pset.flat.size % nn._ADAM_CHUNK
+    ref = [p.copy() for p in _set_params(pset)]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    state = nn.AdamState.for_set(pset)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    for step in range(1, 5):
+        grad = rng.normal(size=pset.flat.size)
+        if step == 3:
+            grad[:pset.nets[0].param_count()] = 0.0
+        nn.adam_step([pset.flat], [grad], state, lr)
+        size, dims = pset.nets[0].param_count(), pset.nets[0].dims
+        grads = [g.copy() for k in range(len(pset.nets))
+                 for g in nn.split_params(grad[k * size:(k + 1) * size], dims)]
+        corr1, corr2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for p, g, mi, vi in zip(ref, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= lr * (mi / corr1) / (np.sqrt(vi / corr2) + eps)
+        assert pset.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+        for got, want in zip(state.m + state.v, m + v):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_grouped_gradient_matches_per_net_backward():
+    """Each time's rows give their net's backward, unused nets get zeros even
+    over a dirty buffer, and a shared net sums its groups in time order."""
+    for shared in (False, True):
+        rng = np.random.default_rng(13)
+        vset = nn.create_value_set(4, 3, rng, hidden=6, shared=shared)
+        x = rng.normal(size=(9, 4))
+        t = np.array([2, 0, 2, 2, 0, 1, 0, 2, 1])
+        rows = np.array([0, 2, 3, 4, 6, 7])          # no row at time 1
+        vset.grad[:] = np.nan
+        heads = []
+
+        def head(sel, y):
+            heads.append(sel)
+            return y                                  # d(loss)/d(out) for sum(out**2)/2
+
+        grad = vset.grouped_gradient(x, t, rows, head)
+        want = np.zeros_like(vset.flat)
+        size = vset.nets[0].param_count()
+        for sel in heads:
+            tt = int(t[sel[0]])
+            assert (t[sel] == tt).all()
+            k = 0 if shared else tt
+            out, cache = vset.nets[k].forward(vset.augment(x[sel], tt), want_cache=True)
+            g, _ = vset.nets[k].backward(cache, out.copy())
+            want[k * size:(k + 1) * size] += np.concatenate([gi.ravel() for gi in g])
+        assert [int(t[sel[0]]) for sel in heads] == [0, 2]
+        np.testing.assert_array_equal(grad, want)
+        assert grad is vset.grad

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fleetlab import sim
-from fleetlab.model import VehicleStatus
+from fleetlab.model import SystemState, VehicleStatus
 from fleetlab.reduce import (
     N_BATTERY_CLASSES,
     N_ETA_BUCKETS,
@@ -18,7 +18,7 @@ from fleetlab.reduce import (
     vehicle_features,
 )
 
-from conftest import tiny_config
+from conftest import random_config, tiny_config
 
 
 def test_battery_class_cutoffs_exact_at_10_and_40_percent():
@@ -70,6 +70,24 @@ def test_fleet_features_count_and_normalize(tiny):
                     state.vehicles[v, e, b]
                 )
     np.testing.assert_allclose(obs.fleet_features, want / tiny.fleet_size)
+
+
+def test_fleet_features_equal_the_per_vehicle_loop_bit_for_bit():
+    """The bucket-map product gives exactly the per-status loop's counts on
+    random instances with vehicles scattered over every status."""
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        cfg = random_config(rng)
+        state = sim.initial_state(cfg)
+        vehicles = np.zeros_like(state.vehicles)
+        cells = rng.integers(0, vehicles.size, size=cfg.fleet_size)
+        np.add.at(vehicles.reshape(-1), cells, 1)
+        state = SystemState(state.t, vehicles, state.trips, state.chargers)
+        want = np.zeros((cfg.num_regions, N_ETA_BUCKETS, N_BATTERY_CLASSES))
+        for v, e, b in zip(*np.nonzero(vehicles)):
+            want[v, eta_bucket(cfg, e), battery_class(cfg, b)] += vehicles[v, e, b]
+        want /= cfg.fleet_size
+        assert reduce_state(cfg, state).fleet_features.tobytes() == want.tobytes()
 
 
 def test_trip_counts_by_origin_and_destination(tiny):
