@@ -1,7 +1,13 @@
 """Tests for the benchmark policies and the exact tiny-instance solver."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,10 +19,12 @@ from fleetlab.baselines import (
     RandomFeasiblePolicy,
     exact_value_iteration,
 )
-from fleetlab.fluid import upper_bound
+from fleetlab.fluid import FluidRoundingPolicy, upper_bound
 from fleetlab.model import PASS, SystemState, TripStatus, action_to_index, fulfill
+from fleetlab.scenarios import synth_scenario
 
 from conftest import tiny_config
+from test_acceptance import _vi_instance
 
 
 def test_always_pass_earns_zero(tiny):
@@ -137,3 +145,86 @@ def test_exact_policy_is_simulatable():
     assert sol.span <= 1e-6
     assert sol.states > 0
     assert math.isfinite(sol.gain)
+
+
+# SHA-256 of the sorted-key JSON of sim.score_trajectory, per (scenario,
+# policy, seed); recorded before the rounding policy shared the intent queue.
+GOLDEN_TRAJECTORY_DIGESTS = {
+    ("tiny", "fluid", 0):
+        "5c2b8e97b18170dce44e1a3f1da89342a157654b4ca5d865503878e0df782d54",
+    ("tiny", "fluid", 1):
+        "ba499b0f0e55a8c74f38a5dd8bd6e9182eb87ec32662694e3e5a23edfa7c2798",
+    ("tiny", "power-of-2", 0):
+        "38321702e980de0468df403e04883d7e7fe618f6eef390fbb1186ca35b490ba9",
+    ("tiny", "power-of-2", 1):
+        "fa4de5a29a8e7754a7fb4fb8f04c5cce606f2e687b8fe3c6f1c6579660bed75b",
+    ("two-region-commute", "fluid", 0):
+        "f779600442e2167c863b6d070dd0777b47823c518642fe6016f220a94766cdbd",
+    ("two-region-commute", "fluid", 1):
+        "ba4c8f3f9ad0acaa842bd34e16334f7fd6a1e40b16fe52f18cfefa1aede7f33f",
+    ("two-region-commute", "power-of-2", 0):
+        "f37dacb22ed9e4266086d05bd2d5553b9bedfd2f5b6aee3f783df22cede46fa5",
+    ("two-region-commute", "power-of-2", 1):
+        "ddd500adae80a9f3a76058dff3e65582b1ab48fe62e86fae2cb18522381d520b",
+}
+
+
+def _one_thread_bound(scenario: str):
+    """upper_bound solved in a child process on one OpenBLAS thread.
+
+    Commute's LP has tied optimal vertices, and which one the simplex returns
+    depends on how the BLAS thread count rounds the basis inverse; the child
+    pins that count so the rounding policy is pinned on a fixed input."""
+    code = ("import pickle, sys\n"
+            "from fleetlab.fluid import upper_bound\n"
+            "from fleetlab.scenarios import synth_scenario\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from conftest import tiny_config\n"
+            "cfg = tiny_config() if sys.argv[2] == 'tiny' else synth_scenario(sys.argv[2], seed=0)\n"
+            "sys.stdout.buffer.write(pickle.dumps(upper_bound(cfg)))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code, os.path.dirname(__file__), scenario],
+                           env=env, capture_output=True, check=True)
+    return pickle.loads(child.stdout)
+
+
+@pytest.mark.parametrize("scenario", ["tiny", "two-region-commute"])
+def test_trajectories_match_recorded_digests(scenario):
+    config = tiny_config() if scenario == "tiny" else synth_scenario(scenario, seed=0)
+    days = 4 if scenario == "tiny" else 2
+    solution = _one_thread_bound(scenario)
+    build = {"fluid": lambda: FluidRoundingPolicy(config, solution),
+             "power-of-2": lambda: PowerOfKPolicy(config, k=2)}
+    for (name, policy, seed), want in GOLDEN_TRAJECTORY_DIGESTS.items():
+        if name != scenario:
+            continue
+        score = sim.score_trajectory(config, build[policy](), days, (seed, 3))
+        got = hashlib.sha256(json.dumps(score, sort_keys=True).encode()).hexdigest()
+        assert got == want, (policy, seed)
+
+
+# exact_value_iteration on unichain _vi_instance draws (arrival cap 1): gain,
+# iterations, reachable states, and SHA-256 of the sorted policy table.
+GOLDEN_VI = {
+    7: (2.56069314199217, 64, 608,
+        "4da03f7e94918e60471e8f88d46b912955d85bc19a4de1a8ff82903b2ca6998a"),
+    20: (4.4126055543873965, 29, 1152,
+         "e1ca519c157af7d58885dc186cdacea08c99378fd81e48deee5fa9bccf82ebb9"),
+}
+
+
+def _policy_digest(policy: dict) -> str:
+    rows = sorted(
+        (t, key, [sorted(d.items()) for d in (fa.fulfill, fa.reposition, fa.charge,
+                                              fa.pass_count)])
+        for (t, key), fa in policy.items())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_VI))
+def test_exact_vi_matches_recorded_digests(seed):
+    sol = exact_value_iteration(_vi_instance(seed), arrival_cap=1)
+    assert sol.span <= 1e-8
+    got = (sol.gain, sol.iterations, sol.states, _policy_digest(sol.policy))
+    assert got == GOLDEN_VI[seed]

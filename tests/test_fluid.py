@@ -1,6 +1,7 @@
 """Tests for the fluid relaxation bound and the rounding policy."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,8 @@ from fleetlab.fluid import (
     build_reduced_lp,
     upper_bound,
 )
+
+from fleetlab.scenarios import synth_scenario
 
 from conftest import random_config, tiny_config
 
@@ -132,3 +135,33 @@ def test_lp_shapes_scale_with_config(tiny):
     assert prob_r.shape[1] == len(idx_r)
     # the reduced form tracks aggregate battery, so it is no larger
     assert prob_r.shape[1] <= prob_f.shape[1]
+
+
+# SHA-256 over A, objective, b, then the JSON of senses, var_names and
+# row_names; recorded before the LP builders shared their window arithmetic.
+GOLDEN_LP_DIGESTS = {
+    ("tiny", "full"):
+        "381cdce96e4ac81b091f11f5b92b11776c204648ff34977b6e8abee9b347d699",
+    ("tiny", "reduced"):
+        "239cacba22303bedaeaf53809c1d0b4f7d662065d72330a289bff65205461429",
+    ("two-region-commute", "full"):
+        "1787e8b829c433387f536a679462769b1482460713366f444c88e7b61b635d29",
+    ("two-region-commute", "reduced"):
+        "f875134737591f452b25758ec68f490482149528a3a703d2aeee6bc0df9f3432",
+}
+
+
+def _lp_digest(problem) -> str:
+    h = hashlib.sha256()
+    for arr in (problem.A, problem.objective, problem.b):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(json.dumps([problem.senses, problem.var_names, problem.row_names]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("scenario, formulation", sorted(GOLDEN_LP_DIGESTS))
+def test_lps_match_recorded_digests(scenario, formulation):
+    config = tiny_config() if scenario == "tiny" else synth_scenario(scenario, seed=0)
+    build = build_full_lp if formulation == "full" else build_reduced_lp
+    problem, _ = build(config)
+    assert _lp_digest(problem) == GOLDEN_LP_DIGESTS[(scenario, formulation)]
