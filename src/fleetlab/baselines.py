@@ -29,12 +29,15 @@ from .model import (
     SystemState,
     TripStatus,
     VehicleStatus,
+    action_count,
     action_to_index,
     charge,
+    feasible_mask,
     fulfill,
+    index_to_action,
     reposition,
 )
-from .sim import initial_state, transition
+from .sim import WorkingState, initial_state, transition
 
 
 class AlwaysPassPolicy:
@@ -51,9 +54,10 @@ class RandomFeasiblePolicy:
         return idx, 1.0 / choices.size
 
 
-class _IntentPolicy:
+class IntentQueuePolicy:
     """Shared plumbing: begin_epoch fills per-status intent queues; act pops
-    one intent for the acting vehicle's exact status and falls back to Pass."""
+    intents for the acting vehicle's exact status until one is feasible, and
+    falls back to Pass."""
 
     def __init__(self):
         self.intents: dict[VehicleStatus, list[AtomicAction]] = {}
@@ -61,18 +65,22 @@ class _IntentPolicy:
     def _push(self, status: VehicleStatus, action: AtomicAction) -> None:
         self.intents.setdefault(status, []).append(action)
 
+    def _candidates(self, work, vehicle: VehicleStatus,
+                    intent: AtomicAction) -> tuple[AtomicAction, ...]:
+        """Atomic actions one popped intent stands for, in the order tried."""
+        return (intent,)
+
     def act(self, config, work, vehicle, mask, rng):
         queue = self.intents.get(vehicle)
-        idx = action_to_index(config, PASS)
         while queue:
-            cand = action_to_index(config, queue.pop(0))
-            if mask[cand]:
-                idx = cand
-                break
-        return idx, 1.0
+            for cand in self._candidates(work, vehicle, queue.pop(0)):
+                idx = action_to_index(config, cand)
+                if mask[idx]:
+                    return idx, 1.0
+        return action_to_index(config, PASS), 1.0
 
 
-class PowerOfKPolicy(_IntentPolicy):
+class PowerOfKPolicy(IntentQueuePolicy):
     def __init__(self, config: NetworkConfig, k: int = 2):
         super().__init__()
         if k < 1:
@@ -85,10 +93,7 @@ class PowerOfKPolicy(_IntentPolicy):
     def begin_epoch(self, config, state, rng):
         self.intents = {}
         t = state.t
-        pool: dict[VehicleStatus, int] = {}
-        vs, es, bs = np.nonzero(state.vehicles)
-        for v, e, b in zip(vs, es, bs):
-            pool[VehicleStatus(int(v), int(e), int(b))] = int(state.vehicles[v, e, b])
+        pool = dict(state.statuses())
 
         # serve queued orders, oldest first
         orders = []
@@ -165,64 +170,37 @@ def _joint_outcomes(config: NetworkConfig, t: int, cap: int):
     return outcomes if outcomes else [(np.zeros((V, V), dtype=np.int64), 1.0)]
 
 
-def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState):
-    """All feasible joint assignments, deduplicated over identical vehicles."""
-    statuses = []
-    vs, es, bs = np.nonzero(state.vehicles)
-    for v, e, b in zip(vs, es, bs):
-        statuses.append((VehicleStatus(int(v), int(e), int(b)), int(state.vehicles[v, e, b])))
+def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState,
+                             actions: list[AtomicAction]):
+    """All feasible joint assignments, deduplicated over identical vehicles.
 
+    Vehicles are assigned one at a time, as in sim.run_epoch: each takes its
+    candidates from feasible_mask over what the vehicles before it left.
+    Vehicles of one status take candidates in non-decreasing rank (Pass
+    first as rank -1, then by action index), so each multiset of actions
+    appears once. ``actions`` lists the atomic action of every index."""
+    units = [c for c, n in state.statuses() for _ in range(n)]
     results: list[FleetAction] = []
 
-    def recurse(i: int, trips: np.ndarray, chargers_free: np.ndarray, acc):
-        if i == len(statuses):
+    def recurse(i: int, low: int, work: WorkingState, acc):
+        if i == len(units):
             fa = FleetAction.empty()
-            for status, action, n in acc:
-                for _ in range(n):
-                    fa.add_atomic(status, action)
+            for c, a in acc:
+                fa.add_atomic(c, a)
             results.append(fa)
             return
-        status, count = statuses[i]
-        # feasible atomic actions for this status under current availability
-        feas = [PASS]
-        u, eta, b = status
-        if eta <= config.pickup_patience:
-            for v in range(config.num_regions):
-                if v != u and b >= config.battery_cost[u, v] and trips[u, v].sum() > 0:
-                    for xi in np.nonzero(trips[u, v])[0]:
-                        feas.append(fulfill(TripStatus(u, v, int(xi))))
-        if eta == 0:
-            for v in range(config.num_regions):
-                if v != u and b >= config.battery_cost[u, v]:
-                    feas.append(reposition(v))
-            for ri, rate in enumerate(config.charge_rates):
-                if chargers_free[u, ri] > 0:
-                    feas.append(charge(rate))
-        for combo in itertools.combinations_with_replacement(feas, count):
-            t2 = trips.copy()
-            c2 = chargers_free.copy()
-            ok = True
-            for a in combo:
-                if a.kind == "fulfill":
-                    o = a.trip
-                    if t2[o.origin, o.dest, o.age] == 0:
-                        ok = False
-                        break
-                    t2[o.origin, o.dest, o.age] -= 1
-                elif a.kind == "charge":
-                    ri = config.rate_index(a.rate)
-                    if c2[u, ri] == 0:
-                        ok = False
-                        break
-                    c2[u, ri] -= 1
-            if not ok:
+        c = units[i]
+        if i == 0 or units[i - 1] != c:
+            low = -1
+        mask = feasible_mask(config, work, c)
+        for rank in [-1] + np.nonzero(mask[:-1])[0].tolist():
+            if rank < low:
                 continue
-            tally: dict[AtomicAction, int] = {}
-            for a in combo:
-                tally[a] = tally.get(a, 0) + 1
-            recurse(i + 1, t2, c2, acc + [(status, a, n) for a, n in tally.items()])
+            nxt = WorkingState(work)
+            nxt.commit(config, c, actions[rank])
+            recurse(i + 1, rank, nxt, acc + [(c, actions[rank])])
 
-    recurse(0, state.trips.copy(), state.chargers[:, :, 0].copy(), [])
+    recurse(0, -1, WorkingState(state), [])
     return results
 
 
@@ -252,10 +230,11 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     # per layer, flat action lists in CSR form over states and branches
     state_actions: list[dict] = [dict() for _ in range(T)]  # idx -> [(r, [(p, idx')], fa)]
     zero_arr = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
+    actions = [index_to_action(config, j) for j in range(action_count(config))]
     while frontier:
         state = frontier.pop()
         t = state.t
-        acts = _enumerate_fleet_actions(config, state)
+        acts = _enumerate_fleet_actions(config, state, actions)
         entry = []
         for fa in acts:
             # arrivals only fill the age-0 queue: apply the action once under

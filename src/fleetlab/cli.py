@@ -414,7 +414,7 @@ def _add_eval_args(p):
     p.add_argument("--trajectories", type=positive_int, default=10)
     p.add_argument("--days", type=positive_int, default=10,
                    help="days per trajectory")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
                    help="worker processes for independent trajectories")
 
 
@@ -441,7 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a dispatch policy")
     _add_config_args(p)
-    p.add_argument("--out", required=True, help="checkpoint directory")
+    p.add_argument("--out", required=True,
+                   help="checkpoint directory: policy.bin and value.bin are the final "
+                        "iteration's networks; the best-evaluated policy is "
+                        "iter_<best_iteration>/policy.bin, best_iteration as in "
+                        "training_report.json")
     p.add_argument("--iterations", type=positive_int, default=None)
     p.add_argument("--trajectories", type=positive_int, default=None)
     p.add_argument("--days", type=positive_int, default=None)

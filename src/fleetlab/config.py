@@ -232,38 +232,50 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
-        if doc.get("schema") != SCHEMA:
-            raise ConfigError(f"unsupported schema {doc.get('schema')!r}, expected {SCHEMA!r}")
-        dims = doc["dims"]
-        curve = doc.get("charging_curve")
-        return cls(
-            num_regions=dims["num_regions"],
-            fleet_size=dims["fleet_size"],
-            battery_capacity=dims["battery_capacity"],
-            horizon_steps=dims["horizon_steps"],
-            epoch_minutes=doc["epoch_minutes"],
-            charge_rates=tuple(doc["charge_rates"]),
-            charge_period=doc["charge_period"],
-            charger_counts=np.array(doc["charger_counts"]),
-            pickup_patience=doc["pickup_patience"],
-            connection_patience=doc["connection_patience"],
-            trip_duration=np.array(doc["trip_duration"]),
-            battery_cost=np.array(doc["battery_cost"]),
-            arrival_rate=np.array(doc["arrival_rate"]),
-            trip_reward=np.array(doc["trip_reward"]),
-            reposition_reward=np.array(doc["reposition_reward"]),
-            charge_reward=np.array(doc["charge_reward"]),
-            charging_curve=None if curve is None else tuple(tuple(b) for b in curve),
-            demand_scale=doc.get("demand_scale"),
-            name=doc.get("name", "unnamed"),
-        )
+        """Config from its dict form; a missing or badly typed field raises
+        ConfigError."""
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != SCHEMA:
+            raise ConfigError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
+        try:
+            dims = doc["dims"]
+            curve = doc.get("charging_curve")
+            return cls(
+                num_regions=dims["num_regions"],
+                fleet_size=dims["fleet_size"],
+                battery_capacity=dims["battery_capacity"],
+                horizon_steps=dims["horizon_steps"],
+                epoch_minutes=doc["epoch_minutes"],
+                charge_rates=tuple(doc["charge_rates"]),
+                charge_period=doc["charge_period"],
+                charger_counts=np.array(doc["charger_counts"]),
+                pickup_patience=doc["pickup_patience"],
+                connection_patience=doc["connection_patience"],
+                trip_duration=np.array(doc["trip_duration"]),
+                battery_cost=np.array(doc["battery_cost"]),
+                arrival_rate=np.array(doc["arrival_rate"]),
+                trip_reward=np.array(doc["trip_reward"]),
+                reposition_reward=np.array(doc["reposition_reward"]),
+                charge_reward=np.array(doc["charge_reward"]),
+                charging_curve=None if curve is None else tuple(tuple(b) for b in curve),
+                demand_scale=doc.get("demand_scale"),
+                name=doc.get("name", "unnamed"),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"config is missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config has a badly typed field: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"config is not JSON: {exc}") from None
+        return cls.from_dict(doc)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -271,8 +283,12 @@ class NetworkConfig:
 
     @classmethod
     def load(cls, path) -> "NetworkConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (IsADirectoryError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path} is not a text file: {exc}") from None
+        return cls.from_json(text)
 
     def digest(self) -> str:
         """Stable content hash used for report provenance."""

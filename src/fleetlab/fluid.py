@@ -16,7 +16,7 @@ there must be exactly one assignment time phi with
 phi + eta' + tau_uv(phi) - L_p = t (always true for time-constant durations).
 
 The occupancy (fleet-total) constraint uses half-open in-flight windows
-(strict inequality in the psi membership test, and charge window
+(the strict inequality in ``_window_counts``, and charge window
 t-J+L_p+1..t): a vehicle whose remaining time has just reached L_p is counted
 through its new assignment or pass flow, not through the old in-flight flow.
 The full LP, where occupancy is implied by per-status conservation, is the
@@ -26,12 +26,15 @@ cross-check for this choice.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import IntentQueuePolicy
 from .config import NetworkConfig
 from .errors import ContractViolation, InvalidArgument, ReductionUnavailable
+from .model import AtomicAction, TripStatus, VehicleStatus, charge, fulfill, reposition
 from .simplex import LpProblem, LpSolution, solve
 
 
@@ -125,6 +128,52 @@ class _Builder:
                          row_names=self.row_names, name=self.name)
 
 
+# -- shared row pieces ------------------------------------------------------------
+
+
+def _window_counts(T: int, t: int, width) -> list[tuple[int, int]]:
+    """(start time, multiplicity) pairs for the windows that cover t.
+
+    ``width`` is one width for every start time, or T widths indexed by start
+    time (a trip's in-flight span depends on its assignment time). Flows
+    repeat daily, so when a window spans more than one full day the same
+    daily flow occupies several concurrent copies at time t; the multiplicity
+    is the number of lags back >= 0 with back = (t - t') mod T and
+    back < width."""
+    out = []
+    for tp, w in enumerate(np.broadcast_to(width, (T,)).tolist()):
+        r = (t - tp) % T
+        if w > r:
+            out.append((tp, (w - r - 1) // T + 1))
+    return out
+
+
+def _charge_completions(gains: list[int], B: int, b: int):
+    """(rate index, start battery) of every charge that ends at battery b:
+    the start b - gain, and at b = B also every start the capacity clips."""
+    for ri, gain in enumerate(gains):
+        if b - gain >= 0:
+            yield ri, b - gain
+        if b == B:
+            for bp in range(max(B - gain + 1, 0), B + 1):
+                yield ri, bp
+
+
+def _charger_cap_rows(bld: _Builder, config: NetworkConfig, key) -> None:
+    """Chargers engaged by charge flows started in the last J steps, per
+    (region, rate, time); ``key(v, ri, b, t)`` names the charge variable."""
+    T, B, N = config.horizon_steps, config.battery_capacity, config.fleet_size
+    for t in range(T):
+        for v in range(config.num_regions):
+            for ri in range(config.num_rates):
+                terms: dict[tuple, float] = defaultdict(float)
+                for ts, mult in _window_counts(T, t, config.charge_period):
+                    for b in range(B + 1):
+                        terms[key(v, ri, b, ts)] += mult
+                bld.row(terms, "<=", float(config.charger_counts[v, ri]) / N,
+                        f"chg/{v}/{ri}/{t}")
+
+
 # -- full formulation -----------------------------------------------------------
 
 
@@ -167,7 +216,7 @@ def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
         for v in range(V):
             for eta in range(ecap + 1):
                 for b in range(B + 1):
-                    terms: dict[tuple, float] = {}
+                    terms: dict[tuple, float] = defaultdict(float)
                     # (i) fulfillments arriving into (v, eta, b)
                     for u in range(V):
                         if u == v:
@@ -183,37 +232,27 @@ def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
                                 terms[("y", u, b + cost, v, tp)] = 1.0
                     # (iii) charging completions
                     if eta == J - 1:
-                        for ri, gain in enumerate(gains):
-                            if b - gain >= 0:
-                                terms[("z", v, b - gain, ri, tp)] = \
-                                    terms.get(("z", v, b - gain, ri, tp), 0.0) + 1.0
-                            if b == B:
-                                for bp in range(max(B - gain + 1, 0), B + 1):
-                                    terms[("z", v, bp, ri, tp)] = \
-                                        terms.get(("z", v, bp, ri, tp), 0.0) + 1.0
+                        for ri, bs in _charge_completions(gains, B, b):
+                            terms[("z", v, bs, ri, tp)] += 1.0
                     # (iv)+(v) passing
                     if eta == 0:
-                        terms[("w", v, 0, b, tp)] = terms.get(("w", v, 0, b, tp), 0.0) + 1.0
+                        terms[("w", v, 0, b, tp)] += 1.0
                     if eta + 1 <= ecap:
-                        terms[("w", v, eta + 1, b, tp)] = \
-                            terms.get(("w", v, eta + 1, b, tp), 0.0) + 1.0
+                        terms[("w", v, eta + 1, b, tp)] += 1.0
                     # outflow (negated)
                     if eta <= Lp:
                         for vv in range(V):
                             if vv == v:
                                 continue
                             for xi in range(Lc + 1):
-                                terms[("x", v, eta, b, vv, xi, t)] = \
-                                    terms.get(("x", v, eta, b, vv, xi, t), 0.0) - 1.0
+                                terms[("x", v, eta, b, vv, xi, t)] -= 1.0
                     if eta == 0:
                         for vv in range(V):
                             if vv != v:
-                                terms[("y", v, b, vv, t)] = \
-                                    terms.get(("y", v, b, vv, t), 0.0) - 1.0
+                                terms[("y", v, b, vv, t)] -= 1.0
                         for ri in range(len(rates)):
-                            terms[("z", v, b, ri, t)] = \
-                                terms.get(("z", v, b, ri, t), 0.0) - 1.0
-                    terms[("w", v, eta, b, t)] = terms.get(("w", v, eta, b, t), 0.0) - 1.0
+                            terms[("z", v, b, ri, t)] -= 1.0
+                    terms[("w", v, eta, b, t)] -= 1.0
                     bld.row(terms, "=", 0.0, f"cons/{v}/{eta}/{b}/{t}")
 
     # trip-order cap: service of the cohort arriving at t, across ages
@@ -231,17 +270,7 @@ def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
                 bld.row(terms, "<=", float(config.arrival_rate[u, v, t]) / N,
                         f"trip/{u}/{v}/{t}")
 
-    # charger cap over the active window
-    for t in range(T):
-        for v in range(V):
-            for ri in range(len(rates)):
-                terms = {}
-                for j in range(J):
-                    ts = (t - j) % T
-                    for b in range(B + 1):
-                        terms[("z", v, b, ri, ts)] = terms.get(("z", v, b, ri, ts), 0.0) + 1.0
-                bld.row(terms, "<=", float(config.charger_counts[v, ri]) / N,
-                        f"chg/{v}/{ri}/{t}")
+    _charger_cap_rows(bld, config, lambda v, ri, b, t: ("z", v, b, ri, t))
 
     # fleet totals to one at every time
     for t in range(T):
@@ -264,34 +293,6 @@ def _phi(config: NetworkConfig, u: int, v: int, eta_p: int, t: int) -> int:
             f"assignment-time map not unique for ({u},{v},eta'={eta_p},t={t}): "
             f"{len(sols)} solutions; use the full formulation")
     return sols[0]
-
-
-def _window_counts(T: int, t: int, width: int) -> list[tuple[int, int]]:
-    """(start time, multiplicity) pairs for a width-step window covering t.
-
-    Flows repeat daily, so when a window spans more than one full day the
-    same daily flow occupies several concurrent copies at time t; the
-    multiplicity is the number of lags back >= 0 with back = (t - t') mod T
-    and back < width."""
-    out = []
-    for tp in range(T):
-        r = (t - tp) % T
-        if width > r:
-            out.append((tp, (width - r - 1) // T + 1))
-    return out
-
-
-def _psi(config: NetworkConfig, u: int, v: int, eta_p: int,
-         t: int) -> list[tuple[int, int]]:
-    """Assignment times (with multiplicity) still in flight (eta > L_p) at t."""
-    T, Lp = config.horizon_steps, config.pickup_patience
-    out = []
-    for tp in range(T):
-        width = eta_p + int(config.trip_duration[u, v, tp]) - Lp
-        r = (t - tp) % T
-        if width > r:
-            out.append((tp, (width - r - 1) // T + 1))
-    return out
 
 
 def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
@@ -344,7 +345,7 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
         for u in range(V):
             for eta in range(Lp + 1):
                 for b in range(B + 1):
-                    terms: dict[tuple, float] = {}
+                    terms: dict[tuple, float] = defaultdict(float)
                     if eta == Lp:
                         for v in range(V):
                             if v == u or b + cost(v, u) > B:
@@ -355,34 +356,22 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
                             terms[("yb", v, u, b + cost(v, u),
                                    phi(v, u, 0, t))] = 1.0
                         tc = (t + Lp - J) % T
-                        for ri, gain in enumerate(gains):
-                            if b - gain >= 0:
-                                terms[("zb", u, ri, b - gain, tc)] = \
-                                    terms.get(("zb", u, ri, b - gain, tc), 0.0) + 1.0
-                            if b == B:
-                                for bp in range(max(B - gain + 1, 0), B + 1):
-                                    terms[("zb", u, ri, bp, tc)] = \
-                                        terms.get(("zb", u, ri, bp, tc), 0.0) + 1.0
+                        for ri, bs in _charge_completions(gains, B, b):
+                            terms[("zb", u, ri, bs, tc)] += 1.0
                     if eta == 0:
-                        terms[("yb", u, u, b, tp)] = terms.get(("yb", u, u, b, tp), 0.0) + 1.0
+                        terms[("yb", u, u, b, tp)] += 1.0
                     if eta < Lp:
-                        terms[("wb", u, b, eta + 1, tp)] = \
-                            terms.get(("wb", u, b, eta + 1, tp), 0.0) + 1.0
+                        terms[("wb", u, b, eta + 1, tp)] += 1.0
                     for v in range(V):
-                        if v == u:
-                            continue
-                        terms[("xb", u, v, b, eta, t)] = \
-                            terms.get(("xb", u, v, b, eta, t), 0.0) - 1.0
+                        if v != u:
+                            terms[("xb", u, v, b, eta, t)] -= 1.0
                     if eta == 0:
                         for v in range(V):
-                            terms[("yb", u, v, b, t)] = \
-                                terms.get(("yb", u, v, b, t), 0.0) - 1.0
+                            terms[("yb", u, v, b, t)] -= 1.0
                         for ri in range(len(rates)):
-                            terms[("zb", u, ri, b, t)] = \
-                                terms.get(("zb", u, ri, b, t), 0.0) - 1.0
+                            terms[("zb", u, ri, b, t)] -= 1.0
                     else:
-                        terms[("wb", u, b, eta, t)] = \
-                            terms.get(("wb", u, b, eta, t), 0.0) - 1.0
+                        terms[("wb", u, b, eta, t)] -= 1.0
                     bld.row(terms, "=", 0.0, f"cons/{u}/{eta}/{b}/{t}")
 
     # linking: battery-aggregated and age-aggregated fulfill flows agree
@@ -411,44 +400,33 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
                 bld.row(terms, "<=", float(config.arrival_rate[u, v, t]) / N,
                         f"trip/{u}/{v}/{t}")
 
-    # charger cap over the active window
-    for t in range(T):
-        for v in range(V):
-            for ri in range(len(rates)):
-                terms = {}
-                for ts, mult in _window_counts(T, t, J):
-                    for b in range(B + 1):
-                        terms[("zb", v, ri, b, ts)] = \
-                            terms.get(("zb", v, ri, b, ts), 0.0) + mult
-                bld.row(terms, "<=", float(config.charger_counts[v, ri]) / N,
-                        f"chg/{v}/{ri}/{t}")
+    _charger_cap_rows(bld, config, lambda v, ri, b, t: ("zb", v, ri, b, t))
 
-    # occupancy: every vehicle counted exactly once per time step
+    # occupancy: every vehicle counted exactly once per time step; an assigned
+    # vehicle stays out of the tracked statuses for eta' + tau(t') - L_p steps
     for t in range(T):
-        terms: dict[tuple, float] = {}
+        terms = defaultdict(float)
         for u in range(V):
             for v in range(V):
                 if v == u:
                     for b in range(B + 1):
-                        terms[("yb", u, u, b, t)] = terms.get(("yb", u, u, b, t), 0.0) + 1.0
+                        terms[("yb", u, u, b, t)] += 1.0
                     continue
                 for eta in range(Lp + 1):
-                    for ts, mult in _psi(config, u, v, eta, t):
+                    in_flight = eta + config.trip_duration[u, v] - Lp
+                    for ts, mult in _window_counts(T, t, in_flight):
                         for b in range(B + 1):
-                            key = ("xb", u, v, b, eta, ts)
-                            terms[key] = terms.get(key, 0.0) + mult
-                for ts, mult in _psi(config, u, v, 0, t):
+                            terms[("xb", u, v, b, eta, ts)] += mult
+                for ts, mult in _window_counts(T, t, config.trip_duration[u, v] - Lp):
                     for b in range(B + 1):
-                        key = ("yb", u, v, b, ts)
-                        terms[key] = terms.get(key, 0.0) + mult
+                        terms[("yb", u, v, b, ts)] += mult
             for ri in range(len(rates)):
                 for ts, mult in _window_counts(T, t, J - Lp):
                     for b in range(B + 1):
-                        key = ("zb", u, ri, b, ts)
-                        terms[key] = terms.get(key, 0.0) + mult
+                        terms[("zb", u, ri, b, ts)] += mult
             for eta in range(1, Lp + 1):
                 for b in range(B + 1):
-                    terms[("wb", u, b, eta, t)] = terms.get(("wb", u, b, eta, t), 0.0) + 1.0
+                    terms[("wb", u, b, eta, t)] += 1.0
         bld.row(terms, "=", 1.0, f"tot/{t}")
 
     return bld.build(), bld.vars
@@ -486,111 +464,57 @@ def upper_bound(config: NetworkConfig, formulation: str = "auto") -> FluidSoluti
 # -- randomized-rounding policy ---------------------------------------------------
 
 
-@dataclass
-class _Intent:
-    kind: str
-    dest: int = -1
-    rate: int = -1
+def _toward(region: int) -> AtomicAction:
+    """Intent to serve a queued trip to ``region`` (the age is picked at act)."""
+    return AtomicAction("fulfill", region=region)
 
 
-class FluidRoundingPolicy:
+# flow kind -> (status, intent) of one vehicle on that flow, from the variable
+# keys of build_full_lp and build_reduced_lp; idle flows carry no intent
+_FLOW_INTENTS = {
+    "x": lambda rates, k: (VehicleStatus(k[1], k[2], k[3]), _toward(k[4])),       # u eta b v xi t
+    "xb": lambda rates, k: (VehicleStatus(k[1], k[4], k[3]), _toward(k[2])),      # u v b eta t
+    "y": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), reposition(k[3])),       # u b v t
+    "yb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]),                         # u v b t
+                            None if k[1] == k[2] else reposition(k[2])),
+    "z": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), charge(rates[k[3]])),    # u b ri t
+    "zb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]), charge(rates[k[2]])),   # u ri b t
+}
+
+
+class FluidRoundingPolicy(IntentQueuePolicy):
     """Rounds the fluid flows to integer per-epoch assignment targets.
 
     At each epoch the target count for every (status, action) flow is
-    N*fraction, rounded by floor plus a Bernoulli trial on the remainder.
-    Vehicles then claim intents matching their exact status; infeasible
-    intents degrade along fulfill -> reposition -> pass (oldest queued trips
-    are served first).
+    N*fraction, rounded by floor plus a Bernoulli trial on the remainder, and
+    that many intents join the queue of the flow's exact status. Idle flows
+    draw their trial but add no intent. A vehicle pops intents until one is
+    feasible: a fulfill intent toward region v tries the oldest queued trip
+    to v, then a reposition to v; if no intent is feasible the vehicle passes.
     """
 
     def __init__(self, config: NetworkConfig, solution: FluidSolution):
-        self.config = config
+        super().__init__()
         self.solution = solution
-        self._by_time: dict[int, list[tuple[tuple, float]]] = {}
-        for key, frac in solution.nonzero_flows().items():
-            kind = key[0]
-            if kind in ("x", "xb", "y", "yb", "z", "zb"):
-                t = key[-1]
-                self._by_time.setdefault(t, []).append((key, frac))
-        for lst in self._by_time.values():
-            lst.sort(key=lambda kv: kv[0])
-        self.intents: dict[tuple, list[_Intent]] = {}
-
-    def _status_key(self, key: tuple) -> tuple | None:
-        """(region, eta, battery) the flow applies to; None if aggregated."""
-        kind = key[0]
-        if kind == "x":
-            _, u, eta, b, v, xi, t = key
-            return (u, eta, b)
-        if kind == "xb":
-            _, u, v, b, eta, t = key
-            return (u, eta, b)
-        if kind in ("y",):
-            _, u, b, v, t = key
-            return (u, 0, b)
-        if kind == "yb":
-            _, u, v, b, t = key
-            return (u, 0, b)
-        if kind == "z":
-            _, u, b, ri, t = key
-            return (u, 0, b)
-        if kind == "zb":
-            _, u, ri, b, t = key
-            return (u, 0, b)
-        return None
-
-    def _intent(self, key: tuple) -> _Intent:
-        kind = key[0]
-        if kind == "x":
-            return _Intent("fulfill", dest=key[4])
-        if kind == "xb":
-            return _Intent("fulfill", dest=key[2])
-        if kind == "y":
-            return _Intent("reposition", dest=key[3])
-        if kind == "yb":
-            u, v = key[1], key[2]
-            return _Intent("pass") if u == v else _Intent("reposition", dest=v)
-        return _Intent("charge", rate=self.config.charge_rates[
-            key[3] if kind == "z" else key[2]])
+        self._by_time: dict[int, list[tuple[VehicleStatus, AtomicAction | None, float]]] = {}
+        for key, frac in sorted(solution.nonzero_flows().items()):
+            if key[0] in _FLOW_INTENTS:
+                status, intent = _FLOW_INTENTS[key[0]](config.charge_rates, key)
+                self._by_time.setdefault(key[-1], []).append((status, intent, frac))
 
     def begin_epoch(self, config, state, rng):
         self.intents = {}
         N = config.fleet_size
-        for key, frac in self._by_time.get(state.t, []):
+        for status, intent, frac in self._by_time.get(state.t, []):
             target = N * frac
             count = int(target) + (1 if rng.random() < target - int(target) else 0)
-            if count <= 0:
-                continue
-            status = self._status_key(key)
-            self.intents.setdefault(status, []).extend([self._intent(key)] * count)
+            if intent is not None and count > 0:
+                self.intents.setdefault(status, []).extend([intent] * count)
 
-    def act(self, config, work, vehicle, mask, rng):
-        from .model import PASS, TripStatus, action_to_index, charge, fulfill, reposition
-        queue = self.intents.get((vehicle.dest, vehicle.eta, vehicle.battery))
-        idx = action_to_index(config, PASS)
-        while queue:
-            intent = queue.pop(0)
-            if intent.kind == "fulfill":
-                u, v = vehicle.dest, intent.dest
-                ages = np.nonzero(work.trips[u, v, :] > 0)[0]
-                if ages.size:
-                    cand = action_to_index(config, fulfill(TripStatus(u, v, int(ages[-1]))))
-                    if mask[cand]:
-                        idx = cand
-                        break
-                cand = action_to_index(config, reposition(intent.dest))
-                if intent.dest != u and mask[cand]:
-                    idx = cand
-                    break
-            elif intent.kind == "reposition":
-                cand = action_to_index(config, reposition(intent.dest))
-                if mask[cand]:
-                    idx = cand
-                    break
-            elif intent.kind == "charge":
-                cand = action_to_index(config, charge(intent.rate))
-                if mask[cand]:
-                    idx = cand
-                    break
-            # infeasible intent: fall through to the next one, else pass
-        return idx, 1.0
+    def _candidates(self, work, vehicle, intent):
+        if intent.kind != "fulfill":
+            return (intent,)
+        u, v = vehicle.dest, intent.region
+        ages = np.nonzero(work.trips[u, v, :] > 0)[0]
+        oldest = (fulfill(TripStatus(u, v, int(ages[-1]))),) if ages.size else ()
+        return oldest + (reposition(v),)

@@ -78,16 +78,21 @@ class SystemState:
             arr.flags.writeable = False
             object.__setattr__(self, f, arr)
 
+    def statuses(self) -> Iterator[tuple[VehicleStatus, int]]:
+        """(status, vehicle count) of every occupied status, in array order."""
+        vs, es, bs = np.nonzero(self.vehicles)
+        for v, e, b in zip(vs.tolist(), es.tolist(), bs.tolist()):
+            yield VehicleStatus(v, e, b), int(self.vehicles[v, e, b])
+
     def vehicle_units(self) -> list[VehicleStatus]:
         """All vehicles expanded one per unit, in canonical assignment order.
 
         Canonical order: eta ascending, battery descending, region ascending.
         """
         out = []
-        vs, es, bs = np.nonzero(self.vehicles)
-        order = sorted(zip(es, -bs, vs), key=lambda k: (k[0], k[1], k[2]))
-        for e, nb, v in order:
-            out.extend([VehicleStatus(int(v), int(e), int(-nb))] * int(self.vehicles[v, e, -nb]))
+        for c, n in sorted(self.statuses(),
+                           key=lambda cn: (cn[0].eta, -cn[0].battery, cn[0].dest)):
+            out.extend([c] * n)
         return out
 
     def key(self) -> tuple:
@@ -146,11 +151,7 @@ class FleetAction:
 
 
 def all_pass_action(config: NetworkConfig, state: SystemState) -> FleetAction:
-    act = FleetAction.empty()
-    vs, es, bs = np.nonzero(state.vehicles)
-    for v, e, b in zip(vs, es, bs):
-        act.pass_count[VehicleStatus(int(v), int(e), int(b))] = int(state.vehicles[v, e, b])
-    return act
+    return FleetAction({}, {}, {}, dict(state.statuses()))
 
 
 # -- atomic action index space -----------------------------------------------
@@ -296,11 +297,9 @@ def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetA
         if n > state.chargers[v, r, 0]:
             raise ContractViolation(f"charging at region {v} rate idx {r} exceeds free chargers")
     # flow conservation: every vehicle of every status is assigned exactly once
-    vs, es, bs = np.nonzero(state.vehicles)
     counted = 0
-    for v, e, b in zip(vs, es, bs):
-        c = VehicleStatus(int(v), int(e), int(b))
-        if outgoing.get(c, 0) != int(state.vehicles[v, e, b]):
+    for c, n in state.statuses():
+        if outgoing.get(c, 0) != n:
             raise ContractViolation(f"flow conservation violated at {c}")
         counted += 1
     if len(outgoing) != counted:

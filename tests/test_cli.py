@@ -116,11 +116,34 @@ def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
     assert r.returncode == 3
 
 
+def _malformed_configs() -> dict[str, bytes]:
+    """Config files that must exit 2 with one line: wrong schema, not JSON,
+    not text, not an object, a missing field and badly typed fields."""
+    def variant(edit):
+        doc = tiny_config().to_dict()
+        edit(doc)
+        return json.dumps(doc).encode()
+
+    return {
+        "schema": b'{"not": "a config"}',
+        "not-json": b"not json",
+        "binary": b"\xff\xfe\x00",
+        "list": b"[1, 2]",
+        "missing-fleet-size": variant(lambda d: d["dims"].pop("fleet_size")),
+        "typed-duration": variant(lambda d: d.update(trip_duration="abc")),
+        "typed-regions": variant(lambda d: d["dims"].update(num_regions="two")),
+    }
+
+
 def test_bad_config_exit_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"not\": \"a config\"}")
-    r = run_cli("bound", "--config", str(bad))
-    assert r.returncode == 2
+    paths = {"directory": tmp_path}
+    for name, content in _malformed_configs().items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(content)
+    for name, bad in paths.items():
+        r = run_cli("bound", "--config", str(bad))
+        assert r.returncode == 2, (name, r.stderr)
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (name, r.stderr)
 
 
 def test_unknown_scenario_exit_2():
@@ -248,6 +271,8 @@ SWEEP = ["sweep-chargers", "--config", "{cfg}", "--allocation", "1,1",
     SWEEP + ["--days", "0"],
     SWEEP + ["--k", "0"],
     SWEEP + ["--trajectories", "0"],
+    ["evaluate", "--config", "{cfg}", "--policy", "random", "--jobs", "-3"],
+    ["compare", "--config", "{cfg}", "--policies", "random", "--jobs", "0"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_bad_count_inputs_exit_2(tiny_json, tmp_path, argv):
     r = run_cli(*(a.format(cfg=tiny_json, tmp=tmp_path) for a in argv))

@@ -76,3 +76,23 @@ def test_effective_demand_scale_defaults_to_peak_demand(tiny):
     peak = max(1.0, float(tiny.arrival_rate.sum(axis=(0, 1)).max()))
     assert none_scale.effective_demand_scale() == pytest.approx(peak)
     assert tiny.effective_demand_scale() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["dims"].pop("fleet_size"),
+    lambda doc: doc.pop("charge_reward"),
+    lambda doc: doc.update(trip_duration="abc"),
+    lambda doc: doc.update(dims=5),
+    lambda doc: doc.update(charge_rates=None),
+], ids=["missing-dims-key", "missing-top-key", "typed-array", "typed-dims", "typed-rates"])
+def test_malformed_dict_raises_config_error(tiny, mutate):
+    doc = tiny.to_dict()
+    mutate(doc)
+    with pytest.raises(ConfigError):
+        NetworkConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("text", ["not json", "", "[1, 2]", "{\"schema\": 3}"])
+def test_malformed_json_raises_config_error(text):
+    with pytest.raises(ConfigError):
+        NetworkConfig.from_json(text)

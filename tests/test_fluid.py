@@ -11,6 +11,7 @@ from fleetlab import sim
 from fleetlab.errors import ReductionUnavailable
 from fleetlab.fluid import (
     FluidRoundingPolicy,
+    _window_counts,
     build_full_lp,
     build_reduced_lp,
     upper_bound,
@@ -165,3 +166,26 @@ def test_lps_match_recorded_digests(scenario, formulation):
     build = build_full_lp if formulation == "full" else build_reduced_lp
     problem, _ = build(config)
     assert _lp_digest(problem) == GOLDEN_LP_DIGESTS[(scenario, formulation)]
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+def test_window_counts_match_brute_force_lag_count(T):
+    """Multiplicity = number of lags 0 <= back < width with (t - back) % T ==
+    t'; widths up to 3T cover windows longer than a day."""
+    rng = np.random.default_rng(T)
+    for width in range(3 * T + 1):
+        for t in range(T):
+            want = {}
+            for back in range(width):
+                tp = (t - back) % T
+                want[tp] = want.get(tp, 0) + 1
+            assert dict(_window_counts(T, t, width)) == want
+    # per-start-time widths: each start time uses its own width
+    for _ in range(20):
+        widths = rng.integers(0, 3 * T + 1, size=T)
+        for t in range(T):
+            got = dict(_window_counts(T, t, widths))
+            want = {tp: n for tp in range(T)
+                    if (n := sum(1 for back in range(int(widths[tp]))
+                                 if (t - back) % T == tp))}
+            assert got == want
