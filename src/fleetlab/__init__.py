@@ -4,7 +4,8 @@ baseline policies, and calibration from trip records."""
 from .config import NetworkConfig, DEFAULT_CHARGING_CURVE
 from .errors import (FleetlabError, ConfigError, InvalidArgument,
                      ContractViolation, TrainingDiagnostic, LpInfeasible,
-                     LpUnbounded, ReductionUnavailable, StateSpaceTooLarge)
+                     LpUnbounded, ReductionUnavailable, StateSpaceTooLarge,
+                     ValueIterationNotConverged)
 from .model import (SystemState, VehicleStatus, TripStatus, ChargerStatus,
                     AtomicAction, FleetAction, action_count, feasible_mask,
                     atomic_reward, epoch_reward)
@@ -27,7 +28,7 @@ __all__ = [
     "NetworkConfig", "DEFAULT_CHARGING_CURVE",
     "FleetlabError", "ConfigError", "InvalidArgument", "ContractViolation",
     "TrainingDiagnostic", "LpInfeasible", "LpUnbounded",
-    "ReductionUnavailable", "StateSpaceTooLarge",
+    "ReductionUnavailable", "StateSpaceTooLarge", "ValueIterationNotConverged",
     "SystemState", "VehicleStatus", "TripStatus", "ChargerStatus",
     "AtomicAction", "FleetAction", "action_count", "feasible_mask",
     "atomic_reward", "epoch_reward",

@@ -9,7 +9,14 @@ regions head for the nearest region that has chargers.
 exact_value_iteration enumerates the full (truncated-arrival) state space of
 a tiny instance and runs relative value iteration on the one-day Bellman
 operator, giving the optimal average daily reward used as a ground-truth
-comparison point for the fluid bound.
+comparison point for the fluid bound. Instances may be multichain: a vehicle
+stranded with an empty battery in a region without chargers earns nothing
+for ever, so day-start states can have different gains. The day increment
+v_{n+1} - v_n converges pointwise to each state's gain (Puterman 1994,
+ch. 9), so the sweeps stop once no increment moves by more than ``tol``
+between two sweeps. The solution reports the start state's gain, the range
+of per-state gains (``gain_min``, ``gain_max``) and that last movement
+(``span``); reaching ``max_iters`` first raises ValueIterationNotConverged.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import StateSpaceTooLarge
+from .errors import StateSpaceTooLarge, ValueIterationNotConverged
 from .model import (
     PASS,
     AtomicAction,
@@ -206,59 +213,72 @@ def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState,
 
 @dataclass
 class ExactSolution:
-    gain: float                     # optimal average daily reward
-    span: float                     # final span of the day-operator differences
+    gain: float                     # optimal average daily reward from the start state
+    span: float                     # stopping residual: last max change of the day increments
     states: int
     policy: dict                    # (t, state key) -> FleetAction
-    iterations: int
+    iterations: int                 # day sweeps run
+    gain_min: float                 # smallest per-state gain over day-start states
+    gain_max: float                 # largest per-state gain over day-start states
+    converged: bool                 # span <= tol
 
 
 def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
                           tol: float = 1e-8, max_states: int = 2_000_000,
                           max_iters: int = 100_000) -> ExactSolution:
     """Optimal gain of the truncated-arrival instance by relative value
-    iteration on the one-day backward-induction operator."""
+    iteration on the one-day backward-induction operator, stopped once the
+    day increments move by at most ``tol`` from one sweep to the next.
+    Raises ValueIterationNotConverged after ``max_iters`` sweeps without
+    that."""
     T = config.horizon_steps
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
 
     # breadth-first discovery of the reachable layered state space
     layers: list[dict] = [dict() for _ in range(T)]      # key -> layer index
     start = initial_state(config)
-    frontier = [start]
+    frontier = [(start, 0)]
     layers[0][start.key()] = 0
     total = 1
     # per layer, flat action lists in CSR form over states and branches
     state_actions: list[dict] = [dict() for _ in range(T)]  # idx -> [(r, [(p, idx')], fa)]
     zero_arr = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
     actions = [index_to_action(config, j) for j in range(action_count(config))]
+    # each layer's arrival outcomes stacked once: (K, V, V) counts, K probabilities
+    arrival_stacks = [np.stack([arr for arr, _ in outs]) for outs in outcomes]
+    arrival_probs = [[p for _, p in outs] for outs in outcomes]
     while frontier:
-        state = frontier.pop()
+        state, idx = frontier.pop()
         t = state.t
-        acts = _enumerate_fleet_actions(config, state, actions)
+        arrivals, probs = arrival_stacks[t], arrival_probs[t]
         entry = []
-        for fa in acts:
+        for fa in _enumerate_fleet_actions(config, state, actions):
             # arrivals only fill the age-0 queue: apply the action once under
-            # zero arrivals, then graft each arrival outcome onto the result
+            # zero arrivals, then graft every arrival outcome onto the result
             base, info = transition(config, state, fa, zero_arr, validate=False)
             headroom = np.maximum(config.trip_cap - base.trips.sum(axis=2), 0)
+            trips = np.repeat(base.trips[None], len(probs), axis=0)
+            trips[:, :, :, 0] = np.minimum(arrivals, headroom)
+            # the branch keys are SystemState.key() of each outcome's state
+            t_next = base.t
+            vehicles_bytes = base.vehicles.tobytes()
+            chargers_bytes = base.chargers.tobytes()
+            lay = layers[t_next]
             branches = []
-            for arr, p in outcomes[t]:
-                accepted = np.minimum(arr, headroom)
-                trips = base.trips.copy()
-                trips[:, :, 0] = accepted
-                nxt = SystemState(base.t, base.vehicles, trips, base.chargers)
-                k = nxt.key()
-                lay = layers[nxt.t]
-                if k not in lay:
-                    lay[k] = len(lay)
-                    frontier.append(nxt)
+            for k, p in enumerate(probs):
+                key = (t_next, vehicles_bytes, trips[k].tobytes(), chargers_bytes)
+                j = lay.get(key)
+                if j is None:
+                    j = lay[key] = len(lay)
+                    frontier.append((SystemState(t_next, base.vehicles, trips[k].copy(),
+                                                 base.chargers), j))
                     total += 1
                     if total > max_states:
                         raise StateSpaceTooLarge(
                             f"more than {max_states} reachable states")
-                branches.append((p, lay[k]))
+                branches.append((p, j))
             entry.append((info.reward, branches, fa))
-        state_actions[t][layers[t][state.key()]] = entry
+        state_actions[t][idx] = entry
 
     # freeze each layer into flat arrays so a sweep is pure vector work
     compiled = []
@@ -300,16 +320,23 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
         choices.reverse()
         return (v_next, choices) if want_argmax else v_next
 
+    # h = v - v[0], so diffs = T(h) - h is the un-normalised day increment
+    # v_{n+1} - v_n; it converges pointwise to each state's gain, whether or
+    # not the instance is unichain
     h = np.zeros(len(layers[0]))
-    gain = 0.0
-    span = math.inf
+    diffs = None
+    residual = math.inf
     it = 0
-    while span > tol and it < max_iters:
+    while residual > tol:
+        if it == max_iters:
+            raise ValueIterationNotConverged(
+                f"value iteration did not converge in {max_iters} sweeps: "
+                f"day increments still move by {residual:.4g} > tol {tol:g}")
         it += 1
         v = day_pass(h)
-        diffs = v - h
-        span = float(diffs.max() - diffs.min())
-        gain = float(diffs.max() + diffs.min()) / 2.0
+        prev, diffs = diffs, v - h
+        if prev is not None:
+            residual = float(np.abs(diffs - prev).max())
         h = v - v[0]
     _, choices = day_pass(h, want_argmax=True)
     policy: dict = {}
@@ -317,4 +344,6 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
         fas = compiled[t][5]
         for key, i in layers[t].items():
             policy[(t, key)] = fas[choices[t][i]]
-    return ExactSolution(gain, span, total, policy, it)
+    return ExactSolution(gain=float(diffs[0]), span=residual, states=total, policy=policy,
+                         iterations=it, gain_min=float(diffs.min()),
+                         gain_max=float(diffs.max()), converged=True)

@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_args(p)
         p.add_argument(flag, dest="points", action="append", default=[],
                        metavar=metavar, help=helptext)
-        p.add_argument("--train-iterations", type=int, default=5)
+        p.add_argument("--train-iterations", type=positive_int, default=5)
         p.add_argument("--trajectories", type=positive_int, default=None,
                        help="training trajectories per iteration")
         p.add_argument("--eval-trajectories", type=positive_int, default=5)

@@ -35,3 +35,7 @@ class ReductionUnavailable(FleetlabError):
 
 class StateSpaceTooLarge(FleetlabError):
     """Exact solution refused because the enumerable state space is too big."""
+
+
+class ValueIterationNotConverged(FleetlabError):
+    """Exact value iteration reached its sweep limit before converging."""

@@ -81,29 +81,28 @@ def transition(
 
     vehicles = np.zeros_like(state.vehicles)
     trips = state.trips.copy()
-    chargers = np.zeros_like(state.chargers)
     new_charges = np.zeros((V, R), dtype=np.int64)
-    assigned = np.zeros_like(state.vehicles)
+    # vehicles left passing once every assigned one is taken out
+    passing = state.vehicles.copy()
 
     for (c, o), n in action.fulfill.items():
-        assigned[c.dest, c.eta, c.battery] += n
+        passing[c.dest, c.eta, c.battery] -= n
         trips[o.origin, o.dest, o.age] -= n
         tau = int(config.trip_duration[o.origin, o.dest, t])
         vehicles[o.dest, c.eta + tau - 1, c.battery - config.battery_cost[o.origin, o.dest]] += n
         info.fulfilled += n
     for (c, v), n in action.reposition.items():
-        assigned[c.dest, c.eta, c.battery] += n
+        passing[c.dest, c.eta, c.battery] -= n
         tau = int(config.trip_duration[c.dest, v, t])
         vehicles[v, tau - 1, c.battery - config.battery_cost[c.dest, v]] += n
         info.repositioned += n
     for (c, rate), n in action.charge.items():
-        assigned[c.dest, c.eta, c.battery] += n
+        passing[c.dest, c.eta, c.battery] -= n
         vehicles[c.dest, J - 1, config.charge_result(c.battery, rate)] += n
         new_charges[c.dest, config.rate_index(rate)] += n
         info.charges_started += n
 
     # passing vehicles: eta ticks down toward idle, idle stays put
-    passing = state.vehicles - assigned
     if (passing < 0).any():
         raise ContractViolation("more vehicles assigned than present")
     vehicles[:, 0, :] += passing[:, 0, :]
@@ -113,21 +112,23 @@ def transition(
     # trips age by one epoch; those past the connection patience abandon
     Lc = config.connection_patience
     info.abandoned = int(trips[:, :, Lc].sum())
-    aged = np.zeros_like(trips)
+    aged = np.empty_like(trips)
     aged[:, :, 1:] = trips[:, :, :Lc]
-    carried = aged.sum(axis=2)
+    carried = aged[:, :, 1:].sum(axis=2)
     info.arrived = int(arrivals.sum())
     accepted = np.minimum(arrivals, np.maximum(config.trip_cap - carried, 0))
     np.fill_diagonal(accepted, 0)
     info.rejected = info.arrived - int(accepted.sum())
     aged[:, :, 0] = accepted
 
-    # charger clocks tick; newly engaged chargers run for a full period
-    chargers[:, :, 0] = state.chargers[:, :, 0] - new_charges
+    # charger clocks tick; newly engaged chargers run for a full period, and
+    # with a one-epoch period they are free again by the next epoch
+    chargers = np.empty_like(state.chargers)
+    chargers[:, :, 0] = state.chargers[:, :, 0]
     if J >= 2:
-        chargers[:, :, 0] += state.chargers[:, :, 1]
+        chargers[:, :, 0] += state.chargers[:, :, 1] - new_charges
         chargers[:, :, 1:-1] = state.chargers[:, :, 2:]
-    chargers[:, :, J - 1] += new_charges
+        chargers[:, :, -1] = new_charges
     if (chargers < 0).any():
         raise ContractViolation("charger accounting went negative")
 

@@ -17,8 +17,10 @@ from fleetlab.baselines import (
     AlwaysPassPolicy,
     PowerOfKPolicy,
     RandomFeasiblePolicy,
+    _joint_outcomes,
     exact_value_iteration,
 )
+from fleetlab.errors import ValueIterationNotConverged
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
 from fleetlab.model import PASS, SystemState, TripStatus, action_to_index, fulfill
 from fleetlab.scenarios import synth_scenario
@@ -137,14 +139,70 @@ def test_exact_solver_gain_below_fluid_bound(tiny):
 
 
 def test_exact_policy_is_simulatable():
-    """The extracted argmax policy replayed in the simulator achieves the
-    computed gain (within sampling error)."""
+    """The extracted argmax policy replayed in the simulator, under arrivals
+    drawn from the truncated pmf the solver uses, earns the computed gain
+    within sampling error."""
     cfg = tiny_config(V=2, T=2, N=1, B=2, J=1, L_p=0, L_c=0, tau=1,
                       lam_scale=0.6)
-    sol = exact_value_iteration(cfg, arrival_cap=2)
-    assert sol.span <= 1e-6
-    assert sol.states > 0
-    assert math.isfinite(sol.gain)
+    cap = 2
+    sol = exact_value_iteration(cfg, arrival_cap=cap)
+    assert sol.converged and sol.span <= 1e-8
+    T = cfg.horizon_steps
+    # the queue entering epoch t+1 is drawn at epoch t+1's rates, as in the solver
+    outcomes = [_joint_outcomes(cfg, (t + 1) % T, cap) for t in range(T)]
+    rng = np.random.default_rng(5)
+    warmup, days = 5, 40
+    chain_means = []
+    for _ in range(20):
+        state = sim.initial_state(cfg)
+        total = 0.0
+        for day in range(warmup + days):
+            for _ in range(T):
+                outs = outcomes[state.t]
+                arrivals, _ = outs[rng.choice(len(outs), p=[p for _, p in outs])]
+                state, info = sim.transition(cfg, state, sol.policy[(state.t, state.key())],
+                                             arrivals)
+                if day >= warmup:
+                    total += info.reward
+        chain_means.append(total / days)
+    mean = float(np.mean(chain_means))
+    stderr = float(np.std(chain_means, ddof=1)) / math.sqrt(len(chain_means))
+    assert stderr > 0.0
+    assert abs(mean - sol.gain) <= 5 * stderr, (mean, stderr, sol.gain)
+
+
+def test_exact_solver_multichain_battery_trap():
+    """Chargers in region 0 only: a vehicle in region 1 with an empty battery
+    can neither charge nor move, so it earns 0 forever, while the start state
+    (region 0, battery 1) keeps a positive gain.
+
+    One vehicle, one epoch per day, battery 2, charge rate 2 over one epoch,
+    trips 0 -> 1 only (fare 5, one epoch, battery 1), repositioning 1 -> 0
+    costs 1 and a charge 0.1. With cap 1 and rate 1 the queue holds a trip
+    with probability p = 1/2 each epoch. The optimal cycle waits full in
+    region 0 for a trip (1/p epochs on average, the last one serving it),
+    repositions back and charges: reward 5 - 1 - 0.1 = 3.9 over
+    1/p + 2 = 4 epochs, a gain of 0.975 per day. The start state charges
+    once and enters that cycle; serving a trip from it would strand the
+    vehicle in the trap."""
+    cfg = tiny_config(V=2, T=1, N=1, B=2, J=1, L_p=0, L_c=0, tau=1, rates=(2,))
+    lam = np.zeros_like(cfg.arrival_rate)
+    lam[0, 1, :] = 1.0
+    cfg = dataclasses.replace(cfg, arrival_rate=lam,
+                              charger_counts=np.array([[1], [0]], dtype=np.int64))
+    sol = exact_value_iteration(cfg, arrival_cap=1)
+    assert sol.converged and sol.span <= 1e-8
+    assert sol.gain_min == pytest.approx(0.0, abs=1e-9)
+    assert sol.gain > 0.0
+    assert sol.gain == pytest.approx(0.975, abs=1e-7)
+    assert sol.gain_max == pytest.approx(0.975, abs=1e-7)
+
+
+def test_exact_solver_raises_at_sweep_limit():
+    cfg = tiny_config(V=2, T=2, N=1, B=2, J=1, L_p=0, L_c=0, tau=1,
+                      lam_scale=0.6)
+    with pytest.raises(ValueIterationNotConverged, match="3 sweeps"):
+        exact_value_iteration(cfg, arrival_cap=2, max_iters=3)
 
 
 # SHA-256 of the sorted-key JSON of sim.score_trajectory, per (scenario,
@@ -207,10 +265,10 @@ def test_trajectories_match_recorded_digests(scenario):
 # exact_value_iteration on unichain _vi_instance draws (arrival cap 1): gain,
 # iterations, reachable states, and SHA-256 of the sorted policy table.
 GOLDEN_VI = {
-    7: (2.56069314199217, 64, 608,
+    7: (2.560693154701007, 57, 608,
         "4da03f7e94918e60471e8f88d46b912955d85bc19a4de1a8ff82903b2ca6998a"),
-    20: (4.4126055543873965, 29, 1152,
-         "e1ca519c157af7d58885dc186cdacea08c99378fd81e48deee5fa9bccf82ebb9"),
+    20: (4.412605553068814, 30, 1152,
+         "49165cb61e3ffa148bfd11f6c118ba041b4ac39521d93edc8e17ffe2302ef447"),
 }
 
 
@@ -225,6 +283,6 @@ def _policy_digest(policy: dict) -> str:
 @pytest.mark.parametrize("seed", sorted(GOLDEN_VI))
 def test_exact_vi_matches_recorded_digests(seed):
     sol = exact_value_iteration(_vi_instance(seed), arrival_cap=1)
-    assert sol.span <= 1e-8
+    assert sol.converged and sol.span <= 1e-8
     got = (sol.gain, sol.iterations, sol.states, _policy_digest(sol.policy))
     assert got == GOLDEN_VI[seed]

@@ -271,6 +271,8 @@ SWEEP = ["sweep-chargers", "--config", "{cfg}", "--allocation", "1,1",
     SWEEP + ["--days", "0"],
     SWEEP + ["--k", "0"],
     SWEEP + ["--trajectories", "0"],
+    SWEEP + ["--train-iterations", "0"],
+    SWEEP + ["--train-iterations", "-1"],
     ["evaluate", "--config", "{cfg}", "--policy", "random", "--jobs", "-3"],
     ["compare", "--config", "{cfg}", "--policies", "random", "--jobs", "0"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
