@@ -128,6 +128,8 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     """Build a scenario from trip records. Arrival rates are mean counts per
     filtered day; unseen (u,v,t) cells get zero demand with duration and fare
     backfilled from the nearest populated epoch of the same pair."""
+    if not epoch_minutes > 0:
+        raise ConfigError(f"epoch length must be > 0 minutes, got {epoch_minutes}")
     V = max(region_map.values()) + 1
     T = int(round(24 * 60 / epoch_minutes))
     if not math.isclose(T * epoch_minutes, 24 * 60):

@@ -40,7 +40,7 @@ EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
 
-# -- shared helpers -----------------------------------------------------------
+# -- helpers ------------------------------------------------------------------
 
 
 def _load_config(args) -> NetworkConfig:
@@ -56,12 +56,15 @@ def _load_config(args) -> NetworkConfig:
 
 def _effective_seed(args) -> int:
     env = os.environ.get("FLEETLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"FLEETLAB_SEED={env!r} is not an integer") from exc
-    return args.seed
+    if env is None:
+        return args.seed
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"FLEETLAB_SEED={env!r} is not an integer") from exc
+    if seed < 0:
+        raise ConfigError(f"FLEETLAB_SEED={env!r} is negative")
+    return seed
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -89,6 +92,21 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for seeds, which numpy needs to be at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _print_table(header: list[str], rows: list[list]) -> None:
@@ -176,8 +194,7 @@ def _load_policy(path: str, config: NetworkConfig) -> nn.MlpSet:
     dims = pset.nets[0].dims
     got = (pset.horizon, dims[0], dims[-1])
     want = (config.horizon_steps,
-            obs_dim(config) + vehicle_feature_dim(config)
-            + (config.horizon_steps if pset.shared else 0),
+            obs_dim(config) + vehicle_feature_dim(config),
             action_count(config))
     if got != want:
         raise InvalidArgument(
@@ -213,7 +230,7 @@ def cmd_calibrate(args) -> int:
     region_map = read_region_map(args.regions)
     config = calibrate(records, region_map, epoch_minutes=args.epoch_min,
                        fleet_size=args.fleet, name=args.name)
-    if args.scale_fleet:
+    if args.scale_fleet is not None:
         ref = estimate_reference_fleet(records)
         config = config.with_updates(fleet_size=args.scale_fleet)
         config = scale_demand(config, args.scale_fleet, ref)
@@ -419,11 +436,11 @@ def _add_eval_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fleetlab",
         description="Electric robo-taxi fleet dispatch: simulate, train, "
                     "bound, and compare policies.")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=nonnegative_int, default=0,
                         help="master seed (FLEETLAB_SEED env overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -431,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, help="trip CSV (optionally .gz)")
     p.add_argument("--regions", required=True, help="zone,region CSV")
     p.add_argument("--epoch-min", type=float, default=5.0)
-    p.add_argument("--fleet", type=int, default=300)
-    p.add_argument("--scale-fleet", type=int, default=None,
+    p.add_argument("--fleet", type=positive_int, default=300)
+    p.add_argument("--scale-fleet", type=positive_int, default=None,
                    help="scale demand to this fleet size using the "
                         "max-simultaneous-trips reference estimate")
     p.add_argument("--name", default="calibrated")

@@ -2,8 +2,7 @@
 
 Both network families are 3 hidden layers plus a linear head; the policy uses
 (tanh, tanh, tanh) hidden activations, the value function (tanh, relu, tanh).
-One network per time-of-day step by default, with an option to share a single
-time-conditioned network (time one-hot appended to the input).
+A set holds one network per time-of-day step: ``nets[t]`` serves time t.
 
 All parameters of an ``MlpSet`` live in one contiguous float64 buffer,
 ``flat``, net after net, each net as (W0, b0, W1, b1, ...): the order of
@@ -12,11 +11,14 @@ are views into it. A training step runs one grouped forward/backward
 (``MlpSet.grouped_gradient``): each time-of-day group of the minibatch goes
 through its net, and the reverse pass writes straight into that net's slice
 of the set's flat gradient buffer. One ``adam_step`` then updates the whole
-buffer in cache-sized chunks. Activations and their derivatives are computed
-in place; the gradient buffer and Adam moments are allocated on first use.
+buffer in cache-sized chunks, with Adam's moments in two flat buffers laid
+out like it. Activations and their derivatives are computed in place; the
+gradient buffer is allocated on first use.
 
 Checkpoints are self-describing binaries of little-endian 32-bit floats
-behind an integer dimension header.
+behind an integer dimension header. The header keeps a ``shared`` slot from
+an earlier time-conditioned layout; it is always written 0, and a file with
+any other value there is rejected.
 """
 
 from __future__ import annotations
@@ -164,38 +166,27 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MlpSet:
-    """One net per time-of-day step, or a single shared time-conditioned net.
+    """One net per time-of-day step; ``nets[t]`` serves time t.
 
     ``flat`` holds the parameters of every net, net k's in the k-th of
     ``len(nets)`` equal slices."""
 
     nets: list[Mlp]
-    shared: bool
-    horizon: int
     kind: str                       # "policy" | "value"
     flat: np.ndarray = field(repr=False, compare=False)
     _grad: np.ndarray | None = field(default=None, init=False, repr=False)
     _grad_views: list = field(default_factory=list, init=False, repr=False)
 
-    def net_for(self, t: int) -> Mlp:
-        return self.nets[0] if self.shared else self.nets[t]
-
-    def augment(self, x: np.ndarray, t: int) -> np.ndarray:
-        if not self.shared:
-            return x
-        onehot = np.zeros(self.horizon)
-        onehot[t] = 1.0
-        if x.ndim == 1:
-            return np.concatenate([x, onehot])
-        return np.hstack([x, np.tile(onehot, (x.shape[0], 1))])
+    @property
+    def horizon(self) -> int:
+        return len(self.nets)
 
     def param_count(self) -> int:
         return self.flat.size
 
     def __reduce__(self):
         # pickle the buffer once; the nets are rebuilt as views of it
-        return _new_set, (self.kind, self.nets[0].dims, len(self.nets), self.shared,
-                          self.horizon, None, self.flat)
+        return _new_set, (self.kind, self.nets[0].dims, len(self.nets), None, self.flat)
 
     def views(self, buf: np.ndarray) -> list[list[np.ndarray]]:
         """Per net, the views of ``buf`` (laid out like ``flat``) in .params() order."""
@@ -220,7 +211,7 @@ class MlpSet:
         """Output of every row of x through the net of its time t[i], in row order."""
         out = np.empty((len(t), self.nets[0].dims[-1]))
         for tt, sel in self._groups(t, np.arange(len(t))):
-            out[sel] = self.net_for(tt).forward(self.augment(x[sel], tt))
+            out[sel] = self.nets[tt].forward(x[sel])
         return out
 
     def grouped_gradient(self, x: np.ndarray, t: np.ndarray, rows: np.ndarray,
@@ -230,28 +221,20 @@ class MlpSet:
 
         Each time's rows ``sel`` go forward through its net; ``head(sel, out)``
         returns d(loss)/d(out) and the reverse pass writes the net's gradient
-        into its slice of ``grad``. Nets without rows get zeros; a shared net
-        adds up its groups in time order."""
+        into its slice of ``grad``. Nets without rows get zeros."""
         grad = self.grad
-        written = [False] * len(self.nets)
+        idle = set(range(len(self.nets)))
         for tt, sel in self._groups(t, rows):
-            k = 0 if self.shared else tt
-            out, cache = self.nets[k].forward(self.augment(x[sel], tt), want_cache=True)
-            dout = head(sel, out)
-            if written[k]:
-                for acc, g in zip(self._grad_views[k], self.nets[k].backward(cache, dout)[0]):
-                    acc += g
-            else:
-                self.nets[k].backward(cache, dout, self._grad_views[k])
-                written[k] = True
-        for views, done in zip(self._grad_views, written):
-            if not done:
-                for g in views:
-                    g.fill(0.0)
+            out, cache = self.nets[tt].forward(x[sel], want_cache=True)
+            self.nets[tt].backward(cache, head(sel, out), self._grad_views[tt])
+            idle.discard(tt)
+        for k in idle:
+            for g in self._grad_views[k]:
+                g.fill(0.0)
         return grad
 
 
-def _new_set(kind: str, dims: list[int], count: int, shared: bool, horizon: int,
+def _new_set(kind: str, dims: list[int], count: int,
              rng: np.random.Generator | None = None,
              flat: np.ndarray | None = None) -> MlpSet:
     """``count`` nets over one buffer: drawn from ``rng``, or views of ``flat``."""
@@ -260,33 +243,27 @@ def _new_set(kind: str, dims: list[int], count: int, shared: bool, horizon: int,
     parts = [flat[k * size:(k + 1) * size] for k in range(count)]
     nets = [Mlp.create(dims, acts, rng, out=part) if rng is not None
             else Mlp(part, dims, acts + ("linear",)) for part in parts]
-    return MlpSet(nets, shared, horizon, kind, flat)
+    return MlpSet(nets, kind, flat)
 
 
 def create_policy_set(obs_dim: int, veh_dim: int, n_actions: int, horizon: int,
-                      rng: np.random.Generator, hidden: int = 128,
-                      shared: bool = False) -> MlpSet:
-    din = obs_dim + veh_dim + (horizon if shared else 0)
-    return _new_set("policy", [din, hidden, hidden, hidden, n_actions],
-                    1 if shared else horizon, shared, horizon, rng=rng)
+                      rng: np.random.Generator, hidden: int = 128) -> MlpSet:
+    return _new_set("policy", [obs_dim + veh_dim, hidden, hidden, hidden, n_actions],
+                    horizon, rng=rng)
 
 
 def create_value_set(obs_dim: int, horizon: int, rng: np.random.Generator,
-                     hidden: int = 128, shared: bool = False) -> MlpSet:
-    din = obs_dim + (horizon if shared else 0)
-    return _new_set("value", [din, hidden, hidden, hidden, 1],
-                    1 if shared else horizon, shared, horizon, rng=rng)
+                     hidden: int = 128) -> MlpSet:
+    return _new_set("value", [obs_dim, hidden, hidden, hidden, 1], horizon, rng=rng)
 
 
 def forward_policy(pset: MlpSet, obs: np.ndarray, veh: np.ndarray, mask: np.ndarray,
                    t: int) -> np.ndarray:
-    x = pset.augment(np.concatenate([obs, veh]), t)
-    return masked_softmax(pset.net_for(t).forward(x), mask)
+    return masked_softmax(pset.nets[t].forward(np.concatenate([obs, veh])), mask)
 
 
 def forward_value(vset: MlpSet, obs: np.ndarray, t: int) -> float:
-    x = vset.augment(np.asarray(obs, dtype=float), t)
-    return float(vset.net_for(t).forward(x)[0])
+    return float(vset.nets[t].forward(np.asarray(obs, dtype=float))[0])
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -299,71 +276,57 @@ _ADAM_CHUNK = 32768
 
 @dataclass
 class AdamState:
-    """Adam moments, one array per parameter array in ``m`` and ``v``; from
-    ``for_set`` they are views of two flat buffers (``flat``) laid out like
-    the set's, which ``adam_step`` updates in one pass."""
+    """Adam moments ``m`` and ``v``, flat buffers laid out like the parameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    flat: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _work: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], **kw) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params], **kw)
-
-    @classmethod
     def for_set(cls, mset: MlpSet, **kw) -> "AdamState":
-        flat = (np.zeros_like(mset.flat), np.zeros_like(mset.flat))
-        m, v = ([a for net in mset.views(buf) for a in net] for buf in flat)
-        return cls(m, v, flat=flat, **kw)
+        return cls(np.zeros_like(mset.flat), np.zeros_like(mset.flat), **kw)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """Standard Adam with bias correction; updates params in place.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """Standard Adam with bias correction; updates the flat buffer ``p`` in place.
 
-    ``params`` and ``grads`` pair up with ``state.m``/``state.v``, or, for a
-    state from ``AdamState.for_set``, are ``[set.flat]`` and ``[set.grad]``.
-    Each element sees the operations, in order, of m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g, p -= lr * (m/corr1) / (sqrt(v/corr2) + eps)."""
-    moments = [state.flat] if state.flat is not None else list(zip(state.m, state.v))
-    if not len(params) == len(grads) == len(moments):
-        raise ContractViolation("adam_step: params, grads and moments differ in count")
+    ``p``, its gradient ``g`` and ``state.m``/``state.v`` are contiguous arrays
+    of one size, such as a set's ``flat`` and ``grad``. Each element sees the
+    operations, in order, of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr * (m/corr1) / (sqrt(v/corr2) + eps)."""
+    m, v = state.m, state.v
+    if not (p.size == g.size == m.size == v.size and p.flags.c_contiguous
+            and m.flags.c_contiguous and v.flags.c_contiguous):
+        raise ContractViolation("adam_step: arrays differ in size or are not contiguous")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     if state._work is None:
         state._work = np.empty((2, _ADAM_CHUNK))
-    for p, g, (m, v) in zip(params, grads, moments):
-        if not (p.size == g.size == m.size == v.size and p.flags.c_contiguous
-                and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise ContractViolation("adam_step: arrays differ in size or are not contiguous")
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, _ADAM_CHUNK):
-            hi = min(lo + _ADAM_CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s, r = state._work[0, :hi - lo], state._work[1, :hi - lo]
-            mc *= b1
-            np.multiply(gc, 1.0 - b1, out=s)
-            mc += s
-            vc *= b2
-            np.multiply(gc, 1.0 - b2, out=s)
-            s *= gc
-            vc += s
-            np.divide(mc, corr1, out=s)
-            s *= lr
-            np.divide(vc, corr2, out=r)
-            np.sqrt(r, out=r)
-            r += state.eps
-            s /= r
-            pc -= s
+    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    for lo in range(0, p.size, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, p.size)
+        pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        s, r = state._work[0, :hi - lo], state._work[1, :hi - lo]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=s)
+        mc += s
+        vc *= b2
+        np.multiply(gc, 1.0 - b2, out=s)
+        s *= gc
+        vc += s
+        np.divide(mc, corr1, out=s)
+        s *= lr
+        np.divide(vc, corr2, out=r)
+        np.sqrt(r, out=r)
+        r += state.eps
+        s /= r
+        pc -= s
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -375,13 +338,13 @@ _ACT_SETS = {"policy": POLICY_ACTIVATIONS, "value": VALUE_ACTIVATIONS}
 
 
 def save_set(path, pset: MlpSet) -> None:
-    """Self-describing binary: int32 header (kind, shared, horizon, net count,
-    layer count, layer dims) then all parameters as little-endian float32."""
+    """Self-describing binary: int32 header (version, kind, shared = 0, horizon,
+    net count, layer count, layer dims) then all parameters as little-endian
+    float32."""
     dims = pset.nets[0].dims
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        header = [1, _KINDS[pset.kind], int(pset.shared), pset.horizon,
-                  len(pset.nets), len(dims)] + dims
+        header = [1, _KINDS[pset.kind], 0, pset.horizon, len(pset.nets), len(dims)] + dims
         f.write(np.asarray(header, dtype="<i4").tobytes())
         f.write(pset.flat.astype("<f4").tobytes())
 
@@ -407,9 +370,11 @@ def load_set(path) -> MlpSet:
         kind = _KIND_NAMES[kind_id]
         if n_dims != len(_ACT_SETS[kind]) + 2:
             raise InvalidArgument(f"{path}: {n_dims} layer sizes for a {kind} network")
-        if shared not in (0, 1) or horizon < 1 or n_nets != (1 if shared else horizon):
-            raise InvalidArgument(f"{path}: {n_nets} nets for horizon {horizon} "
-                                  f"(shared={shared})")
+        if shared != 0:
+            raise InvalidArgument(f"{path}: shared time-conditioned networks "
+                                  f"(header shared={shared}) are not supported")
+        if horizon < 1 or n_nets != horizon:
+            raise InvalidArgument(f"{path}: {n_nets} nets for horizon {horizon}")
         dims = [int(x) for x in np.frombuffer(_read(f, n_dims * 4, path), dtype="<i4")]
         if min(dims) < 1:
             raise InvalidArgument(f"{path}: bad layer sizes {dims}")
@@ -417,4 +382,4 @@ def load_set(path) -> MlpSet:
         flat = np.frombuffer(_read(f, count * 4, path), dtype="<f4").astype(np.float64)
         if f.read(1):
             raise InvalidArgument(f"{path}: trailing bytes in checkpoint")
-    return _new_set(kind, dims, n_nets, bool(shared), horizon, flat=flat)
+    return _new_set(kind, dims, n_nets, flat=flat)

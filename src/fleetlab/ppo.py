@@ -6,7 +6,11 @@ value targets by a reverse pass of (r - g/(T*N)), fits the value networks by
 minibatch Adam on squared error, forms advantages
 A = r - g/(T*N) + h(next obs) - h(obs), and ascends the clipped surrogate
 mean(min(rho*A, clip(rho, 1-eps, 1+eps)*A)) with a decaying clip radius
-eps_m = max(eps * gamma^m, floor).
+eps_m = max(eps * gamma^m, floor). Advantages are normalised to zero mean and
+unit variance over each iteration's pooled samples (Schulman et al. 2017).
+
+Both network sets hold one net per time-of-day step, and each keeps one Adam
+state over its flat parameter buffer across iterations.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .config import NetworkConfig
 from .errors import InvalidArgument, TrainingDiagnostic
 from .model import action_count
 from .reduce import obs_dim, reduce_vector, vehicle_feature_dim, vehicle_features
-from .sim import DayTrace, run_days, score_trajectory, summarize_scores
+from .sim import run_days, score_trajectory, summarize_scores
 
 
 @dataclass
@@ -42,8 +46,6 @@ class PpoConfig:
     value_update_steps: int = 100
     seed: int = 0
     hidden: int = 128
-    shared_time_net: bool = False
-    normalize_advantages: bool = True
     eval_days: int = 4
     early_stop_patience: int = 3
 
@@ -71,18 +73,16 @@ def clip_schedule(m: int, eps: float, gamma: float, floor: float = 0.01) -> floa
 class NeuralPolicy:
     """Samples atomic actions from masked-softmax network outputs.
 
-    With record=True it stores, per atomic call, the observation and vehicle
-    features actually fed to the network, in call order, so the trainer can
-    rebuild ratios under the identical inputs.
+    With record=True it logs, per atomic call, the (observation, vehicle
+    features, mask) row actually fed to the network, in call order, so the
+    trainer can rebuild ratios under the identical inputs.
     """
 
     def __init__(self, config: NetworkConfig, pset: nn.MlpSet, record: bool = False):
         self.config = config
         self.pset = pset
         self.record = record
-        self.obs_log: list[np.ndarray] = []
-        self.veh_log: list[np.ndarray] = []
-        self.mask_log: list[np.ndarray] = []
+        self.log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def act(self, config, work, vehicle, mask, rng):
         obs = reduce_vector(config, work)
@@ -90,9 +90,7 @@ class NeuralPolicy:
         probs = nn.forward_policy(self.pset, obs, veh, mask, work.t)
         idx = int(rng.choice(probs.size, p=probs))
         if self.record:
-            self.obs_log.append(obs)
-            self.veh_log.append(veh)
-            self.mask_log.append(mask.copy())
+            self.log.append((obs, veh, mask.copy()))
         return idx, float(probs[idx])
 
 
@@ -104,13 +102,11 @@ class EpisodeTrace:
     veh: np.ndarray          # (L, veh_dim)
     mask: np.ndarray         # (L, n_actions) bool
     t: np.ndarray            # (L,) time of day
-    d: np.ndarray            # (L,) day index
     action: np.ndarray       # (L,) atomic action index
     old_prob: np.ndarray     # (L,)
     reward: np.ndarray       # (L,)
     terminal_obs: np.ndarray
     terminal_t: int
-    days: list[DayTrace] = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.action.size
@@ -120,28 +116,26 @@ def collect_trajectory(config: NetworkConfig, pset: nn.MlpSet, days: int,
                        rng: np.random.Generator) -> EpisodeTrace:
     policy = NeuralPolicy(config, pset, record=True)
     day_traces = run_days(config, policy, days, rng)
-    t_arr, d_arr, act, prob, rew = [], [], [], [], []
-    for d, tr in enumerate(day_traces):
+    t_arr, act, prob, rew = [], [], [], []
+    for tr in day_traces:
         for t, ep in enumerate(tr.epochs):
             for rec in ep.records:
                 t_arr.append(t)
-                d_arr.append(d)
                 act.append(rec.index)
                 prob.append(rec.prob)
                 rew.append(rec.reward)
     final = day_traces[-1].states[-1]
+    obs, veh, mask = zip(*policy.log)        # every vehicle acts in every epoch
     return EpisodeTrace(
-        obs=np.asarray(policy.obs_log),
-        veh=np.asarray(policy.veh_log),
-        mask=np.asarray(policy.mask_log, dtype=bool),
+        obs=np.asarray(obs),
+        veh=np.asarray(veh),
+        mask=np.asarray(mask, dtype=bool),
         t=np.asarray(t_arr, dtype=np.int64),
-        d=np.asarray(d_arr, dtype=np.int64),
         action=np.asarray(act, dtype=np.int64),
         old_prob=np.asarray(prob),
         reward=np.asarray(rew),
         terminal_obs=reduce_vector(config, final),
         terminal_t=final.t,
-        days=day_traces,
     )
 
 
@@ -181,7 +175,7 @@ def fit_value(vset: nn.MlpSet, obs: np.ndarray, t: np.ndarray, targets: np.ndarr
         if not math.isfinite(loss):
             raise TrainingDiagnostic("value loss diverged (NaN/inf)")
         losses.append(loss)
-        nn.adam_step([vset.flat], [grad], adam, ppo.lr_value)
+        nn.adam_step(vset.flat, grad, adam, ppo.lr_value)
     return adam, losses
 
 
@@ -259,7 +253,7 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
 
         grad = pset.grouped_gradient(xfull, t, idx, head)
         clip_fracs.append(clipped_ct / len(idx))
-        nn.adam_step([pset.flat], [grad], adam, ppo.lr_policy)
+        nn.adam_step(pset.flat, grad, adam, ppo.lr_policy)
     stats = PolicyUpdateStats(
         clip_fraction=float(np.mean(clip_fracs)) if clip_fracs else 0.0,
         surrogate_before=surrogate_before,
@@ -325,9 +319,8 @@ def init_networks(config: NetworkConfig, ppo: PpoConfig) -> tuple[nn.MlpSet, nn.
     rng = np.random.default_rng([ppo.seed, 1])
     pset = nn.create_policy_set(obs_dim(config), vehicle_feature_dim(config),
                                 action_count(config), config.horizon_steps, rng,
-                                hidden=ppo.hidden, shared=ppo.shared_time_net)
-    vset = nn.create_value_set(obs_dim(config), config.horizon_steps, rng,
-                               hidden=ppo.hidden, shared=ppo.shared_time_net)
+                                hidden=ppo.hidden)
+    vset = nn.create_value_set(obs_dim(config), config.horizon_steps, rng, hidden=ppo.hidden)
     return pset, vset
 
 
@@ -355,7 +348,7 @@ def train(config: NetworkConfig, ppo: PpoConfig,
             vset, all_obs, all_t, targets, ppo, np.random.default_rng([ppo.seed, 3, m]),
             adam=value_adam)
         adv = np.concatenate([compute_advantages(tr, vset, g, config) for tr in traces])
-        if ppo.normalize_advantages and adv.std() > 0:
+        if adv.std() > 0:
             adv = (adv - adv.mean()) / adv.std()
         eps_m = clip_schedule(m, ppo.initial_clip, ppo.clip_decay, ppo.clip_floor)
         policy_adam, stats = ppo_update(

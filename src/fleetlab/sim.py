@@ -102,9 +102,12 @@ def transition(
         new_charges[c.dest, config.rate_index(rate)] += n
         info.charges_started += n
 
-    # passing vehicles: eta ticks down toward idle, idle stays put
     if (passing < 0).any():
         raise ContractViolation("more vehicles assigned than present")
+    if (new_charges > state.chargers[:, :, 0]).any():
+        raise ContractViolation("more charges started than free chargers")
+
+    # passing vehicles: eta ticks down toward idle, idle stays put
     vehicles[:, 0, :] += passing[:, 0, :]
     if config.eta_cap >= 1:
         vehicles[:, :-1, :] += passing[:, 1:, :]

@@ -154,11 +154,12 @@ def _surrogate_draws(seed, n_probes):
     adam, _ = ppo.ppo_update(pset, [trace], adv, eps_m, pcfg,
                              np.random.default_rng(0))
     params = [p for net in pset.nets for p in net.params()]
+    m_bufs = [a for net in pset.views(adam.m) for a in net]
     rng = np.random.default_rng([56, seed])
     order = rng.permutation(len(params))
     probes = 0
     for pi in order:
-        p, m_buf = params[pi], adam.m[pi]
+        p, m_buf = params[pi], m_bufs[pi]
         flat, gflat = p.ravel(), (-m_buf / 0.1).ravel()
         i = int(rng.integers(flat.size))
         orig = flat[i]

@@ -198,17 +198,22 @@ def test_compare_table_columns(tiny_json, tmp_path):
         assert col in r.stdout
 
 
-def test_calibrate_roundtrip(tmp_path):
-    records = tmp_path / "r.csv"
-    records.write_text(
+@pytest.fixture(scope="module")
+def trips(tmp_path_factory):
+    """A directory with a two-row trip CSV, r.csv, and its zone map, map.csv."""
+    d = tmp_path_factory.mktemp("trips")
+    (d / "r.csv").write_text(
         "pickup_zone,dropoff_zone,pickup_timestamp,base_fare,duration_min,distance_miles\n"
         "A,B,2024-01-01T08:05:00,12.0,9.0,2.0\n"
         "B,A,2024-01-01T17:35:00,11.0,8.0,2.0\n")
-    regions = tmp_path / "map.csv"
-    regions.write_text("zone,region\nA,0\nB,1\n")
+    (d / "map.csv").write_text("zone,region\nA,0\nB,1\n")
+    return d
+
+
+def test_calibrate_roundtrip(tmp_path, trips):
     out = tmp_path / "cfg.json"
-    r = run_cli("calibrate", "--records", str(records), "--regions", str(regions),
-                "--epoch-min", "5", "--fleet", "4", "--out", str(out))
+    r = run_cli("calibrate", "--records", str(trips / "r.csv"), "--regions",
+                str(trips / "map.csv"), "--epoch-min", "5", "--fleet", "4", "--out", str(out))
     assert r.returncode == 0, r.stderr
     from fleetlab.config import NetworkConfig
 
@@ -256,6 +261,8 @@ def test_sweep_hardware_two_pairs(tiny_json, tmp_path):
 
 SWEEP = ["sweep-chargers", "--config", "{cfg}", "--allocation", "1,1",
          "--train-iterations", "1", "--eval-trajectories", "1", "--days", "1"]
+CALIBRATE = ["calibrate", "--records", "{trips}/r.csv", "--regions", "{trips}/map.csv",
+             "--out", "{tmp}/cfg.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,11 +282,26 @@ SWEEP = ["sweep-chargers", "--config", "{cfg}", "--allocation", "1,1",
     SWEEP + ["--train-iterations", "-1"],
     ["evaluate", "--config", "{cfg}", "--policy", "random", "--jobs", "-3"],
     ["compare", "--config", "{cfg}", "--policies", "random", "--jobs", "0"],
+    CALIBRATE + ["--epoch-min", "0"],
+    CALIBRATE + ["--epoch-min", "-5"],
+    CALIBRATE + ["--scale-fleet", "0"],
+    CALIBRATE + ["--fleet", "0"],
+    pytest.param(["--seed", "-1", "evaluate", "--config", "{cfg}", "--policy", "random"],
+                 id="seed=-1-evaluate"),
+    pytest.param(["--seed", "-1", "bound", "--config", "{cfg}"], id="seed=-1-bound"),
+    pytest.param(["--seed", "-1", "train", "--config", "{cfg}", "--out", "{tmp}"],
+                 id="seed=-1-train"),
+    pytest.param(["FLEETLAB_SEED=-1", "evaluate", "--config", "{cfg}", "--policy", "random"],
+                 id="FLEETLAB_SEED=-1-evaluate"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
-def test_bad_count_inputs_exit_2(tiny_json, tmp_path, argv):
-    r = run_cli(*(a.format(cfg=tiny_json, tmp=tmp_path) for a in argv))
+def test_bad_count_inputs_exit_2(tiny_json, trips, tmp_path, argv):
+    """Leading NAME=value words set environment variables, as in a shell."""
+    env = dict(a.split("=", 1) for a in takewhile(lambda a: "=" in a, argv))
+    r = run_cli(*(a.format(cfg=tiny_json, trips=trips, tmp=tmp_path) for a in argv[len(env):]),
+                env_extra=env)
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +320,9 @@ def checkpoints(tmp_path_factory):
     kind = bytearray(good)
     kind[8:12] = (7).to_bytes(4, "little")          # header: magic, version, kind, ...
     (d / "kind.bin").write_bytes(bytes(kind))
+    shared = bytearray(good)
+    shared[12:16] = (1).to_bytes(4, "little")       # ..., shared, horizon, ...
+    (d / "shared.bin").write_bytes(bytes(shared))
     return d
 
 
@@ -311,8 +336,8 @@ def test_fitting_checkpoint_evaluates(tiny_json, checkpoints):
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("name", ["truncated", "header-only", "kind", "value", "other",
-                                  "longer"])
+@pytest.mark.parametrize("name", ["truncated", "header-only", "kind", "shared", "value",
+                                  "other", "longer"])
 def test_bad_checkpoint_exits_2(tiny_json, checkpoints, name):
     r = _evaluate_checkpoint(tiny_json, checkpoints / f"{name}.bin")
     assert r.returncode == 2, r.stderr

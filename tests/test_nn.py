@@ -95,15 +95,17 @@ def test_backward_matches_central_difference(acts):
 
 def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(2)
-    params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+    vset = nn.create_value_set(2, 1, rng, hidden=2)
+    params = _set_params(vset)
     ref = [p.copy() for p in params]
-    state = nn.AdamState.for_params(params)
+    state = nn.AdamState.for_set(vset)
     m = [np.zeros_like(p) for p in ref]
     v = [np.zeros_like(p) for p in ref]
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     for step in range(1, 6):
-        grads = [rng.normal(size=p.shape) for p in params]
-        nn.adam_step(params, grads, state, lr)
+        flat_grad = rng.normal(size=vset.flat.size)
+        grads = vset.views(flat_grad)[0]
+        nn.adam_step(vset.flat, flat_grad, state, lr)
         for i, g in enumerate(grads):
             m[i] = b1 * m[i] + (1 - b1) * g
             v[i] = b2 * v[i] + (1 - b2) * g * g
@@ -117,25 +119,14 @@ def test_adam_matches_reference_implementation():
 def test_policy_set_per_time_nets_are_independent():
     rng = np.random.default_rng(3)
     pset = nn.create_policy_set(obs_dim=5, veh_dim=3, n_actions=4, horizon=3,
-                                rng=rng, hidden=8, shared=False)
-    assert len(pset.nets) == 3
-    assert pset.net_for(0) is not pset.net_for(1)
+                                rng=rng, hidden=8)
+    assert len(pset.nets) == pset.horizon == 3
+    assert pset.nets[0] is not pset.nets[1]
     obs, veh = rng.normal(size=5), rng.normal(size=3)
     mask = np.ones(4, dtype=bool)
     p0 = nn.forward_policy(pset, obs, veh, mask, 0)
     p1 = nn.forward_policy(pset, obs, veh, mask, 1)
     assert not np.allclose(p0, p1)
-
-
-def test_shared_set_appends_time_one_hot():
-    rng = np.random.default_rng(4)
-    pset = nn.create_policy_set(obs_dim=5, veh_dim=3, n_actions=4, horizon=3,
-                                rng=rng, hidden=8, shared=True)
-    assert len(pset.nets) == 1
-    assert pset.nets[0].dims[0] == 5 + 3 + 3
-    x = rng.normal(size=8)
-    aug = pset.augment(x, 2)
-    np.testing.assert_array_equal(aug[-3:], [0.0, 0.0, 1.0])
 
 
 def test_value_set_scalar_output():
@@ -154,7 +145,6 @@ def test_checkpoint_round_trip(tmp_path):
         nn.save_set(path, pset)
         back = nn.load_set(path)
         assert back.kind == kind
-        assert back.shared == pset.shared
         assert back.horizon == pset.horizon
         assert len(back.nets) == len(pset.nets)
         for a, b in zip(pset.nets, back.nets):
@@ -199,7 +189,7 @@ def _set_params(mset):
 def test_set_params_are_views_of_one_buffer(tmp_path):
     rng = np.random.default_rng(9)
     sets = [nn.create_policy_set(5, 3, 4, 3, rng, hidden=8),
-            nn.create_value_set(5, 3, rng, hidden=8, shared=True)]
+            nn.create_value_set(5, 3, rng, hidden=8)]
     for i, mset in enumerate(list(sets)):
         nn.save_set(tmp_path / f"{i}.bin", mset)
         sets += [nn.load_set(tmp_path / f"{i}.bin"), pickle.loads(pickle.dumps(mset))]
@@ -215,7 +205,7 @@ def test_set_params_are_views_of_one_buffer(tmp_path):
 def test_save_load_round_trip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(10)
     for i, mset in enumerate((nn.create_policy_set(5, 3, 4, 3, rng, hidden=8),
-                              nn.create_value_set(5, 2, rng, hidden=8, shared=True))):
+                              nn.create_value_set(5, 2, rng, hidden=8))):
         first, second = tmp_path / f"{i}a.bin", tmp_path / f"{i}b.bin"
         nn.save_set(first, mset)
         nn.save_set(second, nn.load_set(first))
@@ -249,7 +239,7 @@ def test_adam_on_flat_buffer_matches_per_array_loop(monkeypatch):
         grad = rng.normal(size=pset.flat.size)
         if step == 3:
             grad[:pset.nets[0].param_count()] = 0.0
-        nn.adam_step([pset.flat], [grad], state, lr)
+        nn.adam_step(pset.flat, grad, state, lr)
         size, dims = pset.nets[0].param_count(), pset.nets[0].dims
         grads = [g.copy() for k in range(len(pset.nets))
                  for g in nn.split_params(grad[k * size:(k + 1) * size], dims)]
@@ -261,36 +251,35 @@ def test_adam_on_flat_buffer_matches_per_array_loop(monkeypatch):
             vi += (1.0 - b2) * g * g
             p -= lr * (mi / corr1) / (np.sqrt(vi / corr2) + eps)
         assert pset.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
-        for got, want in zip(state.m + state.v, m + v):
+        moments = [a for buf in (state.m, state.v) for net in pset.views(buf) for a in net]
+        for got, want in zip(moments, m + v):
             assert got.tobytes() == want.tobytes()
 
 
 def test_grouped_gradient_matches_per_net_backward():
-    """Each time's rows give their net's backward, unused nets get zeros even
-    over a dirty buffer, and a shared net sums its groups in time order."""
-    for shared in (False, True):
-        rng = np.random.default_rng(13)
-        vset = nn.create_value_set(4, 3, rng, hidden=6, shared=shared)
-        x = rng.normal(size=(9, 4))
-        t = np.array([2, 0, 2, 2, 0, 1, 0, 2, 1])
-        rows = np.array([0, 2, 3, 4, 6, 7])          # no row at time 1
-        vset.grad[:] = np.nan
-        heads = []
+    """Each time's rows give their net's backward, and unused nets get zeros
+    even over a dirty buffer."""
+    rng = np.random.default_rng(13)
+    vset = nn.create_value_set(4, 3, rng, hidden=6)
+    x = rng.normal(size=(9, 4))
+    t = np.array([2, 0, 2, 2, 0, 1, 0, 2, 1])
+    rows = np.array([0, 2, 3, 4, 6, 7])          # no row at time 1
+    vset.grad[:] = np.nan
+    heads = []
 
-        def head(sel, y):
-            heads.append(sel)
-            return y                                  # d(loss)/d(out) for sum(out**2)/2
+    def head(sel, y):
+        heads.append(sel)
+        return y                                  # d(loss)/d(out) for sum(out**2)/2
 
-        grad = vset.grouped_gradient(x, t, rows, head)
-        want = np.zeros_like(vset.flat)
-        size = vset.nets[0].param_count()
-        for sel in heads:
-            tt = int(t[sel[0]])
-            assert (t[sel] == tt).all()
-            k = 0 if shared else tt
-            out, cache = vset.nets[k].forward(vset.augment(x[sel], tt), want_cache=True)
-            g, _ = vset.nets[k].backward(cache, out.copy())
-            want[k * size:(k + 1) * size] += np.concatenate([gi.ravel() for gi in g])
-        assert [int(t[sel[0]]) for sel in heads] == [0, 2]
-        np.testing.assert_array_equal(grad, want)
-        assert grad is vset.grad
+    grad = vset.grouped_gradient(x, t, rows, head)
+    want = np.zeros_like(vset.flat)
+    size = vset.nets[0].param_count()
+    for sel in heads:
+        tt = int(t[sel[0]])
+        assert (t[sel] == tt).all()
+        out, cache = vset.nets[tt].forward(x[sel], want_cache=True)
+        g, _ = vset.nets[tt].backward(cache, out.copy())
+        want[tt * size:(tt + 1) * size] = np.concatenate([gi.ravel() for gi in g])
+    assert [int(t[sel[0]]) for sel in heads] == [0, 2]
+    np.testing.assert_array_equal(grad, want)
+    assert grad is vset.grad

@@ -152,7 +152,7 @@ def test_ppo_update_gradient_matches_finite_difference(tiny):
                              np.random.default_rng(0))
     params = [p for net in pset.nets for p in net.params()]
     checked = 0
-    for p, m_buf in zip(params, adam.m):
+    for p, m_buf in zip(params, [a for net in pset.views(adam.m) for a in net]):
         grad = -m_buf / 0.1  # ascent gradient
         flat, gflat = p.ravel(), grad.ravel()
         take = rng.choice(flat.size, size=min(4, flat.size), replace=False)
@@ -228,29 +228,23 @@ def test_checkpoints_written(tmp_path, tiny):
 # the policy and value sets after ppo.train on the tiny fixture. Recorded at
 # commit eef85bb, whose trainer kept one array per parameter and per gradient;
 # the flat-buffer trainer must reproduce every bit. Small batches leave some
-# time-of-day nets without samples in some steps, and the shared variant sums
-# several groups into one net's gradient. The digests hold for IEEE float64
-# numpy on x86-64; another platform's BLAS or tanh may round differently.
-GOLDEN_TRAIN_DIGESTS = {
-    False: ("3ee64d7a6b27309f92b9e4020015f33a8cb8f3402f7da879e700068bfbb4d0c9",
-            "342d3688bc2afd82a4fc39ba5d2063031d4b67f220a6b92c92c0d23581963e6e",
-            "0cd87d2eda6a21c7d1ba71b9fe98b98e7265bd62d083a2e92093d4272f90f190"),
-    True: ("d32d71d5ac888608558b494d73ebd745eddeced096a03019cf336991697e7b21",
-           "924a6fc3eead78c8febd030326f9f8fff13967e6a462413f31cfa1d5dd1487b1",
-           "06513b341070796604e70667dff141b66e301ecda6f41c131d02d42f341c0830"),
-}
+# time-of-day nets without samples in some steps. The digests hold for IEEE
+# float64 numpy on x86-64; another platform's BLAS or tanh may round differently.
+GOLDEN_TRAIN_DIGESTS = (
+    "3ee64d7a6b27309f92b9e4020015f33a8cb8f3402f7da879e700068bfbb4d0c9",
+    "342d3688bc2afd82a4fc39ba5d2063031d4b67f220a6b92c92c0d23581963e6e",
+    "0cd87d2eda6a21c7d1ba71b9fe98b98e7265bd62d083a2e92093d4272f90f190",
+)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_train_output_is_bit_identical_to_recorded_digests(tiny, tmp_path, shared):
+def test_train_output_is_bit_identical_to_recorded_digests(tiny, tmp_path):
     pcfg = ppo.PpoConfig(policy_iterations=3, trajectories_per_iter=3, days_per_trajectory=2,
                          hidden=8, eval_days=1, value_update_steps=6, policy_update_steps=4,
-                         batch_value=16, batch_policy=6, early_stop_patience=10, seed=7,
-                         shared_time_net=shared)
+                         batch_value=16, batch_policy=6, early_stop_patience=10, seed=7)
     result = ppo.train(tiny, pcfg)
     reports = json.dumps([r.to_dict() for r in result.reports], sort_keys=True)
     digests = [hashlib.sha256(reports.encode()).hexdigest()]
     for name, mset in (("policy", result.policy), ("value", result.value)):
         nn.save_set(tmp_path / f"{name}.bin", mset)
         digests.append(hashlib.sha256((tmp_path / f"{name}.bin").read_bytes()).hexdigest())
-    assert tuple(digests) == GOLDEN_TRAIN_DIGESTS[shared]
+    assert tuple(digests) == GOLDEN_TRAIN_DIGESTS

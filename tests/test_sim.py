@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fleetlab.baselines import RandomFeasiblePolicy
+from fleetlab.errors import ContractViolation
 from fleetlab.model import (FleetAction, SystemState, TripStatus,
                             VehicleStatus, all_pass_action, charge, fulfill,
                             reposition)
@@ -54,6 +55,26 @@ def test_charge_transition_occupies_full_period(tiny):
     assert nxt.vehicles[0, J - 1, gained] == 1
     assert nxt.chargers[0, 0, J - 1] == 1            # engaged for a full period
     assert nxt.chargers[0, 0, 0] == tiny.charger_counts[0, 0] - 1
+
+
+@pytest.mark.parametrize("J", [1, 2])
+def test_transition_rejects_more_charges_than_free_chargers(J):
+    # both vehicles charge on a station with one charger; with J = 1 the
+    # charger would be taken and given back within the epoch, so only a
+    # direct check against the free chargers catches the over-commit
+    cfg = tiny_config(N=2, J=J, L_p=0)
+    s = initial_state(cfg)
+    vehicles = np.zeros_like(s.vehicles)
+    vehicles[0, 0, 0] = 2
+    s = SystemState(0, vehicles, np.zeros_like(s.trips), s.chargers)
+    none = np.zeros((2, 2), dtype=np.int64)
+    fa = FleetAction.empty()
+    fa.add_atomic(VehicleStatus(0, 0, 0), charge(cfg.charge_rates[0]))
+    _, info = transition(cfg, s, fa, none, validate=False)
+    assert info.charges_started == 1
+    fa.add_atomic(VehicleStatus(0, 0, 0), charge(cfg.charge_rates[0]))
+    with pytest.raises(ContractViolation, match="free chargers"):
+        transition(cfg, s, fa, none, validate=False)
 
 
 def test_trips_age_and_abandon(tiny):
