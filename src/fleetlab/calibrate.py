@@ -128,8 +128,8 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     """Build a scenario from trip records. Arrival rates are mean counts per
     filtered day; unseen (u,v,t) cells get zero demand with duration and fare
     backfilled from the nearest populated epoch of the same pair."""
-    if not epoch_minutes > 0:
-        raise ConfigError(f"epoch length must be > 0 minutes, got {epoch_minutes}")
+    if not epoch_minutes >= 1:
+        raise ConfigError(f"epoch length must be >= 1 minute, got {epoch_minutes}")
     V = max(region_map.values()) + 1
     T = int(round(24 * 60 / epoch_minutes))
     if not math.isclose(T * epoch_minutes, 24 * 60):
@@ -153,9 +153,9 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
             raise ConfigError(f"zone {exc} missing from region map") from exc
         if u == v:
             continue                        # intra-region trips are out of model
-        t = int(r.pickup_timestamp.hour * 60 + r.pickup_timestamp.minute
-                + r.pickup_timestamp.second / 60) // int(epoch_minutes)
-        t = min(t, T - 1)
+        minute_of_day = (r.pickup_timestamp.hour * 60 + r.pickup_timestamp.minute
+                         + r.pickup_timestamp.second / 60)
+        t = min(int(minute_of_day // epoch_minutes), T - 1)
         counts[u, v, t] += 1
         fares[u, v, t] += r.base_fare
         durations[u, v, t] += r.duration_min

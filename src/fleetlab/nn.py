@@ -4,7 +4,7 @@ Both network families are 3 hidden layers plus a linear head; the policy uses
 (tanh, tanh, tanh) hidden activations, the value function (tanh, relu, tanh).
 A set holds one network per time-of-day step: ``nets[t]`` serves time t.
 
-All parameters of an ``MlpSet`` live in one contiguous float64 buffer,
+All parameters of an ``MlpSet`` live in one contiguous float32 buffer,
 ``flat``, net after net, each net as (W0, b0, W1, b1, ...): the order of
 ``Mlp.params()`` and of the checkpoint file. Each net's weights and biases
 are views into it. A training step runs one grouped forward/backward
@@ -14,6 +14,15 @@ of the set's flat gradient buffer. One ``adam_step`` then updates the whole
 buffer in cache-sized chunks, with Adam's moments in two flat buffers laid
 out like it. Activations and their derivatives are computed in place; the
 gradient buffer is allocated on first use.
+
+The library builds and loads sets only in float32, the precision of the
+checkpoint, so a checkpoint holds exactly the weights that were trained and
+reproduces the trained policy bit for bit. The code itself follows the
+buffer's dtype: ``Mlp.forward`` and ``backward`` cast their input and
+d(loss)/d(out) to it once, gradients and Adam's moments take the
+parameters' dtype, and a net built over a float64 buffer (as the
+finite-difference tests do) computes in float64. ``masked_softmax`` returns
+float64 probabilities, whatever the logits' dtype.
 
 Checkpoints are self-describing binaries of little-endian 32-bit floats
 behind an integer dimension header. The header keeps a ``shared`` slot from
@@ -62,8 +71,9 @@ def split_params(flat: np.ndarray, dims: list[int]) -> list[np.ndarray]:
 class Mlp:
     """Dense feed-forward net; layers hold (W, b), activations per layer.
 
-    ``weights`` and ``biases`` are views of ``flat``, one contiguous float64
-    array in the order of ``.params()``."""
+    ``weights`` and ``biases`` are views of ``flat``, one contiguous array
+    (float32 unless the caller passes another) in the order of ``.params()``;
+    forward and backward compute in its dtype."""
 
     def __init__(self, flat: np.ndarray, dims: list[int], activations: tuple[str, ...]):
         if len(dims) != len(activations) + 1 or flat.shape != (param_count(dims),):
@@ -80,15 +90,14 @@ class Mlp:
     def create(cls, dims: list[int], hidden_activations: tuple[str, ...],
                rng: np.random.Generator, out: np.ndarray | None = None) -> "Mlp":
         """dims = [in, h1, h2, h3, out]; output layer is linear. The
-        parameters are drawn into ``out`` (a new buffer if None)."""
+        parameters are drawn into ``out`` (a new float32 buffer if None):
+        float64 ``rng.uniform`` draws, rounded to the buffer's dtype."""
         acts = tuple(hidden_activations) + ("linear",)
-        net = cls(np.empty(param_count(dims)) if out is None else out, dims, acts)
+        net = cls(np.empty(param_count(dims), dtype=np.float32) if out is None else out,
+                  dims, acts)
         for w, b in zip(net.weights, net.biases):
             bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
-            # rng.uniform(-bound, bound), drawn in place: low + (high - low) * u
-            rng.random(out=w)
-            w *= 2.0 * bound
-            w += -bound
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
             b.fill(0.0)
         return net
 
@@ -106,12 +115,13 @@ class Mlp:
         return out
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
-        """x: (d,) or (n, d). Returns output, and the cache if requested.
+        """x: (d,) or (n, d), cast to the buffer's dtype. Returns output, and
+        the cache if requested.
 
         The cache lists every layer's input and then the output; ``backward``
         overwrites it."""
         single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.atleast_2d(np.asarray(x, dtype=self.flat.dtype))
         cache = [h] if want_cache else None
         for w, b, a in zip(self.weights, self.biases, self.activations):
             h = h @ w
@@ -126,8 +136,9 @@ class Mlp:
 
     def backward(self, cache: list, dout: np.ndarray,
                  grads: list[np.ndarray] | None = None):
-        """Exact reverse pass. dout: (n, out). Returns (grads, dinput); grads
-        interleaves (dW, db) in the order of .params().
+        """Exact reverse pass. dout: (n, out), cast to the buffer's dtype.
+        Returns (grads, dinput); grads interleaves (dW, db) in the order of
+        .params().
 
         Given ``grads`` (arrays shaped like .params()), the gradients are
         written into them and dinput, which training never reads, is not
@@ -136,7 +147,7 @@ class Mlp:
         want_input = grads is None
         if grads is None:
             grads = [np.empty_like(p) for p in self.params()]
-        d = np.atleast_2d(dout)
+        d = np.atleast_2d(np.asarray(dout, dtype=self.flat.dtype))
         for i in reversed(range(len(self.weights))):
             y = cache[i + 1]
             a = self.activations[i]
@@ -154,11 +165,12 @@ class Mlp:
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over unmasked entries; masked entries exactly 0."""
+    """Softmax over unmasked entries, in float64 whatever the logits' dtype;
+    masked entries exactly 0."""
     if not mask.any():
         raise ContractViolation("feasibility mask is empty")
-    probs = np.zeros_like(logits, dtype=float)
-    z = logits[mask]
+    probs = np.zeros(logits.shape)
+    z = logits[mask].astype(np.float64, copy=False)
     z = np.exp(z - z.max())
     probs[mask] = z / z.sum()
     return probs
@@ -239,7 +251,7 @@ def _new_set(kind: str, dims: list[int], count: int,
              flat: np.ndarray | None = None) -> MlpSet:
     """``count`` nets over one buffer: drawn from ``rng``, or views of ``flat``."""
     size, acts = param_count(dims), _ACT_SETS[kind]
-    flat = np.empty(count * size) if flat is None else flat
+    flat = np.empty(count * size, dtype=np.float32) if flat is None else flat
     parts = [flat[k * size:(k + 1) * size] for k in range(count)]
     nets = [Mlp.create(dims, acts, rng, out=part) if rng is not None
             else Mlp(part, dims, acts + ("linear",)) for part in parts]
@@ -263,14 +275,15 @@ def forward_policy(pset: MlpSet, obs: np.ndarray, veh: np.ndarray, mask: np.ndar
 
 
 def forward_value(vset: MlpSet, obs: np.ndarray, t: int) -> float:
-    return float(vset.nets[t].forward(np.asarray(obs, dtype=float))[0])
+    return float(vset.nets[t].forward(obs)[0])
 
 
 # -- optimizer ----------------------------------------------------------------
 
 # Elements per Adam chunk: a chunk of the parameters, gradients, both moments
-# and the two work rows (6 x 256 KiB) stays in a core's L2 cache, and the
-# chunks are few enough that the per-call cost of the 14 ufuncs stays small.
+# and the two work rows (6 x 128 KiB in float32) stays in a core's L2 cache,
+# and the chunks are few enough that the per-call cost of the 14 ufuncs stays
+# small (65536 and 131072 measured no faster on 583,696 float32 parameters).
 _ADAM_CHUNK = 32768
 
 
@@ -295,19 +308,21 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
     """Standard Adam with bias correction; updates the flat buffer ``p`` in place.
 
     ``p``, its gradient ``g`` and ``state.m``/``state.v`` are contiguous arrays
-    of one size, such as a set's ``flat`` and ``grad``. Each element sees the
+    of one size and dtype, such as a set's ``flat`` and ``grad``; the update
+    is computed in that dtype. Each element sees the
     operations, in order, of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr * (m/corr1) / (sqrt(v/corr2) + eps)."""
     m, v = state.m, state.v
-    if not (p.size == g.size == m.size == v.size and p.flags.c_contiguous
-            and m.flags.c_contiguous and v.flags.c_contiguous):
-        raise ContractViolation("adam_step: arrays differ in size or are not contiguous")
+    if not (p.size == g.size == m.size == v.size and p.dtype == g.dtype == m.dtype == v.dtype
+            and p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        raise ContractViolation(
+            "adam_step: arrays differ in size or dtype or are not contiguous")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     if state._work is None:
-        state._work = np.empty((2, _ADAM_CHUNK))
+        state._work = np.empty((2, _ADAM_CHUNK), dtype=p.dtype)
     p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
     for lo in range(0, p.size, _ADAM_CHUNK):
         hi = min(lo + _ADAM_CHUNK, p.size)
@@ -379,7 +394,7 @@ def load_set(path) -> MlpSet:
         if min(dims) < 1:
             raise InvalidArgument(f"{path}: bad layer sizes {dims}")
         count = n_nets * param_count(dims)
-        flat = np.frombuffer(_read(f, count * 4, path), dtype="<f4").astype(np.float64)
+        flat = np.frombuffer(_read(f, count * 4, path), dtype="<f4").astype(np.float32)
         if f.read(1):
             raise InvalidArgument(f"{path}: trailing bytes in checkpoint")
     return _new_set(kind, dims, n_nets, flat=flat)

@@ -10,7 +10,9 @@ eps_m = max(eps * gamma^m, floor). Advantages are normalised to zero mean and
 unit variance over each iteration's pooled samples (Schulman et al. 2017).
 
 Both network sets hold one net per time-of-day step, and each keeps one Adam
-state over its flat parameter buffer across iterations.
+state over its flat float32 parameter buffer across iterations. The pooled
+observations are cast to the networks' dtype once per iteration; the loss
+heads compute targets, ratios and advantages in float64.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class PpoConfig:
             raise InvalidArgument("policy_update_steps and value_update_steps must be >= 0")
         if self.hidden < 1:
             raise InvalidArgument("hidden must be >= 1")
+        if self.eval_days < 1:
+            raise InvalidArgument("eval_days must be >= 1")
         if not (self.lr_policy > 0 and self.lr_value > 0):
             raise InvalidArgument("learning rates must be > 0")
 
@@ -156,7 +160,9 @@ def value_targets(trace: EpisodeTrace, g: float, config: NetworkConfig) -> np.nd
 def fit_value(vset: nn.MlpSet, obs: np.ndarray, t: np.ndarray, targets: np.ndarray,
               ppo: PpoConfig, rng: np.random.Generator,
               adam: nn.AdamState | None = None) -> tuple[nn.AdamState, list[float]]:
-    """Minibatch Adam on mean squared error; returns losses per step."""
+    """Minibatch Adam on mean squared error; returns losses per step. Given
+    ``obs`` in the networks' dtype (``train`` casts it once), no step casts
+    its minibatch; the errors are float64 like ``targets``."""
     if adam is None:
         adam = nn.AdamState.for_set(vset)
     losses = []
@@ -226,7 +232,7 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
     if adam is None:
         adam = nn.AdamState.for_set(pset)
     n = len(act)
-    xfull = np.hstack([obs, veh])
+    xfull = np.hstack([obs, veh], dtype=pset.flat.dtype)
     clip_fracs = []
     surrogate_before = float(advantages.mean()) if n else 0.0
     for _ in range(ppo.policy_update_steps):
@@ -236,7 +242,8 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
         def head(sel, logits):
             nonlocal clipped_ct
             m = mask[sel]
-            z = np.where(m, logits, -np.inf)
+            # float64, as masked_softmax computed old_prob from these logits
+            z = np.where(m, logits.astype(np.float64), -np.inf)
             z = z - z.max(axis=1, keepdims=True)
             ez = np.where(m, np.exp(z), 0.0)
             p = ez / ez.sum(axis=1, keepdims=True)
@@ -342,7 +349,7 @@ def train(config: NetworkConfig, ppo: PpoConfig,
         ]
         g = estimate_g(traces, ppo.days_per_trajectory)
         targets = np.concatenate([value_targets(tr, g, config) for tr in traces])
-        all_obs = np.vstack([tr.obs for tr in traces])
+        all_obs = np.vstack([tr.obs for tr in traces], dtype=vset.flat.dtype)
         all_t = np.concatenate([tr.t for tr in traces])
         value_adam, losses = fit_value(
             vset, all_obs, all_t, targets, ppo, np.random.default_rng([ppo.seed, 3, m]),

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from fleetlab import nn
 from fleetlab.config import NetworkConfig
 
 # scorecard lines from the acceptance suite, echoed after the test summary
@@ -49,6 +50,16 @@ def tiny_config(V=2, T=4, N=2, B=3, J=2, L_p=1, L_c=1, tau=2, seed=None,
 @pytest.fixture
 def tiny():
     return tiny_config()
+
+
+def float64_copy(mset: nn.MlpSet) -> nn.MlpSet:
+    """The set's weights upcast into a float64 buffer, for tests that compare
+    the networks with float64 math (finite differences, reference Adam)."""
+    flat = mset.flat.astype(np.float64)
+    size = mset.nets[0].param_count()
+    nets = [nn.Mlp(flat[k * size:(k + 1) * size], net.dims, net.activations)
+            for k, net in enumerate(mset.nets)]
+    return nn.MlpSet(nets, mset.kind, flat)
 
 
 def random_config(rng: np.random.Generator) -> NetworkConfig:

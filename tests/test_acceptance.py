@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import random_config, tiny_config
+from conftest import float64_copy, random_config, tiny_config
 from oracles import central_difference, curve_band_seconds, lp_optimum_exact
 
 from fleetlab import nn, ppo, sim
@@ -104,7 +104,8 @@ def test_02_atomic_fleet_equivalence_1000_epochs():
 def _value_mse_draw(seed):
     """One seeded draw: random value net + batch, 2 coordinate probes."""
     rng = np.random.default_rng([54, seed])
-    net = nn.Mlp.create([5, 6, 6, 6, 1], nn.VALUE_ACTIVATIONS, rng)
+    dims = [5, 6, 6, 6, 1]                      # float64, as the probes are
+    net = nn.Mlp.create(dims, nn.VALUE_ACTIVATIONS, rng, out=np.empty(nn.param_count(dims)))
     x = rng.normal(size=(12, 5))
     y = rng.normal(size=12)
 
@@ -135,6 +136,7 @@ def _surrogate_draws(seed, n_probes):
     pcfg = PpoConfig(seed=seed, hidden=6, policy_update_steps=1,
                      batch_policy=10 ** 9, lr_policy=0.0)
     pset, vset = ppo.init_networks(cfg, pcfg)
+    pset = float64_copy(pset)                   # probed in float64 below
     trace = ppo.collect_trajectory(cfg, pset, 1, np.random.default_rng([55, seed]))
     g = ppo.estimate_g([trace], 1)
     adv = ppo.compute_advantages(trace, vset, g, cfg)

@@ -75,6 +75,18 @@ def test_five_minute_epochs_give_288_steps():
 def test_bad_epoch_length_rejected():
     with pytest.raises(ConfigError):
         calibrate([_rec()], TWO_REGIONS, epoch_minutes=7.0)
+    # divide the day, but are shorter than a minute
+    for short in (0.5, 1e-9):
+        with pytest.raises(ConfigError):
+            calibrate([_rec()], TWO_REGIONS, epoch_minutes=short)
+
+
+def test_fractional_epoch_length_bins_by_true_length():
+    """10:00 is minute 600: epoch 240 of 2.5-minute epochs (T = 576)."""
+    cfg = calibrate([_rec(when=MONDAY.replace(hour=10))], TWO_REGIONS, epoch_minutes=2.5)
+    assert cfg.horizon_steps == 576
+    assert cfg.arrival_rate[0, 1, 240] == 1.0
+    assert cfg.arrival_rate[0, 1].sum() == 1.0
 
 
 def test_weekend_records_filtered_out():

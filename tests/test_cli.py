@@ -284,6 +284,8 @@ CALIBRATE = ["calibrate", "--records", "{trips}/r.csv", "--regions", "{trips}/ma
     ["compare", "--config", "{cfg}", "--policies", "random", "--jobs", "0"],
     CALIBRATE + ["--epoch-min", "0"],
     CALIBRATE + ["--epoch-min", "-5"],
+    CALIBRATE + ["--epoch-min", "0.5"],
+    CALIBRATE + ["--epoch-min", "1e-9"],
     CALIBRATE + ["--scale-fleet", "0"],
     CALIBRATE + ["--fleet", "0"],
     pytest.param(["--seed", "-1", "evaluate", "--config", "{cfg}", "--policy", "random"],

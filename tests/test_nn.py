@@ -8,11 +8,13 @@ import pytest
 from fleetlab import nn
 from fleetlab.errors import ContractViolation, InvalidArgument
 
+from conftest import float64_copy
 from oracles import central_difference
 
 
 def _net(rng, dims=(4, 8, 8, 8, 3), acts=nn.POLICY_ACTIVATIONS):
-    return nn.Mlp.create(list(dims), acts, rng)
+    """A net over a float64 buffer, to compare with float64 math."""
+    return nn.Mlp.create(list(dims), acts, rng, out=np.empty(nn.param_count(list(dims))))
 
 
 def test_forward_shapes_single_and_batch():
@@ -95,7 +97,7 @@ def test_backward_matches_central_difference(acts):
 
 def test_adam_matches_reference_implementation():
     rng = np.random.default_rng(2)
-    vset = nn.create_value_set(2, 1, rng, hidden=2)
+    vset = float64_copy(nn.create_value_set(2, 1, rng, hidden=2))
     params = _set_params(vset)
     ref = [p.copy() for p in params]
     state = nn.AdamState.for_set(vset)
@@ -147,10 +149,11 @@ def test_checkpoint_round_trip(tmp_path):
         assert back.kind == kind
         assert back.horizon == pset.horizon
         assert len(back.nets) == len(pset.nets)
+        assert back.flat.dtype == pset.flat.dtype == np.float32
         for a, b in zip(pset.nets, back.nets):
             for pa, pb in zip(a.params(), b.params()):
-                # storage is float32: round-trip matches to float32 precision
-                np.testing.assert_allclose(pa, pb, atol=0, rtol=1e-6)
+                # float32 in memory and on disk: the weights come back exactly
+                np.testing.assert_array_equal(pa, pb)
 
 
 def test_checkpoint_round_trip_preserves_outputs(tmp_path):
@@ -162,7 +165,7 @@ def test_checkpoint_round_trip_preserves_outputs(tmp_path):
     mask = np.array([True, True, False, True])
     p1 = nn.forward_policy(pset, obs, veh, mask, 1)
     p2 = nn.forward_policy(back, obs, veh, mask, 1)
-    np.testing.assert_allclose(p1, p2, atol=1e-6)
+    np.testing.assert_array_equal(p1, p2)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -218,42 +221,55 @@ def test_create_draws_what_rng_uniform_draws():
     rng = np.random.default_rng(11)
     for w, b in zip(net.weights, net.biases):
         bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
-        assert w.tobytes() == rng.uniform(-bound, bound, size=w.shape).tobytes()
+        want = rng.uniform(-bound, bound, size=w.shape).astype(np.float32)
+        assert w.dtype == np.float32 and w.tobytes() == want.tobytes()
         assert not b.any()
 
 
 def test_adam_on_flat_buffer_matches_per_array_loop(monkeypatch):
     """One adam_step over a set's flat buffers gives the bits of the plain
     per-array update on copies, across chunk boundaries and for a net whose
-    gradient is zero."""
+    gradient is zero, in float64 and in the float32 of training."""
     monkeypatch.setattr(nn, "_ADAM_CHUNK", 500)
     rng = np.random.default_rng(12)
-    pset = nn.create_policy_set(5, 3, 4, 3, rng, hidden=16)
-    assert pset.flat.size > 3 * nn._ADAM_CHUNK and pset.flat.size % nn._ADAM_CHUNK
-    ref = [p.copy() for p in _set_params(pset)]
-    m = [np.zeros_like(p) for p in ref]
-    v = [np.zeros_like(p) for p in ref]
+    for dtype in (np.float64, np.float32):
+        pset = nn.create_policy_set(5, 3, 4, 3, rng, hidden=16)
+        if dtype == np.float64:
+            pset = float64_copy(pset)
+        assert pset.flat.size > 3 * nn._ADAM_CHUNK and pset.flat.size % nn._ADAM_CHUNK
+        ref = [p.copy() for p in _set_params(pset)]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        state = nn.AdamState.for_set(pset)
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for step in range(1, 5):
+            grad = rng.normal(size=pset.flat.size).astype(dtype)
+            if step == 3:
+                grad[:pset.nets[0].param_count()] = 0.0
+            nn.adam_step(pset.flat, grad, state, lr)
+            size, dims = pset.nets[0].param_count(), pset.nets[0].dims
+            grads = [g.copy() for k in range(len(pset.nets))
+                     for g in nn.split_params(grad[k * size:(k + 1) * size], dims)]
+            corr1, corr2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for p, g, mi, vi in zip(ref, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * g * g
+                p -= lr * (mi / corr1) / (np.sqrt(vi / corr2) + eps)
+            assert pset.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+            moments = [a for buf in (state.m, state.v) for net in pset.views(buf) for a in net]
+            for got, want in zip(moments, m + v):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_adam_rejects_a_gradient_of_another_dtype():
+    """A gradient whose dtype differs from the weights' is refused, not cast."""
+    pset = nn.create_value_set(3, 2, np.random.default_rng(15), hidden=4)
     state = nn.AdamState.for_set(pset)
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    for step in range(1, 5):
-        grad = rng.normal(size=pset.flat.size)
-        if step == 3:
-            grad[:pset.nets[0].param_count()] = 0.0
-        nn.adam_step(pset.flat, grad, state, lr)
-        size, dims = pset.nets[0].param_count(), pset.nets[0].dims
-        grads = [g.copy() for k in range(len(pset.nets))
-                 for g in nn.split_params(grad[k * size:(k + 1) * size], dims)]
-        corr1, corr2 = 1.0 - b1 ** step, 1.0 - b2 ** step
-        for p, g, mi, vi in zip(ref, grads, m, v):
-            mi *= b1
-            mi += (1.0 - b1) * g
-            vi *= b2
-            vi += (1.0 - b2) * g * g
-            p -= lr * (mi / corr1) / (np.sqrt(vi / corr2) + eps)
-        assert pset.flat.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
-        moments = [a for buf in (state.m, state.v) for net in pset.views(buf) for a in net]
-        for got, want in zip(moments, m + v):
-            assert got.tobytes() == want.tobytes()
+    with pytest.raises(ContractViolation):
+        nn.adam_step(pset.flat, np.zeros(pset.flat.size), state, 1e-3)
+    assert state.step == 0
 
 
 def test_grouped_gradient_matches_per_net_backward():
@@ -283,3 +299,23 @@ def test_grouped_gradient_matches_per_net_backward():
     assert [int(t[sel[0]]) for sel in heads] == [0, 2]
     np.testing.assert_array_equal(grad, want)
     assert grad is vset.grad
+
+
+def test_float32_gradient_matches_float64_of_the_same_weights():
+    """grouped_gradient in the float32 of training agrees with the same
+    weights upcast to float64, within 1e-4 of the gradient's norm."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(64, 10))
+    t = rng.integers(0, 3, size=64)
+    rows = rng.choice(64, size=48, replace=False)
+    for mset in (nn.create_policy_set(7, 3, 5, 3, rng, hidden=32),
+                 nn.create_value_set(10, 3, rng, hidden=32)):
+        target = rng.normal(size=(64, mset.nets[0].dims[-1]))
+
+        def head(sel, y):
+            return y.astype(np.float64) - target[sel]   # squared error / 2
+
+        g32 = mset.grouped_gradient(x, t, rows, head).copy()
+        g64 = float64_copy(mset).grouped_gradient(x, t, rows, head)
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)

@@ -12,7 +12,7 @@ from fleetlab.errors import InvalidArgument
 from fleetlab.model import action_count
 from fleetlab.reduce import obs_dim, vehicle_feature_dim
 
-from conftest import tiny_config
+from conftest import float64_copy, tiny_config
 from oracles import central_difference
 
 
@@ -41,7 +41,8 @@ def test_config_validation():
     for bad in (dict(trajectories_per_iter=0), dict(initial_clip=0.0),
                 dict(days_per_trajectory=0), dict(batch_policy=0), dict(batch_value=0),
                 dict(policy_update_steps=-1), dict(value_update_steps=-1), dict(hidden=0),
-                dict(lr_policy=0.0), dict(lr_value=-1.0), dict(lr_value=float("nan"))):
+                dict(lr_policy=0.0), dict(lr_value=-1.0), dict(lr_value=float("nan")),
+                dict(eval_days=0)):
         with pytest.raises(InvalidArgument):
             ppo.PpoConfig(**bad).validate()
         # train() validates before any work
@@ -130,7 +131,9 @@ def test_ppo_update_gradient_matches_finite_difference(tiny):
     rng = np.random.default_rng(11)
     pcfg = ppo.PpoConfig(seed=1, hidden=6, policy_update_steps=1,
                          batch_policy=10 ** 9, lr_policy=0.0)
-    pset, vset, trace = _collect(tiny, seed=1, days=1, hidden=6)
+    pset, vset = ppo.init_networks(tiny, ppo.PpoConfig(seed=1, hidden=6))
+    pset = float64_copy(pset)                   # probed in float64 below
+    trace = ppo.collect_trajectory(tiny, pset, 1, np.random.default_rng(1))
     g = ppo.estimate_g([trace], 1)
     adv = ppo.compute_advantages(trace, vset, g, tiny)
     eps_m = 0.2
@@ -224,16 +227,55 @@ def test_checkpoints_written(tmp_path, tiny):
     assert back.kind == "policy"
 
 
+def test_checkpoint_reproduces_trained_policy(tmp_path, tiny):
+    """The policy train() leaves in memory and its save_set/load_set copy act
+    with bit-identical probabilities."""
+    pcfg = ppo.PpoConfig(policy_iterations=2, trajectories_per_iter=2,
+                         days_per_trajectory=1, hidden=8, eval_days=1,
+                         value_update_steps=3, policy_update_steps=3, seed=6)
+    trained = ppo.train(tiny, pcfg).policy
+    nn.save_set(tmp_path / "policy.bin", trained)
+    loaded = nn.load_set(tmp_path / "policy.bin")
+    a, b = (ppo.collect_trajectory(tiny, pset, 2, np.random.default_rng(8))
+            for pset in (trained, loaded))
+    assert a.old_prob.tobytes() == b.old_prob.tobytes()
+    np.testing.assert_array_equal(a.action, b.action)
+
+
+def test_training_keeps_every_buffer_float32(tiny, monkeypatch):
+    """After train(), every buffer of both sets is float32: parameters,
+    gradients, and Adam's moments and work rows. A buffer allocated or
+    rebound in float64 anywhere in training would show here."""
+    adam_step, states = nn.adam_step, {}
+
+    def recording_adam_step(p, g, state, lr):
+        adam_step(p, g, state, lr)
+        states[id(state)] = state
+
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    pcfg = ppo.PpoConfig(policy_iterations=2, trajectories_per_iter=2,
+                         days_per_trajectory=1, hidden=6, eval_days=1,
+                         value_update_steps=3, policy_update_steps=2, seed=2)
+    result = ppo.train(tiny, pcfg)
+    buffers = [b for mset in (result.policy, result.value) for b in (mset.flat, mset.grad)]
+    buffers += [b for st in states.values() for b in (st.m, st.v, st._work)]
+    assert len(states) == 2
+    assert [b.dtype for b in buffers] == [np.float32] * 10
+
+
 # SHA-256 of the IterationReports (sorted-key JSON) and of save_set's bytes for
-# the policy and value sets after ppo.train on the tiny fixture. Recorded at
-# commit eef85bb, whose trainer kept one array per parameter and per gradient;
-# the flat-buffer trainer must reproduce every bit. Small batches leave some
-# time-of-day nets without samples in some steps. The digests hold for IEEE
-# float64 numpy on x86-64; another platform's BLAS or tanh may round differently.
+# the policy and value sets after ppo.train on the tiny fixture. Re-recorded
+# when training moved to float32 buffers (it was float64, rounded to float32
+# only on save): the initial weights are rounded to float32 and every forward,
+# backward and Adam step computes in float32, so all three digests moved,
+# and the saved sets are now exactly the trained ones. Small batches leave some
+# time-of-day nets without samples in some steps. The digests hold for float32
+# numpy with OpenBLAS on x86-64, on 1 and 2 BLAS threads; another platform's
+# BLAS or tanh may round differently.
 GOLDEN_TRAIN_DIGESTS = (
-    "3ee64d7a6b27309f92b9e4020015f33a8cb8f3402f7da879e700068bfbb4d0c9",
-    "342d3688bc2afd82a4fc39ba5d2063031d4b67f220a6b92c92c0d23581963e6e",
-    "0cd87d2eda6a21c7d1ba71b9fe98b98e7265bd62d083a2e92093d4272f90f190",
+    "59585a6d97a5f94369f0aac1a7ba2c7e25fc7464b9447f419fc0e028f852c193",
+    "3831c7674fe49460f74593e7818236f96a7773555f8572d6a8f60fdf0cd9c8c4",
+    "9fe9e9ca35eca9bf17da5e90804a579cf4e69966ffaa87aab5d18b69d3528927",
 )
 
 
