@@ -6,7 +6,7 @@ from .errors import (FleetlabError, ConfigError, InvalidArgument,
                      ContractViolation, TrainingDiagnostic, LpInfeasible,
                      LpUnbounded, ReductionUnavailable, StateSpaceTooLarge,
                      ValueIterationNotConverged)
-from .model import (SystemState, VehicleStatus, TripStatus, ChargerStatus,
+from .model import (SystemState, VehicleStatus, TripStatus,
                     AtomicAction, FleetAction, action_count, feasible_mask,
                     atomic_reward, epoch_reward)
 from .sim import (initial_state, transition, step, run_epoch, run_day,
@@ -18,7 +18,7 @@ from .simplex import LpProblem, LpSolution, solve, export_mps
 from .baselines import (AlwaysPassPolicy, RandomFeasiblePolicy, PowerOfKPolicy,
                         exact_value_iteration, ExactSolution)
 from .scenarios import synth_scenario, TEMPLATES
-from .calibrate import (TripRecord, calibrate, scale_demand,
+from .calibrate import (TripRecord, calibrate, scale_fleet,
                         estimate_reference_fleet, read_trip_records,
                         read_region_map)
 
@@ -29,7 +29,7 @@ __all__ = [
     "FleetlabError", "ConfigError", "InvalidArgument", "ContractViolation",
     "TrainingDiagnostic", "LpInfeasible", "LpUnbounded",
     "ReductionUnavailable", "StateSpaceTooLarge", "ValueIterationNotConverged",
-    "SystemState", "VehicleStatus", "TripStatus", "ChargerStatus",
+    "SystemState", "VehicleStatus", "TripStatus",
     "AtomicAction", "FleetAction", "action_count", "feasible_mask",
     "atomic_reward", "epoch_reward",
     "initial_state", "transition", "step", "run_epoch", "run_day", "run_days",
@@ -41,6 +41,6 @@ __all__ = [
     "AlwaysPassPolicy", "RandomFeasiblePolicy", "PowerOfKPolicy",
     "exact_value_iteration", "ExactSolution",
     "synth_scenario", "TEMPLATES",
-    "TripRecord", "calibrate", "scale_demand", "estimate_reference_fleet",
+    "TripRecord", "calibrate", "scale_fleet", "estimate_reference_fleet",
     "read_trip_records", "read_region_map",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,24 +235,29 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     T = config.horizon_steps
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
 
-    # breadth-first discovery of the reachable layered state space
+    # breadth-first discovery of the reachable layered state space. A state's
+    # index is its arrival order in its layer and the queue is first-in
+    # first-out, so each layer's states are expanded in index order and their
+    # actions append straight to the layer's flat arrays: action rewards and
+    # FleetActions, branch probabilities and next-state indices, and the
+    # action -> branches and state -> actions offsets (CSR), so that a sweep
+    # is pure vector work
     layers: list[dict] = [dict() for _ in range(T)]      # key -> layer index
     start = initial_state(config)
-    frontier = [(start, 0)]
+    frontier = deque([start])
     layers[0][start.key()] = 0
     total = 1
-    # per layer, flat action lists in CSR form over states and branches
-    state_actions: list[dict] = [dict() for _ in range(T)]  # idx -> [(r, [(p, idx')], fa)]
+    flat = [([], [], [], [], [0], [0]) for _ in range(T)]
     zero_arr = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
     actions = [index_to_action(config, j) for j in range(action_count(config))]
     # each layer's arrival outcomes stacked once: (K, V, V) counts, K probabilities
     arrival_stacks = [np.stack([arr for arr, _ in outs]) for outs in outcomes]
     arrival_probs = [[p for _, p in outs] for outs in outcomes]
     while frontier:
-        state, idx = frontier.pop()
+        state = frontier.popleft()
         t = state.t
         arrivals, probs = arrival_stacks[t], arrival_probs[t]
-        entry = []
+        rewards, fas, branch_p, branch_j, branch_ptr, state_ptr = flat[t]
         for fa in _enumerate_fleet_actions(config, state, actions):
             # arrivals only fill the age-0 queue: apply the action once under
             # zero arrivals, then graft every arrival outcome onto the result
@@ -264,44 +270,26 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             vehicles_bytes = base.vehicles.tobytes()
             chargers_bytes = base.chargers.tobytes()
             lay = layers[t_next]
-            branches = []
             for k, p in enumerate(probs):
                 key = (t_next, vehicles_bytes, trips[k].tobytes(), chargers_bytes)
                 j = lay.get(key)
                 if j is None:
                     j = lay[key] = len(lay)
-                    frontier.append((SystemState(t_next, base.vehicles, trips[k].copy(),
-                                                 base.chargers), j))
+                    frontier.append(SystemState(t_next, base.vehicles, trips[k].copy(),
+                                                base.chargers))
                     total += 1
                     if total > max_states:
                         raise StateSpaceTooLarge(
                             f"more than {max_states} reachable states")
-                branches.append((p, j))
-            entry.append((info.reward, branches, fa))
-        state_actions[t][idx] = entry
-
-    # freeze each layer into flat arrays so a sweep is pure vector work
-    compiled = []
-    for t in range(T):
-        n_states = len(layers[t])
-        rewards, probs, nexts = [], [], []
-        state_ptr = np.zeros(n_states + 1, dtype=np.int64)
-        branch_ptr = [0]
-        fas = []
-        for i in range(n_states):
-            entry = state_actions[t][i]
-            state_ptr[i + 1] = state_ptr[i] + len(entry)
-            for reward, branches, fa in entry:
-                rewards.append(reward)
-                fas.append(fa)
-                for p, j in branches:
-                    probs.append(p)
-                    nexts.append(j)
-                branch_ptr.append(len(probs))
-        compiled.append((
-            np.array(rewards), np.array(probs), np.array(nexts, dtype=np.int64),
-            np.array(branch_ptr, dtype=np.int64), state_ptr, fas,
-        ))
+                branch_p.append(p)
+                branch_j.append(j)
+            rewards.append(info.reward)
+            fas.append(fa)
+            branch_ptr.append(len(branch_p))
+        state_ptr.append(len(rewards))
+    compiled = [(np.array(rewards), np.array(branch_p), np.array(branch_j, dtype=np.int64),
+                 np.array(branch_ptr, dtype=np.int64), np.array(state_ptr, dtype=np.int64), fas)
+                for rewards, fas, branch_p, branch_j, branch_ptr, state_ptr in flat]
 
     def day_pass(v_next: np.ndarray, want_argmax: bool = False):
         choices = []

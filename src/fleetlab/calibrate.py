@@ -2,11 +2,13 @@
 
 Input is a CSV of individual trips (pickup/dropoff zone, pickup timestamp,
 base fare, duration in minutes, distance in miles) plus a zone->region map.
-Weekday filtering (Monday-Thursday by default) keeps days with a common
+Weekday filtering (Monday-Thursday) keeps days with a common
 demand pattern; per-(origin, destination, epoch) arrival rates are the mean
 trip counts over the filtered days, fares are averaged, durations are
 averaged and rounded up to whole epochs, and battery costs follow from mean
-distance at a fixed energy-per-mile figure.
+distance at a fixed energy-per-mile figure. Vehicles, chargers and prices
+are the fixed assumptions below; charge rates, battery capacity and charger
+counts can then vary on the returned config.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ REQUIRED_COLUMNS = ("pickup_zone", "dropoff_zone", "pickup_timestamp",
 
 #: 65 kWh pack over a 130-mile range
 KWH_PER_MILE = 0.5
+#: battery units per vehicle; one unit is 1 kWh
+BATTERY_CAPACITY = 65
+#: battery units (kWh) gained per step, one entry per charger type
+CHARGE_RATES = (3,)
+#: steps one charging session lasts
+CHARGE_PERIOD = 6
+#: steps a vehicle may have left on its current task and still take a trip
+PICKUP_PATIENCE = 1
+#: steps a queued trip request waits before it expires
+CONNECTION_PATIENCE = 1
+#: chargers of each type per region
+CHARGERS_PER_REGION = 300
+#: dollars per mile driven to reposition
+PER_MILE_COST = 1.0
+#: dollars per battery unit (kWh) of charge rate, paid when a session starts
+ENERGY_PRICE_PER_UNIT = 0.3
 
 
 @dataclass(frozen=True)
@@ -83,9 +101,12 @@ def read_region_map(path) -> dict[str, int]:
         out = {}
         for lineno, row in enumerate(reader, start=2):
             try:
-                out[row["zone"].strip()] = int(row["region"])
+                region = int(row["region"])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if region < 0:
+                raise ConfigError(f"{path}:{lineno}: negative region id {region}")
+            out[row["zone"].strip()] = region
     if not out:
         raise ConfigError(f"{path}: empty region map")
     return out
@@ -115,15 +136,7 @@ def _backfill(values: np.ndarray, counts: np.ndarray, default: float) -> np.ndar
 
 
 def calibrate(records: list[TripRecord], region_map: dict[str, int],
-              epoch_minutes: float = 5.0,
-              day_filter: tuple[int, ...] = WEEKDAY_FILTER,
-              fleet_size: int = 300, battery_capacity: int = 65,
-              charge_rates: tuple[int, ...] = (3,), charge_period: int = 6,
-              pickup_patience: int = 1, connection_patience: int = 1,
-              chargers_per_region: int = 300,
-              battery_unit_kwh: float = 1.0,
-              per_mile_cost: float = 1.0,
-              energy_price_per_unit: float = 0.3,
+              epoch_minutes: float = 5.0, fleet_size: int = 300,
               name: str = "calibrated") -> NetworkConfig:
     """Build a scenario from trip records. Arrival rates are mean counts per
     filtered day; unseen (u,v,t) cells get zero demand with duration and fare
@@ -135,7 +148,7 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     if not math.isclose(T * epoch_minutes, 24 * 60):
         raise ConfigError(f"epoch length {epoch_minutes} min does not divide the day")
 
-    kept = [r for r in records if r.pickup_timestamp.weekday() in day_filter]
+    kept = [r for r in records if r.pickup_timestamp.weekday() in WEEKDAY_FILTER]
     if not kept:
         raise ConfigError("no records left after the day-of-week filter")
     days = {r.pickup_timestamp.date() for r in kept}
@@ -170,46 +183,49 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     mean_dur = _backfill(mean_dur, counts, default=epoch_minutes)
 
     tau = np.ceil(mean_dur / epoch_minutes - 1e-9).astype(np.int64)
-    tau = np.maximum(tau, pickup_patience + 1)
+    tau = np.maximum(tau, PICKUP_PATIENCE + 1)
     for t in range(T):
         np.fill_diagonal(tau[:, :, t], 1)
 
     mean_dist = np.where(dist_counts > 0, distances / np.maximum(dist_counts, 1), 0.0)
-    cost = np.ceil(mean_dist * KWH_PER_MILE / battery_unit_kwh - 1e-9).astype(np.int64)
+    cost = np.ceil(mean_dist * KWH_PER_MILE - 1e-9).astype(np.int64)
     cost = np.maximum(cost, 1)
     np.fill_diagonal(cost, 0)
-    cost = np.minimum(cost, battery_capacity)
+    cost = np.minimum(cost, BATTERY_CAPACITY)
 
     reposition = np.zeros((V, V, T))
     for t in range(T):
-        reposition[:, :, t] = -per_mile_cost * mean_dist
+        reposition[:, :, t] = -PER_MILE_COST * mean_dist
         np.fill_diagonal(reposition[:, :, t], 0.0)
-    charge_reward = np.zeros((len(charge_rates), T))
-    for ri, rate in enumerate(charge_rates):
-        charge_reward[ri, :] = -energy_price_per_unit * rate
+    charge_reward = np.zeros((len(CHARGE_RATES), T))
+    for ri, rate in enumerate(CHARGE_RATES):
+        charge_reward[ri, :] = -ENERGY_PRICE_PER_UNIT * rate
 
     for t in range(T):
         np.fill_diagonal(arrival[:, :, t], 0.0)
 
     return NetworkConfig(
-        num_regions=V, fleet_size=fleet_size, battery_capacity=battery_capacity,
-        horizon_steps=T, epoch_minutes=epoch_minutes, charge_rates=charge_rates,
-        charge_period=charge_period,
-        charger_counts=np.full((V, len(charge_rates)), chargers_per_region, dtype=np.int64),
-        pickup_patience=pickup_patience, connection_patience=connection_patience,
+        num_regions=V, fleet_size=fleet_size, battery_capacity=BATTERY_CAPACITY,
+        horizon_steps=T, epoch_minutes=epoch_minutes, charge_rates=CHARGE_RATES,
+        charge_period=CHARGE_PERIOD,
+        charger_counts=np.full((V, len(CHARGE_RATES)), CHARGERS_PER_REGION, dtype=np.int64),
+        pickup_patience=PICKUP_PATIENCE, connection_patience=CONNECTION_PATIENCE,
         trip_duration=tau, battery_cost=cost, arrival_rate=arrival,
         trip_reward=mean_fare, reposition_reward=reposition,
         charge_reward=charge_reward, charging_curve=None,
         demand_scale=None, name=name)
 
 
-def scale_demand(config: NetworkConfig, target_fleet: int,
-                 reference_fleet: int) -> NetworkConfig:
-    """Scale arrival rates by target/reference, leaving everything else."""
+def scale_fleet(config: NetworkConfig, target_fleet: int,
+                reference_fleet: int) -> NetworkConfig:
+    """Resize the fleet to ``target_fleet`` and scale the arrival rates by
+    target/reference, recording that ratio as ``demand_scale``, so demand
+    keeps its ratio to the fleet."""
     if reference_fleet <= 0:
         raise InvalidArgument("reference_fleet must be positive")
     ratio = target_fleet / reference_fleet
-    return config.with_updates(arrival_rate=config.arrival_rate * ratio,
+    return config.with_updates(fleet_size=target_fleet,
+                               arrival_rate=config.arrival_rate * ratio,
                                demand_scale=ratio)
 
 

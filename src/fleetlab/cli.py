@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baselines, fluid, nn, ppo, sim
 from .calibrate import (calibrate, estimate_reference_fleet, read_region_map,
-                        read_trip_records, scale_demand)
+                        read_trip_records, scale_fleet)
 from .config import NetworkConfig
 from .errors import (ConfigError, ContractViolation, FleetlabError,
                      InvalidArgument, LpInfeasible, LpUnbounded,
@@ -232,8 +232,7 @@ def cmd_calibrate(args) -> int:
                        fleet_size=args.fleet, name=args.name)
     if args.scale_fleet is not None:
         ref = estimate_reference_fleet(records)
-        config = config.with_updates(fleet_size=args.scale_fleet)
-        config = scale_demand(config, args.scale_fleet, ref)
+        config = scale_fleet(config, args.scale_fleet, ref)
         print(f"reference fleet estimate: {ref}; demand scaled by "
               f"{args.scale_fleet / ref:.6g}")
     config.save(args.out)

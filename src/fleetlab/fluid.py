@@ -70,8 +70,9 @@ class FluidSolution:
     residual: float
     indicative_only: bool = False
 
-    def nonzero_flows(self, tol: float = 1e-9) -> dict[tuple, float]:
-        return {k: v for k, v in self.flows.items() if v > tol}
+    def nonzero_flows(self) -> dict[tuple, float]:
+        """Flows above 1e-9, the level below which a flow counts as zero."""
+        return {k: v for k, v in self.flows.items() if v > 1e-9}
 
     def to_json(self) -> str:
         payload = {
@@ -116,7 +117,8 @@ class _Builder:
         self.rhs.append(rhs)
         self.row_names.append(name)
 
-    def build(self, maximize: bool = True) -> LpProblem:
+    def build(self) -> LpProblem:
+        """The maximization problem over the variables and rows added so far."""
         n = len(self.obj)
         A = np.zeros((len(self.rows), n))
         for i, entries in enumerate(self.rows):
@@ -124,8 +126,7 @@ class _Builder:
                 A[i, j] = coef
         names = ["/".join(map(str, k)) for k in self.vars]
         return LpProblem(np.asarray(self.obj), A, self.senses, np.asarray(self.rhs),
-                         maximize=maximize, var_names=names,
-                         row_names=self.row_names, name=self.name)
+                         var_names=names, row_names=self.row_names, name=self.name)
 
 
 # -- shared row pieces ------------------------------------------------------------

@@ -33,12 +33,6 @@ class TripStatus(NamedTuple):
     age: int
 
 
-class ChargerStatus(NamedTuple):
-    region: int
-    rate: int
-    remaining: int
-
-
 class AtomicAction(NamedTuple):
     """A single-vehicle task: fulfill a trip, reposition, charge, or pass."""
 

@@ -259,13 +259,13 @@ def _new_set(kind: str, dims: list[int], count: int,
 
 
 def create_policy_set(obs_dim: int, veh_dim: int, n_actions: int, horizon: int,
-                      rng: np.random.Generator, hidden: int = 128) -> MlpSet:
+                      rng: np.random.Generator, hidden: int) -> MlpSet:
     return _new_set("policy", [obs_dim + veh_dim, hidden, hidden, hidden, n_actions],
                     horizon, rng=rng)
 
 
 def create_value_set(obs_dim: int, horizon: int, rng: np.random.Generator,
-                     hidden: int = 128) -> MlpSet:
+                     hidden: int) -> MlpSet:
     return _new_set("value", [obs_dim, hidden, hidden, hidden, 1], horizon, rng=rng)
 
 
@@ -286,6 +286,11 @@ def forward_value(vset: MlpSet, obs: np.ndarray, t: int) -> float:
 # small (65536 and 131072 measured no faster on 583,696 float32 parameters).
 _ADAM_CHUNK = 32768
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -294,14 +299,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     _work: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def for_set(cls, mset: MlpSet, **kw) -> "AdamState":
-        return cls(np.zeros_like(mset.flat), np.zeros_like(mset.flat), **kw)
+    def for_set(cls, mset: MlpSet) -> "AdamState":
+        return cls(np.zeros_like(mset.flat), np.zeros_like(mset.flat))
 
 
 def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
@@ -318,7 +320,7 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
         raise ContractViolation(
             "adam_step: arrays differ in size or dtype or are not contiguous")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1 ** state.step
     corr2 = 1.0 - b2 ** state.step
     if state._work is None:
@@ -339,7 +341,7 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
         s *= lr
         np.divide(vc, corr2, out=r)
         np.sqrt(r, out=r)
-        r += state.eps
+        r += ADAM_EPS
         s /= r
         pc -= s
 

@@ -272,11 +272,10 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
 # -- evaluation and the outer loop ---------------------------------------------
 
 
-def evaluate_policy(config: NetworkConfig, policy, days: int, seed: int,
-                    warmup_days: int = 1) -> dict:
+def evaluate_policy(config: NetworkConfig, policy, days: int, seed: int) -> dict:
     """Mean daily reward and service metrics over one evaluation rollout,
-    seeded ``[seed, 0]``, scored after ``warmup_days``."""
-    score = score_trajectory(config, policy, days, (seed, 0), warmup_days)
+    seeded ``[seed, 0]``, scored over the ``days`` after one warm-up day."""
+    score = score_trajectory(config, policy, days, (seed, 0), warmup_days=1)
     return {**score, **summarize_scores([score])}
 
 

@@ -101,9 +101,6 @@ class LpSolution:
     refactors: int = 0                # basis inverses computed afresh
     exact_retry: bool = False         # the unperturbed retry produced this solution
 
-    def variables(self, problem: LpProblem) -> dict[str, float]:
-        return dict(zip(problem.var_names, self.x.tolist()))
-
 
 class _Columns:
     """A standard-form matrix as compressed sparse columns. Column j holds
@@ -417,10 +414,10 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
                       refactors=st.refactors, exact_retry=not perturb)
 
 
-def _certify(problem: LpProblem, A_flip, b_flip, senses, x_std, y, rc_std, n,
-             tol: float = 1e-8) -> None:
+def _certify(problem: LpProblem, A_flip, b_flip, senses, x_std, y, rc_std, n) -> None:
     """Independent optimality certificate on the standard-form system:
     primal feasibility, dual feasibility, and complementary slackness."""
+    tol = 1e-8                      # primal residual and sign, relative to ``scale``
     x = x_std[:n]
     scale = max(1.0, float(np.abs(b_flip).max(initial=0.0)),
                 float(np.abs(x).max(initial=0.0)))

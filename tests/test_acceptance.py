@@ -21,7 +21,7 @@ import pytest
 from conftest import float64_copy, random_config, tiny_config
 from oracles import central_difference, curve_band_seconds, lp_optimum_exact
 
-from fleetlab import nn, ppo, sim
+from fleetlab import nn, ppo, sim, simplex
 from fleetlab.baselines import (AlwaysPassPolicy, ExactSolution, PowerOfKPolicy,
                                 RandomFeasiblePolicy, exact_value_iteration)
 from fleetlab.config import DEFAULT_CHARGING_CURVE, NetworkConfig
@@ -337,6 +337,30 @@ def test_06_simplex_matches_rational_oracle_on_100_lps():
         assert abs(s.objective - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
         solved += 1
     assert solved >= 40
+
+
+def test_blands_rule_matches_rational_oracle(monkeypatch):
+    """With the stall limit at 0 Bland's rule takes over at the first pivot
+    that does not improve the objective. The exact (unperturbed) run of a
+    degenerate LP among test 6's first 20 then still ends at the optimum."""
+    rng = np.random.default_rng(61)
+    lps = [_random_lp(rng) for _ in range(20)]
+    unpatched = {}
+    for i, p in enumerate(lps):
+        try:
+            unpatched[i] = solve(p).objective
+        except LpInfeasible:
+            pass
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    activations = 0
+    for i, objective in unpatched.items():
+        p = lps[i]
+        exact = float(lp_optimum_exact(p.objective, p.A, p.senses, p.b, p.maximize))
+        for s in (solve(p), simplex._solve(p, perturb=False)):
+            activations += s.bland_activations
+            assert abs(s.objective - exact) <= 1e-9 * max(1.0, abs(exact))
+            assert abs(s.objective - objective) <= 1e-9 * max(1.0, abs(exact))
+    assert activations >= 1
 
 
 # -- 7. learning beats the heuristics and reaches 60% of the bound -----------

@@ -13,7 +13,7 @@ from fleetlab.calibrate import (
     estimate_reference_fleet,
     read_region_map,
     read_trip_records,
-    scale_demand,
+    scale_fleet,
 )
 from fleetlab.errors import ConfigError, InvalidArgument
 from fleetlab.scenarios import synth_scenario
@@ -125,16 +125,18 @@ def test_calibration_permutation_invariant():
     np.testing.assert_array_equal(a.battery_cost, b.battery_cost)
 
 
-def test_scale_demand():
-    cfg = calibrate([_rec()], TWO_REGIONS)
-    out = scale_demand(cfg, target_fleet=300, reference_fleet=12800)
+def test_scale_fleet():
+    cfg = calibrate([_rec()], TWO_REGIONS, fleet_size=12800)
+    out = scale_fleet(cfg, target_fleet=300, reference_fleet=12800)
     ratio = 300 / 12800
+    assert out.fleet_size == 300
     np.testing.assert_allclose(out.arrival_rate, cfg.arrival_rate * ratio)
     assert out.demand_scale == pytest.approx(ratio)
-    same = scale_demand(cfg, 10, 10)
+    same = scale_fleet(cfg, 10, 10)
+    assert same.fleet_size == 10
     np.testing.assert_array_equal(same.arrival_rate, cfg.arrival_rate)
     with pytest.raises(InvalidArgument):
-        scale_demand(cfg, 10, 0)
+        scale_fleet(cfg, 10, 0)
 
 
 def test_reference_fleet_simple_cases():
@@ -200,6 +202,14 @@ def test_read_region_map(tmp_path):
     empty.write_text("zone,region\n")
     with pytest.raises(ConfigError, match="empty"):
         read_region_map(empty)
+
+
+def test_read_region_map_rejects_negative_region(tmp_path):
+    """A negative id would index the calibration arrays from the end."""
+    p = tmp_path / "map.csv"
+    p.write_text("zone,region\nA,0\nB,-1\n")
+    with pytest.raises(ConfigError, match=r"map\.csv:3: negative region id -1"):
+        read_region_map(p)
 
 
 def test_backfill_gives_zero_demand_but_sane_duration():

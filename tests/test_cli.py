@@ -8,11 +8,17 @@ import sys
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fleetlab import nn, ppo
+from fleetlab import fluid, nn, ppo, sim
+from fleetlab.baselines import RandomFeasiblePolicy
+from fleetlab.calibrate import estimate_reference_fleet, read_trip_records
 from fleetlab.cli import parse_policy
+from fleetlab.config import NetworkConfig
+from fleetlab.scenarios import synth_scenario
+from fleetlab.simplex import export_mps
 
 CLI = [sys.executable, "-m", "fleetlab.cli"]
 
@@ -55,6 +61,53 @@ def test_bound_mps_export(tiny_json, tmp_path):
     text = mps.read_text()
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "ENDATA"):
         assert section in text
+
+
+def test_bound_full_formulation_mps(tiny_json, tmp_path):
+    """--formulation full solves and exports the full LP, not the reduced one."""
+    out, mps, want = tmp_path / "bound.json", tmp_path / "full.mps", tmp_path / "want.mps"
+    r = run_cli("bound", "--config", tiny_json, "--formulation", "full",
+                "--out", str(out), "--mps", str(mps))
+    assert r.returncode == 0, r.stderr
+    config = NetworkConfig.load(tiny_json)
+    payload = json.loads(out.read_text())
+    assert payload["formulation"] == "full"
+    assert payload["objective"] == fluid.upper_bound(config, formulation="full").objective
+    export_mps(fluid.build_full_lp(config)[0], want)
+    assert mps.read_bytes() == want.read_bytes()
+    assert "full formulation" in r.stdout
+
+
+def test_scenario_flag_builds_seeded_template(tmp_path):
+    out = tmp_path / "eval.json"
+    r = run_cli("--seed", "2", "evaluate", "--scenario", "two-region-commute",
+                "--policy", "random", "--trajectories", "1", "--days", "1",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    config = synth_scenario("two-region-commute", seed=2)
+    payload = json.loads(out.read_text())
+    assert payload["config_digest"] == config.digest()
+    score = sim.score_trajectory(config, RandomFeasiblePolicy(), 1, (2, 5, 0, 11))
+    assert payload["mean_daily_reward"] == sim.summarize_scores([score])["mean_daily_reward"]
+
+
+def test_fluid_policy_routes(tiny_json, tmp_path):
+    """evaluate and compare roll the rounding policy of the config's own bound."""
+    ev, cmp = tmp_path / "eval.json", tmp_path / "cmp.json"
+    r = run_cli("--seed", "4", "evaluate", "--config", tiny_json, "--policy", "fluid",
+                "--trajectories", "2", "--days", "2", "--out", str(ev))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("--seed", "4", "compare", "--config", tiny_json, "--policies", "random",
+                "fluid", "--trajectories", "2", "--days", "2", "--out", str(cmp))
+    assert r.returncode == 0, r.stderr
+    config = NetworkConfig.load(tiny_json)
+    bound = fluid.upper_bound(config)
+    want = sim.summarize_scores([
+        sim.score_trajectory(config, fluid.FluidRoundingPolicy(config, bound), 2, (4, 5, k, 11))
+        for k in range(2)])["mean_daily_reward"]
+    assert json.loads(ev.read_text())["mean_daily_reward"] == want
+    rows = {p["policy"]: p for p in json.loads(cmp.read_text())["policies"]}
+    assert rows["fluid"]["mean_daily_reward"] == want
 
 
 def test_evaluate_deterministic_same_seed(tiny_json, tmp_path):
@@ -207,6 +260,7 @@ def trips(tmp_path_factory):
         "A,B,2024-01-01T08:05:00,12.0,9.0,2.0\n"
         "B,A,2024-01-01T17:35:00,11.0,8.0,2.0\n")
     (d / "map.csv").write_text("zone,region\nA,0\nB,1\n")
+    (d / "negmap.csv").write_text("zone,region\nA,0\nB,-1\n")
     return d
 
 
@@ -220,6 +274,30 @@ def test_calibrate_roundtrip(tmp_path, trips):
     cfg = NetworkConfig.from_json(out.read_text())
     assert cfg.horizon_steps == 288
     assert cfg.arrival_rate.sum() > 0
+
+
+def test_calibrate_scale_fleet(tmp_path, trips):
+    """--scale-fleet N sets the fleet to N and scales demand by N over the
+    reference fleet, here 2 from two overlapping A->B trips."""
+    records = tmp_path / "r.csv"
+    records.write_text((trips / "r.csv").read_text() + "A,B,2024-01-01T08:07:00,10.0,9.0,2.0\n")
+    ref = estimate_reference_fleet(read_trip_records(records))
+    assert ref == 2
+    base, scaled = tmp_path / "base.json", tmp_path / "scaled.json"
+    args = ["calibrate", "--records", str(records), "--regions", str(trips / "map.csv"),
+            "--fleet", "40"]
+    r = run_cli(*args, "--out", str(base))
+    assert r.returncode == 0, r.stderr
+    r = run_cli(*args, "--scale-fleet", "3", "--out", str(scaled))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "reference fleet estimate: 2; demand scaled by 1.5"
+    cfg0 = NetworkConfig.from_json(base.read_text())
+    cfg = NetworkConfig.from_json(scaled.read_text())
+    assert cfg0.fleet_size == 40 and cfg0.demand_scale is None
+    assert cfg.fleet_size == 3
+    assert cfg.demand_scale == 3 / ref
+    assert cfg.arrival_rate.sum() > 0
+    np.testing.assert_array_equal(cfg.arrival_rate, cfg0.arrival_rate * (3 / ref))
 
 
 def test_calibrate_missing_column_exit_2(tmp_path):
@@ -288,6 +366,8 @@ CALIBRATE = ["calibrate", "--records", "{trips}/r.csv", "--regions", "{trips}/ma
     CALIBRATE + ["--epoch-min", "1e-9"],
     CALIBRATE + ["--scale-fleet", "0"],
     CALIBRATE + ["--fleet", "0"],
+    ["calibrate", "--records", "{trips}/r.csv", "--out", "{tmp}/cfg.json",
+     "--regions", "{trips}/negmap.csv"],
     pytest.param(["--seed", "-1", "evaluate", "--config", "{cfg}", "--policy", "random"],
                  id="seed=-1-evaluate"),
     pytest.param(["--seed", "-1", "bound", "--config", "{cfg}"], id="seed=-1-bound"),

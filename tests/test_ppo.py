@@ -1,5 +1,6 @@
 """Tests for the clipped-surrogate trainer and its building blocks."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -173,6 +174,34 @@ def test_ppo_update_gradient_matches_finite_difference(tiny):
                 f"param idx {i}")
             checked += 1
     assert checked >= 20
+
+
+def test_ppo_update_drops_vanishing_old_probabilities(tiny):
+    """Samples whose behaviour probability is at most 1e-12 leave the update
+    and are counted: the step equals one over the trace without them."""
+    pcfg = ppo.PpoConfig(seed=2, hidden=6, policy_update_steps=3)
+    _, _, trace = _collect(tiny, seed=2, days=1, hidden=6)
+    adv = np.linspace(-1.0, 1.0, len(trace))
+    drop = np.zeros(len(trace), dtype=bool)
+    drop[[0, 3, 7]] = True
+    old_prob = trace.old_prob.copy()
+    old_prob[[0, 3, 7]] = [1e-12, 1e-13, 0.0]
+    tainted = dataclasses.replace(trace, old_prob=old_prob)
+    keep = ~drop
+    clean = dataclasses.replace(
+        trace, obs=trace.obs[keep], veh=trace.veh[keep], mask=trace.mask[keep],
+        t=trace.t[keep], action=trace.action[keep], old_prob=trace.old_prob[keep],
+        reward=trace.reward[keep])
+    results = []
+    for tr, a in ((tainted, adv), (clean, adv[keep])):
+        pset, _ = ppo.init_networks(tiny, pcfg)
+        _, stats = ppo.ppo_update(pset, [tr], a, 0.2, pcfg, np.random.default_rng(5))
+        results.append((pset.flat, stats))
+    (flat_t, stats_t), (flat_c, stats_c) = results
+    assert stats_t.dropped == 3 and stats_c.dropped == 0
+    assert stats_t.surrogate_before == stats_c.surrogate_before
+    assert stats_t.clip_fraction == stats_c.clip_fraction
+    np.testing.assert_array_equal(flat_t, flat_c)
 
 
 def test_fit_value_reduces_loss(tiny):

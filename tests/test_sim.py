@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fleetlab.baselines import RandomFeasiblePolicy
+from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
 from fleetlab.model import (FleetAction, SystemState, TripStatus,
                             VehicleStatus, all_pass_action, charge, fulfill,
@@ -55,6 +57,34 @@ def test_charge_transition_occupies_full_period(tiny):
     assert nxt.vehicles[0, J - 1, gained] == 1
     assert nxt.chargers[0, 0, J - 1] == 1            # engaged for a full period
     assert nxt.chargers[0, 0, 0] == tiny.charger_counts[0, 0] - 1
+
+
+def test_charge_transition_follows_charging_curve():
+    """Under a charging curve a session ends at the curve's level after
+    J epochs, floored to whole units (1e-9 absorbs the rounding of
+    percent -> units) and never below the starting battery."""
+    B, J = 20, 2
+    cfg = dataclasses.replace(tiny_config(B=B, J=J), charging_curve=DEFAULT_CHARGING_CURVE)
+    seconds = J * cfg.epoch_minutes * 60.0
+    s0 = initial_state(cfg)
+    landed = []
+    for b in range(B):
+        vehicles = np.zeros_like(s0.vehicles)
+        vehicles[0, 0, b] = cfg.fleet_size
+        s = SystemState(0, vehicles, np.zeros_like(s0.trips), s0.chargers)
+        fa = FleetAction.empty()
+        fa.add_atomic(VehicleStatus(0, 0, b), charge(cfg.charge_rates[0]))
+        fa.pass_count[VehicleStatus(0, 0, b)] = cfg.fleet_size - 1
+        nxt, _ = transition(cfg, s, fa, np.zeros((2, 2), dtype=np.int64))
+        after = curve_percent_after(DEFAULT_CHARGING_CURVE, 100.0 * b / B, seconds)
+        want = min(max(math.floor(after * B / 100.0 + 1e-9), b), B)
+        assert nxt.vehicles[0, J - 1, want] == 1, b
+        assert want >= b
+        landed.append(want)
+    # the curve, not the linear rate * J rule, set the levels: from 5% it
+    # gains more than rate * J units, and from 90% less than one
+    linear = [min(b + cfg.charge_rates[0] * J, B) for b in range(B)]
+    assert landed[1] > linear[1] and landed[-2:] == [B - 2, B - 1]
 
 
 @pytest.mark.parametrize("J", [1, 2])

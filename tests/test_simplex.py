@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fleetlab import simplex
 from fleetlab.errors import ContractViolation, InvalidArgument, LpInfeasible, LpUnbounded
 from fleetlab.fluid import build_full_lp, build_reduced_lp
 from fleetlab.scenarios import synth_scenario
 from fleetlab.simplex import LpProblem, export_mps, solve
 
+from conftest import tiny_config
 from oracles import lp_optimum_exact
 
 
@@ -149,6 +151,22 @@ def test_fleet_lps_match_highs(template, formulation):
     assert abs(s.objective - reference) <= 1e-6 * max(1.0, abs(reference))
     scale = max(1.0, float(np.abs(p.b).max()))
     assert p.residuals(s.x).max() <= 1e-8 * scale
+
+
+def test_blands_rule_on_tiny_fleet_lp(monkeypatch):
+    """With the stall limit at 0 Bland's rule takes over at the first pivot
+    that does not improve the objective, and the solve ends at the same
+    optimum as the steepest-edge solve and HiGHS."""
+    p, _ = build_reduced_lp(tiny_config())
+    before = solve(p)
+    assert before.bland_activations == 0
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+    s = solve(p)
+    assert s.bland_activations >= 1
+    reference = _highs_objective(p)
+    assert s.objective == pytest.approx(before.objective, rel=1e-9)
+    assert abs(s.objective - reference) <= 1e-7 * max(1.0, abs(reference))
+    assert p.residuals(s.x).max() <= 1e-8 * max(1.0, float(np.abs(p.b).max()))
 
 
 def test_diagnostics_split_the_pivot_count():
