@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 

@@ -36,12 +36,13 @@ class TripStatus(NamedTuple):
 class AtomicAction(NamedTuple):
     """A single-vehicle task: fulfill a trip, reposition, charge, or pass."""
 
-    kind: str                       # "fulfill" | "reposition" | "charge" | "pass"
+    kind: str                       # one of ACTION_KINDS
     trip: Optional[TripStatus] = None
     region: Optional[int] = None
     rate: Optional[int] = None
 
 
+ACTION_KINDS = ("fulfill", "reposition", "charge", "pass")
 PASS = AtomicAction("pass")
 
 
@@ -117,35 +118,24 @@ def validate_state(config: NetworkConfig, state: SystemState) -> None:
 
 @dataclass
 class FleetAction:
-    """A fleet flow: counts per (vehicle status, task), plus passes."""
+    """A fleet flow: the multiset of its atomic assignments, as a count per
+    (vehicle status, atomic action); passes are (status, PASS) entries."""
 
-    fulfill: dict[tuple[VehicleStatus, TripStatus], int]
-    reposition: dict[tuple[VehicleStatus, int], int]
-    charge: dict[tuple[VehicleStatus, int], int]        # keyed by rate value
-    pass_count: dict[VehicleStatus, int]
+    counts: dict[tuple[VehicleStatus, AtomicAction], int]
 
     @classmethod
     def empty(cls) -> "FleetAction":
-        return cls({}, {}, {}, {})
+        return cls({})
 
     def add_atomic(self, vehicle: VehicleStatus, action: AtomicAction) -> None:
-        if action.kind == "fulfill":
-            k = (vehicle, action.trip)
-            self.fulfill[k] = self.fulfill.get(k, 0) + 1
-        elif action.kind == "reposition":
-            k = (vehicle, action.region)
-            self.reposition[k] = self.reposition.get(k, 0) + 1
-        elif action.kind == "charge":
-            k = (vehicle, action.rate)
-            self.charge[k] = self.charge.get(k, 0) + 1
-        elif action.kind == "pass":
-            self.pass_count[vehicle] = self.pass_count.get(vehicle, 0) + 1
-        else:
+        if action.kind not in ACTION_KINDS:
             raise InvalidArgument(f"unknown atomic action kind {action.kind!r}")
+        k = (vehicle, action)
+        self.counts[k] = self.counts.get(k, 0) + 1
 
 
 def all_pass_action(config: NetworkConfig, state: SystemState) -> FleetAction:
-    return FleetAction({}, {}, {}, dict(state.statuses()))
+    return FleetAction({(c, PASS): n for c, n in state.statuses()})
 
 
 # -- atomic action index space -----------------------------------------------
@@ -250,39 +240,31 @@ def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetA
     """Verify a fleet flow against the per-status feasibility and resource caps."""
     Lp = config.pickup_patience
     outgoing: dict[VehicleStatus, int] = {}
-
-    def out(c: VehicleStatus, n: int):
-        outgoing[c] = outgoing.get(c, 0) + n
-
     trip_usage: dict[TripStatus, int] = {}
     charger_usage: dict[tuple[int, int], int] = {}
-    for (c, o), n in action.fulfill.items():
+    for (c, a), n in action.counts.items():
+        if a.kind not in ACTION_KINDS:
+            raise ContractViolation(f"unknown atomic action kind {a.kind!r}")
         if n < 0:
-            raise ContractViolation("negative fulfill count")
-        if c.dest != o.origin or c.eta > Lp or c.battery < config.battery_cost[o.origin, o.dest]:
-            raise ContractViolation(f"infeasible fulfill {c} -> {o}")
-        if o.origin == o.dest:
-            raise ContractViolation("intra-region trips are excluded")
-        trip_usage[o] = trip_usage.get(o, 0) + n
-        out(c, n)
-    for (c, v), n in action.reposition.items():
-        if n < 0:
-            raise ContractViolation("negative reposition count")
-        if c.eta != 0 or v == c.dest or c.battery < config.battery_cost[c.dest, v]:
-            raise ContractViolation(f"infeasible reposition {c} -> {v}")
-        out(c, n)
-    for (c, rate), n in action.charge.items():
-        if n < 0:
-            raise ContractViolation("negative charge count")
-        if c.eta != 0:
-            raise ContractViolation(f"infeasible charge for busy vehicle {c}")
-        r = config.rate_index(rate)
-        charger_usage[(c.dest, r)] = charger_usage.get((c.dest, r), 0) + n
-        out(c, n)
-    for c, n in action.pass_count.items():
-        if n < 0:
-            raise ContractViolation("negative pass count")
-        out(c, n)
+            raise ContractViolation(f"negative {a.kind} count")
+        if a.kind == "fulfill":
+            o = a.trip
+            if (c.dest != o.origin or c.eta > Lp
+                    or c.battery < config.battery_cost[o.origin, o.dest]):
+                raise ContractViolation(f"infeasible fulfill {c} -> {o}")
+            if o.origin == o.dest:
+                raise ContractViolation("intra-region trips are excluded")
+            trip_usage[o] = trip_usage.get(o, 0) + n
+        elif a.kind == "reposition":
+            v = a.region
+            if c.eta != 0 or v == c.dest or c.battery < config.battery_cost[c.dest, v]:
+                raise ContractViolation(f"infeasible reposition {c} -> {v}")
+        elif a.kind == "charge":
+            if c.eta != 0:
+                raise ContractViolation(f"infeasible charge for busy vehicle {c}")
+            k = (c.dest, config.rate_index(a.rate))
+            charger_usage[k] = charger_usage.get(k, 0) + n
+        outgoing[c] = outgoing.get(c, 0) + n
 
     for o, n in trip_usage.items():
         if n > state.trips[o.origin, o.dest, o.age]:
@@ -322,16 +304,11 @@ def atomic_reward(
 
 
 def epoch_reward(config: NetworkConfig, action: FleetAction, t: int) -> float:
-    """Total reward of a fleet action; passes and idles contribute nothing.
-
-    Computed with an exactly-rounded sum over unit contributions, so it equals
-    the sum of the matching atomic rewards bit-for-bit in any order.
-    """
+    """Total reward of a fleet action: the exactly rounded sum of the atomic
+    reward of every assigned unit, so it equals the sum of the matching
+    atomic rewards bit-for-bit in any order. Passes contribute nothing."""
     terms: list[float] = []
-    for (c, o), n in action.fulfill.items():
-        terms.extend([float(config.trip_reward[o.origin, o.dest, t])] * n)
-    for (c, v), n in action.reposition.items():
-        terms.extend([float(config.reposition_reward[c.dest, v, t])] * n)
-    for (c, rate), n in action.charge.items():
-        terms.extend([float(config.charge_reward[config.rate_index(rate), t])] * n)
+    for (c, a), n in action.counts.items():
+        if a.kind != "pass":
+            terms.extend([atomic_reward(config, c, a, t)] * n)
     return math.fsum(terms)

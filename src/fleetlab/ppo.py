@@ -250,7 +250,7 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
             pa = p[np.arange(len(sel)), act[sel]]
             rho = pa / old_prob[sel]
             adv = advantages[sel]
-            clipped = (np.clip(rho, 1 - eps_m, 1 + eps_m) * adv) < (rho * adv)
+            _, clipped = surrogate_terms(pa, old_prob[sel], adv, eps_m)
             clipped_ct += int(clipped.sum())
             # d/dlogits of mean surrogate; zero where the clip bound binds
             coef = np.where(clipped, 0.0, adv * rho) / len(idx)

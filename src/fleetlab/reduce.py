@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import NetworkConfig
-from .model import SystemState, VehicleStatus
+from .model import VehicleStatus
 
 N_ETA_BUCKETS = 3
 N_BATTERY_CLASSES = 3

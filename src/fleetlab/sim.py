@@ -24,9 +24,7 @@ from .model import (
     AtomicAction,
     FleetAction,
     SystemState,
-    TripStatus,
     VehicleStatus,
-    action_to_index,
     atomic_reward,
     check_fleet_action,
     epoch_reward,
@@ -85,22 +83,26 @@ def transition(
     # vehicles left passing once every assigned one is taken out
     passing = state.vehicles.copy()
 
-    for (c, o), n in action.fulfill.items():
+    for (c, a), n in action.counts.items():
+        if a.kind == "pass":
+            continue
         passing[c.dest, c.eta, c.battery] -= n
-        trips[o.origin, o.dest, o.age] -= n
-        tau = int(config.trip_duration[o.origin, o.dest, t])
-        vehicles[o.dest, c.eta + tau - 1, c.battery - config.battery_cost[o.origin, o.dest]] += n
-        info.fulfilled += n
-    for (c, v), n in action.reposition.items():
-        passing[c.dest, c.eta, c.battery] -= n
-        tau = int(config.trip_duration[c.dest, v, t])
-        vehicles[v, tau - 1, c.battery - config.battery_cost[c.dest, v]] += n
-        info.repositioned += n
-    for (c, rate), n in action.charge.items():
-        passing[c.dest, c.eta, c.battery] -= n
-        vehicles[c.dest, J - 1, config.charge_result(c.battery, rate)] += n
-        new_charges[c.dest, config.rate_index(rate)] += n
-        info.charges_started += n
+        if a.kind == "fulfill":
+            o = a.trip
+            trips[o.origin, o.dest, o.age] -= n
+            tau = int(config.trip_duration[o.origin, o.dest, t])
+            b = c.battery - config.battery_cost[o.origin, o.dest]
+            vehicles[o.dest, c.eta + tau - 1, b] += n
+            info.fulfilled += n
+        elif a.kind == "reposition":
+            v = a.region
+            tau = int(config.trip_duration[c.dest, v, t])
+            vehicles[v, tau - 1, c.battery - config.battery_cost[c.dest, v]] += n
+            info.repositioned += n
+        else:                                       # charge
+            vehicles[c.dest, J - 1, config.charge_result(c.battery, a.rate)] += n
+            new_charges[c.dest, config.rate_index(a.rate)] += n
+            info.charges_started += n
 
     if (passing < 0).any():
         raise ContractViolation("more vehicles assigned than present")

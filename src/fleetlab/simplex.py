@@ -76,15 +76,12 @@ class LpProblem:
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Signed constraint violations (0 when satisfied)."""
         ax = self.A @ x
-        out = np.zeros(len(self.b))
-        for i, s in enumerate(self.senses):
-            if s == "<=":
-                out[i] = max(ax[i] - self.b[i], 0.0)
-            elif s == ">=":
-                out[i] = max(self.b[i] - ax[i], 0.0)
-            else:
-                out[i] = abs(ax[i] - self.b[i])
-        return out
+        over, under = ax - self.b, self.b - ax
+        senses = np.array(self.senses, dtype="U2")
+        # as max(v, 0.0): v is kept unless below zero, so a -0.0 stays -0.0
+        return np.where(senses == "<=", np.where(over < 0.0, 0.0, over),
+                        np.where(senses == ">=", np.where(under < 0.0, 0.0, under),
+                                 np.abs(over)))
 
 
 @dataclass
@@ -403,7 +400,7 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
     y[rows_kept] = np.linalg.solve(B.T, c_std[basis])
     rc_std = c_std - cols.tdot(y)
 
-    _certify(problem, flip[:, None] * problem.A, b, senses, x_std, y, rc_std, n)
+    _certify(problem, flip, b, senses, x_std, y, rc_std, n)
 
     # map duals / reduced costs back to the user's rows and objective sense
     duals = sign * flip * y
@@ -414,9 +411,10 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
                       refactors=st.refactors, exact_retry=not perturb)
 
 
-def _certify(problem: LpProblem, A_flip, b_flip, senses, x_std, y, rc_std, n) -> None:
-    """Independent optimality certificate on the standard-form system:
-    primal feasibility, dual feasibility, and complementary slackness."""
+def _certify(problem: LpProblem, flip, b_flip, senses, x_std, y, rc_std, n) -> None:
+    """Independent optimality certificate on the standard-form system, whose
+    rows are the problem's rows times ``flip``: primal feasibility, dual
+    feasibility, and complementary slackness."""
     tol = 1e-8                      # primal residual and sign, relative to ``scale``
     x = x_std[:n]
     scale = max(1.0, float(np.abs(b_flip).max(initial=0.0)),
@@ -433,14 +431,14 @@ def _certify(problem: LpProblem, A_flip, b_flip, senses, x_std, y, rc_std, n) ->
             f"{problem.name}: dual infeasibility {rc_std.min():.3e}")
     if np.abs(rc_std * x_std).max(initial=0.0) > 1e-6 * scale * cscale:
         raise ContractViolation(f"{problem.name}: complementary slackness violated")
-    ax = A_flip @ x
-    for i, s in enumerate(senses):
-        if s == "=":
-            continue
-        slack = b_flip[i] - ax[i] if s == "<=" else ax[i] - b_flip[i]
-        if abs(y[i] * slack) > 1e-6 * scale * max(1.0, abs(y[i])):
-            raise ContractViolation(
-                f"{problem.name}: dual-slack product {y[i] * slack:.3e} at row {i}")
+    ax = flip * (problem.A @ x)              # sign flips are exact
+    senses = np.array(senses, dtype="U2")
+    prod = y * np.where(senses == "<=", b_flip - ax, ax - b_flip)
+    bad = (senses != "=") & (np.abs(prod) > 1e-6 * scale * np.maximum(1.0, np.abs(y)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractViolation(
+            f"{problem.name}: dual-slack product {prod[i]:.3e} at row {i}")
 
 
 # -- MPS export ----------------------------------------------------------------

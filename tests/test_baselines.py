@@ -272,11 +272,20 @@ GOLDEN_VI = {
 }
 
 
+def _by_kind(fa) -> list:
+    """The counts regrouped into the per-kind lists the digests were recorded
+    from: fulfills by (status, trip), repositions by (status, region),
+    charges by (status, rate) and passes by status, each sorted."""
+    groups = {"fulfill": [], "reposition": [], "charge": [], "pass": []}
+    for (c, a), n in fa.counts.items():
+        key = {"fulfill": (c, a.trip), "reposition": (c, a.region),
+               "charge": (c, a.rate), "pass": c}[a.kind]
+        groups[a.kind].append((key, n))
+    return [sorted(g) for g in groups.values()]
+
+
 def _policy_digest(policy: dict) -> str:
-    rows = sorted(
-        (t, key, [sorted(d.items()) for d in (fa.fulfill, fa.reposition, fa.charge,
-                                              fa.pass_count)])
-        for (t, key), fa in policy.items())
+    rows = sorted((t, key, _by_kind(fa)) for (t, key), fa in policy.items())
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetlab.errors import ContractViolation
+from fleetlab.errors import ContractViolation, InvalidArgument
 from fleetlab.model import (PASS, AtomicAction, FleetAction, SystemState,
                             TripStatus, VehicleStatus, action_count,
                             action_to_index, atomic_reward, charge,
@@ -108,6 +108,13 @@ def test_check_fleet_action_rejects_overdraw(tiny):
         check_fleet_action(tiny, state, fa)
 
 
+def test_add_atomic_rejects_unknown_kind():
+    fa = FleetAction.empty()
+    with pytest.raises(InvalidArgument, match="unknown atomic action kind 'teleport'"):
+        fa.add_atomic(VehicleStatus(0, 0, 0), AtomicAction("teleport"))
+    assert fa.counts == {}
+
+
 def test_validate_state_catches_fleet_leak(tiny):
     state = initial_state(tiny)
     vehicles = state.vehicles.copy()
@@ -136,3 +143,56 @@ def test_feasible_actions_are_always_executable(seed):
         fa = FleetAction.empty()
         fa.add_atomic(unit, index_to_action(cfg, int(idx)))
         check_fleet_action(cfg, state, fa)
+
+
+# One bad FleetAction per check of check_fleet_action, on a 4-vehicle state:
+# idle full (A), eta at L_p (P), eta past L_p (Q), idle empty (L), all at region 0.
+_A, _P, _Q, _L = (VehicleStatus(0, 0, 3), VehicleStatus(0, 1, 3),
+                  VehicleStatus(0, 2, 3), VehicleStatus(0, 0, 0))
+_TRIP = TripStatus(0, 1, 0)
+_REJECTIONS = {
+    "negative fulfill": ([(_A, fulfill(_TRIP), -1)], "negative fulfill count"),
+    "negative reposition": ([(_A, reposition(1), -1)], "negative reposition count"),
+    "negative charge": ([(_A, charge(1), -1)], "negative charge count"),
+    "negative pass": ([(_A, PASS, -1)], "negative pass count"),
+    "wrong origin": ([(_A, fulfill(TripStatus(1, 0, 0)), 1)], "infeasible fulfill"),
+    "eta past L_p": ([(_Q, fulfill(_TRIP), 1)], "infeasible fulfill"),
+    "battery below cost": ([(_L, fulfill(_TRIP), 1)], "infeasible fulfill"),
+    "intra-region trip": ([(_A, fulfill(TripStatus(0, 0, 0)), 1)],
+                          "intra-region trips are excluded"),
+    "busy reposition": ([(_P, reposition(1), 1)], "infeasible reposition"),
+    "reposition home": ([(_A, reposition(0), 1)], "infeasible reposition"),
+    "busy charge": ([(_P, charge(1), 1)], "infeasible charge for busy vehicle"),
+    "trip overdraw": ([(_A, fulfill(_TRIP), 1), (_P, fulfill(_TRIP), 1)],
+                      "exceeds queue"),
+    "charger overdraw": ([(_A, charge(1), 1), (_L, charge(1), 1)],
+                         "exceeds free chargers"),
+    "under-assigned status": ([(c, PASS, 1) for c in (_P, _Q, _L)],
+                              r"flow conservation violated at VehicleStatus\(dest=0, eta=0, "
+                              r"battery=3\)"),
+    "absent status": ([(c, PASS, 1) for c in (_A, _P, _Q, _L, VehicleStatus(1, 0, 3))],
+                      "absent from the state"),
+    "unknown kind": ([(_A, AtomicAction("teleport"), 1)], "unknown atomic action kind"),
+    "negative unknown kind": ([(_A, AtomicAction("teleport"), -1)],
+                              "unknown atomic action kind"),
+}
+
+
+def _fleet_action(entries) -> FleetAction:
+    return FleetAction({(c, a): n for c, a, n in entries})
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_check_fleet_action_rejections(case):
+    cfg = tiny_config(N=4)
+    vehicles = np.zeros((2, cfg.eta_cap + 1, cfg.battery_capacity + 1), dtype=np.int64)
+    for c in (_A, _P, _Q, _L):
+        vehicles[c] = 1
+    trips = np.zeros((2, 2, cfg.connection_patience + 1), dtype=np.int64)
+    trips[0, 1, 0] = trips[1, 0, 0] = 1
+    state = SystemState(0, vehicles, trips, initial_state(cfg).chargers)
+    validate_state(cfg, state)
+    check_fleet_action(cfg, state, _fleet_action([(c, PASS, 1) for c in (_A, _P, _Q, _L)]))
+    entries, message = _REJECTIONS[case]
+    with pytest.raises(ContractViolation, match=message):
+        check_fleet_action(cfg, state, _fleet_action(entries))

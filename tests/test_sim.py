@@ -7,7 +7,7 @@ import pytest
 from fleetlab.baselines import RandomFeasiblePolicy
 from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
-from fleetlab.model import (FleetAction, SystemState, TripStatus,
+from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus,
                             VehicleStatus, all_pass_action, charge, fulfill,
                             reposition)
 from fleetlab.sim import (draw_arrivals, initial_state, run_day, run_days,
@@ -35,7 +35,7 @@ def test_fulfill_transition_hand_example(tiny):
     s = SystemState(0, vehicles, trips, s.chargers)
     fa = FleetAction.empty()
     fa.add_atomic(VehicleStatus(0, 0, 2), fulfill(TripStatus(0, 1, 0)))
-    fa.pass_count[VehicleStatus(0, 0, 2)] = tiny.fleet_size - 1
+    fa.counts[(VehicleStatus(0, 0, 2), PASS)] = tiny.fleet_size - 1
     nxt, info = transition(tiny, s, fa, np.zeros((2, 2), dtype=np.int64))
     assert nxt.vehicles[1, 1, 1] == 1
     assert nxt.vehicles[0, 0, 2] == tiny.fleet_size - 1
@@ -50,7 +50,7 @@ def test_charge_transition_occupies_full_period(tiny):
     s = SystemState(0, vehicles, np.zeros_like(s.trips), s.chargers)
     fa = FleetAction.empty()
     fa.add_atomic(VehicleStatus(0, 0, 0), charge(tiny.charge_rates[0]))
-    fa.pass_count[VehicleStatus(0, 0, 0)] = tiny.fleet_size - 1
+    fa.counts[(VehicleStatus(0, 0, 0), PASS)] = tiny.fleet_size - 1
     nxt, info = transition(tiny, s, fa, np.zeros((2, 2), dtype=np.int64))
     J, rate = tiny.charge_period, tiny.charge_rates[0]
     gained = min(rate * J, tiny.battery_capacity)
@@ -74,7 +74,7 @@ def test_charge_transition_follows_charging_curve():
         s = SystemState(0, vehicles, np.zeros_like(s0.trips), s0.chargers)
         fa = FleetAction.empty()
         fa.add_atomic(VehicleStatus(0, 0, b), charge(cfg.charge_rates[0]))
-        fa.pass_count[VehicleStatus(0, 0, b)] = cfg.fleet_size - 1
+        fa.counts[(VehicleStatus(0, 0, b), PASS)] = cfg.fleet_size - 1
         nxt, _ = transition(cfg, s, fa, np.zeros((2, 2), dtype=np.int64))
         after = curve_percent_after(DEFAULT_CHARGING_CURVE, 100.0 * b / B, seconds)
         want = min(max(math.floor(after * B / 100.0 + 1e-9), b), B)

@@ -193,3 +193,34 @@ def test_mps_export_round_trip_structure(tmp_path):
     for token in ("R0000000", "R0000001", "C0000000", "C0000001"):
         assert token in text
         assert len(token) <= 8
+
+
+def test_residuals_follow_the_row_rule():
+    """Array residuals equal the per-row rule max(Ax - b, 0), max(b - Ax, 0),
+    |Ax - b|, signed zeros included."""
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(30, 6))
+    A[:3] = 0.0                                  # rows whose Ax is exactly 0
+    b = rng.normal(size=30)
+    b[:3] = [0.0, -0.0, 0.0]
+    senses = [("<=", ">=", "=")[i % 3] for i in range(30)]
+    p = LpProblem(np.zeros(6), A, senses, b)
+    x = rng.uniform(0.0, 2.0, size=6)
+    ax = A @ x
+    want = [max(ax[i] - b[i], 0.0) if s == "<=" else
+            max(b[i] - ax[i], 0.0) if s == ">=" else abs(ax[i] - b[i])
+            for i, s in enumerate(senses)]
+    got = p.residuals(x)
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def test_certificate_names_first_failing_dual_slack_row():
+    # rows 1 and 2 both carry a dual on a slack constraint; row 1 is named
+    p = LpProblem(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                  ["<=", "<=", ">="], np.array([1.0, 1.0, -5.0]))
+    flip = np.array([1.0, 1.0, -1.0])
+    senses = ["<=", "<=", "<="]                  # row 2 flipped
+    with pytest.raises(ContractViolation, match=r"dual-slack product 2\.000e\+00 at row 1$"):
+        simplex._certify(p, flip, flip * p.b, senses, np.zeros(5),
+                         np.array([0.0, 2.0, 3.0]), np.zeros(5), 2)
