@@ -4,8 +4,7 @@ baseline policies, and calibration from trip records."""
 from .config import NetworkConfig, DEFAULT_CHARGING_CURVE
 from .errors import (FleetlabError, ConfigError, InvalidArgument,
                      ContractViolation, TrainingDiagnostic, LpInfeasible,
-                     LpUnbounded, ReductionUnavailable, StateSpaceTooLarge,
-                     ValueIterationNotConverged)
+                     LpUnbounded, StateSpaceTooLarge, ValueIterationNotConverged)
 from .model import (SystemState, VehicleStatus, TripStatus,
                     AtomicAction, FleetAction, action_count, feasible_mask,
                     atomic_reward, epoch_reward)
@@ -28,7 +27,7 @@ __all__ = [
     "NetworkConfig", "DEFAULT_CHARGING_CURVE",
     "FleetlabError", "ConfigError", "InvalidArgument", "ContractViolation",
     "TrainingDiagnostic", "LpInfeasible", "LpUnbounded",
-    "ReductionUnavailable", "StateSpaceTooLarge", "ValueIterationNotConverged",
+    "StateSpaceTooLarge", "ValueIterationNotConverged",
     "SystemState", "VehicleStatus", "TripStatus",
     "AtomicAction", "FleetAction", "action_count", "feasible_mask",
     "atomic_reward", "epoch_reward",

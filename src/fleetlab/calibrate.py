@@ -115,6 +115,26 @@ def read_region_map(path) -> dict[str, int]:
 WEEKDAY_FILTER = (0, 1, 2, 3)               # Monday .. Thursday
 
 
+def kept_trips(records: list[TripRecord], region_map: dict[str, int]
+               ) -> tuple[set, list[tuple[TripRecord, int, int]]]:
+    """What calibration keeps of the records: the Monday-Thursday dates seen,
+    and the trips on them between distinct regions, each with its (origin,
+    destination) regions."""
+    weekday = [r for r in records if r.pickup_timestamp.weekday() in WEEKDAY_FILTER]
+    if not weekday:
+        raise ConfigError("no records left after the day-of-week filter")
+    trips = []
+    for r in weekday:
+        try:
+            u = region_map[r.pickup_zone]
+            v = region_map[r.dropoff_zone]
+        except KeyError as exc:
+            raise ConfigError(f"zone {exc} missing from region map") from exc
+        if u != v:                          # intra-region trips are out of model
+            trips.append((r, u, v))
+    return {r.pickup_timestamp.date() for r in weekday}, trips
+
+
 def _backfill(values: np.ndarray, counts: np.ndarray, default: float) -> np.ndarray:
     """Fill empty (u,v,t) cells from the same pair's time-neighbor average."""
     V, _, T = values.shape
@@ -148,24 +168,14 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     if not math.isclose(T * epoch_minutes, 24 * 60):
         raise ConfigError(f"epoch length {epoch_minutes} min does not divide the day")
 
-    kept = [r for r in records if r.pickup_timestamp.weekday() in WEEKDAY_FILTER]
-    if not kept:
-        raise ConfigError("no records left after the day-of-week filter")
-    days = {r.pickup_timestamp.date() for r in kept}
+    days, trips = kept_trips(records, region_map)
 
     counts = np.zeros((V, V, T))
     fares = np.zeros((V, V, T))
     durations = np.zeros((V, V, T))
     distances = np.zeros((V, V))
     dist_counts = np.zeros((V, V))
-    for r in kept:
-        try:
-            u = region_map[r.pickup_zone]
-            v = region_map[r.dropoff_zone]
-        except KeyError as exc:
-            raise ConfigError(f"zone {exc} missing from region map") from exc
-        if u == v:
-            continue                        # intra-region trips are out of model
+    for r, u, v in trips:
         minute_of_day = (r.pickup_timestamp.hour * 60 + r.pickup_timestamp.minute
                          + r.pickup_timestamp.second / 60)
         t = min(int(minute_of_day // epoch_minutes), T - 1)

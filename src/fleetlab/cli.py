@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, fluid, nn, ppo, sim
-from .calibrate import (calibrate, estimate_reference_fleet, read_region_map,
-                        read_trip_records, scale_fleet)
+from .calibrate import (calibrate, estimate_reference_fleet, kept_trips,
+                        read_region_map, read_trip_records, scale_fleet)
 from .config import NetworkConfig
 from .errors import (ConfigError, ContractViolation, FleetlabError,
                      InvalidArgument, LpInfeasible, LpUnbounded,
-                     ReductionUnavailable, StateSpaceTooLarge,
-                     TrainingDiagnostic)
+                     StateSpaceTooLarge, TrainingDiagnostic)
 from .model import action_count
 from .reduce import obs_dim, vehicle_feature_dim
 from .scenarios import TEMPLATES, synth_scenario
@@ -203,10 +202,8 @@ def _load_policy(path: str, config: NetworkConfig) -> nn.MlpSet:
     return pset
 
 
-def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args,
-                  bound: fluid.FluidSolution | None = None) -> PolicySpec:
-    """Attach artifacts (loaded policy network, fluid solution) a spec needs;
-    fluid reuses ``bound`` when the caller has already solved it."""
+def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args) -> PolicySpec:
+    """Attach artifacts (loaded policy network, fluid solution) a spec needs."""
     if spec.name == "ppo":
         path = getattr(args, "checkpoint", None)
         if not path:
@@ -215,7 +212,7 @@ def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args,
             raise FileNotFoundError(path)
         return PolicySpec("ppo", policy_set=_load_policy(path, config))
     if spec.name == "fluid":
-        return PolicySpec("fluid", fluid_solution=bound or fluid.upper_bound(config))
+        return PolicySpec("fluid", fluid_solution=fluid.upper_bound(config))
     return spec
 
 
@@ -231,7 +228,9 @@ def cmd_calibrate(args) -> int:
     config = calibrate(records, region_map, epoch_minutes=args.epoch_min,
                        fleet_size=args.fleet, name=args.name)
     if args.scale_fleet is not None:
-        ref = estimate_reference_fleet(records)
+        # the peak of the trips the arrival rates come from
+        _, trips = kept_trips(records, region_map)
+        ref = estimate_reference_fleet([r for r, _, _ in trips])
         config = scale_fleet(config, args.scale_fleet, ref)
         print(f"reference fleet estimate: {ref}; demand scaled by "
               f"{args.scale_fleet / ref:.6g}")
@@ -302,28 +301,30 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bound(args) -> int:
     config = _load_config(args)
-    sol = fluid.upper_bound(config, formulation=args.formulation)
+    prob, index = fluid.FORMULATIONS[args.formulation](config)
+    sol = fluid.solve_fluid(prob, index, args.formulation)
     if args.out:
         with open(args.out, "w") as f:
             f.write(sol.to_json())
             f.write("\n")
     if args.mps:
-        prob, _ = (fluid.build_reduced_lp(config) if sol.formulation == "reduced"
-                   else fluid.build_full_lp(config))
         export_mps(prob, args.mps)
-    note = " (indicative: nonlinear charging linearized)" if sol.indicative_only else ""
     print(f"R-bar = {sol.objective:.6g} [{sol.formulation} formulation, "
-          f"{sol.iterations} pivots, residual {sol.residual:.2e}]{note}")
+          f"{sol.iterations} pivots, residual {sol.residual:.2e}]")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
+    # every token and checkpoint is checked before the bound is solved
+    specs = [parse_policy(token) for token in args.policies]
+    specs = [s if s.name == "fluid" else _resolve_spec(s, config, args) for s in specs]
     bound = fluid.upper_bound(config)
     rows = []
     reports = []
-    for token in args.policies:
-        spec = _resolve_spec(parse_policy(token), config, args, bound)
+    for spec in specs:
+        if spec.name == "fluid":
+            spec = PolicySpec("fluid", fluid_solution=bound)
         rep = evaluate_spec(config, spec, args.trajectories, args.days,
                             args.seed, jobs=args.jobs)
         rep.pop("last_trajectory")
@@ -480,8 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="fluid-relaxation reward upper bound")
     _add_config_args(p)
-    p.add_argument("--formulation", choices=("auto", "full", "reduced"),
-                   default="auto")
+    p.add_argument("--formulation", choices=tuple(fluid.FORMULATIONS), default="reduced",
+                   help="reduced (statuses that can take a task; the default) or full "
+                        "(every status); both give the same bound for any durations "
+                        "and charging curve")
     p.add_argument("--out", help="JSON solution path")
     p.add_argument("--mps", help="export the LP in fixed MPS format")
     p.set_defaults(func=cmd_bound)
@@ -531,8 +534,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LpInfeasible, LpUnbounded, ReductionUnavailable,
-            TrainingDiagnostic, ContractViolation, StateSpaceTooLarge) as exc:
+    except (LpInfeasible, LpUnbounded, TrainingDiagnostic, ContractViolation,
+            StateSpaceTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except FleetlabError as exc:

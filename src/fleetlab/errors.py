@@ -29,10 +29,6 @@ class LpUnbounded(FleetlabError):
     """The linear program objective is unbounded above."""
 
 
-class ReductionUnavailable(FleetlabError):
-    """The reduced LP formulation does not apply to this configuration."""
-
-
 class StateSpaceTooLarge(FleetlabError):
     """Exact solution refused because the enumerable state space is too big."""
 

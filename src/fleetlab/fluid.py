@@ -10,17 +10,18 @@ relaxation of the dispatch MDP:
   duration scale.
 
 The optimum R-bar (scaled by fleet size N) upper-bounds the long-run average
-daily reward of every admissible policy. The reduced form needs the
-assignment-to-trackable delay to be well defined: for every (u,v,eta',t)
-there must be exactly one assignment time phi with
-phi + eta' + tau_uv(phi) - L_p = t (always true for time-constant durations).
+daily reward of every admissible policy. Both LPs are built forward from the
+simulator's own rule, ``model.landing``: a vehicle flow at (status, t) leaves
+that status's conservation row and joins the row of its landing at t+1. The
+reduced LP sees a landing at eta > L_p only once it has ticked down to L_p:
+in the row of (v, L_p, b) at t+1+eta-L_p. So both LPs follow the simulator
+when durations vary over the day and when charging follows a curve.
 
-The occupancy (fleet-total) constraint uses half-open in-flight windows
-(the strict inequality in ``_window_counts``, and charge window
-t-J+L_p+1..t): a vehicle whose remaining time has just reached L_p is counted
-through its new assignment or pass flow, not through the old in-flight flow.
-The full LP, where occupancy is implied by per-status conservation, is the
-cross-check for this choice.
+The occupancy (fleet-total) constraint counts a flow started at t at every
+step until its vehicle is next seen, t .. t+eta-L_p: a vehicle whose
+remaining time has just reached L_p is counted through its new assignment or
+pass flow, not through the old in-flight flow. The full LP, where occupancy
+is implied by per-status conservation, is the cross-check for this choice.
 """
 
 from __future__ import annotations
@@ -33,32 +34,10 @@ import numpy as np
 
 from .baselines import IntentQueuePolicy
 from .config import NetworkConfig
-from .errors import ContractViolation, InvalidArgument, ReductionUnavailable
-from .model import AtomicAction, TripStatus, VehicleStatus, charge, fulfill, reposition
+from .errors import ContractViolation, InvalidArgument
+from .model import (PASS, AtomicAction, TripStatus, VehicleStatus, charge, fulfill,
+                    landing, reposition)
 from .simplex import LpProblem, LpSolution, solve
-
-
-def _charge_gains(config: NetworkConfig) -> list[int]:
-    """Battery gained per charge period in the LP's linear model.
-
-    Linear mode: rate * period. With a charging curve configured the LP is
-    linearized at the curve's 10-40% band average pace; the resulting bound
-    is indicative only and flagged on the solution.
-    """
-    if config.charging_curve is None:
-        return [r * config.charge_period for r in config.charge_rates]
-    # band-average pace: 10-40% of the curve, same for every rate column
-    total_s = 0.0
-    prev = 0
-    for hi, sec in config.charging_curve:
-        lo = prev
-        prev = hi
-        overlap = max(0, min(hi, 40) - max(lo, 10))
-        total_s += overlap * sec
-    pace = total_s / 30.0                                 # seconds per percent
-    period_s = config.charge_period * config.epoch_minutes * 60.0
-    gain = int(period_s / pace * config.battery_capacity / 100.0)
-    return [max(min(gain, config.battery_capacity), 1) for _ in config.charge_rates]
 
 
 @dataclass
@@ -68,7 +47,6 @@ class FluidSolution:
     formulation: str                      # "full" | "reduced"
     iterations: int
     residual: float
-    indicative_only: bool = False
 
     def nonzero_flows(self) -> dict[tuple, float]:
         """Flows above 1e-9, the level below which a flow counts as zero."""
@@ -80,7 +58,6 @@ class FluidSolution:
             "formulation": self.formulation,
             "iterations": self.iterations,
             "residual": self.residual,
-            "indicative_only": self.indicative_only,
             "flows": {"/".join(map(str, k)): v for k, v in self.nonzero_flows().items()},
         }
         return json.dumps(payload, sort_keys=True, indent=1)
@@ -132,32 +109,81 @@ class _Builder:
 # -- shared row pieces ------------------------------------------------------------
 
 
-def _window_counts(T: int, t: int, width) -> list[tuple[int, int]]:
-    """(start time, multiplicity) pairs for the windows that cover t.
+def _toward(region: int) -> AtomicAction:
+    """A fulfill toward ``region``, its trip's age left open."""
+    return AtomicAction("fulfill", region=region)
 
-    ``width`` is one width for every start time, or T widths indexed by start
-    time (a trip's in-flight span depends on its assignment time). Flows
-    repeat daily, so when a window spans more than one full day the same
-    daily flow occupies several concurrent copies at time t; the multiplicity
-    is the number of lags back >= 0 with back = (t - t') mod T and
-    back < width."""
+
+# variable kind -> (status, action) of one vehicle on that flow, from the
+# variable keys of build_full_lp and build_reduced_lp; xt, the trip-side age
+# split of xb, moves no vehicle
+_FLOWS = {
+    "x": lambda rates, k: (VehicleStatus(k[1], k[2], k[3]), _toward(k[4])),       # u eta b v xi t
+    "xb": lambda rates, k: (VehicleStatus(k[1], k[4], k[3]), _toward(k[2])),      # u v b eta t
+    "y": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), reposition(k[3])),       # u b v t
+    "yb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]),                         # u v b t
+                            PASS if k[1] == k[2] else reposition(k[2])),
+    "z": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), charge(rates[k[3]])),    # u b ri t
+    "zb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]), charge(rates[k[2]])),   # u ri b t
+    "w": lambda rates, k: (VehicleStatus(k[1], k[2], k[3]), PASS),                # u eta b t
+    "wb": lambda rates, k: (VehicleStatus(k[1], k[3], k[2]), PASS),               # u b eta t
+}
+
+
+def _window_counts(T: int, t: int, width: int) -> list[tuple[int, int]]:
+    """(start time, multiplicity) pairs for the windows of ``width`` steps
+    that cover t. Flows repeat daily, so when a window spans more than one
+    full day the same daily flow occupies several concurrent copies at time
+    t; the multiplicity is the number of lags back >= 0 with
+    back = (t - t') mod T and back < width."""
     out = []
-    for tp, w in enumerate(np.broadcast_to(width, (T,)).tolist()):
+    for tp in range(T):
         r = (t - tp) % T
-        if w > r:
-            out.append((tp, (w - r - 1) // T + 1))
+        if width > r:
+            out.append((tp, (width - r - 1) // T + 1))
     return out
 
 
-def _charge_completions(gains: list[int], B: int, b: int):
-    """(rate index, start battery) of every charge that ends at battery b:
-    the start b - gain, and at b = B also every start the capacity clips."""
-    for ri, gain in enumerate(gains):
-        if b - gain >= 0:
-            yield ri, b - gain
-        if b == B:
-            for bp in range(max(B - gain + 1, 0), B + 1):
-                yield ri, bp
+def _vehicle_flows(bld: _Builder, config: NetworkConfig, cap: int) -> list[tuple]:
+    """(key, row, next row, span) of every vehicle-flow variable, over the
+    statuses (u, eta <= cap, b): the row (u, eta, b, t) the flow leaves, the
+    row where its vehicle is next seen -- its landing at t+1, or for a
+    landing at eta > cap, (v, cap, b) eta - cap steps later -- and the steps
+    from t until then."""
+    T = config.horizon_steps
+    out = []
+    for key in bld.vars:
+        if key[0] in _FLOWS:
+            status, action = _FLOWS[key[0]](config.charge_rates, key)
+            t = key[-1]
+            v, eta, b = landing(config, status, action, t)
+            away = max(eta - cap, 0)
+            out.append((key, (*status, t), (v, min(eta, cap), b, (t + 1 + away) % T),
+                        1 + away))
+    return out
+
+
+def _conservation_rows(bld: _Builder, config: NetworkConfig, cap: int, flows) -> None:
+    """Per status (u, eta <= cap, b) and time: inflow == outflow."""
+    V, B, T = config.num_regions, config.battery_capacity, config.horizon_steps
+    rows = {(u, eta, b, t): defaultdict(float) for t in range(T) for u in range(V)
+            for eta in range(cap + 1) for b in range(B + 1)}
+    for key, row, nxt, _ in flows:
+        rows[row][key] -= 1.0
+        rows[nxt][key] += 1.0
+    for (u, eta, b, t), terms in rows.items():
+        bld.row(terms, "=", 0.0, f"cons/{u}/{eta}/{b}/{t}")
+
+
+def _occupancy_rows(bld: _Builder, T: int, flows) -> None:
+    """Fleet totals to one at every time: a flow holds its vehicle from its
+    start until the vehicle is next seen, on every day it spans."""
+    totals = [defaultdict(float) for _ in range(T)]
+    for key, (*_, t), _, span in flows:
+        for s in range(t, t + span):
+            totals[s % T][key] += 1.0
+    for t, terms in enumerate(totals):
+        bld.row(terms, "=", 1.0, f"tot/{t}")
 
 
 def _charger_cap_rows(bld: _Builder, config: NetworkConfig, key) -> None:
@@ -181,9 +207,7 @@ def _charger_cap_rows(bld: _Builder, config: NetworkConfig, key) -> None:
 def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
     """Flow variables per (status, action, time); periodic in t."""
     V, B, T = config.num_regions, config.battery_capacity, config.horizon_steps
-    Lp, Lc, J = config.pickup_patience, config.connection_patience, config.charge_period
-    rates = config.charge_rates
-    gains = _charge_gains(config)
+    Lp, Lc = config.pickup_patience, config.connection_patience
     ecap = config.eta_cap
     N = config.fleet_size
     bld = _Builder("full")
@@ -206,55 +230,14 @@ def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
                                 continue
                             bld.var(("y", u, b, v, t),
                                     N * float(config.reposition_reward[u, v, t]))
-                        for ri in range(len(rates)):
+                        for ri in range(config.num_rates):
                             bld.var(("z", u, b, ri, t),
                                     N * float(config.charge_reward[ri, t]))
                     bld.var(("w", u, eta, b, t), 0.0)
 
-    # conservation: inflow at t-1 == outflow at t, per status and time
-    for t in range(T):
-        tp = (t - 1) % T
-        for v in range(V):
-            for eta in range(ecap + 1):
-                for b in range(B + 1):
-                    terms: dict[tuple, float] = defaultdict(float)
-                    # (i) fulfillments arriving into (v, eta, b)
-                    for u in range(V):
-                        if u == v:
-                            continue
-                        tau = int(config.trip_duration[u, v, tp])
-                        cost = int(config.battery_cost[u, v])
-                        ep = eta - tau + 1
-                        if 0 <= ep <= Lp and b + cost <= B:
-                            for xi in range(Lc + 1):
-                                terms[("x", u, ep, b + cost, v, xi, tp)] = 1.0
-                            # (ii) repositions
-                            if ep == 0:
-                                terms[("y", u, b + cost, v, tp)] = 1.0
-                    # (iii) charging completions
-                    if eta == J - 1:
-                        for ri, bs in _charge_completions(gains, B, b):
-                            terms[("z", v, bs, ri, tp)] += 1.0
-                    # (iv)+(v) passing
-                    if eta == 0:
-                        terms[("w", v, 0, b, tp)] += 1.0
-                    if eta + 1 <= ecap:
-                        terms[("w", v, eta + 1, b, tp)] += 1.0
-                    # outflow (negated)
-                    if eta <= Lp:
-                        for vv in range(V):
-                            if vv == v:
-                                continue
-                            for xi in range(Lc + 1):
-                                terms[("x", v, eta, b, vv, xi, t)] -= 1.0
-                    if eta == 0:
-                        for vv in range(V):
-                            if vv != v:
-                                terms[("y", v, b, vv, t)] -= 1.0
-                        for ri in range(len(rates)):
-                            terms[("z", v, b, ri, t)] -= 1.0
-                    terms[("w", v, eta, b, t)] -= 1.0
-                    bld.row(terms, "=", 0.0, f"cons/{v}/{eta}/{b}/{t}")
+    # every status is tracked, so every flow is next seen at its landing
+    flows = _vehicle_flows(bld, config, ecap)
+    _conservation_rows(bld, config, ecap, flows)
 
     # trip-order cap: service of the cohort arriving at t, across ages
     for t in range(T):
@@ -272,108 +255,47 @@ def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
                         f"trip/{u}/{v}/{t}")
 
     _charger_cap_rows(bld, config, lambda v, ri, b, t: ("z", v, b, ri, t))
-
-    # fleet totals to one at every time
-    for t in range(T):
-        terms = {key: 1.0 for key in bld.vars if key[-1] == t}
-        bld.row(terms, "=", 1.0, f"tot/{t}")
-
+    _occupancy_rows(bld, T, flows)
     return bld.build(), bld.vars
 
 
 # -- reduced formulation ---------------------------------------------------------
 
 
-def _phi(config: NetworkConfig, u: int, v: int, eta_p: int, t: int) -> int:
-    """Unique assignment time phi with phi + eta' + tau(phi) - L_p = t."""
-    T, Lp = config.horizon_steps, config.pickup_patience
-    sols = [tp for tp in range(T)
-            if (tp + eta_p + int(config.trip_duration[u, v, tp]) - Lp) % T == t]
-    if len(sols) != 1:
-        raise ReductionUnavailable(
-            f"assignment-time map not unique for ({u},{v},eta'={eta_p},t={t}): "
-            f"{len(sols)} solutions; use the full formulation")
-    return sols[0]
-
-
 def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
     """Tracked-window formulation over statuses with eta <= L_p."""
     V, B, T = config.num_regions, config.battery_capacity, config.horizon_steps
-    Lp, Lc, J = config.pickup_patience, config.connection_patience, config.charge_period
-    rates = config.charge_rates
-    gains = _charge_gains(config)
+    Lp, Lc = config.pickup_patience, config.connection_patience
     N = config.fleet_size
     bld = _Builder("reduced")
-
-    def cost(u, v):
-        return int(config.battery_cost[u, v])
-
-    phi_cache: dict[tuple, int] = {}
-
-    def phi(u, v, ep, t):
-        k = (u, v, ep, t)
-        if k not in phi_cache:
-            phi_cache[k] = _phi(config, u, v, ep, t)
-        return phi_cache[k]
 
     for t in range(T):
         for u in range(V):
             for v in range(V):
                 if v != u:
-                    for b in range(cost(u, v), B + 1):
+                    cost = int(config.battery_cost[u, v])
+                    for b in range(cost, B + 1):
                         for eta in range(Lp + 1):
                             bld.var(("xb", u, v, b, eta, t), 0.0)
                     for eta in range(Lp + 1):
                         for xi in range(Lc + 1):
                             bld.var(("xt", u, v, eta, xi, t),
                                     N * float(config.trip_reward[u, v, t]))
-                    for b in range(cost(u, v), B + 1):
+                    for b in range(cost, B + 1):
                         bld.var(("yb", u, v, b, t),
                                 N * float(config.reposition_reward[u, v, t]))
                 else:
                     for b in range(B + 1):
                         bld.var(("yb", u, u, b, t), 0.0)      # idling
-            for ri in range(len(rates)):
+            for ri in range(config.num_rates):
                 for b in range(B + 1):
                     bld.var(("zb", u, ri, b, t), N * float(config.charge_reward[ri, t]))
             for eta in range(1, Lp + 1):
                 for b in range(B + 1):
                     bld.var(("wb", u, b, eta, t), 0.0)
 
-    # conservation for every tracked status (u, eta <= L_p, b) and time
-    for t in range(T):
-        tp = (t - 1) % T
-        for u in range(V):
-            for eta in range(Lp + 1):
-                for b in range(B + 1):
-                    terms: dict[tuple, float] = defaultdict(float)
-                    if eta == Lp:
-                        for v in range(V):
-                            if v == u or b + cost(v, u) > B:
-                                continue
-                            for ep in range(Lp + 1):
-                                terms[("xb", v, u, b + cost(v, u), ep,
-                                       phi(v, u, ep, t))] = 1.0
-                            terms[("yb", v, u, b + cost(v, u),
-                                   phi(v, u, 0, t))] = 1.0
-                        tc = (t + Lp - J) % T
-                        for ri, bs in _charge_completions(gains, B, b):
-                            terms[("zb", u, ri, bs, tc)] += 1.0
-                    if eta == 0:
-                        terms[("yb", u, u, b, tp)] += 1.0
-                    if eta < Lp:
-                        terms[("wb", u, b, eta + 1, tp)] += 1.0
-                    for v in range(V):
-                        if v != u:
-                            terms[("xb", u, v, b, eta, t)] -= 1.0
-                    if eta == 0:
-                        for v in range(V):
-                            terms[("yb", u, v, b, t)] -= 1.0
-                        for ri in range(len(rates)):
-                            terms[("zb", u, ri, b, t)] -= 1.0
-                    else:
-                        terms[("wb", u, b, eta, t)] -= 1.0
-                    bld.row(terms, "=", 0.0, f"cons/{u}/{eta}/{b}/{t}")
+    flows = _vehicle_flows(bld, config, Lp)
+    _conservation_rows(bld, config, Lp, flows)
 
     # linking: battery-aggregated and age-aggregated fulfill flows agree
     for t in range(T):
@@ -402,34 +324,7 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
                         f"trip/{u}/{v}/{t}")
 
     _charger_cap_rows(bld, config, lambda v, ri, b, t: ("zb", v, ri, b, t))
-
-    # occupancy: every vehicle counted exactly once per time step; an assigned
-    # vehicle stays out of the tracked statuses for eta' + tau(t') - L_p steps
-    for t in range(T):
-        terms = defaultdict(float)
-        for u in range(V):
-            for v in range(V):
-                if v == u:
-                    for b in range(B + 1):
-                        terms[("yb", u, u, b, t)] += 1.0
-                    continue
-                for eta in range(Lp + 1):
-                    in_flight = eta + config.trip_duration[u, v] - Lp
-                    for ts, mult in _window_counts(T, t, in_flight):
-                        for b in range(B + 1):
-                            terms[("xb", u, v, b, eta, ts)] += mult
-                for ts, mult in _window_counts(T, t, config.trip_duration[u, v] - Lp):
-                    for b in range(B + 1):
-                        terms[("yb", u, v, b, ts)] += mult
-            for ri in range(len(rates)):
-                for ts, mult in _window_counts(T, t, J - Lp):
-                    for b in range(B + 1):
-                        terms[("zb", u, ri, b, ts)] += mult
-            for eta in range(1, Lp + 1):
-                for b in range(B + 1):
-                    terms[("wb", u, b, eta, t)] += 1.0
-        bld.row(terms, "=", 1.0, f"tot/{t}")
-
+    _occupancy_rows(bld, T, flows)
     return bld.build(), bld.vars
 
 
@@ -437,80 +332,61 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
 
 
 def solve_fluid(problem: LpProblem, index: dict[tuple, int],
-                formulation: str, indicative: bool = False) -> FluidSolution:
+                formulation: str) -> FluidSolution:
     sol: LpSolution = solve(problem)
     x = np.where(np.abs(sol.x) < 1e-12, 0.0, sol.x)
     flows = {key: float(x[j]) for key, j in index.items()}
     residual = float(problem.residuals(sol.x).max(initial=0.0))
     if residual > 1e-8 * max(1.0, float(np.abs(problem.b).max(initial=0.0))):
         raise ContractViolation(f"fluid solution residual {residual:.3e}")
-    return FluidSolution(sol.objective, flows, formulation, sol.iterations,
-                         residual, indicative_only=indicative)
+    return FluidSolution(sol.objective, flows, formulation, sol.iterations, residual)
 
 
-def upper_bound(config: NetworkConfig, formulation: str = "auto") -> FluidSolution:
-    """Daily-reward upper bound R-bar; reduced form when available."""
-    indicative = config.charging_curve is not None
-    if formulation in ("auto", "reduced"):
-        try:
-            prob, index = build_reduced_lp(config)
-            return solve_fluid(prob, index, "reduced", indicative)
-        except ReductionUnavailable:
-            if formulation == "reduced":
-                raise
-    prob, index = build_full_lp(config)
-    return solve_fluid(prob, index, "full", indicative)
+#: formulation name -> LP builder
+FORMULATIONS = {"reduced": build_reduced_lp, "full": build_full_lp}
+
+
+def upper_bound(config: NetworkConfig, formulation: str = "reduced") -> FluidSolution:
+    """Daily-reward upper bound R-bar from the named formulation's LP."""
+    if formulation not in FORMULATIONS:
+        raise InvalidArgument(f"unknown formulation {formulation!r}; "
+                              f"expected {' | '.join(FORMULATIONS)}")
+    prob, index = FORMULATIONS[formulation](config)
+    return solve_fluid(prob, index, formulation)
 
 
 # -- randomized-rounding policy ---------------------------------------------------
 
 
-def _toward(region: int) -> AtomicAction:
-    """Intent to serve a queued trip to ``region`` (the age is picked at act)."""
-    return AtomicAction("fulfill", region=region)
-
-
-# flow kind -> (status, intent) of one vehicle on that flow, from the variable
-# keys of build_full_lp and build_reduced_lp; idle flows carry no intent
-_FLOW_INTENTS = {
-    "x": lambda rates, k: (VehicleStatus(k[1], k[2], k[3]), _toward(k[4])),       # u eta b v xi t
-    "xb": lambda rates, k: (VehicleStatus(k[1], k[4], k[3]), _toward(k[2])),      # u v b eta t
-    "y": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), reposition(k[3])),       # u b v t
-    "yb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]),                         # u v b t
-                            None if k[1] == k[2] else reposition(k[2])),
-    "z": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), charge(rates[k[3]])),    # u b ri t
-    "zb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]), charge(rates[k[2]])),   # u ri b t
-}
-
-
 class FluidRoundingPolicy(IntentQueuePolicy):
     """Rounds the fluid flows to integer per-epoch assignment targets.
 
-    At each epoch the target count for every (status, action) flow is
-    N*fraction, rounded by floor plus a Bernoulli trial on the remainder, and
-    that many intents join the queue of the flow's exact status. Idle flows
-    draw their trial but add no intent. A vehicle pops intents until one is
-    feasible: a fulfill intent toward region v tries the oldest queued trip
-    to v, then a reposition to v; if no intent is feasible the vehicle passes.
+    At each epoch the target count for every (status, action) flow but the
+    pass flows w and wb is N*fraction, rounded by floor plus a Bernoulli
+    trial on the remainder, and that many intents join the queue of the
+    flow's exact status. Idle flows draw their trial but add no intent. A
+    vehicle pops intents until one is feasible: a fulfill intent toward
+    region v tries the oldest queued trip to v, then a reposition to v; if no
+    intent is feasible the vehicle passes.
     """
 
     def __init__(self, config: NetworkConfig, solution: FluidSolution):
         super().__init__()
         self.solution = solution
-        self._by_time: dict[int, list[tuple[VehicleStatus, AtomicAction | None, float]]] = {}
+        self._by_time: dict[int, list[tuple[VehicleStatus, AtomicAction, float]]] = {}
         for key, frac in sorted(solution.nonzero_flows().items()):
-            if key[0] in _FLOW_INTENTS:
-                status, intent = _FLOW_INTENTS[key[0]](config.charge_rates, key)
-                self._by_time.setdefault(key[-1], []).append((status, intent, frac))
+            if key[0] in _FLOWS and key[0] not in ("w", "wb"):
+                status, action = _FLOWS[key[0]](config.charge_rates, key)
+                self._by_time.setdefault(key[-1], []).append((status, action, frac))
 
     def begin_epoch(self, config, state, rng):
         self.intents = {}
         N = config.fleet_size
-        for status, intent, frac in self._by_time.get(state.t, []):
+        for status, action, frac in self._by_time.get(state.t, []):
             target = N * frac
             count = int(target) + (1 if rng.random() < target - int(target) else 0)
-            if intent is not None and count > 0:
-                self.intents.setdefault(status, []).extend([intent] * count)
+            if action.kind != "pass" and count > 0:
+                self.intents.setdefault(status, []).extend([action] * count)
 
     def _candidates(self, work, vehicle, intent):
         if intent.kind != "fulfill":

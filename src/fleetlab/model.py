@@ -205,6 +205,26 @@ def _check_vehicle(config: NetworkConfig, state: SystemState, vehicle: VehicleSt
         raise InvalidArgument(f"no vehicle with status {vehicle} in state")
 
 
+def landing(config: NetworkConfig, vehicle: VehicleStatus, action: AtomicAction,
+            t: int) -> VehicleStatus:
+    """Status at t+1 of a vehicle that takes ``action`` at time-of-day t.
+
+    A pass ticks the remaining time down toward idle. A charge holds the
+    vehicle for the charging period and ends at ``config.charge_result``. A
+    fulfill or reposition from u to v adds the u -> v duration at t to what
+    is left of the current task and spends the u -> v battery cost. A fulfill
+    may name only its destination ``region``, as a fluid flow does.
+    """
+    u, eta, b = vehicle
+    if action.kind == "pass":
+        return VehicleStatus(u, eta - 1 if eta else 0, b)
+    if action.kind == "charge":
+        return VehicleStatus(u, config.charge_period - 1, config.charge_result(b, action.rate))
+    v = action.region if action.trip is None else action.trip.dest
+    return VehicleStatus(v, eta + int(config.trip_duration[u, v, t]) - 1,
+                         b - int(config.battery_cost[u, v]))
+
+
 def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleStatus) -> np.ndarray:
     """Boolean mask over the atomic action index space for one vehicle.
 

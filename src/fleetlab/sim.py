@@ -30,6 +30,7 @@ from .model import (
     epoch_reward,
     feasible_mask,
     index_to_action,
+    landing,
     validate_state,
 )
 
@@ -73,7 +74,7 @@ def transition(
     that already guarantee them (the exact-solver enumeration)."""
     if validate:
         check_fleet_action(config, state, action)
-    V, B, R, J = config.num_regions, config.battery_capacity, config.num_rates, config.charge_period
+    V, R, J = config.num_regions, config.num_rates, config.charge_period
     t = state.t
     info = StepInfo(reward=epoch_reward(config, action, t))
 
@@ -87,20 +88,14 @@ def transition(
         if a.kind == "pass":
             continue
         passing[c.dest, c.eta, c.battery] -= n
+        vehicles[landing(config, c, a, t)] += n
         if a.kind == "fulfill":
             o = a.trip
             trips[o.origin, o.dest, o.age] -= n
-            tau = int(config.trip_duration[o.origin, o.dest, t])
-            b = c.battery - config.battery_cost[o.origin, o.dest]
-            vehicles[o.dest, c.eta + tau - 1, b] += n
             info.fulfilled += n
         elif a.kind == "reposition":
-            v = a.region
-            tau = int(config.trip_duration[c.dest, v, t])
-            vehicles[v, tau - 1, c.battery - config.battery_cost[c.dest, v]] += n
             info.repositioned += n
         else:                                       # charge
-            vehicles[c.dest, J - 1, config.charge_result(c.battery, a.rate)] += n
             new_charges[c.dest, config.rate_index(a.rate)] += n
             info.charges_started += n
 

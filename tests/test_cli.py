@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from itertools import takewhile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from conftest import tiny_config
 from fleetlab import fluid, nn, ppo, sim
 from fleetlab.baselines import RandomFeasiblePolicy
 from fleetlab.calibrate import estimate_reference_fleet, read_trip_records
-from fleetlab.cli import parse_policy
+from fleetlab.cli import main, parse_policy
 from fleetlab.config import NetworkConfig
 from fleetlab.scenarios import synth_scenario
 from fleetlab.simplex import export_mps
@@ -223,6 +224,24 @@ def test_train_then_evaluate_checkpoint(tiny_json, tmp_path):
     assert "mean_daily_reward" in payload
 
 
+@pytest.mark.parametrize("policies", [
+    ["power-of-2", "bogus"],
+    ["random", "ppo"],
+    ["fluid", "power-of-0"],
+])
+def test_compare_rejects_bad_policies_before_solving(tiny_json, monkeypatch, capsys,
+                                                    policies):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bound solved before the policies were checked")
+
+    monkeypatch.setattr(fluid, "upper_bound", no_solve)
+    code = main(["compare", "--config", tiny_json, "--policies", *policies,
+                 "--trajectories", "1", "--days", "1", "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_compare_zero_demand_ratios_na(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text(tiny_config(lam_scale=0.0).to_json())
@@ -300,6 +319,44 @@ def test_calibrate_scale_fleet(tmp_path, trips):
     np.testing.assert_array_equal(cfg.arrival_rate, cfg0.arrival_rate * (3 / ref))
 
 
+def _week_of_trips() -> str:
+    """400 trips over 5 zones in 3 regions, Monday 2024-01-01 onward. 390
+    sequential 10-minute trips never overlap. Tuesday holds 4 overlapping
+    trips between regions plus one within region 1; Saturday holds 5
+    overlapping trips between regions."""
+    zones = ["Z0", "Z1", "Z2", "Z3", "Z4"]
+    rows = []
+
+    def trip(start_min, dur, a, b):
+        stamp = (datetime(2024, 1, 1) + timedelta(minutes=start_min)).isoformat()
+        rows.append(f"{a},{b},{stamp},10.0,{dur},2.0")
+
+    for i in range(390):
+        trip(30 * i, 10, zones[i % 5], zones[(i + 2) % 5])
+    tuesday, saturday = 24 * 60 + 615, 5 * 24 * 60 + 615     # in gaps of the sequence
+    for k in range(4):
+        trip(tuesday + k, 10, "Z0", "Z4")
+    trip(tuesday + 4, 10, "Z2", "Z3")
+    for k in range(5):
+        trip(saturday + k, 10, "Z1", "Z4")
+    assert len(rows) == 400
+    return ("pickup_zone,dropoff_zone,pickup_timestamp,base_fare,duration_min,"
+            "distance_miles\n" + "\n".join(rows) + "\n")
+
+
+def test_calibrate_reference_fleet_counts_only_kept_trips(tmp_path):
+    """The reference fleet is the peak of the trips the rates come from:
+    weekend and intra-region trips do not count."""
+    records, regions = tmp_path / "week.csv", tmp_path / "map.csv"
+    records.write_text(_week_of_trips())
+    regions.write_text("zone,region\nZ0,0\nZ1,0\nZ2,1\nZ3,1\nZ4,2\n")
+    assert estimate_reference_fleet(read_trip_records(records)) == 5
+    r = run_cli("calibrate", "--records", str(records), "--regions", str(regions),
+                "--fleet", "40", "--scale-fleet", "8", "--out", str(tmp_path / "cfg.json"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "reference fleet estimate: 4; demand scaled by 2"
+
+
 def test_calibrate_missing_column_exit_2(tmp_path):
     records = tmp_path / "r.csv"
     records.write_text("pickup_zone,dropoff_zone\nA,B\n")
@@ -371,6 +428,7 @@ CALIBRATE = ["calibrate", "--records", "{trips}/r.csv", "--regions", "{trips}/ma
     pytest.param(["--seed", "-1", "evaluate", "--config", "{cfg}", "--policy", "random"],
                  id="seed=-1-evaluate"),
     pytest.param(["--seed", "-1", "bound", "--config", "{cfg}"], id="seed=-1-bound"),
+    ["bound", "--config", "{cfg}", "--formulation", "auto"],
     pytest.param(["--seed", "-1", "train", "--config", "{cfg}", "--out", "{tmp}"],
                  id="seed=-1-train"),
     pytest.param(["FLEETLAB_SEED=-1", "evaluate", "--config", "{cfg}", "--policy", "random"],

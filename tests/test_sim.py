@@ -8,8 +8,8 @@ from fleetlab.baselines import RandomFeasiblePolicy
 from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus,
-                            VehicleStatus, all_pass_action, charge, fulfill,
-                            reposition)
+                            VehicleStatus, all_pass_action, charge, feasible_mask,
+                            fulfill, index_to_action, landing, reposition)
 from fleetlab.sim import (draw_arrivals, initial_state, run_day, run_days,
                           run_epoch, step, transition)
 
@@ -105,6 +105,38 @@ def test_transition_rejects_more_charges_than_free_chargers(J):
     fa.add_atomic(VehicleStatus(0, 0, 0), charge(cfg.charge_rates[0]))
     with pytest.raises(ContractViolation, match="free chargers"):
         transition(cfg, s, fa, none, validate=False)
+
+
+def test_transition_lands_every_feasible_action_where_landing_says():
+    """One vehicle takes each feasible atomic action while the rest of the
+    fleet, in the same status, passes; charging curves included."""
+    rng = np.random.default_rng(41)
+    curves = (None, DEFAULT_CHARGING_CURVE, ((10, 5.0), (40, 200.0), (100, 1.0)))
+    kinds = set()
+    for k in range(30):
+        cfg = dataclasses.replace(random_config(rng), charging_curve=curves[k % 3])
+        V, N = cfg.num_regions, cfg.fleet_size
+        base = initial_state(cfg)
+        trips = np.zeros_like(base.trips)
+        trips[~np.eye(V, dtype=bool)] = 1               # one of every trip status
+        for top in (cfg.pickup_patience, cfg.pickup_patience, cfg.eta_cap):
+            c = VehicleStatus(int(rng.integers(V)), int(rng.integers(top + 1)),
+                              int(rng.integers(cfg.battery_capacity + 1)))
+            vehicles = np.zeros_like(base.vehicles)
+            vehicles[c] = N
+            t = int(rng.integers(cfg.horizon_steps))
+            state = SystemState(t, vehicles, trips, base.chargers)
+            for j in np.flatnonzero(feasible_mask(cfg, state, c)):
+                a = index_to_action(cfg, int(j))
+                fa = FleetAction({(c, PASS): N - 1})
+                fa.add_atomic(c, a)
+                nxt, _ = transition(cfg, state, fa, np.zeros((V, V), dtype=np.int64))
+                want = np.zeros_like(vehicles)
+                want[landing(cfg, c, a, t)] += 1
+                want[landing(cfg, c, PASS, t)] += N - 1
+                np.testing.assert_array_equal(nxt.vehicles, want, err_msg=f"{c} {a}")
+                kinds.add(a.kind)
+    assert kinds == {"fulfill", "reposition", "charge", "pass"}
 
 
 def test_trips_age_and_abandon(tiny):
