@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import StateSpaceTooLarge, ValueIterationNotConverged
+from .errors import InvalidArgument, StateSpaceTooLarge, ValueIterationNotConverged
 from .model import (
     PASS,
     AtomicAction,
@@ -45,7 +45,7 @@ from .model import (
     index_to_action,
     reposition,
 )
-from .sim import WorkingState, initial_state, transition
+from .sim import WorkingState, admitted_arrivals, initial_state, transition
 
 
 class AlwaysPassPolicy:
@@ -92,7 +92,7 @@ class PowerOfKPolicy(IntentQueuePolicy):
     def __init__(self, config: NetworkConfig, k: int = 2):
         super().__init__()
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvalidArgument("k must be >= 1")
         self.k = k
         self.charger_regions = [
             v for v in range(config.num_regions) if config.charger_counts[v].sum() > 0
@@ -262,9 +262,8 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             # arrivals only fill the age-0 queue: apply the action once under
             # zero arrivals, then graft every arrival outcome onto the result
             base, info = transition(config, state, fa, zero_arr, validate=False)
-            headroom = np.maximum(config.trip_cap - base.trips.sum(axis=2), 0)
             trips = np.repeat(base.trips[None], len(probs), axis=0)
-            trips[:, :, :, 0] = np.minimum(arrivals, headroom)
+            trips[:, :, :, 0] = admitted_arrivals(config, arrivals, base.trips.sum(axis=2))
             # the branch keys are SystemState.key() of each outcome's state
             t_next = base.t
             vehicles_bytes = base.vehicles.tobytes()

@@ -230,13 +230,16 @@ def scale_fleet(config: NetworkConfig, target_fleet: int,
                 reference_fleet: int) -> NetworkConfig:
     """Resize the fleet to ``target_fleet`` and scale the arrival rates by
     target/reference, recording that ratio as ``demand_scale``, so demand
-    keeps its ratio to the fleet."""
+    keeps its ratio to the fleet. Charger counts scale with the fleet,
+    target/``config.fleet_size``, rounded to the nearest integer, halves up."""
     if reference_fleet <= 0:
         raise InvalidArgument("reference_fleet must be positive")
     ratio = target_fleet / reference_fleet
+    N = config.fleet_size
+    chargers = (2 * config.charger_counts * target_fleet + N) // (2 * N)
     return config.with_updates(fleet_size=target_fleet,
                                arrival_rate=config.arrival_rate * ratio,
-                               demand_scale=ratio)
+                               charger_counts=chargers, demand_scale=ratio)
 
 
 def estimate_reference_fleet(records: list[TripRecord]) -> int:

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,34 +118,19 @@ def _print_table(header: list[str], rows: list[list]) -> None:
 # -- policy construction ------------------------------------------------------
 
 
-@dataclass
-class PolicySpec:
-    """Picklable recipe so worker processes can rebuild a fresh policy.
-
-    A fresh instance per trajectory keeps stateful policies (queued rounding
-    intents, recorded logs) from leaking across trajectories, which is what
-    makes parallel and serial evaluation byte-identical.
-    """
-
-    name: str
-    k: int = 2
-    policy_set: nn.MlpSet | None = None
-    fluid_solution: fluid.FluidSolution | None = None
-
-    def build(self, config: NetworkConfig):
-        if self.name == "ppo":
-            return ppo.NeuralPolicy(config, self.policy_set)
-        if self.name == "power-of-k":
-            return baselines.PowerOfKPolicy(config, k=self.k)
-        if self.name == "fluid":
-            return fluid.FluidRoundingPolicy(config, self.fluid_solution)
-        if self.name == "random":
-            return baselines.RandomFeasiblePolicy()
-        raise InvalidArgument(f"unknown policy {self.name!r}")
+# token -> constructor(config, policy_set, bound) of the policies without a parameter
+_NAMED_POLICIES = {
+    "ppo": lambda config, policy_set, bound: ppo.NeuralPolicy(config, policy_set),
+    "fluid": lambda config, policy_set, bound: fluid.FluidRoundingPolicy(config, bound),
+    "random": lambda config, policy_set, bound: baselines.RandomFeasiblePolicy(),
+}
 
 
-def parse_policy(token: str) -> PolicySpec:
-    """ppo | power-of-<k> | power-of-k:<k> | power-of-<k>:<k> | fluid | random"""
+def parse_policy(token: str):
+    """ppo | power-of-<k> | power-of-k:<k> | power-of-<k>:<k> | fluid | random
+
+    Returns the report label and ``make(config, policy_set, bound)``, which
+    builds the policy from the loaded ppo checkpoint and the fluid bound."""
     if token.startswith("power-of-"):
         head, colon, count = token[len("power-of-"):].partition(":")
         if not colon:
@@ -155,29 +140,29 @@ def parse_policy(token: str) -> PolicySpec:
         k = int(count)
         if k < 1:
             raise InvalidArgument(f"bad power-of-k policy {token!r}: k must be >= 1")
-        return PolicySpec("power-of-k", k=k)
-    if token in ("ppo", "fluid", "random"):
-        return PolicySpec(token)
+        return f"power-of-{k}", (lambda config, policy_set, bound:
+                                 baselines.PowerOfKPolicy(config, k=k))
+    if token in _NAMED_POLICIES:
+        return token, _NAMED_POLICIES[token]
     raise InvalidArgument(
         f"unknown policy {token!r}; expected ppo | power-of-k:k | fluid | random")
 
 
-def _trajectory_worker(payload) -> dict:
-    config, spec, days, seed_words = payload
-    return sim.score_trajectory(config, spec.build(config), days, seed_words)
-
-
-def evaluate_spec(config: NetworkConfig, spec: PolicySpec, trajectories: int,
-                  days: int, seed: int, jobs: int = 1) -> dict:
-    """Independent seeded trajectories; results identical for any job count."""
-    payloads = [(config, spec, days, (seed, 5, k, 11)) for k in range(trajectories)]
+def evaluate(config: NetworkConfig, label: str, policy, trajectories: int,
+             days: int, seed: int, jobs: int = 1) -> dict:
+    """Independent seeded trajectories of one policy instance; results
+    identical for any job count. Sharing the instance is safe: the
+    intent-queue policies refill their queues in every begin_epoch, and a
+    NeuralPolicy that does not record holds no state."""
+    score = partial(sim.score_trajectory, config, policy, days)
+    seeds = [(seed, 5, k, 11) for k in range(trajectories)]
     if jobs > 1 and trajectories > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, trajectories)) as pool:
-            results = list(pool.map(_trajectory_worker, payloads))
+            results = list(pool.map(score, seeds))
     else:
-        results = [_trajectory_worker(p) for p in payloads]
+        results = list(map(score, seeds))
     return {
-        "policy": spec.name if spec.name != "power-of-k" else f"power-of-{spec.k}",
+        "policy": label,
         "trajectories": trajectories,
         "days": days,
         **sim.summarize_scores(results),
@@ -185,8 +170,13 @@ def evaluate_spec(config: NetworkConfig, spec: PolicySpec, trajectories: int,
     }
 
 
-def _load_policy(path: str, config: NetworkConfig) -> nn.MlpSet:
-    """A policy checkpoint whose horizon and input/output sizes fit ``config``."""
+def _load_policy(args, config: NetworkConfig) -> nn.MlpSet:
+    """The --checkpoint policy, whose horizon and input/output sizes fit ``config``."""
+    path = getattr(args, "checkpoint", None)
+    if not path:
+        raise ConfigError("ppo policy needs --checkpoint FILE")
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
     pset = nn.load_set(path)
     if pset.kind != "policy":
         raise InvalidArgument(f"{path}: a {pset.kind} network, not a policy")
@@ -200,20 +190,6 @@ def _load_policy(path: str, config: NetworkConfig) -> nn.MlpSet:
             f"{path}: policy for horizon {got[0]} with {got[1]} inputs and {got[2]} "
             f"actions; this scenario needs {want[0]}, {want[1]} and {want[2]}")
     return pset
-
-
-def _resolve_spec(spec: PolicySpec, config: NetworkConfig, args) -> PolicySpec:
-    """Attach artifacts (loaded policy network, fluid solution) a spec needs."""
-    if spec.name == "ppo":
-        path = getattr(args, "checkpoint", None)
-        if not path:
-            raise ConfigError("ppo policy needs --checkpoint FILE")
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        return PolicySpec("ppo", policy_set=_load_policy(path, config))
-    if spec.name == "fluid":
-        return PolicySpec("fluid", fluid_solution=fluid.upper_bound(config))
-    return spec
 
 
 # -- commands -----------------------------------------------------------------
@@ -277,9 +253,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args)
-    spec = _resolve_spec(parse_policy(args.policy), config, args)
-    report = evaluate_spec(config, spec, args.trajectories, args.days,
-                           args.seed, jobs=args.jobs)
+    label, make = parse_policy(args.policy)
+    policy_set = _load_policy(args, config) if label == "ppo" else None
+    bound = fluid.upper_bound(config) if label == "fluid" else None
+    report = evaluate(config, label, make(config, policy_set, bound),
+                      args.trajectories, args.days, args.seed, jobs=args.jobs)
     last = report.pop("last_trajectory")
     report["config_digest"] = config.digest()
     report["seed"] = args.seed
@@ -317,16 +295,15 @@ def cmd_bound(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args)
     # every token and checkpoint is checked before the bound is solved
-    specs = [parse_policy(token) for token in args.policies]
-    specs = [s if s.name == "fluid" else _resolve_spec(s, config, args) for s in specs]
+    policies = [parse_policy(token) for token in args.policies]
+    policy_set = _load_policy(args, config) \
+        if any(label == "ppo" for label, _ in policies) else None
     bound = fluid.upper_bound(config)
     rows = []
     reports = []
-    for spec in specs:
-        if spec.name == "fluid":
-            spec = PolicySpec("fluid", fluid_solution=bound)
-        rep = evaluate_spec(config, spec, args.trajectories, args.days,
-                            args.seed, jobs=args.jobs)
+    for label, make in policies:
+        rep = evaluate(config, label, make(config, policy_set, bound),
+                       args.trajectories, args.days, args.seed, jobs=args.jobs)
         rep.pop("last_trajectory")
         reports.append(rep)
         ratio = rep["mean_daily_reward"] / bound.objective \
@@ -355,12 +332,13 @@ def _sweep_point(config: NetworkConfig, label: str, args) -> tuple[list, dict]:
     if args.trajectories is not None:
         pcfg.trajectories_per_iter = args.trajectories
     result = ppo.train(config, pcfg)
-    ppo_reward = evaluate_spec(config, PolicySpec("ppo", policy_set=result.policy),
-                               args.eval_trajectories, args.days,
-                               args.seed)["mean_daily_reward"]
-    pok_reward = evaluate_spec(config, PolicySpec("power-of-k", k=args.k),
-                               args.eval_trajectories, args.days,
-                               args.seed)["mean_daily_reward"]
+    ppo_reward = evaluate(config, "ppo", ppo.NeuralPolicy(config, result.policy),
+                          args.eval_trajectories, args.days,
+                          args.seed)["mean_daily_reward"]
+    pok_reward = evaluate(config, f"power-of-{args.k}",
+                          baselines.PowerOfKPolicy(config, k=args.k),
+                          args.eval_trajectories, args.days,
+                          args.seed)["mean_daily_reward"]
     ratio = (lambda r: r / bound.objective if abs(bound.objective) > 1e-12
              else float("nan"))
     row = [label, f"{bound.objective:.10g}", f"{ppo_reward:.10g}",

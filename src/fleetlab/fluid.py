@@ -130,18 +130,12 @@ _FLOWS = {
 }
 
 
-def _window_counts(T: int, t: int, width: int) -> list[tuple[int, int]]:
-    """(start time, multiplicity) pairs for the windows of ``width`` steps
-    that cover t. Flows repeat daily, so when a window spans more than one
-    full day the same daily flow occupies several concurrent copies at time
-    t; the multiplicity is the number of lags back >= 0 with
-    back = (t - t') mod T and back < width."""
-    out = []
-    for tp in range(T):
-        r = (t - tp) % T
-        if width > r:
-            out.append((tp, (width - r - 1) // T + 1))
-    return out
+def _hold(rows: list[dict], key: tuple, t: int, span: int) -> None:
+    """Count the flow ``key`` started at t in the rows of the steps
+    t .. t+span-1, modulo the day: flows repeat daily, so a span longer than
+    a day holds several copies of the flow at once."""
+    for s in range(t, t + span):
+        rows[s % len(rows)][key] += 1.0
 
 
 def _vehicle_flows(bld: _Builder, config: NetworkConfig, cap: int) -> list[tuple]:
@@ -180,25 +174,26 @@ def _occupancy_rows(bld: _Builder, T: int, flows) -> None:
     start until the vehicle is next seen, on every day it spans."""
     totals = [defaultdict(float) for _ in range(T)]
     for key, (*_, t), _, span in flows:
-        for s in range(t, t + span):
-            totals[s % T][key] += 1.0
+        _hold(totals, key, t, span)
     for t, terms in enumerate(totals):
         bld.row(terms, "=", 1.0, f"tot/{t}")
 
 
 def _charger_cap_rows(bld: _Builder, config: NetworkConfig, key) -> None:
-    """Chargers engaged by charge flows started in the last J steps, per
-    (region, rate, time); ``key(v, ri, b, t)`` names the charge variable."""
+    """Chargers engaged per (region, rate, time): a charge flow holds its
+    charger for the J steps from its start; ``key(v, ri, b, t)`` names the
+    charge variable."""
     T, B, N = config.horizon_steps, config.battery_capacity, config.fleet_size
+    engaged = {(v, ri): [defaultdict(float) for _ in range(T)]
+               for v in range(config.num_regions) for ri in range(config.num_rates)}
+    for (v, ri), rows in engaged.items():
+        for b in range(B + 1):
+            for ts in range(T):
+                _hold(rows, key(v, ri, b, ts), ts, config.charge_period)
     for t in range(T):
-        for v in range(config.num_regions):
-            for ri in range(config.num_rates):
-                terms: dict[tuple, float] = defaultdict(float)
-                for ts, mult in _window_counts(T, t, config.charge_period):
-                    for b in range(B + 1):
-                        terms[key(v, ri, b, ts)] += mult
-                bld.row(terms, "<=", float(config.charger_counts[v, ri]) / N,
-                        f"chg/{v}/{ri}/{t}")
+        for (v, ri), rows in engaged.items():
+            bld.row(rows[t], "<=", float(config.charger_counts[v, ri]) / N,
+                    f"chg/{v}/{ri}/{t}")
 
 
 # -- full formulation -----------------------------------------------------------

@@ -136,15 +136,11 @@ class Mlp:
 
     def backward(self, cache: list, dout: np.ndarray,
                  grads: list[np.ndarray] | None = None):
-        """Exact reverse pass. dout: (n, out), cast to the buffer's dtype.
-        Returns (grads, dinput); grads interleaves (dW, db) in the order of
-        .params().
-
-        Given ``grads`` (arrays shaped like .params()), the gradients are
-        written into them and dinput, which training never reads, is not
-        computed (None). The pass reuses the cache's buffers, so read the
-        forward output before calling it."""
-        want_input = grads is None
+        """Exact reverse pass down to layer 0's weights. dout: (n, out), cast
+        to the buffer's dtype. Returns the gradients, (dW, db) interleaved in
+        the order of .params(): written into ``grads`` if given (arrays
+        shaped like .params()), else new arrays. The pass reuses the cache's
+        buffers, so read the forward output before calling it."""
         if grads is None:
             grads = [np.empty_like(p) for p in self.params()]
         d = np.atleast_2d(np.asarray(dout, dtype=self.flat.dtype))
@@ -159,9 +155,9 @@ class Mlp:
                 d = np.multiply(d, y > 0.0, out=y)
             np.matmul(cache[i].T, d, out=grads[2 * i])
             np.add.reduce(d, axis=0, out=grads[2 * i + 1])
-            if i or want_input:
+            if i:
                 d = d @ self.weights[i].T
-        return grads, (d if want_input else None)
+        return grads
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:

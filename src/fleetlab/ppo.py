@@ -208,7 +208,7 @@ def surrogate_terms(probs_new: np.ndarray, old_prob: np.ndarray, adv: np.ndarray
 @dataclass
 class PolicyUpdateStats:
     clip_fraction: float
-    surrogate_before: float
+    surrogate: float            # mean over steps of the minibatch's mean clipped surrogate
     dropped: int
 
 
@@ -233,14 +233,14 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
         adam = nn.AdamState.for_set(pset)
     n = len(act)
     xfull = np.hstack([obs, veh], dtype=pset.flat.dtype)
-    clip_fracs = []
-    surrogate_before = float(advantages.mean()) if n else 0.0
+    clip_fracs, surrogates = [], []
     for _ in range(ppo.policy_update_steps):
         idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)
         clipped_ct = 0
+        surrogate_sum = 0.0
 
         def head(sel, logits):
-            nonlocal clipped_ct
+            nonlocal clipped_ct, surrogate_sum
             m = mask[sel]
             # float64, as masked_softmax computed old_prob from these logits
             z = np.where(m, logits.astype(np.float64), -np.inf)
@@ -250,8 +250,9 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
             pa = p[np.arange(len(sel)), act[sel]]
             rho = pa / old_prob[sel]
             adv = advantages[sel]
-            _, clipped = surrogate_terms(pa, old_prob[sel], adv, eps_m)
+            terms, clipped = surrogate_terms(pa, old_prob[sel], adv, eps_m)
             clipped_ct += int(clipped.sum())
+            surrogate_sum += float(terms.sum())
             # d/dlogits of mean surrogate; zero where the clip bound binds
             coef = np.where(clipped, 0.0, adv * rho) / len(idx)
             dlogits = -coef[:, None] * p
@@ -260,10 +261,11 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
 
         grad = pset.grouped_gradient(xfull, t, idx, head)
         clip_fracs.append(clipped_ct / len(idx))
+        surrogates.append(surrogate_sum / len(idx))
         nn.adam_step(pset.flat, grad, adam, ppo.lr_policy)
     stats = PolicyUpdateStats(
         clip_fraction=float(np.mean(clip_fracs)) if clip_fracs else 0.0,
-        surrogate_before=surrogate_before,
+        surrogate=float(np.mean(surrogates)) if surrogates else 0.0,
         dropped=dropped,
     )
     return adam, stats
@@ -364,7 +366,7 @@ def train(config: NetworkConfig, ppo: PpoConfig,
                              seed=ppo.seed + 1000 + m)
         report = IterationReport(
             iteration=m, g_estimate=g, value_losses=losses,
-            surrogate=stats.surrogate_before, clip_fraction=stats.clip_fraction,
+            surrogate=stats.surrogate, clip_fraction=stats.clip_fraction,
             clip_eps=eps_m, eval_reward=ev["mean_daily_reward"],
             dropped_samples=stats.dropped)
         reports.append(report)

@@ -53,13 +53,23 @@ def draw_arrivals(config: NetworkConfig, t: int, rng: np.random.Generator) -> np
     return rng.poisson(config.arrival_rate[:, :, t]).astype(np.int64)
 
 
+def admitted_arrivals(config: NetworkConfig, arrivals: np.ndarray,
+                      carried: np.ndarray) -> np.ndarray:
+    """New orders each (origin, dest) queue admits: as many arrivals as fit
+    under trip_cap beside the ``carried`` older orders, none within a region.
+    ``arrivals`` may stack outcomes on leading axes."""
+    admitted = np.minimum(arrivals, np.maximum(config.trip_cap - carried, 0))
+    V = config.num_regions
+    admitted.reshape(*admitted.shape[:-2], V * V)[..., ::V + 1] = 0   # diagonals
+    return admitted
+
+
 @dataclass
 class StepInfo:
     reward: float = 0.0
     fulfilled: int = 0
     abandoned: int = 0
     arrived: int = 0
-    rejected: int = 0
     repositioned: int = 0
     charges_started: int = 0
 
@@ -114,12 +124,8 @@ def transition(
     info.abandoned = int(trips[:, :, Lc].sum())
     aged = np.empty_like(trips)
     aged[:, :, 1:] = trips[:, :, :Lc]
-    carried = aged[:, :, 1:].sum(axis=2)
     info.arrived = int(arrivals.sum())
-    accepted = np.minimum(arrivals, np.maximum(config.trip_cap - carried, 0))
-    np.fill_diagonal(accepted, 0)
-    info.rejected = info.arrived - int(accepted.sum())
-    aged[:, :, 0] = accepted
+    aged[:, :, 0] = admitted_arrivals(config, arrivals, aged[:, :, 1:].sum(axis=2))
 
     # charger clocks tick; newly engaged chargers run for a full period, and
     # with a one-epoch period they are free again by the next epoch

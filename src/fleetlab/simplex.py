@@ -89,7 +89,6 @@ class LpSolution:
     x: np.ndarray
     objective: float
     duals: np.ndarray
-    reduced_costs: np.ndarray
     iterations: int                   # phase-1 plus phase-2 pivots
     basis: np.ndarray
     phase1_pivots: int = 0
@@ -402,10 +401,9 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
 
     _certify(problem, flip, b, senses, x_std, y, rc_std, n)
 
-    # map duals / reduced costs back to the user's rows and objective sense
+    # map the duals back to the user's rows and objective sense
     duals = sign * flip * y
-    reduced = sign * rc_std[:n]
-    return LpSolution(x, obj, duals, reduced, it1 + it2, basis.copy(),
+    return LpSolution(x, obj, duals, it1 + it2, basis.copy(),
                       phase1_pivots=it1, phase2_pivots=it2,
                       bland_activations=st.bland_activations,
                       refactors=st.refactors, exact_retry=not perturb)

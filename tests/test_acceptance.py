@@ -114,7 +114,7 @@ def _value_mse_draw(seed):
 
     out, cache = net.forward(x, want_cache=True)
     dout = (2.0 / len(y)) * (out[:, 0] - y)
-    grads, _ = net.backward(cache, dout[:, None])
+    grads = net.backward(cache, dout[:, None])
     for p, g in zip(net.params(), grads):
         flat, gflat = p.ravel(), g.ravel()
         for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):

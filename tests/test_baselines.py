@@ -20,7 +20,7 @@ from fleetlab.baselines import (
     _joint_outcomes,
     exact_value_iteration,
 )
-from fleetlab.errors import ValueIterationNotConverged
+from fleetlab.errors import InvalidArgument, ValueIterationNotConverged
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
 from fleetlab.model import PASS, SystemState, TripStatus, action_to_index, fulfill
 from fleetlab.scenarios import synth_scenario
@@ -50,7 +50,7 @@ def test_random_policy_uniform_probability(tiny):
 
 
 def test_power_of_k_requires_positive_k(tiny):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         PowerOfKPolicy(tiny, k=0)
 
 

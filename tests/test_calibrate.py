@@ -16,6 +16,7 @@ from fleetlab.calibrate import (
     scale_fleet,
 )
 from fleetlab.errors import ConfigError, InvalidArgument
+from fleetlab.fluid import upper_bound
 from fleetlab.scenarios import synth_scenario
 
 from oracles import max_concurrent_quadratic
@@ -137,6 +138,21 @@ def test_scale_fleet():
     np.testing.assert_array_equal(same.arrival_rate, cfg.arrival_rate)
     with pytest.raises(InvalidArgument):
         scale_fleet(cfg, 10, 0)
+
+
+def test_scale_fleet_scales_chargers_with_the_fleet():
+    """Chargers go by target/fleet, rounded half up, so four times the fleet
+    and the demand gives four times the bound."""
+    commute = synth_scenario("two-region-commute", seed=0)
+    assert commute.fleet_size == 16
+    big = scale_fleet(commute, 64, 16)
+    np.testing.assert_array_equal(big.charger_counts, commute.charger_counts * 4)
+    assert upper_bound(big).objective == pytest.approx(
+        4 * upper_bound(commute).objective, rel=1e-9)
+    cfg = commute.with_updates(charger_counts=np.array([[5], [3]]), fleet_size=4)
+    # 5 * 6/4 = 7.5 rounds up to 8, 3 * 6/4 = 4.5 up to 5, 3 * 5/4 = 3.75 to 4
+    np.testing.assert_array_equal(scale_fleet(cfg, 6, 4).charger_counts, [[8], [5]])
+    np.testing.assert_array_equal(scale_fleet(cfg, 5, 4).charger_counts, [[6], [4]])
 
 
 def test_reference_fleet_simple_cases():

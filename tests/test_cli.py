@@ -151,12 +151,16 @@ def test_evaluate_trace_csv(tiny_json, tmp_path):
     assert len(lines) > 1
 
 
-def test_evaluate_report_independent_of_jobs(tiny_json, tmp_path):
+@pytest.mark.parametrize("policy", ["random", "power-of-2", "fluid", "ppo"])
+def test_evaluate_report_independent_of_jobs(tiny_json, checkpoints, tmp_path, policy):
+    """One policy instance serves every trajectory, serially or copied into
+    worker processes; the intent-queue policies must not carry state over."""
     outputs = []
     for jobs in ("1", "2"):
         out, trace = tmp_path / f"j{jobs}.json", tmp_path / f"j{jobs}.csv"
         r = run_cli("--seed", "3", "evaluate", "--config", tiny_json,
-                    "--policy", "random", "--trajectories", "3", "--days", "2",
+                    "--policy", policy, "--checkpoint", str(checkpoints / "policy.bin"),
+                    "--trajectories", "3", "--days", "2",
                     "--jobs", jobs, "--out", str(out), "--trace-csv", str(trace))
         assert r.returncode == 0, r.stderr
         outputs.append((r.stdout, out.read_bytes(), trace.read_bytes()))

@@ -12,7 +12,6 @@ from fleetlab.baselines import exact_value_iteration
 from fleetlab.errors import InvalidArgument
 from fleetlab.fluid import (
     FluidRoundingPolicy,
-    _window_counts,
     build_full_lp,
     build_reduced_lp,
     upper_bound,
@@ -175,13 +174,19 @@ def test_lps_match_recorded_digests(scenario, formulation):
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
-def test_window_counts_match_brute_force_lag_count(T):
-    """Multiplicity = number of lags 0 <= back < width with (t - back) % T ==
-    t'; widths up to 3T cover windows longer than a day."""
-    for width in range(3 * T + 1):
-        for t in range(T):
-            want = {}
-            for back in range(width):
-                tp = (t - back) % T
-                want[tp] = want.get(tp, 0) + 1
-            assert dict(_window_counts(T, t, width)) == want
+def test_charger_rows_match_brute_force_lag_count(T):
+    """A charge flow started at t' counts in the charger row of t once per
+    lag 0 <= back < J with (t - back) % T == t'; periods up to 3T cover
+    sessions longer than a day."""
+    for J in range(2, 3 * T + 1):
+        cfg = tiny_config(T=T, J=J)
+        for build in (build_full_lp, build_reduced_lp):
+            prob, index = build(cfg)
+            rows = {name: i for i, name in enumerate(prob.row_names)}
+            for key, j in index.items():
+                if key[0] not in ("z", "zb"):
+                    continue
+                u, ri, ts = key[1], key[3] if key[0] == "z" else key[2], key[-1]
+                for t in range(T):
+                    want = sum(1 for back in range(J) if (t - back) % T == ts)
+                    assert prob.A[rows[f"chg/{u}/{ri}/{t}"], j] == want, (J, key, t)

@@ -199,9 +199,29 @@ def test_ppo_update_drops_vanishing_old_probabilities(tiny):
         results.append((pset.flat, stats))
     (flat_t, stats_t), (flat_c, stats_c) = results
     assert stats_t.dropped == 3 and stats_c.dropped == 0
-    assert stats_t.surrogate_before == stats_c.surrogate_before
+    assert stats_t.surrogate == stats_c.surrogate
     assert stats_t.clip_fraction == stats_c.clip_fraction
     np.testing.assert_array_equal(flat_t, flat_c)
+
+
+def test_surrogate_reports_the_minibatch_mean_at_zero_step_size(tiny):
+    """With lr_policy 0 the policy never moves, so rho stays 1 up to float32
+    rounding and each step's clipped surrogate is its minibatch's mean
+    advantage; without steps the report is 0."""
+    pcfg = ppo.PpoConfig(seed=3, hidden=6, lr_policy=0.0, policy_update_steps=5,
+                         batch_policy=7)
+    pset, _, trace = _collect(tiny, seed=3, days=1, hidden=6)
+    adv = np.random.default_rng(9).normal(size=len(trace))
+    _, stats = ppo.ppo_update(pset, [trace], adv, 0.2, pcfg, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = np.mean([adv[rng.choice(len(trace), size=7, replace=False)].mean()
+                    for _ in range(5)])
+    assert stats.dropped == 0
+    assert abs(stats.surrogate - want) < 1e-9 + 1e-5 * np.abs(adv).mean()
+    assert abs(want) > 1e-3                     # far from the normalised mean, 0
+    idle = dataclasses.replace(pcfg, policy_update_steps=0)
+    _, stats = ppo.ppo_update(pset, [trace], adv, 0.2, idle, np.random.default_rng(5))
+    assert stats.surrogate == 0.0 and stats.clip_fraction == 0.0
 
 
 def test_fit_value_reduces_loss(tiny):
@@ -300,9 +320,11 @@ def test_training_keeps_every_buffer_float32(tiny, monkeypatch):
 # and the saved sets are now exactly the trained ones. Small batches leave some
 # time-of-day nets without samples in some steps. The digests hold for float32
 # numpy with OpenBLAS on x86-64, on 1 and 2 BLAS threads; another platform's
-# BLAS or tanh may round differently.
+# BLAS or tanh may round differently. The reports' digest was re-recorded
+# alone when `surrogate` became the mean clipped surrogate of the update's
+# minibatches (it was the mean of the normalised advantages, rounding noise).
 GOLDEN_TRAIN_DIGESTS = (
-    "59585a6d97a5f94369f0aac1a7ba2c7e25fc7464b9447f419fc0e028f852c193",
+    "68515706f66750e2439dba10c988587d928080da557f3609f78786acb95f8905",
     "3831c7674fe49460f74593e7818236f96a7773555f8572d6a8f60fdf0cd9c8c4",
     "9fe9e9ca35eca9bf17da5e90804a579cf4e69966ffaa87aab5d18b69d3528927",
 )

@@ -10,8 +10,8 @@ from fleetlab.errors import ContractViolation
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus,
                             VehicleStatus, all_pass_action, charge, feasible_mask,
                             fulfill, index_to_action, landing, reposition)
-from fleetlab.sim import (draw_arrivals, initial_state, run_day, run_days,
-                          run_epoch, step, transition)
+from fleetlab.sim import (admitted_arrivals, draw_arrivals, initial_state, run_day,
+                          run_days, run_epoch, step, transition)
 
 from conftest import random_config, tiny_config
 
@@ -85,6 +85,24 @@ def test_charge_transition_follows_charging_curve():
     # gains more than rate * J units, and from 90% less than one
     linear = [min(b + cfg.charge_rates[0] * J, B) for b in range(B)]
     assert landed[1] > linear[1] and landed[-2:] == [B - 2, B - 1]
+
+
+def test_admitted_arrivals_fill_each_queue_to_the_cap():
+    """Each stacked outcome admits min(arrivals, cap - carried), at least 0,
+    off the diagonal, as transition does for a single matrix."""
+    cfg = tiny_config(V=3)
+    rng = np.random.default_rng(4)
+    carried = rng.integers(0, cfg.trip_cap + 2, size=(3, 3))
+    arrivals = rng.integers(0, cfg.trip_cap + 2, size=(5, 3, 3))
+    got = admitted_arrivals(cfg, arrivals, carried)
+    want = np.minimum(arrivals, np.maximum(cfg.trip_cap - carried, 0))
+    want[:, [0, 1, 2], [0, 1, 2]] = 0
+    np.testing.assert_array_equal(got, want)
+    s = initial_state(cfg)
+    for k in range(5):
+        nxt, _ = transition(cfg, s, all_pass_action(cfg, s), arrivals[k], validate=False)
+        np.testing.assert_array_equal(nxt.trips[:, :, 0], admitted_arrivals(
+            cfg, arrivals[k], np.zeros((3, 3), dtype=np.int64)))
 
 
 @pytest.mark.parametrize("J", [1, 2])
