@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -157,8 +158,10 @@ def evaluate(config: NetworkConfig, label: str, policy, trajectories: int,
     score = partial(sim.score_trajectory, config, policy, days)
     seeds = [(seed, 5, k, 11) for k in range(trajectories)]
     if jobs > 1 and trajectories > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, trajectories)) as pool:
-            results = list(pool.map(score, seeds))
+        workers = min(jobs, trajectories)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # one chunk per worker, so each receives the policy once
+            results = list(pool.map(score, seeds, chunksize=math.ceil(trajectories / workers)))
     else:
         results = list(map(score, seeds))
     return {
@@ -485,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"bound+train+evaluate over {metavar}")
         _add_config_args(p)
-        p.add_argument(flag, dest="points", action="append", default=[],
+        p.add_argument(flag, dest="points", action="append", required=True,
                        metavar=metavar, help=helptext)
         p.add_argument("--train-iterations", type=positive_int, default=5)
         p.add_argument("--trajectories", type=positive_int, default=None,

@@ -10,7 +10,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import numbers
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -35,10 +38,13 @@ DEFAULT_CHARGING_CURVE: ChargingCurve = (
 )
 
 
-def _ro(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
+def _table(dtype, axes: str):
+    """A table field of `dtype` over `axes`: V regions, T steps, R charge rates."""
+    return field(metadata={"dtype": np.dtype(dtype), "axes": axes})
+
+
+#: The size fields, which serialise under "dims".
+_DIMS = ("num_regions", "fleet_size", "battery_capacity", "horizon_steps")
 
 
 @dataclass(frozen=True)
@@ -49,41 +55,32 @@ class NetworkConfig:
     battery units consumed travelling u -> v; ``charge_rates`` are integer
     battery units gained per step.  Trips between a region and itself are
     excluded from the model: the diagonal of ``arrival_rate`` must be zero.
+    Construction checks every field against its declaration (see `_coerce`).
     """
 
     num_regions: int
     fleet_size: int
     battery_capacity: int
     horizon_steps: int
-    epoch_minutes: float
+    epoch_minutes: numbers.Real                                # stored as given
     charge_rates: tuple[int, ...]
     charge_period: int
-    charger_counts: np.ndarray          # (V, R) int
+    charger_counts: np.ndarray = _table(np.int64, "VR")
     pickup_patience: int
     connection_patience: int
-    trip_duration: np.ndarray           # (V, V, T) int, steps
-    battery_cost: np.ndarray            # (V, V) int, battery units
-    arrival_rate: np.ndarray            # (V, V, T) float, mean arrivals
-    trip_reward: np.ndarray             # (V, V, T) float, >= 0
-    reposition_reward: np.ndarray       # (V, V, T) float, <= 0
-    charge_reward: np.ndarray           # (R, T) float, <= 0
+    trip_duration: np.ndarray = _table(np.int64, "VVT")        # steps
+    battery_cost: np.ndarray = _table(np.int64, "VV")          # battery units
+    arrival_rate: np.ndarray = _table(np.float64, "VVT")       # mean arrivals
+    trip_reward: np.ndarray = _table(np.float64, "VVT")
+    reposition_reward: np.ndarray = _table(np.float64, "VVT")
+    charge_reward: np.ndarray = _table(np.float64, "RT")
     charging_curve: Optional[ChargingCurve] = None
-    demand_scale: Optional[float] = None
+    demand_scale: Optional[numbers.Real] = None
     name: str = "unnamed"
 
     def __post_init__(self):
-        object.__setattr__(self, "charge_rates", tuple(int(r) for r in self.charge_rates))
-        object.__setattr__(self, "charger_counts", _ro(np.asarray(self.charger_counts, dtype=np.int64)))
-        object.__setattr__(self, "trip_duration", _ro(np.asarray(self.trip_duration, dtype=np.int64)))
-        object.__setattr__(self, "battery_cost", _ro(np.asarray(self.battery_cost, dtype=np.int64)))
-        for f in ("arrival_rate", "trip_reward", "reposition_reward", "charge_reward"):
-            object.__setattr__(self, f, _ro(np.asarray(getattr(self, f), dtype=np.float64)))
-        if self.charging_curve is not None:
-            object.__setattr__(
-                self,
-                "charging_curve",
-                tuple((float(p), float(s)) for p, s in self.charging_curve),
-            )
+        for name, kind in _KINDS:
+            object.__setattr__(self, name, _coerce(name, kind, getattr(self, name)))
         self.validate()
 
     # -- derived quantities -------------------------------------------------
@@ -129,23 +126,16 @@ class NetworkConfig:
         problems = []
         if V < 1 or self.fleet_size < 1 or self.battery_capacity < 1 or T < 1:
             problems.append("V, N, B, T must all be positive")
-        if self.charger_counts.shape != (V, R):
-            problems.append(f"charger_counts shape {self.charger_counts.shape} != {(V, R)}")
-        for f, shape in (
-            ("trip_duration", (V, V, T)),
-            ("arrival_rate", (V, V, T)),
-            ("trip_reward", (V, V, T)),
-            ("reposition_reward", (V, V, T)),
-        ):
+        sizes = {"V": V, "T": T, "R": R}
+        for f, axes in _AXES:
+            shape = tuple(sizes[a] for a in axes)
             if getattr(self, f).shape != shape:
                 problems.append(f"{f} shape {getattr(self, f).shape} != {shape}")
-        if self.battery_cost.shape != (V, V):
-            problems.append(f"battery_cost shape {self.battery_cost.shape} != {(V, V)}")
-        if self.charge_reward.shape != (R, T):
-            problems.append(f"charge_reward shape {self.charge_reward.shape} != {(R, T)}")
         if problems:
             raise ConfigError("; ".join(problems))
 
+        if self.epoch_minutes <= 0 or (self.demand_scale is not None and self.demand_scale <= 0):
+            problems.append("epoch_minutes and demand_scale must be positive")
         if len(set(self.charge_rates)) != R or any(r < 1 for r in self.charge_rates):
             problems.append("charge_rates must be distinct positive integers")
         if V >= 2:
@@ -178,7 +168,7 @@ class NetworkConfig:
             problems.append("patience windows must be nonnegative")
         if self.charging_curve is not None:
             bounds = [p for p, _ in self.charging_curve]
-            if bounds != sorted(bounds) or bounds[-1] != 100.0 or any(s <= 0 for _, s in self.charging_curve):
+            if bounds != sorted(bounds) or bounds[-1:] != [100.0] or any(s <= 0 for _, s in self.charging_curve):
                 problems.append("charging_curve bands must increase to 100% with positive seconds")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -202,33 +192,12 @@ class NetworkConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "name": self.name,
-            "dims": {
-                "num_regions": self.num_regions,
-                "fleet_size": self.fleet_size,
-                "battery_capacity": self.battery_capacity,
-                "horizon_steps": self.horizon_steps,
-                "num_rates": self.num_rates,
-            },
-            "epoch_minutes": self.epoch_minutes,
-            "charge_rates": list(self.charge_rates),
-            "charge_period": self.charge_period,
-            "pickup_patience": self.pickup_patience,
-            "connection_patience": self.connection_patience,
-            "charger_counts": self.charger_counts.tolist(),
-            "trip_duration": self.trip_duration.tolist(),
-            "battery_cost": self.battery_cost.tolist(),
-            "arrival_rate": self.arrival_rate.tolist(),
-            "trip_reward": self.trip_reward.tolist(),
-            "reposition_reward": self.reposition_reward.tolist(),
-            "charge_reward": self.charge_reward.tolist(),
-            "charging_curve": (
-                None if self.charging_curve is None else [list(band) for band in self.charging_curve]
-            ),
-            "demand_scale": self.demand_scale,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for f, _ in _AXES:
+            doc[f] = doc[f].tolist()
+        doc["dims"] = {**{k: doc.pop(k) for k in _DIMS}, "num_rates": self.num_rates}
+        doc["schema"] = SCHEMA
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
@@ -239,32 +208,16 @@ class NetworkConfig:
             raise ConfigError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
         try:
             dims = doc["dims"]
-            curve = doc.get("charging_curve")
-            return cls(
-                num_regions=dims["num_regions"],
-                fleet_size=dims["fleet_size"],
-                battery_capacity=dims["battery_capacity"],
-                horizon_steps=dims["horizon_steps"],
-                epoch_minutes=doc["epoch_minutes"],
-                charge_rates=tuple(doc["charge_rates"]),
-                charge_period=doc["charge_period"],
-                charger_counts=np.array(doc["charger_counts"]),
-                pickup_patience=doc["pickup_patience"],
-                connection_patience=doc["connection_patience"],
-                trip_duration=np.array(doc["trip_duration"]),
-                battery_cost=np.array(doc["battery_cost"]),
-                arrival_rate=np.array(doc["arrival_rate"]),
-                trip_reward=np.array(doc["trip_reward"]),
-                reposition_reward=np.array(doc["reposition_reward"]),
-                charge_reward=np.array(doc["charge_reward"]),
-                charging_curve=None if curve is None else tuple(tuple(b) for b in curve),
-                demand_scale=doc.get("demand_scale"),
-                name=doc.get("name", "unnamed"),
-            )
+            if not isinstance(dims, dict):
+                raise ConfigError(f"config field 'dims' must be an object, got {dims!r:.40}")
+            given = {}
+            for f in fields(cls):
+                src = dims if f.name in _DIMS else doc
+                if f.name in src or f.default is MISSING:
+                    given[f.name] = src[f.name]
         except KeyError as exc:
             raise ConfigError(f"config is missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config has a badly typed field: {exc}") from None
+        return cls(**given)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
@@ -293,6 +246,63 @@ class NetworkConfig:
     def digest(self) -> str:
         """Stable content hash used for report provenance."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+
+
+def _coerce(name: str, kind, value):
+    """`value` checked against the declared kind of field `name`: a table's
+    dtype, or an annotation built from int, float, numbers.Real, str, tuple
+    and Optional. An int or float field stores its value as that type, a
+    numbers.Real field a finite number as given, a table a read-only array;
+    a mismatch raises ConfigError."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if kind is int:
+        if number and isinstance(value, (int, np.integer)):
+            return int(value)
+    elif kind is float or kind is numbers.Real:
+        if number and abs(value) <= sys.float_info.max:
+            return value if kind is numbers.Real and isinstance(value, (int, float)) else float(value)
+    elif kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(kind, np.dtype):
+        return _coerce_table(name, kind, value)
+    elif typing.get_origin(kind) is typing.Union:       # Optional[X]
+        return None if value is None else _coerce(name, typing.get_args(kind)[0], value)
+    elif isinstance(value, (list, tuple)):              # tuple[X, ...] or tuple[X, Y]
+        items = typing.get_args(kind)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(items) == len(value):
+            return tuple(_coerce(name, k, v) for k, v in zip(items, value))
+    what = {int: "an integer", float: "a finite number", numbers.Real: "a finite number",
+            str: "a string"}.get(kind, f"of type {kind}")
+    raise ConfigError(f"config field {name!r} must be {what}, got {value!r:.40}")
+
+
+def _coerce_table(name: str, dtype: np.dtype, value) -> np.ndarray:
+    """`value` as a read-only array of `dtype`: integer tables must arrive
+    with an integer dtype, real tables must be finite."""
+    integral = dtype.kind in "iu"
+    try:
+        arr = np.asarray(value)
+    except ValueError:                                  # ragged nesting
+        arr = np.asarray(None)
+    ok = arr.dtype.kind in ("iu" if integral else "iuf")
+    if ok:
+        arr = np.ascontiguousarray(arr, dtype=dtype)
+        ok = integral or bool(np.isfinite(arr).all())
+    if not ok:
+        raise ConfigError(f"config field {name!r} must be a table of "
+                          f"{'integers' if integral else 'finite numbers'}")
+    arr.flags.writeable = False
+    return arr
+
+
+_HINTS = typing.get_type_hints(NetworkConfig)
+#: (field, declared kind) in field order; a table's kind is its dtype.
+_KINDS = tuple((f.name, f.metadata.get("dtype", _HINTS[f.name])) for f in fields(NetworkConfig))
+#: (table field, axes letters).
+_AXES = tuple((f.name, f.metadata["axes"]) for f in fields(NetworkConfig) if f.metadata)
 
 
 # -- charging-curve arithmetic ---------------------------------------------

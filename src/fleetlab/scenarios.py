@@ -20,92 +20,41 @@ import numpy as np
 from .config import NetworkConfig
 from .errors import InvalidArgument
 
-TEMPLATES = ("uniform", "two-region-commute", "hub-spoke-imbalanced")
+#: Template name: (regions, steps, fleet, connection patience, fare,
+#: chargers per region, demand windows as (origin, dest, first step, end
+#: step, arrivals per step before the seed's jitter)); every other value is
+#: common to the three and set in synth_scenario.
+_TEMPLATES = {
+    "uniform": (3, 12, 6, 1, 8.0, (2, 2, 2),
+                [(u, v, 0, 12, 1.0) for u in range(3) for v in range(3) if u != v]),
+    "two-region-commute": (2, 16, 16, 2, 10.0, (6, 0),   # chargers at home only
+                           [(0, 1, 2, 6, 8.0),           # morning rush: home -> work
+                            (1, 0, 10, 14, 4.0)]),       # evening rush: work -> home
+    "hub-spoke-imbalanced": (3, 16, 9, 1, 9.0, (3, 0, 0),  # region 0 is the hub
+                             [(1, 0, 2, 6, 3.0), (2, 0, 2, 6, 1.0),
+                              (0, 1, 10, 14, 2.0), (0, 2, 10, 14, 2.0)]),
+}
+TEMPLATES = tuple(_TEMPLATES)
 
 
 def synth_scenario(template: str, seed: int = 0) -> NetworkConfig:
-    if template == "uniform":
-        return _uniform(seed)
-    if template == "two-region-commute":
-        return _two_region_commute(seed)
-    if template == "hub-spoke-imbalanced":
-        return _hub_spoke(seed)
-    raise InvalidArgument(f"unknown scenario template {template!r}; "
-                          f"choose one of {TEMPLATES}")
-
-
-def _jitter(seed: int) -> float:
-    return float(np.random.default_rng([seed, 97]).uniform(0.9, 1.1))
-
-
-def _base_arrays(V: int, T: int, tau: int, cost: int, fare: float,
-                 reposition_cost: float):
-    duration = np.full((V, V, T), tau, dtype=np.int64)
-    battery_cost = np.full((V, V), cost, dtype=np.int64)
-    np.fill_diagonal(battery_cost, 0)
+    try:
+        V, T, fleet, patience, fare, chargers, windows = _TEMPLATES[template]
+    except KeyError:
+        raise InvalidArgument(f"unknown scenario template {template!r}; "
+                              f"choose one of {TEMPLATES}") from None
+    scale = float(np.random.default_rng([seed, 97]).uniform(0.9, 1.1))
     arrival = np.zeros((V, V, T))
-    trip_reward = np.full((V, V, T), fare)
-    reposition = np.full((V, V, T), -reposition_cost)
-    for v in range(V):
-        reposition[v, v, :] = 0.0
-    return duration, battery_cost, arrival, trip_reward, reposition
-
-
-def _uniform(seed: int) -> NetworkConfig:
-    V, T = 3, 12
-    duration, cost, arrival, fare, repo = _base_arrays(V, T, tau=2, cost=1,
-                                                       fare=8.0, reposition_cost=2.0)
-    scale = _jitter(seed)
-    for u in range(V):
-        for v in range(V):
-            if u != v:
-                arrival[u, v, :] = 1.0 * scale
-    chargers = np.full((V, 1), 2, dtype=np.int64)
+    for u, v, first, end, rate in windows:
+        arrival[u, v, first:end] = rate * scale
+    off = ~np.eye(V, dtype=bool)
     return NetworkConfig(
-        num_regions=V, fleet_size=6, battery_capacity=6, horizon_steps=T,
+        num_regions=V, fleet_size=fleet, battery_capacity=6, horizon_steps=T,
         epoch_minutes=5, charge_rates=(2,), charge_period=3,
-        charger_counts=chargers, pickup_patience=1, connection_patience=1,
-        trip_duration=duration, battery_cost=cost, arrival_rate=arrival,
-        trip_reward=fare, reposition_reward=repo,
-        charge_reward=np.full((1, T), -1.0), charging_curve=None,
-        demand_scale=1.0, name=f"uniform-{seed}")
-
-
-def _two_region_commute(seed: int) -> NetworkConfig:
-    V, T = 2, 16
-    duration, cost, arrival, fare, repo = _base_arrays(V, T, tau=2, cost=1,
-                                                       fare=10.0, reposition_cost=2.0)
-    scale = _jitter(seed)
-    arrival[0, 1, 2:6] = 8.0 * scale        # morning rush: home -> work
-    arrival[1, 0, 10:14] = 4.0 * scale      # evening rush: work -> home
-    chargers = np.zeros((V, 1), dtype=np.int64)
-    chargers[0, 0] = 6                      # chargers on the home side only
-    return NetworkConfig(
-        num_regions=V, fleet_size=16, battery_capacity=6, horizon_steps=T,
-        epoch_minutes=5, charge_rates=(2,), charge_period=3,
-        charger_counts=chargers, pickup_patience=1, connection_patience=2,
-        trip_duration=duration, battery_cost=cost, arrival_rate=arrival,
-        trip_reward=fare, reposition_reward=repo,
-        charge_reward=np.full((1, T), -1.0), charging_curve=None,
-        demand_scale=1.0, name=f"two-region-commute-{seed}")
-
-
-def _hub_spoke(seed: int) -> NetworkConfig:
-    V, T = 3, 16                            # region 0 is the hub
-    duration, cost, arrival, fare, repo = _base_arrays(V, T, tau=2, cost=1,
-                                                       fare=9.0, reposition_cost=2.0)
-    scale = _jitter(seed)
-    arrival[1, 0, 2:6] = 3.0 * scale        # heavy spoke -> hub in the morning
-    arrival[2, 0, 2:6] = 1.0 * scale
-    arrival[0, 1, 10:14] = 2.0 * scale      # hub -> spokes in the evening
-    arrival[0, 2, 10:14] = 2.0 * scale
-    chargers = np.zeros((V, 1), dtype=np.int64)
-    chargers[0, 0] = 3
-    return NetworkConfig(
-        num_regions=V, fleet_size=9, battery_capacity=6, horizon_steps=T,
-        epoch_minutes=5, charge_rates=(2,), charge_period=3,
-        charger_counts=chargers, pickup_patience=1, connection_patience=1,
-        trip_duration=duration, battery_cost=cost, arrival_rate=arrival,
-        trip_reward=fare, reposition_reward=repo,
-        charge_reward=np.full((1, T), -1.0), charging_curve=None,
-        demand_scale=1.0, name=f"hub-spoke-imbalanced-{seed}")
+        charger_counts=np.array(chargers)[:, None], pickup_patience=1,
+        connection_patience=patience, trip_duration=np.full((V, V, T), 2),
+        battery_cost=off.astype(np.int64), arrival_rate=arrival,
+        trip_reward=np.full((V, V, T), fare),
+        reposition_reward=np.where(off[:, :, None], -2.0, np.zeros(T)),
+        charge_reward=np.full((1, T), -1.0), demand_scale=1.0,
+        name=f"{template}-{seed}")

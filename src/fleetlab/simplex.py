@@ -90,11 +90,9 @@ class LpSolution:
     objective: float
     duals: np.ndarray
     iterations: int                   # phase-1 plus phase-2 pivots
-    basis: np.ndarray
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     bland_activations: int = 0        # switches from steepest edge to Bland's rule
-    refactors: int = 0                # basis inverses computed afresh
     exact_retry: bool = False         # the unperturbed retry produced this solution
 
 
@@ -166,7 +164,6 @@ class _Revised:
         self.x = rhs.copy()
         self.gamma = 1.0 + np.bincount(cols.cols, weights=cols.vals ** 2, minlength=cols.n)
         self.since_refactor = 0
-        self.refactors = 0
         self.bland_activations = 0
 
     def set_cost(self, cost: np.ndarray) -> None:
@@ -238,7 +235,6 @@ class _Revised:
         self.x = self.Binv @ self.rhs
         self.price()
         self.since_refactor = 0
-        self.refactors += 1
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Drop rows whose artificial stays basic with a zero pivot row: with
@@ -403,10 +399,10 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
 
     # map the duals back to the user's rows and objective sense
     duals = sign * flip * y
-    return LpSolution(x, obj, duals, it1 + it2, basis.copy(),
+    return LpSolution(x, obj, duals, it1 + it2,
                       phase1_pivots=it1, phase2_pivots=it2,
                       bland_activations=st.bland_activations,
-                      refactors=st.refactors, exact_retry=not perturb)
+                      exact_retry=not perturb)
 
 
 def _certify(problem: LpProblem, flip, b_flip, senses, x_std, y, rc_std, n) -> None:

@@ -16,7 +16,7 @@ from conftest import tiny_config
 from fleetlab import fluid, nn, ppo, sim
 from fleetlab.baselines import RandomFeasiblePolicy
 from fleetlab.calibrate import estimate_reference_fleet, read_trip_records
-from fleetlab.cli import main, parse_policy
+from fleetlab.cli import evaluate, main, parse_policy
 from fleetlab.config import NetworkConfig
 from fleetlab.scenarios import synth_scenario
 from fleetlab.simplex import export_mps
@@ -167,6 +167,23 @@ def test_evaluate_report_independent_of_jobs(tiny_json, checkpoints, tmp_path, p
     assert outputs[0] == outputs[1]
 
 
+class _CountedPickles(RandomFeasiblePolicy):
+    """A random policy that counts how often it is pickled."""
+    pickles = 0
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return type(self), ()
+
+
+def test_evaluate_sends_the_policy_once_per_worker():
+    config = synth_scenario("uniform", 0)
+    _CountedPickles.pickles = 0
+    report = evaluate(config, "random", _CountedPickles(), 6, 1, seed=0, jobs=2)
+    assert _CountedPickles.pickles == 2
+    assert report == evaluate(config, "random", RandomFeasiblePolicy(), 6, 1, seed=0)
+
+
 def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
     r = run_cli("evaluate", "--config", tiny_json, "--policy", "ppo",
                 "--checkpoint", str(tmp_path / "nope.bin"),
@@ -182,6 +199,11 @@ def _malformed_configs() -> dict[str, bytes]:
         edit(doc)
         return json.dumps(doc).encode()
 
+    def entry(key, value):
+        def edit(doc):
+            doc[key][0][1][0] = value
+        return edit
+
     return {
         "schema": b'{"not": "a config"}',
         "not-json": b"not json",
@@ -190,6 +212,18 @@ def _malformed_configs() -> dict[str, bytes]:
         "missing-fleet-size": variant(lambda d: d["dims"].pop("fleet_size")),
         "typed-duration": variant(lambda d: d.update(trip_duration="abc")),
         "typed-regions": variant(lambda d: d["dims"].update(num_regions="two")),
+        "fractional-fleet": variant(lambda d: d["dims"].update(fleet_size=2.5)),
+        "float-charge-period": variant(lambda d: d.update(charge_period=3.0)),
+        "fractional-connection-patience": variant(lambda d: d.update(connection_patience=1.5)),
+        "empty-charging-curve": variant(lambda d: d.update(charging_curve=[])),
+        "nan-arrival-rate": variant(entry("arrival_rate", float("nan"))),
+        "infinite-trip-reward": variant(entry("trip_reward", float("inf"))),
+        "fractional-charge-rate": variant(lambda d: d.update(charge_rates=[2.5])),
+        "fractional-trip-duration": variant(entry("trip_duration", 2.7)),
+        "string-epoch-minutes": variant(lambda d: d.update(epoch_minutes="5")),
+        "string-demand-scale": variant(lambda d: d.update(demand_scale="x")),
+        "bool-pickup-patience": variant(lambda d: d.update(pickup_patience=True)),
+        "numeric-name": variant(lambda d: d.update(name=5)),
     }
 
 
@@ -199,7 +233,8 @@ def test_bad_config_exit_2(tmp_path):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_bytes(content)
     for name, bad in paths.items():
-        r = run_cli("bound", "--config", str(bad))
+        r = run_cli("evaluate", "--config", str(bad), "--policy", "random",
+                    "--trajectories", "1", "--days", "1", "--jobs", "1")
         assert r.returncode == 2, (name, r.stderr)
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (name, r.stderr)
 
@@ -437,6 +472,8 @@ CALIBRATE = ["calibrate", "--records", "{trips}/r.csv", "--regions", "{trips}/ma
                  id="seed=-1-train"),
     pytest.param(["FLEETLAB_SEED=-1", "evaluate", "--config", "{cfg}", "--policy", "random"],
                  id="FLEETLAB_SEED=-1-evaluate"),
+    pytest.param(SWEEP[:3] + SWEEP[5:], id="sweep-chargers-without-allocation"),
+    pytest.param(["sweep-hardware"] + SWEEP[1:3] + SWEEP[5:], id="sweep-hardware-without-pair"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_bad_count_inputs_exit_2(tiny_json, trips, tmp_path, argv):
     """Leading NAME=value words set environment variables, as in a shell."""

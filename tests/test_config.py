@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from fleetlab.config import (DEFAULT_CHARGING_CURVE, NetworkConfig,
                              curve_percent_after, curve_seconds)
 from fleetlab.errors import ConfigError
+from fleetlab.scenarios import synth_scenario
 
 from conftest import tiny_config
 from oracles import curve_band_seconds
@@ -18,6 +21,39 @@ def test_round_trip_json_is_bit_exact(tmp_path, tiny):
     assert (back.trip_duration == tiny.trip_duration).all()
     assert (back.trip_reward == tiny.trip_reward).all()
     assert back.digest() == tiny.digest()
+
+
+# SHA-256 of synth_scenario(template, seed).to_json(), recorded when each
+# template was still written out as its own constructor call
+GOLDEN_TEMPLATE_JSON = {
+    ("uniform", 0): "d8494b4091ccdae12c3a340bc8bff4fddaf513699775ef8229b034b892298d82",
+    ("uniform", 1): "67946c38cdfbd3ae5f1c3427da59ab7a03deab7714686c89314ff83c64cbe389",
+    ("uniform", 7): "e0b837bbe720427bc96b88a77cddc7731ef2a9ec5355cd53fdde54e52f7de177",
+    ("two-region-commute", 0): "5c1b6ea9de10519ac283164b5b5b7a96d55bf0b35fc0ae7a3524c60d4af85c18",
+    ("two-region-commute", 1): "280d364bc18c803e395deae1a05d704bb735992d15a1d0ad0218a65cfd969568",
+    ("two-region-commute", 7): "4e915c626e9a6a79497bfc3c7e2c1481a0f2293a5246fbfcab3338ad2335e97c",
+    ("hub-spoke-imbalanced", 0): "0773d21bf5df1d3d086949fbd91030cb99a0a79f7627ed0714733ce75e2dd77d",
+    ("hub-spoke-imbalanced", 1): "8984d67506d3a3090618055f9befdca0fcb0fa104077ff3fa82f1b10786204c3",
+    ("hub-spoke-imbalanced", 7): "3f41d2688550ae44c1d11190af82347427ca0d4bbf4a04f9c6332f9997379da4",
+}
+
+
+def test_templates_match_recorded_digests():
+    for (template, seed), digest in GOLDEN_TEMPLATE_JSON.items():
+        text = synth_scenario(template, seed).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (template, seed)
+
+
+def test_fields_are_stored_as_declared(tiny):
+    """numpy integers become int, a curve's bands float, and epoch_minutes
+    keeps the type it was given."""
+    other = tiny.with_updates(fleet_size=np.int64(tiny.fleet_size), charge_rates=(np.int32(1),))
+    assert type(other.fleet_size) is int and type(other.charge_rates[0]) is int
+    assert other.to_json() == tiny.to_json()
+    curved = tiny.with_updates(charging_curve=((50, 3), (100, 3)))
+    assert all(type(x) is float for band in curved.charging_curve for x in band)
+    assert type(tiny.epoch_minutes) is int and '"epoch_minutes": 5,' in tiny.to_json()
+    assert type(tiny.with_updates(epoch_minutes=5.0).epoch_minutes) is float
 
 
 def test_digest_changes_with_content(tiny):
