@@ -166,6 +166,8 @@ class NetworkConfig:
             problems.append("trip_duration must be at least 1 step")
         if self.pickup_patience < 0 or self.connection_patience < 0:
             problems.append("patience windows must be nonnegative")
+        if self.trip_cap > np.iinfo(np.int64).max:
+            problems.append("fleet_size * (connection_patience + 1) must fit an int64 count")
         if self.charging_curve is not None:
             bounds = [p for p, _ in self.charging_curve]
             if bounds != sorted(bounds) or bounds[-1:] != [100.0] or any(s <= 0 for _, s in self.charging_curve):
@@ -201,7 +203,8 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
-        """Config from its dict form; a missing or badly typed field raises
+        """Config from its dict form; a missing or badly typed field, or a
+        `dims.num_rates` other than the number of charge rates, raises
         ConfigError."""
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != SCHEMA:
@@ -217,7 +220,11 @@ class NetworkConfig:
                     given[f.name] = src[f.name]
         except KeyError as exc:
             raise ConfigError(f"config is missing field {exc.args[0]!r}") from None
-        return cls(**given)
+        config = cls(**given)
+        if "num_rates" in dims and _coerce("num_rates", int, dims["num_rates"]) != config.num_rates:
+            raise ConfigError(f"config dims.num_rates {dims['num_rates']} does not match "
+                              f"the {config.num_rates} charge_rates")
+        return config
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)

@@ -40,8 +40,8 @@ def initial_state(config: NetworkConfig) -> SystemState:
     V, B = config.num_regions, config.battery_capacity
     vehicles = np.zeros((V, config.eta_cap + 1, B + 1), dtype=np.int64)
     b0 = B // 2
-    for n in range(config.fleet_size):
-        vehicles[n % V, 0, b0] += 1
+    vehicles[:, 0, b0] = config.fleet_size // V
+    vehicles[:config.fleet_size % V, 0, b0] += 1
     trips = np.zeros((V, V, config.connection_patience + 1), dtype=np.int64)
     chargers = np.zeros((V, config.num_rates, config.charge_period), dtype=np.int64)
     chargers[:, :, 0] = config.charger_counts

@@ -5,18 +5,22 @@ x >= 0. Internally the solver works on the standard equality form with slack
 and surplus columns, pulled once from the dense A into compressed sparse
 columns, and runs phase 1 from an all-artificial basis. Nothing the size of
 the tableau is stored: the solver keeps an explicit inverse of the m x m
-basis, updated by one rank-1 (product-form) step per pivot and computed
-afresh from the basis columns every `_REFACTOR_EVERY` pivots. Each pivot
-forms only what it needs: the entering column B^-1 a_q, the pivot row
-(row r of B^-1 times A, over the sparse columns), and the updates of the
-reduced costs and of the steepest-edge weights 1 + |B^-1 a_j|^2, which
-follow the Goldfarb-Reid recurrence instead of being recomputed. A
-deterministic jitter of the basic values keeps degenerate pivots making
-progress; after a stall pricing falls back to Bland's least-index rule so
-cycling cannot occur, and a run whose jittered basis does not restore
-cleanly is redone without jitter. The solution and duals are recovered
-from the final basis (B x_B = b, B'y = c_B) and optimality is certified by
-complementary-slackness residuals.
+basis, computed afresh from the basis columns every `_REFACTOR_EVERY`
+pivots. Each pivot's rank-1 (product-form) update is held back as a pair of
+vectors, and every `_BLOCK` pivots the pending pairs are folded into the
+inverse as one matrix product (Sherman-Morrison-Woodbury; Hager, "Updating
+the inverse of a matrix", SIAM Review 31, 1989); until then each read of
+the inverse subtracts their correction. Each pivot forms only what it
+needs: the entering column B^-1 a_q, the pivot row (row r of B^-1 times A,
+over the sparse columns), and the updates of the reduced costs and of the
+steepest-edge weights 1 + |B^-1 a_j|^2, which follow the Goldfarb-Reid
+recurrence instead of being recomputed. A deterministic jitter of the basic
+values keeps degenerate pivots making progress; after a stall pricing falls
+back to Bland's least-index rule so cycling cannot occur, and a run whose
+jittered basis does not restore cleanly is redone without jitter. The
+solution and duals are recovered from the final basis (B x_B = b,
+B'y = c_B) and optimality is certified by complementary-slackness
+residuals.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ _TOL = 1e-9
 _FEAS_TOL = 1e-7
 _STALL_LIMIT = 200
 _REFACTOR_EVERY = 200        # pivots between fresh inverses of the basis
-_SLAB = 32                   # rows per in-place block of the inverse update
+# pending rank-1 updates of the inverse per flush. On bound's three LPs
+# (seed 1, one BLAS thread) blocks of 8, 16, 32, 64 and 128 took 641, 645,
+# 604, 594 and 643 us per pivot call, against 1030 us when every pivot
+# rewrote the inverse in place.
+_BLOCK = 32
 
 
 @dataclass
@@ -92,6 +100,7 @@ class LpSolution:
     iterations: int                   # phase-1 plus phase-2 pivots
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    drive_out_pivots: int = 0         # artificials pivoted out after phase 1, not in `iterations`
     bland_activations: int = 0        # switches from steepest edge to Bland's rule
     exact_retry: bool = False         # the unperturbed retry produced this solution
 
@@ -151,15 +160,22 @@ class _Columns:
 
 class _Revised:
     """Revised simplex state over the columns of `cols` plus one artificial
-    unit column per row (index n + i): the basis, its explicit inverse, the
-    basic values, the reduced costs and the steepest-edge weights
-    1 + |B^-1 a_j|^2 of the structural and slack columns."""
+    unit column per row (index n + i): the basis, its inverse, the basic
+    values, the reduced costs and the steepest-edge weights 1 + |B^-1 a_j|^2
+    of the structural and slack columns.
+
+    The inverse is kept as a stale explicit inverse and up to `_BLOCK`
+    pending rank-1 updates: B^-1 = Binv0 - U[:, :k] @ V[:k]. Reads apply the
+    correction; `flush` folds the pending pairs into Binv0 as one matrix
+    product. Nothing outside this class reads Binv0."""
 
     def __init__(self, cols: _Columns, rhs: np.ndarray):
         m = cols.m
         self.cols = cols
         self.basis = cols.n + np.arange(m)           # all-artificial start, B = I
-        self.Binv = np.eye(m)
+        self.Binv0 = np.eye(m)
+        self.U, self.V = np.empty((m, _BLOCK)), np.empty((_BLOCK, m))
+        self.k = 0                                   # pending update pairs
         self.rhs = rhs.copy()                        # x_B = B^-1 rhs at a refactor
         self.x = rhs.copy()
         self.gamma = 1.0 + np.bincount(cols.cols, weights=cols.vals ** 2, minlength=cols.n)
@@ -173,24 +189,56 @@ class _Revised:
         self.price()
         self.negobj = -float(cost[self.basis] @ self.x)
 
+    def set_rhs(self, rhs: np.ndarray) -> None:
+        """Basic values x_B = B^-1 rhs for a new right-hand side."""
+        self.flush()
+        self.rhs = rhs.copy()
+        self.x = self.Binv0 @ rhs
+
     def price(self) -> None:
-        y = self.Binv.T @ self.cost[self.basis]
+        self.flush()
+        y = self.Binv0.T @ self.cost[self.basis]
         self.d = self.cost[:self.cols.n] - self.cols.tdot(y)
         self.d[self.basis[self.basis < self.cols.n]] = 0.0
+
+    def row(self, r: int) -> np.ndarray:
+        """Row r of B^-1."""
+        k = self.k
+        return self.Binv0[r] - self.U[r, :k] @ self.V[:k]
 
     def ftran(self, q: int) -> np.ndarray:
         """alpha_q = B^-1 a_q."""
         rows, vals = self.cols.col(q)
-        return self.Binv[:, rows] @ vals
+        k = self.k
+        return self.Binv0[:, rows] @ vals - self.U[:, :k] @ (self.V[:k, rows] @ vals)
 
-    def pivot(self, r: int, q: int, alpha: np.ndarray) -> None:
-        """Column q enters the basis in position r; alpha = B^-1 a_q."""
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        """v' B^-1."""
+        k = self.k
+        return v @ self.Binv0 - (v @ self.U[:, :k]) @ self.V[:k]
+
+    def flush(self) -> None:
+        """Fold the pending update pairs into the explicit inverse: one
+        BLAS-3 product in place of k rank-1 passes over it."""
+        k = self.k
+        if k:
+            self.Binv0 -= self.U[:, :k] @ self.V[:k]
+            self.k = 0
+
+    def pivot(self, r: int, q: int, alpha: np.ndarray,
+              brow: np.ndarray | None = None, prow: np.ndarray | None = None) -> None:
+        """Column q enters the basis in position r; alpha = B^-1 a_q. A caller
+        that already holds row r of B^-1 (`brow`) and of B^-1 A (`prow`)
+        passes them in."""
         n = self.cols.n
         piv = alpha[r]
-        ratio = self.cols.tdot(self.Binv[r]) / piv           # pivot row / pivot
+        if brow is None:
+            brow = self.row(r)
+            prow = self.cols.tdot(brow)
+        ratio = prow / piv                                  # pivot row / pivot
         # Goldfarb-Reid update of the weights, from the old inverse
         gq = 1.0 + float(alpha @ alpha)
-        tau = self.cols.tdot(alpha @ self.Binv)             # a_j' B^-T alpha_q
+        tau = self.cols.tdot(self.btran(alpha))             # a_j' B^-T alpha_q
         g = self.gamma
         g -= ratio * (2.0 * tau - gq * ratio)
         np.maximum(g, 1.0 + ratio * ratio, out=g)
@@ -203,22 +251,15 @@ class _Revised:
         self.x -= theta * alpha
         self.x[r] = theta
         self.negobj -= dq * theta
-        # product-form update of the explicit inverse, B^-1 <- E B^-1: only
-        # rows where alpha is nonzero change, and when row r has nonzeros in
-        # under a third of its columns, only those columns
-        row = self.Binv[r] / piv
-        nz, jz = np.flatnonzero(alpha), np.flatnonzero(row)
-        if 3 * jz.size < row.size:
-            self.Binv[np.ix_(nz, jz)] -= np.outer(alpha[nz], row[jz])
-        else:
-            # dense row: stream through slabs of rows in place, skipping
-            # slabs where alpha is zero; fancy-indexed copies cost 3x more
-            buf = np.empty((_SLAB, row.size))
-            for s in np.unique(nz // _SLAB) * _SLAB:
-                e = min(s + _SLAB, row.size)
-                np.multiply(alpha[s:e, None], row, out=buf[:e - s])
-                self.Binv[s:e] -= buf[:e - s]
-        self.Binv[r] = row
+        # product-form update B^-1 <- B^-1 - (alpha - e_r)(row r of B^-1)/piv,
+        # held back as a pending pair until `_BLOCK` of them are flushed
+        k = self.k
+        self.U[:, k] = alpha
+        self.U[r, k] -= 1.0
+        np.divide(brow, piv, out=self.V[k])
+        self.k = k + 1
+        if self.k == _BLOCK:
+            self.flush()
         self.basis[r] = q
         self.d[self.basis[self.basis < n]] = 0.0
         self.since_refactor += 1
@@ -229,10 +270,11 @@ class _Revised:
         """Fresh inverse of the basis columns; basic values and reduced costs
         recomputed from it."""
         try:
-            self.Binv = np.linalg.inv(self.cols.dense(self.basis))
+            self.Binv0 = np.linalg.inv(self.cols.dense(self.basis))
         except np.linalg.LinAlgError as exc:
             raise ContractViolation("simplex basis became singular") from exc
-        self.x = self.Binv @ self.rhs
+        self.k = 0
+        self.x = self.Binv0 @ self.rhs
         self.price()
         self.since_refactor = 0
 
@@ -240,7 +282,10 @@ class _Revised:
         """Drop rows whose artificial stays basic with a zero pivot row: with
         those rows and their artificials gone, the inverse of the remaining
         basis is the kept block of B^-1, and no weight changes."""
-        self.Binv = self.Binv[np.ix_(keep, keep)]
+        self.flush()
+        self.Binv0 = self.Binv0[np.ix_(keep, keep)]
+        m = self.Binv0.shape[0]
+        self.U, self.V = np.empty((m, _BLOCK)), np.empty((_BLOCK, m))
         self.x, self.rhs, self.basis = self.x[keep], self.rhs[keep], self.basis[keep]
         self.cols = self.cols.keep_rows(keep)
 
@@ -346,8 +391,7 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
     # mass against the unperturbed right-hand side
     if perturb:
         # restore the true right-hand side through the basis inverse
-        st.rhs = b.copy()
-        st.x = st.Binv @ b
+        st.set_rhs(b)
         art = st.basis >= n_std
         art_mass = float(np.abs(st.x[art]).sum()) if art.any() else 0.0
         if art_mass > _FEAS_TOL * bscale:
@@ -361,11 +405,16 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
 
     # drive any residual artificials out of the basis; drop redundant rows
     keep_rows = np.ones(m, dtype=bool)
+    drive_out = 0
     for i in range(m):
         if st.basis[i] >= n_std:
-            cand = np.nonzero(np.abs(cols.tdot(st.Binv[i])) > _TOL)[0]
+            brow = st.row(i)
+            prow = cols.tdot(brow)
+            cand = np.nonzero(np.abs(prow) > _TOL)[0]
             if cand.size:
-                st.pivot(i, int(cand[0]), st.ftran(int(cand[0])))
+                q = int(cand[0])
+                st.pivot(i, q, st.ftran(q), brow, prow)
+                drive_out += 1
             else:
                 keep_rows[i] = False
     if not keep_rows.all():
@@ -401,6 +450,7 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
     duals = sign * flip * y
     return LpSolution(x, obj, duals, it1 + it2,
                       phase1_pivots=it1, phase2_pivots=it2,
+                      drive_out_pivots=drive_out,
                       bland_activations=st.bland_activations,
                       exact_retry=not perturb)
 

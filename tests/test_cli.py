@@ -193,7 +193,9 @@ def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
 
 def _malformed_configs() -> dict[str, bytes]:
     """Config files that must exit 2 with one line: wrong schema, not JSON,
-    not text, not an object, a missing field and badly typed fields."""
+    not text, not an object, a missing field, badly typed fields, a
+    num_rates that disagrees with charge_rates and a fleet too large for the
+    int64 count tables."""
     def variant(edit):
         doc = tiny_config().to_dict()
         edit(doc)
@@ -224,6 +226,8 @@ def _malformed_configs() -> dict[str, bytes]:
         "string-demand-scale": variant(lambda d: d.update(demand_scale="x")),
         "bool-pickup-patience": variant(lambda d: d.update(pickup_patience=True)),
         "numeric-name": variant(lambda d: d.update(name=5)),
+        "wrong-num-rates": variant(lambda d: d["dims"].update(num_rates=7)),
+        "int64-overflowing-fleet": variant(lambda d: d["dims"].update(fleet_size=10**30)),
     }
 
 

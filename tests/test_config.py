@@ -120,7 +120,11 @@ def test_effective_demand_scale_defaults_to_peak_demand(tiny):
     lambda doc: doc.update(trip_duration="abc"),
     lambda doc: doc.update(dims=5),
     lambda doc: doc.update(charge_rates=None),
-], ids=["missing-dims-key", "missing-top-key", "typed-array", "typed-dims", "typed-rates"])
+    lambda doc: doc["dims"].update(num_rates=7),
+    lambda doc: doc["dims"].update(num_rates="one"),
+    lambda doc: doc["dims"].update(fleet_size=2 ** 63),
+], ids=["missing-dims-key", "missing-top-key", "typed-array", "typed-dims", "typed-rates",
+        "wrong-num-rates", "typed-num-rates", "int64-overflowing-fleet"])
 def test_malformed_dict_raises_config_error(tiny, mutate):
     doc = tiny.to_dict()
     mutate(doc)

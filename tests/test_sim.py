@@ -24,6 +24,17 @@ def test_initial_state_invariants(tiny):
     assert s.t == 0
 
 
+@pytest.mark.parametrize("V", [1, 3])
+def test_initial_state_spreads_the_fleet_round_robin(V):
+    """Vehicle n starts in region n mod V, half charged."""
+    for N in range(1, 8):
+        cfg = tiny_config(V=V, N=N)
+        want = np.zeros_like(initial_state(cfg).vehicles)
+        for n in range(N):
+            want[n % V, 0, cfg.battery_capacity // 2] += 1
+        assert (initial_state(cfg).vehicles == want).all(), (V, N)
+
+
 def test_fulfill_transition_hand_example(tiny):
     # a vehicle at region 0 with battery 2 serves a fresh trip 0 -> 1 (tau=2):
     # it must reappear with eta = tau - 1 = 1 at region 1, battery 1

@@ -99,6 +99,46 @@ def test_matches_rational_vertex_enumeration_on_100_random_lps():
     assert checked >= 50          # generator must exercise plenty of feasible LPs
 
 
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_small_update_blocks_match_rational_vertex_enumeration(monkeypatch, block):
+    """Flushing the pending inverse updates every 1, 2 or 5 pivots reaches
+    the oracle's optimum on the same 100 random LPs."""
+    monkeypatch.setattr(simplex, "_BLOCK", block)
+    test_matches_rational_vertex_enumeration_on_100_random_lps()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("pending", [1, 7, simplex._BLOCK - 1])
+def test_pending_updates_read_as_the_true_inverse(monkeypatch, pending):
+    """After fewer than _BLOCK pivots, with every update still pending, the
+    corrected rows, ftran and btran of the solver's inverse equal those of
+    np.linalg.inv of the current basis."""
+    p, _ = build_reduced_lp(synth_scenario("two-region-commute", 0))
+    original = simplex._Revised.pivot
+
+    def pivot(st, *args):
+        original(st, *args)
+        if st.since_refactor == pending:
+            raise _Stop(st)
+
+    monkeypatch.setattr(simplex._Revised, "pivot", pivot)
+    with pytest.raises(_Stop) as stop:
+        simplex._solve(p, perturb=True)
+    st = stop.value.args[0]
+    assert st.k == pending
+    Binv = np.linalg.inv(st.cols.dense(st.basis))
+    m = len(st.basis)
+    assert np.allclose(np.array([st.row(r) for r in range(m)]), Binv, rtol=0, atol=1e-9)
+    for q in range(0, st.cols.n, 37):
+        a_q = st.cols.dense(np.array([q]))[:, 0]
+        assert np.allclose(st.ftran(q), Binv @ a_q, rtol=0, atol=1e-9)
+    v = np.random.default_rng(3).normal(size=m)
+    assert np.allclose(st.btran(v), v @ Binv, rtol=0, atol=1e-9)
+
+
 def test_degenerate_rhs_terminates():
     # many zero right-hand sides: the anti-stall path must still finish
     rng = np.random.default_rng(11)
@@ -156,12 +196,13 @@ def test_fleet_lps_match_highs(template, formulation):
 def test_blands_rule_on_tiny_fleet_lp(monkeypatch):
     """With the stall limit at 0 Bland's rule takes over at the first pivot
     that does not improve the objective, and the solve ends at the same
-    optimum as the steepest-edge solve and HiGHS."""
+    optimum as the steepest-edge solve and HiGHS. The unperturbed run keeps
+    the fleet LP's degenerate pivots, so it stalls for certain."""
     p, _ = build_reduced_lp(tiny_config())
     before = solve(p)
     assert before.bland_activations == 0
     monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
-    s = solve(p)
+    s = simplex._solve(p, perturb=False)
     assert s.bland_activations >= 1
     reference = _highs_objective(p)
     assert s.objective == pytest.approx(before.objective, rel=1e-9)
@@ -177,6 +218,25 @@ def test_diagnostics_split_the_pivot_count():
     assert s.iterations > 0
     assert s.phase1_pivots + s.phase2_pivots == s.iterations
     assert s.bland_activations == 0 and not s.exact_retry
+    assert s.drive_out_pivots == 0               # phase 1 leaves no artificial basic
+
+
+def test_drive_out_pivots_are_counted_apart(monkeypatch):
+    """Pivots that push a zero artificial out of the basis after phase 1 show
+    in drive_out_pivots and not in iterations."""
+    p, _ = build_reduced_lp(tiny_config())
+    calls = 0
+    original = simplex._Revised.pivot
+
+    def pivot(st, *args):
+        nonlocal calls
+        calls += 1
+        original(st, *args)
+
+    monkeypatch.setattr(simplex._Revised, "pivot", pivot)
+    s = solve(p)
+    assert s.drive_out_pivots > 0
+    assert calls == s.iterations + s.drive_out_pivots
 
 
 def test_mps_export_round_trip_structure(tmp_path):
