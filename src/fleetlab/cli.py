@@ -522,6 +522,12 @@ def main(argv=None) -> int:
     except FleetlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        # a scenario can pass validation and still not fit in memory, such as
+        # a fleet of 10**15 vehicles expanded one per unit
+        print("error: out of memory: the scenario is too large for this machine",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -5,12 +5,14 @@ x >= 0. Internally the solver works on the standard equality form with slack
 and surplus columns, pulled once from the dense A into compressed sparse
 columns, and runs phase 1 from an all-artificial basis. Nothing the size of
 the tableau is stored: the solver keeps an explicit inverse of the m x m
-basis, computed afresh from the basis columns every `_REFACTOR_EVERY`
-pivots. Each pivot's rank-1 (product-form) update is held back as a pair of
-vectors, and every `_BLOCK` pivots the pending pairs are folded into the
-inverse as one matrix product (Sherman-Morrison-Woodbury; Hager, "Updating
-the inverse of a matrix", SIAM Review 31, 1989); until then each read of
-the inverse subtracts their correction. Each pivot forms only what it
+basis, rebuilt from the sparse basis columns every `_REFACTOR_EVERY`
+pivots. A rebuild peels off the basis's row and column singletons, which
+make most of it triangular, and inverts only the dense kernel left over
+(`_peeled_inverse`). Each pivot's rank-1 (product-form) update is held back
+as a pair of vectors, and every `_BLOCK` pivots the pending pairs are
+folded into the inverse as one matrix product (Sherman-Morrison-Woodbury;
+Hager, "Updating the inverse of a matrix", SIAM Review 31, 1989); until
+then each read of the inverse subtracts their correction. Each pivot forms only what it
 needs: the entering column B^-1 a_q, the pivot row (row r of B^-1 times A,
 over the sparse columns), and the updates of the reduced costs and of the
 steepest-edge weights 1 + |B^-1 a_j|^2, which follow the Goldfarb-Reid
@@ -138,17 +140,23 @@ class _Columns:
         """A'v over every column."""
         return np.bincount(self.cols, weights=self.vals * v[self.rows], minlength=self.n)
 
-    def dense(self, js: np.ndarray) -> np.ndarray:
-        """The columns `js` as a dense block; j >= n is the unit (artificial)
-        column of row j - n."""
-        out = np.zeros((self.m, len(js)))
+    def entries(self, js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the columns `js` as (row, position in js, value);
+        j >= n is the unit (artificial) column of row j - n."""
         real = np.nonzero(js < self.n)[0]
         start, stop = self.ptr[js[real]], self.ptr[js[real] + 1]
         lens = stop - start
         entry = np.repeat(start - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        out[self.rows[entry], np.repeat(real, lens)] = self.vals[entry]
         art = np.nonzero(js >= self.n)[0]
-        out[js[art] - self.n, art] = 1.0
+        return (np.concatenate([self.rows[entry], js[art] - self.n]),
+                np.concatenate([np.repeat(real, lens), art]),
+                np.concatenate([self.vals[entry], np.ones(art.size)]))
+
+    def dense(self, js: np.ndarray) -> np.ndarray:
+        """The columns `js` as a dense block."""
+        rows, pos, vals = self.entries(js)
+        out = np.zeros((self.m, len(js)))
+        out[rows, pos] = vals
         return out
 
     def keep_rows(self, keep: np.ndarray) -> _Columns:
@@ -156,6 +164,91 @@ class _Columns:
         sel = keep[self.rows]
         return _Columns(new_row[self.rows[sel]], self.cols[sel], self.vals[sel],
                         int(keep.sum()), self.n)
+
+
+_SINGULAR = "simplex basis became singular"
+
+
+def _peeled_inverse(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    out: np.ndarray) -> int:
+    """Write the inverse of the m x m matrix B with nonzeros `vals` at
+    (`rows`, `cols`) into `out` (m x m, rows of the result indexed by B's
+    columns); returns the size of the dense kernel.
+
+    Singletons are peeled first, in vectorised rounds (Suhl & Suhl,
+    "Computing sparse LU factorizations for large-scale linear programming
+    bases", ORSA J. Computing 2, 1990): every row with one nonzero among the
+    remaining columns goes to the front, and once there are none, every
+    column with one nonzero among the remaining rows goes to the back. Under
+    that permutation B is block lower-triangular: one diagonal block per
+    round and one dense block, the kernel, for what remains. B^-1 follows by
+    block forward substitution, dividing by the pivots for the rounds and
+    inverting only the kernel densely. No temporary is larger than one
+    block's rows times m."""
+    m = out.shape[0]
+    row_live, col_live = np.ones(m, dtype=bool), np.ones(m, dtype=bool)
+    live = np.arange(rows.size)                  # entries in unpeeled rows and columns
+    front, back = [], []
+    while True:
+        r, c = rows[live], cols[live]
+        rcount, ccount = np.bincount(r, minlength=m), np.bincount(c, minlength=m)
+        if (rcount[row_live] == 0).any() or (ccount[col_live] == 0).any():
+            raise ContractViolation(_SINGULAR)
+        single, levels, pivot_line = live[rcount[r] == 1], front, cols
+        if not single.size:
+            single, levels, pivot_line = live[ccount[c] == 1], back, rows
+            if not single.size:
+                break
+        if np.bincount(pivot_line[single], minlength=m).max() > 1:
+            raise ContractViolation(_SINGULAR)   # two singletons of a round share a line
+        levels.append((rows[single], cols[single], vals[single]))
+        row_live[rows[single]] = False
+        col_live[cols[single]] = False
+        live = live[row_live[rows[live]] & col_live[cols[live]]]
+    kernel = (np.nonzero(row_live)[0], np.nonzero(col_live)[0], None)
+    blocks = front + [kernel] + back[::-1]
+
+    # a block's rows meet only its own and earlier blocks' columns
+    rblock, cblock = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
+    for i, (br, bc, _) in enumerate(blocks):
+        rblock[br], cblock[bc] = i, i
+    eb = rblock[rows]
+    # the entries left of the diagonal blocks, grouped by block and then by
+    # their rank within their row, so that a group meets each row once
+    off = np.nonzero(cblock[cols] != eb)[0]
+    off = off[np.lexsort((rows[off], eb[off]))]
+    at = np.arange(off.size)
+    rank = at - np.maximum.accumulate(np.where(np.r_[True, np.diff(rows[off]) != 0], at, 0))
+    group = eb[off] * m + rank
+    order = np.argsort(group, kind="stable")
+    off, group = off[order], group[order]
+    starts = np.nonzero(np.diff(group, prepend=-1))[0]
+    ends = np.r_[starts[1:], off.size]
+    gblock = group[starts] // m
+    local = np.empty(m, dtype=np.intp)
+    for i, (br, bc, piv) in enumerate(blocks):
+        local[br] = np.arange(br.size)
+        rhs = np.zeros((br.size, m))
+        rhs[np.arange(br.size), br] = 1.0
+        for s, e in zip(starts[gblock == i], ends[gblock == i]):
+            g = off[s:e]
+            term = out[cols[g]]
+            term *= vals[g, None]
+            rhs[local[rows[g]]] -= term
+        if piv is not None:
+            rhs /= piv[:, None]
+            out[bc] = rhs
+        elif br.size:
+            own = np.nonzero((eb == i) & (cblock[cols] == i))[0]
+            dense = np.zeros((br.size, br.size))
+            clocal = np.empty(m, dtype=np.intp)
+            clocal[bc] = np.arange(bc.size)
+            dense[local[rows[own]], clocal[cols[own]]] = vals[own]
+            try:
+                out[bc] = np.linalg.inv(dense) @ rhs
+            except np.linalg.LinAlgError as exc:
+                raise ContractViolation(_SINGULAR) from exc
+    return kernel[0].size
 
 
 class _Revised:
@@ -269,10 +362,7 @@ class _Revised:
     def refactor(self) -> None:
         """Fresh inverse of the basis columns; basic values and reduced costs
         recomputed from it."""
-        try:
-            self.Binv0 = np.linalg.inv(self.cols.dense(self.basis))
-        except np.linalg.LinAlgError as exc:
-            raise ContractViolation("simplex basis became singular") from exc
+        _peeled_inverse(*self.cols.entries(self.basis), self.Binv0)
         self.k = 0
         self.x = self.Binv0 @ self.rhs
         self.price()

@@ -218,9 +218,9 @@ GOLDEN_TRAJECTORY_DIGESTS = {
     ("tiny", "power-of-2", 1):
         "fa4de5a29a8e7754a7fb4fb8f04c5cce606f2e687b8fe3c6f1c6579660bed75b",
     ("two-region-commute", "fluid", 0):
-        "09305d25ddff5af6d224b413373f76f1b9a3562745b90e9789e093f8964b9017",
+        "b95fc44bb468b8567a716103643327aa9bc65733b79bad6d81ce93946f1b5e5a",
     ("two-region-commute", "fluid", 1):
-        "0026a3096c3936aeb482a84efda6ffedd047f04e9196d20f47e54608fbe4095e",
+        "72efe4b88fe4c540586a71890268aca4683a4a97f4fca5436048a206a391cf05",
     ("two-region-commute", "power-of-2", 0):
         "f37dacb22ed9e4266086d05bd2d5553b9bedfd2f5b6aee3f783df22cede46fa5",
     ("two-region-commute", "power-of-2", 1):

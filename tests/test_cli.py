@@ -194,8 +194,8 @@ def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
 def _malformed_configs() -> dict[str, bytes]:
     """Config files that must exit 2 with one line: wrong schema, not JSON,
     not text, not an object, a missing field, badly typed fields, a
-    num_rates that disagrees with charge_rates and a fleet too large for the
-    int64 count tables."""
+    num_rates that disagrees with charge_rates, a fleet too large for the
+    int64 count tables and one that fits them but not in memory."""
     def variant(edit):
         doc = tiny_config().to_dict()
         edit(doc)
@@ -228,6 +228,7 @@ def _malformed_configs() -> dict[str, bytes]:
         "numeric-name": variant(lambda d: d.update(name=5)),
         "wrong-num-rates": variant(lambda d: d["dims"].update(num_rates=7)),
         "int64-overflowing-fleet": variant(lambda d: d["dims"].update(fleet_size=10**30)),
+        "memory-exceeding-fleet": variant(lambda d: d["dims"].update(fleet_size=10**15)),
     }
 
 

@@ -139,6 +139,125 @@ def test_pending_updates_read_as_the_true_inverse(monkeypatch, pending):
     assert np.allclose(st.btran(v), v @ Binv, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("template,formulation", [
+    ("two-region-commute", "reduced"), ("uniform", "reduced"), ("two-region-commute", "full"),
+])
+def test_peeled_inverse_matches_lapack_at_every_refactor(monkeypatch, template, formulation):
+    """Every refactor of bound's LPs (seed 1) yields np.linalg.inv of the
+    basis to 1e-12."""
+    build = build_reduced_lp if formulation == "reduced" else build_full_lp
+    p, _ = build(synth_scenario(template, 1))
+    original = simplex._Revised.refactor
+    checked = 0
+
+    def refactor(st):
+        nonlocal checked
+        want = np.linalg.inv(st.cols.dense(st.basis))
+        original(st)
+        assert np.allclose(st.Binv0, want, rtol=0, atol=1e-12)
+        checked += 1
+
+    monkeypatch.setattr(simplex._Revised, "refactor", refactor)
+    solve(p)
+    assert checked >= 3
+
+
+def _peel(B):
+    """_peeled_inverse of the dense B: (inverse, kernel size)."""
+    rows, cols = np.nonzero(B)
+    out = np.empty(B.shape)
+    return out, simplex._peeled_inverse(rows, cols, B[rows, cols], out)
+
+
+def _hub_spoke_first_basis(monkeypatch):
+    """The basis at the first refactor of hub-spoke's reduced LP (seed 1)."""
+    p, _ = build_reduced_lp(synth_scenario("hub-spoke-imbalanced", 1))
+
+    def refactor(st):
+        raise _Stop(st.cols.dense(st.basis))
+
+    monkeypatch.setattr(simplex._Revised, "refactor", refactor)
+    with pytest.raises(_Stop) as stop:
+        simplex._solve(p, perturb=True)
+    return stop.value.args[0]
+
+
+def _block_triangular(rng, front, kernel, back):
+    """Block lower-triangular: lower-triangular front and back blocks around
+    a dense kernel, the back's rows dense over the kernel's columns, and
+    sparse entries below the diagonal blocks."""
+    m = front + kernel + back
+    B = np.tril(np.where(rng.random((m, m)) < 0.1, rng.uniform(-1.0, 1.0, (m, m)), 0.0))
+    k = slice(front, front + kernel)
+    B[k, k] = rng.uniform(-1.0, 1.0, (kernel, kernel)) + 4.0 * np.eye(kernel)
+    B[front + kernel:, k] = rng.uniform(0.5, 1.0, (back, kernel))
+    B[np.diag_indices(m)] += 3.0
+    return B
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "triangular", "dense", "mixed", "hub-spoke"])
+def test_peeled_inverse_of_permuted_matrices(monkeypatch, kind):
+    """Row- and column-permuted matrices invert correctly whether they peel
+    completely (kernel 0), not at all, or partly."""
+    rng = np.random.default_rng(17)
+    if kind == "diagonal":
+        B, kernel = np.diag(rng.uniform(1.0, 2.0, 10)), 0
+    elif kind == "triangular":
+        B, kernel = _block_triangular(rng, 40, 0, 0), 0
+    elif kind == "dense":
+        B, kernel = rng.uniform(-1.0, 1.0, (30, 30)) + 8.0 * np.eye(30), 30
+    elif kind == "mixed":
+        B, kernel = _block_triangular(rng, 15, 20, 15), 20
+    else:
+        B, kernel = _hub_spoke_first_basis(monkeypatch), 0
+    m = B.shape[0]
+    B = B[rng.permutation(m)][:, rng.permutation(m)]
+    inv, k = _peel(B)
+    assert k == kernel
+    assert np.allclose(inv, np.linalg.inv(B), rtol=0, atol=1e-12)
+    assert np.abs(B @ inv - np.eye(m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("B", [
+    # rows 0 and 1 are singletons of the first round on the same column 0
+    [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+    # column 1 is empty
+    [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
+    # a singleton (row 0) then a kernel with two equal rows
+    [[5.0, 0.0, 0.0, 0.0], [1.0, 2.0, 1.0, 1.0], [0.0, 2.0, 1.0, 1.0], [1.0, 1.0, 3.0, 2.0]],
+], ids=["duplicate-singleton", "zero-column", "singular-kernel"])
+def test_peeled_inverse_rejects_singular_bases(B):
+    with pytest.raises(ContractViolation, match="basis became singular"):
+        _peel(np.array(B))
+
+
+def test_refactor_forms_no_dense_basis(monkeypatch):
+    """refactor builds B^-1 from the sparse basis columns alone: with
+    _Columns.dense unavailable it still yields the inverse."""
+    p, _ = build_reduced_lp(synth_scenario("two-region-commute", 1))
+    original = simplex._Revised.pivot
+
+    def pivot(st, *args):
+        original(st, *args)
+        if st.since_refactor == 150:
+            raise _Stop(st)
+
+    monkeypatch.setattr(simplex._Revised, "pivot", pivot)
+    with pytest.raises(_Stop) as stop:
+        simplex._solve(p, perturb=True)
+    st = stop.value.args[0]
+    want = np.linalg.inv(st.cols.dense(st.basis))
+
+    def dense(*args):
+        raise AssertionError("refactor formed a dense basis")
+
+    monkeypatch.setattr(simplex._Columns, "dense", dense)
+    st.refactor()
+    assert st.k == 0 and st.since_refactor == 0
+    assert np.allclose(st.Binv0, want, rtol=0, atol=1e-12)
+    assert np.allclose(st.x, want @ st.rhs, rtol=0, atol=1e-9)
+
+
 def test_degenerate_rhs_terminates():
     # many zero right-hand sides: the anti-stall path must still finish
     rng = np.random.default_rng(11)
