@@ -64,7 +64,9 @@ class FluidSolution:
 
 
 class _Builder:
-    """Accumulates named variables and sparse rows, then emits an LpProblem."""
+    """Accumulates named variables and sparse rows, then emits an LpProblem
+    whose constraint matrix is built straight from the rows' entries, never
+    densely."""
 
     def __init__(self, name: str):
         self.name = name
@@ -96,14 +98,13 @@ class _Builder:
 
     def build(self) -> LpProblem:
         """The maximization problem over the variables and rows added so far."""
-        n = len(self.obj)
-        A = np.zeros((len(self.rows), n))
-        for i, entries in enumerate(self.rows):
-            for j, coef in entries.items():
-                A[i, j] = coef
+        rows = np.repeat(np.arange(len(self.rows)), [len(e) for e in self.rows])
+        cols = np.fromiter((j for e in self.rows for j in e), np.intp, rows.size)
+        vals = np.fromiter((c for e in self.rows for c in e.values()), float, rows.size)
         names = ["/".join(map(str, k)) for k in self.vars]
-        return LpProblem(np.asarray(self.obj), A, self.senses, np.asarray(self.rhs),
-                         var_names=names, row_names=self.row_names, name=self.name)
+        return LpProblem.from_entries(np.asarray(self.obj), rows, cols, vals, self.senses,
+                                      np.asarray(self.rhs), var_names=names,
+                                      row_names=self.row_names, name=self.name)
 
 
 # -- shared row pieces ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Revised two-phase simplex solver for the fluid-allocation linear programs.
 
 Problems are stated as max/min c'x subject to rows A_i x {<=,=,>=} b_i and
-x >= 0. Internally the solver works on the standard equality form with slack
-and surplus columns, pulled once from the dense A into compressed sparse
-columns, and runs phase 1 from an all-artificial basis. Nothing the size of
+x >= 0, with A held as compressed sparse columns from the builder to the
+certificate; no dense copy of A is made. Internally the solver works on the
+standard equality form, A's columns with slack and surplus columns
+appended, and runs phase 1 from an all-artificial basis. Nothing the size of
 the tableau is stored: the solver keeps an explicit inverse of the m x m
 basis, rebuilt from the sparse basis columns every `_REFACTOR_EVERY`
 pivots. A rebuild peels off the basis's row and column singletons, which
@@ -46,10 +47,18 @@ _BLOCK = 32
 
 @dataclass
 class LpProblem:
-    """max/min objective'x  s.t.  A x (senses) b,  x >= 0."""
+    """max/min objective'x  s.t.  A x (senses) b,  x >= 0.
+
+    A is held only as compressed sparse columns: column j has the values
+    `values[colptr[j]:colptr[j+1]]` at the rows `rowind[colptr[j]:colptr[j+1]]`,
+    rows ascending and no explicit zeros (they are dropped). `from_entries`
+    builds one from (row, column, value) entries in any order, `from_dense`
+    from a dense array."""
 
     objective: np.ndarray
-    A: np.ndarray
+    rowind: np.ndarray
+    colptr: np.ndarray
+    values: np.ndarray
     senses: list[str]                 # per row: "<=", "=", ">="
     b: np.ndarray
     maximize: bool = True
@@ -59,14 +68,33 @@ class LpProblem:
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float)
-        m, n = self.A.shape
-        if self.objective.shape != (n,) or self.b.shape != (m,) or len(self.senses) != m:
+        self.rowind = np.asarray(self.rowind, dtype=np.intp)
+        self.colptr = np.asarray(self.colptr, dtype=np.intp)
+        self.values = np.asarray(self.values, dtype=float)
+        m, n = self.shape
+        if self.objective.ndim != 1 or self.b.ndim != 1 or len(self.senses) != m \
+                or self.colptr.shape != (n + 1,):
             raise InvalidArgument("LP dimension mismatch")
-        if not (np.isfinite(self.objective).all() and np.isfinite(self.A).all()
+        if self.rowind.ndim != 1 or self.rowind.shape != self.values.shape:
+            raise InvalidArgument("LP matrix index and value arrays differ in length")
+        if self.colptr[0] != 0 or self.colptr[-1] != self.values.size \
+                or (np.diff(self.colptr) < 0).any():
+            raise InvalidArgument("LP matrix column pointers are malformed")
+        if ((self.rowind < 0) | (self.rowind >= m)).any():
+            raise InvalidArgument("LP matrix row index out of range")
+        if not (np.isfinite(self.objective).all() and np.isfinite(self.values).all()
                 and np.isfinite(self.b).all()):
             raise InvalidArgument("LP has non-finite coefficients")
+        cols = self.entry_cols()
+        same = cols[1:] == cols[:-1]
+        if (self.rowind[1:][same] <= self.rowind[:-1][same]).any():
+            raise InvalidArgument("LP matrix has a duplicate entry or a column's rows "
+                                  "out of order")
+        nonzero = self.values != 0.0
+        if not nonzero.all():
+            self.rowind, self.values = self.rowind[nonzero], self.values[nonzero]
+            self.colptr = np.r_[0, np.cumsum(np.bincount(cols[nonzero], minlength=n))]
         for s in self.senses:
             if s not in ("<=", "=", ">="):
                 raise InvalidArgument(f"unknown row sense {s!r}")
@@ -79,13 +107,57 @@ class LpProblem:
         if len(self.row_names) != m or len(set(self.row_names)) != m:
             raise InvalidArgument("row names must be unique and match rows")
 
+    @classmethod
+    def from_entries(cls, objective, rows, cols, values, senses, b, **kwargs) -> LpProblem:
+        """The LP whose A holds `values` at (`rows`, `cols`), in any order."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
+            raise InvalidArgument("LP matrix index and value arrays differ in length")
+        n = np.size(objective)
+        if ((cols < 0) | (cols >= n)).any():
+            raise InvalidArgument("LP matrix column index out of range")
+        order = np.lexsort((rows, cols))             # by column, then row
+        colptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=n))]
+        return cls(objective, rows[order], colptr, values[order], senses, b, **kwargs)
+
+    @classmethod
+    def from_dense(cls, objective, A, senses, b, **kwargs) -> LpProblem:
+        """The LP with the dense constraint matrix A."""
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        if A.shape != (np.size(b), np.size(objective)):
+            raise InvalidArgument("LP dimension mismatch")
+        cols, rows = np.nonzero(A.T)
+        return cls.from_entries(objective, rows, cols, A[rows, cols], senses, b, **kwargs)
+
     @property
     def shape(self) -> tuple[int, int]:
-        return self.A.shape
+        return self.b.size, self.objective.size
+
+    @property
+    def A(self) -> np.ndarray:
+        """A dense copy of the constraint matrix, made afresh on each read:
+        for small LPs, tests and checks. The solver never reads it."""
+        dense = np.zeros(self.shape)
+        dense[self.rowind, self.entry_cols()] = self.values
+        return dense
+
+    def entry_cols(self) -> np.ndarray:
+        """The column of each stored entry."""
+        return np.repeat(np.arange(self.objective.size), np.diff(self.colptr))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x, each row summed over its nonzeros in column order."""
+        x = np.asarray(x, dtype=float)
+        return np.bincount(self.rowind, weights=self.values * x[self.entry_cols()],
+                           minlength=self.b.size)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Signed constraint violations (0 when satisfied)."""
-        ax = self.A @ x
+        return self.violations(self.dot(x))
+
+    def violations(self, ax: np.ndarray) -> np.ndarray:
+        """The residuals of a point whose row activities are `ax` = A x."""
         over, under = ax - self.b, self.b - ax
         senses = np.array(self.senses, dtype="U2")
         # as max(v, 0.0): v is kept unless below zero, so a -0.0 stays -0.0
@@ -120,12 +192,13 @@ class _Columns:
         self.ptr = np.searchsorted(cols, np.arange(n + 1))
 
     @classmethod
-    def standard_form(cls, A: np.ndarray, flip: np.ndarray, senses: list[str]) -> _Columns:
+    def standard_form(cls, problem: LpProblem, flip: np.ndarray,
+                      senses: list[str]) -> _Columns:
         """[flip * A | slacks]: a +1 slack column per "<=" row and a -1
         surplus column per ">=" row, in row order, after A's columns."""
-        m, n = A.shape
-        cols, rows = np.nonzero(A.T)                 # column-major order
-        vals = A[rows, cols] * flip[rows]
+        m, n = problem.shape
+        rows, cols = problem.rowind, problem.entry_cols()
+        vals = problem.values * flip[rows]
         srows = np.array([i for i, s in enumerate(senses) if s != "="], dtype=np.intp)
         ssign = np.array([1.0 if senses[i] == "<=" else -1.0 for i in srows])
         return cls(np.concatenate([rows, srows]),
@@ -449,12 +522,12 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
     c = sign * problem.objective                      # minimize internally
 
     # standard form: rows with b < 0 negated, then slack (<=) / surplus (>=)
-    # columns appended, pulled once from the dense A as sparse columns
+    # columns appended after A's sparse columns
     flip = np.where(problem.b < 0, -1.0, 1.0)
     b = flip * problem.b
     swap = {"<=": ">=", ">=": "<=", "=": "="}
     senses = [swap[s] if f < 0 else s for s, f in zip(problem.senses, flip)]
-    cols = _Columns.standard_form(problem.A, flip, senses)
+    cols = _Columns.standard_form(problem, flip, senses)
     n_std = cols.n
     c_std = np.concatenate([c, np.zeros(n_std - n)])
     bscale = max(1.0, float(b.max(initial=0.0)))
@@ -516,11 +589,12 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
         st.rhs = st.cols.dense(st.basis) @ st.x
     st.set_cost(np.concatenate([c_std, np.zeros(m)]))
     it2 = _run_simplex(st)
+    basis, kept_cols, bland = st.basis, st.cols, st.bland_activations
+    del st                                   # frees the m x m inverse before the solves
 
     # exact solution and duals from the final basis: B x_B = b, B' y = c_B
-    basis = st.basis
     rows_kept = np.nonzero(keep_rows)[0]
-    B = st.cols.dense(basis)
+    B = kept_cols.dense(basis)
     x_basic = np.linalg.solve(B, b[rows_kept])
     if x_basic.min(initial=0.0) < -_FEAS_TOL * bscale:
         raise ContractViolation(
@@ -541,7 +615,7 @@ def _solve(problem: LpProblem, perturb: bool) -> LpSolution:
     return LpSolution(x, obj, duals, it1 + it2,
                       phase1_pivots=it1, phase2_pivots=it2,
                       drive_out_pivots=drive_out,
-                      bland_activations=st.bland_activations,
+                      bland_activations=bland,
                       exact_retry=not perturb)
 
 
@@ -553,7 +627,8 @@ def _certify(problem: LpProblem, flip, b_flip, senses, x_std, y, rc_std, n) -> N
     x = x_std[:n]
     scale = max(1.0, float(np.abs(b_flip).max(initial=0.0)),
                 float(np.abs(x).max(initial=0.0)))
-    res = problem.residuals(x)
+    ax = problem.dot(x)
+    res = problem.violations(ax)
     if res.max(initial=0.0) > tol * scale:
         raise ContractViolation(
             f"{problem.name}: primal residual {res.max():.3e} exceeds tolerance")
@@ -565,7 +640,7 @@ def _certify(problem: LpProblem, flip, b_flip, senses, x_std, y, rc_std, n) -> N
             f"{problem.name}: dual infeasibility {rc_std.min():.3e}")
     if np.abs(rc_std * x_std).max(initial=0.0) > 1e-6 * scale * cscale:
         raise ContractViolation(f"{problem.name}: complementary slackness violated")
-    ax = flip * (problem.A @ x)              # sign flips are exact
+    ax = flip * ax                           # sign flips are exact
     senses = np.array(senses, dtype="U2")
     prod = y * np.where(senses == "<=", b_flip - ax, ax - b_flip)
     bad = (senses != "=") & (np.abs(prod) > 1e-6 * scale * np.maximum(1.0, np.abs(y)))
@@ -593,8 +668,8 @@ def export_mps(problem: LpProblem, path) -> None:
         entries = []
         if problem.objective[j] != 0.0:
             entries.append(("COST", sign * problem.objective[j]))
-        for i in np.nonzero(problem.A[:, j])[0]:
-            entries.append((rname[i], problem.A[i, j]))
+        lo, hi = problem.colptr[j], problem.colptr[j + 1]
+        entries += [(rname[i], v) for i, v in zip(problem.rowind[lo:hi], problem.values[lo:hi])]
         for k in range(0, len(entries), 2):
             pair = entries[k:k + 2]
             row = f"    {cname[j]:<8}  "

@@ -318,7 +318,7 @@ def _random_lp(rng) -> LpProblem:
     A = np.vstack([A, np.ones(n)])
     senses = senses + ["<="]
     b = np.append(b, 25.0)
-    return LpProblem(c, A, senses, b, maximize=bool(rng.integers(0, 2)))
+    return LpProblem.from_dense(c, A, senses, b, maximize=bool(rng.integers(0, 2)))
 
 
 @criterion(6)

@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fleetlab import sim
+from fleetlab import cli, sim
 from fleetlab.baselines import exact_value_iteration
 from fleetlab.errors import InvalidArgument
 from fleetlab.fluid import (
@@ -16,8 +17,8 @@ from fleetlab.fluid import (
     build_reduced_lp,
     upper_bound,
 )
-
 from fleetlab.scenarios import synth_scenario
+from fleetlab.simplex import LpProblem, export_mps
 
 from conftest import random_config, tiny_config
 
@@ -182,6 +183,7 @@ def test_charger_rows_match_brute_force_lag_count(T):
         cfg = tiny_config(T=T, J=J)
         for build in (build_full_lp, build_reduced_lp):
             prob, index = build(cfg)
+            A = prob.A
             rows = {name: i for i, name in enumerate(prob.row_names)}
             for key, j in index.items():
                 if key[0] not in ("z", "zb"):
@@ -189,4 +191,35 @@ def test_charger_rows_match_brute_force_lag_count(T):
                 u, ri, ts = key[1], key[3] if key[0] == "z" else key[2], key[-1]
                 for t in range(T):
                     want = sum(1 for back in range(J) if (t - back) % T == ts)
-                    assert prob.A[rows[f"chg/{u}/{ri}/{t}"], j] == want, (J, key, t)
+                    assert A[rows[f"chg/{u}/{ri}/{t}"], j] == want, (J, key, t)
+
+
+def test_lps_are_built_solved_and_exported_without_a_dense_matrix(monkeypatch, tmp_path):
+    """Building, solving, certifying and exporting commute's LPs, also
+    through `fleetlab bound --mps`, never reads the dense view LpProblem.A."""
+    def dense(problem):
+        raise AssertionError("LpProblem.A read")
+
+    monkeypatch.setattr(LpProblem, "A", property(dense))
+    config = synth_scenario("two-region-commute", 0)
+    for formulation in ("reduced", "full"):
+        assert upper_bound(config, formulation).objective > 0
+    export_mps(build_reduced_lp(config)[0], tmp_path / "reduced.mps")
+    assert cli.main(["bound", "--scenario", "two-region-commute", "--formulation", "full",
+                     "--mps", str(tmp_path / "full.mps")]) == 0
+    assert (tmp_path / "full.mps").stat().st_size > 0
+
+
+def test_large_lp_builds_in_a_tenth_of_its_dense_size():
+    """A reduced LP whose dense matrix would take 321 MB (3096 x 12960)
+    builds with a traced peak under a tenth of that."""
+    config = tiny_config(V=4, B=10, T=24)
+    tracemalloc.start()
+    try:
+        problem, _ = build_reduced_lp(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, n = problem.shape
+    assert m * n * 8 > 100e6
+    assert peak < m * n * 8 / 10, (peak, m, n)

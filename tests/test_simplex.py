@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,47 +14,47 @@ from oracles import lp_optimum_exact
 
 
 def test_textbook_maximum():
-    p = LpProblem(np.array([3.0, 2.0]),
-                  np.array([[1.0, 1.0], [2.0, 1.0]]),
-                  ["<=", "<="], np.array([4.0, 5.0]), maximize=True)
+    p = LpProblem.from_dense(np.array([3.0, 2.0]),
+                             np.array([[1.0, 1.0], [2.0, 1.0]]),
+                             ["<=", "<="], np.array([4.0, 5.0]), maximize=True)
     s = solve(p)
     assert s.objective == pytest.approx(9.0, abs=1e-9)
     assert np.allclose(s.x, [1.0, 3.0], atol=1e-9)
 
 
 def test_minimization_with_equality():
-    p = LpProblem(np.array([1.0, 2.0, 0.0]),
-                  np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
-                  ["=", ">="], np.array([3.0, 1.0]), maximize=False)
+    p = LpProblem.from_dense(np.array([1.0, 2.0, 0.0]),
+                             np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]),
+                             ["=", ">="], np.array([3.0, 1.0]), maximize=False)
     s = solve(p)
     assert s.objective == pytest.approx(1.0, abs=1e-9)   # x = (1, 0, 2)
 
 
 def test_infeasible_detected():
-    p = LpProblem(np.array([1.0]), np.array([[1.0], [1.0]]),
-                  [">=", "<="], np.array([2.0, 1.0]), maximize=False)
+    p = LpProblem.from_dense(np.array([1.0]), np.array([[1.0], [1.0]]),
+                             [">=", "<="], np.array([2.0, 1.0]), maximize=False)
     with pytest.raises(LpInfeasible):
         solve(p)
 
 
 def test_unbounded_detected():
-    p = LpProblem(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]),
-                  ["<="], np.array([1.0]), maximize=True)
+    p = LpProblem.from_dense(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]),
+                             ["<="], np.array([1.0]), maximize=True)
     with pytest.raises(LpUnbounded):
         solve(p)
 
 
 def test_negative_rhs_rows_are_flipped():
     # x >= 2 written as -x <= -2
-    p = LpProblem(np.array([1.0]), np.array([[-1.0]]), ["<="],
-                  np.array([-2.0]), maximize=False)
+    p = LpProblem.from_dense(np.array([1.0]), np.array([[-1.0]]), ["<="],
+                             np.array([-2.0]), maximize=False)
     s = solve(p)
     assert s.objective == pytest.approx(2.0, abs=1e-9)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(InvalidArgument):
-        LpProblem(np.array([1.0, 2.0]), np.array([[1.0]]), ["<="], np.array([1.0]))
+        LpProblem.from_dense(np.array([1.0, 2.0]), np.array([[1.0]]), ["<="], np.array([1.0]))
 
 
 def test_duals_satisfy_strong_duality():
@@ -62,7 +64,7 @@ def test_duals_satisfy_strong_duality():
         c = rng.uniform(-1, 2, n)
         A = rng.uniform(0, 2, (m, n))
         b = rng.uniform(1, 5, m)
-        p = LpProblem(c, A, ["<="] * m, b, maximize=True)
+        p = LpProblem.from_dense(c, A, ["<="] * m, b, maximize=True)
         s = solve(p)
         assert s.objective == pytest.approx(float(s.duals @ b), abs=1e-7)
 
@@ -78,7 +80,7 @@ def _random_bounded_lp(rng):
     A = np.vstack([A, np.ones(n)])
     senses = senses + ["<="]
     b = np.append(b, 25.0)
-    return LpProblem(c, A, senses, b, maximize=bool(rng.integers(0, 2)))
+    return LpProblem.from_dense(c, A, senses, b, maximize=bool(rng.integers(0, 2)))
 
 
 def test_matches_rational_vertex_enumeration_on_100_random_lps():
@@ -266,8 +268,8 @@ def test_degenerate_rhs_terminates():
     b = np.zeros(m)
     b[-1] = 1.0
     A[-1] = np.abs(A[-1])
-    p = LpProblem(rng.uniform(-1, 1, n), A, ["="] * (m - 1) + ["<="], b,
-                  maximize=True)
+    p = LpProblem.from_dense(rng.uniform(-1, 1, n), A, ["="] * (m - 1) + ["<="], b,
+                             maximize=True)
     reference = _highs_objective(p)
     if reference is None:
         with pytest.raises(LpInfeasible):
@@ -330,9 +332,9 @@ def test_blands_rule_on_tiny_fleet_lp(monkeypatch):
 
 
 def test_diagnostics_split_the_pivot_count():
-    p = LpProblem(np.array([3.0, 2.0]),
-                  np.array([[1.0, 1.0], [2.0, 1.0]]),
-                  ["<=", "<="], np.array([4.0, 5.0]), maximize=True)
+    p = LpProblem.from_dense(np.array([3.0, 2.0]),
+                             np.array([[1.0, 1.0], [2.0, 1.0]]),
+                             ["<=", "<="], np.array([4.0, 5.0]), maximize=True)
     s = solve(p)
     assert s.iterations > 0
     assert s.phase1_pivots + s.phase2_pivots == s.iterations
@@ -359,8 +361,8 @@ def test_drive_out_pivots_are_counted_apart(monkeypatch):
 
 
 def test_mps_export_round_trip_structure(tmp_path):
-    p = LpProblem(np.array([1.0, -2.0]), np.array([[1.0, 1.0], [1.0, -1.0]]),
-                  ["<=", ">="], np.array([3.0, -1.0]), maximize=True, name="demo")
+    p = LpProblem.from_dense(np.array([1.0, -2.0]), np.array([[1.0, 1.0], [1.0, -1.0]]),
+                             ["<=", ">="], np.array([3.0, -1.0]), maximize=True, name="demo")
     path = tmp_path / "demo.mps"
     export_mps(p, path)
     text = path.read_text()
@@ -376,16 +378,20 @@ def test_mps_export_round_trip_structure(tmp_path):
 
 def test_residuals_follow_the_row_rule():
     """Array residuals equal the per-row rule max(Ax - b, 0), max(b - Ax, 0),
-    |Ax - b|, signed zeros included."""
+    |Ax - b|, signed zeros included, where each row's Ax is summed over its
+    nonzeros in the solver's order: column by column, from 0.0."""
     rng = np.random.default_rng(5)
     A = rng.normal(size=(30, 6))
     A[:3] = 0.0                                  # rows whose Ax is exactly 0
     b = rng.normal(size=30)
     b[:3] = [0.0, -0.0, 0.0]
     senses = [("<=", ">=", "=")[i % 3] for i in range(30)]
-    p = LpProblem(np.zeros(6), A, senses, b)
+    p = LpProblem.from_dense(np.zeros(6), A, senses, b)
     x = rng.uniform(0.0, 2.0, size=6)
-    ax = A @ x
+    ax = [0.0] * 30
+    for j in range(6):
+        for i in np.nonzero(A[:, j])[0]:
+            ax[i] += A[i, j] * x[j]
     want = [max(ax[i] - b[i], 0.0) if s == "<=" else
             max(b[i] - ax[i], 0.0) if s == ">=" else abs(ax[i] - b[i])
             for i, s in enumerate(senses)]
@@ -396,10 +402,92 @@ def test_residuals_follow_the_row_rule():
 
 def test_certificate_names_first_failing_dual_slack_row():
     # rows 1 and 2 both carry a dual on a slack constraint; row 1 is named
-    p = LpProblem(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
-                  ["<=", "<=", ">="], np.array([1.0, 1.0, -5.0]))
+    p = LpProblem.from_dense(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                             ["<=", "<=", ">="], np.array([1.0, 1.0, -5.0]))
     flip = np.array([1.0, 1.0, -1.0])
     senses = ["<=", "<=", "<="]                  # row 2 flipped
     with pytest.raises(ContractViolation, match=r"dual-slack product 2\.000e\+00 at row 1$"):
         simplex._certify(p, flip, flip * p.b, senses, np.zeros(5),
                          np.array([0.0, 2.0, 3.0]), np.zeros(5), 2)
+
+
+#: SHA-256 of export_mps's bytes, recorded from the dense-matrix export
+#: that preceded the sparse one
+GOLDEN_MPS_DIGESTS = {
+    ("tiny", "full"): "c733e6e2c4f3886079f79e8b4ac7ffdb731475042010bebd594ed36152da4890",
+    ("tiny", "reduced"): "9eea4bbb3c32bfde637445b135eeec920ed7f5e1d7faf3151414f481791bdfe2",
+    ("two-region-commute", "reduced"):
+        "43a1de519885f3267d5deba6c3d63ceb871d549b7888abcb7a630f7f277ffe4e",
+}
+
+
+@pytest.mark.parametrize("scenario, formulation", sorted(GOLDEN_MPS_DIGESTS))
+def test_mps_export_matches_recorded_digests(tmp_path, scenario, formulation):
+    config = tiny_config() if scenario == "tiny" else synth_scenario(scenario, 0)
+    build = build_full_lp if formulation == "full" else build_reduced_lp
+    path = tmp_path / "lp.mps"
+    export_mps(build(config)[0], path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_MPS_DIGESTS[(scenario, formulation)]
+
+
+def _entries_lp(rows, cols, values, m=3, n=2):
+    return LpProblem.from_entries(np.ones(n), rows, cols, values, ["<="] * m, np.ones(m))
+
+
+@pytest.mark.parametrize("rows, cols, values, match", [
+    ([0, 3], [0, 1], [1.0, 2.0], "row index out of range"),
+    ([0, -1], [0, 1], [1.0, 2.0], "row index out of range"),
+    ([0, 1], [0, 2], [1.0, 2.0], "column index out of range"),
+    ([0, 1], [-1, 1], [1.0, 2.0], "column index out of range"),
+    ([2, 0, 2], [1, 0, 1], [1.0, 2.0, 3.0], "duplicate entry"),
+    ([1, 1], [0, 0], [1.0, 0.0], "duplicate entry"),
+    ([0, 1], [0, 1], [1.0, np.nan], "non-finite"),
+    ([0, 1], [0, 1], [np.inf, 1.0], "non-finite"),
+    ([0, 1, 2], [0, 1], [1.0, 2.0], "differ in length"),
+    ([0, 1], [0, 1], [1.0], "differ in length"),
+])
+def test_sparse_input_is_validated(rows, cols, values, match):
+    with pytest.raises(InvalidArgument, match=match):
+        _entries_lp(rows, cols, values)
+
+
+@pytest.mark.parametrize("rowind, colptr, values, match", [
+    ([0, 1], [0, 1, 2], [1.0], "differ in length"),
+    ([0, 1], [0, 2, 1], [1.0, 2.0], "column pointers"),
+    ([0, 1], [1, 2, 2], [1.0, 2.0], "column pointers"),
+    ([1, 0], [0, 2, 2], [1.0, 2.0], "rows out of order"),
+    ([0, 1], [0, 2], [1.0, 2.0], "dimension mismatch"),
+])
+def test_malformed_compressed_columns_are_rejected(rowind, colptr, values, match):
+    with pytest.raises(InvalidArgument, match=match):
+        LpProblem(np.ones(2), rowind, colptr, values, ["<="] * 2, np.ones(2))
+
+
+def test_sparse_input_is_sorted_and_drops_explicit_zeros():
+    p = _entries_lp([2, 0, 1, 0, 2], [0, 1, 0, 0, 1], [3.0, 0.0, -0.0, 1.0, 5.0])
+    assert p.rowind.tolist() == [0, 2, 2]
+    assert p.colptr.tolist() == [0, 2, 3]
+    assert p.values.tolist() == [1.0, 3.0, 5.0]
+    assert p.A.tolist() == [[1.0, 0.0], [0.0, 0.0], [3.0, 5.0]]
+    assert p.dot(np.array([2.0, 1.0])).tolist() == [2.0, 0.0, 11.0]
+
+
+@pytest.mark.parametrize("template, formulation", [
+    ("two-region-commute", "reduced"), ("uniform", "reduced"),
+    ("hub-spoke-imbalanced", "reduced"), ("two-region-commute", "full"),
+])
+def test_standard_form_entries_in_dense_nonzero_order(template, formulation):
+    """The standard form's structural entries are those np.nonzero(A.T)
+    yields on the dense matrix, in that order: the order `tdot` sums in."""
+    build = build_full_lp if formulation == "full" else build_reduced_lp
+    p, _ = build(synth_scenario(template, 0))
+    flip = np.where(p.b < 0, -1.0, 1.0)
+    cols = simplex._Columns.standard_form(p, flip, p.senses)
+    A = p.A
+    want_cols, want_rows = np.nonzero(A.T)
+    nnz = want_rows.size
+    assert nnz == p.values.size
+    assert np.array_equal(cols.rows[:nnz], want_rows)
+    assert np.array_equal(cols.cols[:nnz], want_cols)
+    assert np.array_equal(cols.vals[:nnz], A[want_rows, want_cols] * flip[want_rows])
