@@ -50,7 +50,7 @@ from .sim import WorkingState, admitted_arrivals, initial_state, transition
 
 class AlwaysPassPolicy:
     def act(self, config, work, vehicle, mask, rng):
-        return action_to_index(config, PASS), 1.0
+        return action_to_index(config, PASS)
 
 
 class RandomFeasiblePolicy:
@@ -58,14 +58,13 @@ class RandomFeasiblePolicy:
 
     def act(self, config, work, vehicle, mask, rng):
         choices = np.nonzero(mask)[0]
-        idx = int(choices[rng.integers(choices.size)])
-        return idx, 1.0 / choices.size
+        return int(choices[rng.integers(choices.size)])
 
 
 class IntentQueuePolicy:
     """Shared plumbing: begin_epoch fills per-status intent queues; act pops
-    intents for the acting vehicle's exact status until one is feasible, and
-    falls back to Pass."""
+    intents for the acting vehicle's exact status until one is feasible and
+    returns its index, or Pass's once the queue is empty."""
 
     def __init__(self):
         self.intents: dict[VehicleStatus, list[AtomicAction]] = {}
@@ -84,8 +83,8 @@ class IntentQueuePolicy:
             for cand in self._candidates(work, vehicle, queue.pop(0)):
                 idx = action_to_index(config, cand)
                 if mask[idx]:
-                    return idx, 1.0
-        return action_to_index(config, PASS), 1.0
+                    return idx
+        return action_to_index(config, PASS)
 
 
 class PowerOfKPolicy(IntentQueuePolicy):

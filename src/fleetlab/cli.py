@@ -282,7 +282,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bound(args) -> int:
     config = _load_config(args)
-    prob, index = fluid.FORMULATIONS[args.formulation](config)
+    prob, index = fluid.build_lp(config, args.formulation)
     sol = fluid.solve_fluid(prob, index, args.formulation)
     if args.out:
         with open(args.out, "w") as f:
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="fluid-relaxation reward upper bound")
     _add_config_args(p)
-    p.add_argument("--formulation", choices=tuple(fluid.FORMULATIONS), default="reduced",
+    p.add_argument("--formulation", choices=fluid.FORMULATIONS, default="reduced",
                    help="reduced (statuses that can take a task; the default) or full "
                         "(every status); both give the same bound for any durations "
                         "and charging curve")

@@ -338,16 +338,20 @@ def solve_fluid(problem: LpProblem, index: dict[tuple, int],
     return FluidSolution(sol.objective, flows, formulation, sol.iterations, residual)
 
 
-#: formulation name -> LP builder
-FORMULATIONS = {"reduced": build_reduced_lp, "full": build_full_lp}
+FORMULATIONS = ("reduced", "full")
+
+
+def build_lp(config: NetworkConfig, formulation: str) -> tuple[LpProblem, dict[tuple, int]]:
+    """The named formulation's LP and variable index, by the builder's name at call time."""
+    if formulation not in FORMULATIONS:
+        raise InvalidArgument(f"unknown formulation {formulation!r}; "
+                              f"expected {' | '.join(FORMULATIONS)}")
+    return (build_reduced_lp if formulation == "reduced" else build_full_lp)(config)
 
 
 def upper_bound(config: NetworkConfig, formulation: str = "reduced") -> FluidSolution:
     """Daily-reward upper bound R-bar from the named formulation's LP."""
-    if formulation not in FORMULATIONS:
-        raise InvalidArgument(f"unknown formulation {formulation!r}; "
-                              f"expected {' | '.join(FORMULATIONS)}")
-    prob, index = FORMULATIONS[formulation](config)
+    prob, index = build_lp(config, formulation)
     return solve_fluid(prob, index, formulation)
 
 
@@ -368,7 +372,6 @@ class FluidRoundingPolicy(IntentQueuePolicy):
 
     def __init__(self, config: NetworkConfig, solution: FluidSolution):
         super().__init__()
-        self.solution = solution
         self._by_time: dict[int, list[tuple[VehicleStatus, AtomicAction, float]]] = {}
         for key, frac in sorted(solution.nonzero_flows().items()):
             if key[0] in _FLOWS and key[0] not in ("w", "wb"):

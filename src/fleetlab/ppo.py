@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .config import NetworkConfig
-from .errors import InvalidArgument, TrainingDiagnostic
+from .errors import ContractViolation, InvalidArgument, TrainingDiagnostic
 from .model import action_count
 from .reduce import obs_dim, reduce_vector, vehicle_feature_dim, vehicle_features
 from .sim import run_days, score_trajectory, summarize_scores
@@ -77,16 +77,15 @@ def clip_schedule(m: int, eps: float, gamma: float, floor: float = 0.01) -> floa
 class NeuralPolicy:
     """Samples atomic actions from masked-softmax network outputs.
 
-    With record=True it logs, per atomic call, the (observation, vehicle
-    features, mask) row actually fed to the network, in call order, so the
-    trainer can rebuild ratios under the identical inputs.
+    With record=True it logs each draw in call order: the network's inputs
+    (observation, vehicle features, mask, time of day), the action index and
+    its probability, so the trainer rebuilds ratios under identical inputs.
     """
 
     def __init__(self, config: NetworkConfig, pset: nn.MlpSet, record: bool = False):
-        self.config = config
         self.pset = pset
         self.record = record
-        self.log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.log: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int, float]] = []
 
     def act(self, config, work, vehicle, mask, rng):
         obs = reduce_vector(config, work)
@@ -94,8 +93,8 @@ class NeuralPolicy:
         probs = nn.forward_policy(self.pset, obs, veh, mask, work.t)
         idx = int(rng.choice(probs.size, p=probs))
         if self.record:
-            self.log.append((obs, veh, mask.copy()))
-        return idx, float(probs[idx])
+            self.log.append((obs, veh, mask.copy(), work.t, idx, float(probs[idx])))
+        return idx
 
 
 @dataclass
@@ -118,23 +117,19 @@ class EpisodeTrace:
 
 def collect_trajectory(config: NetworkConfig, pset: nn.MlpSet, days: int,
                        rng: np.random.Generator) -> EpisodeTrace:
+    """One trajectory's logged samples, each with its atomic step's reward."""
     policy = NeuralPolicy(config, pset, record=True)
     day_traces = run_days(config, policy, days, rng)
-    t_arr, act, prob, rew = [], [], [], []
-    for tr in day_traces:
-        for t, ep in enumerate(tr.epochs):
-            for rec in ep.records:
-                t_arr.append(t)
-                act.append(rec.index)
-                prob.append(rec.prob)
-                rew.append(rec.reward)
+    rew = [rec.reward for tr in day_traces for ep in tr.epochs for rec in ep.records]
+    if len(rew) != len(policy.log):
+        raise ContractViolation(f"{len(policy.log)} logged samples for {len(rew)} atomic steps")
+    obs, veh, mask, t, act, prob = zip(*policy.log)
     final = day_traces[-1].states[-1]
-    obs, veh, mask = zip(*policy.log)        # every vehicle acts in every epoch
     return EpisodeTrace(
         obs=np.asarray(obs),
         veh=np.asarray(veh),
         mask=np.asarray(mask, dtype=bool),
-        t=np.asarray(t_arr, dtype=np.int64),
+        t=np.asarray(t, dtype=np.int64),
         action=np.asarray(act, dtype=np.int64),
         old_prob=np.asarray(prob),
         reward=np.asarray(rew),

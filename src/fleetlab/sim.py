@@ -160,10 +160,10 @@ def step(
 
 @dataclass
 class AtomicRecord:
+    """One atomic step; a policy that needs more per step logs it itself."""
+
     vehicle: VehicleStatus
     action: AtomicAction
-    index: int
-    prob: float
     reward: float
 
 
@@ -206,12 +206,12 @@ def run_epoch(
         policy.begin_epoch(config, state, rng)
     for vehicle in state.vehicle_units():
         mask = feasible_mask(config, work, vehicle)
-        idx, prob = policy.act(config, work, vehicle, mask, rng)
+        idx = policy.act(config, work, vehicle, mask, rng)
         if not mask[idx]:
             raise ContractViolation(f"policy chose infeasible action index {idx}")
         atomic = index_to_action(config, idx)
         r = atomic_reward(config, vehicle, atomic, state.t)
-        records.append(AtomicRecord(vehicle, atomic, idx, prob, r))
+        records.append(AtomicRecord(vehicle, atomic, r))
         action.add_atomic(vehicle, atomic)
         work.commit(config, vehicle, atomic)
     return EpochResult(action, records)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from fleetlab import sim
+from fleetlab import ppo, sim
 from fleetlab.baselines import (
     AlwaysPassPolicy,
     PowerOfKPolicy,
@@ -22,7 +22,8 @@ from fleetlab.baselines import (
 )
 from fleetlab.errors import InvalidArgument, ValueIterationNotConverged
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
-from fleetlab.model import PASS, SystemState, TripStatus, action_to_index, fulfill
+from fleetlab.model import (PASS, SystemState, TripStatus, VehicleStatus, action_to_index,
+                            feasible_mask, fulfill)
 from fleetlab.scenarios import synth_scenario
 
 from conftest import tiny_config
@@ -35,18 +36,52 @@ def test_always_pass_earns_zero(tiny):
 
 
 def test_random_policy_uniform_probability(tiny):
-    state = sim.initial_state(tiny)
-    policy = RandomFeasiblePolicy()
-    from fleetlab.model import feasible_mask
-
-    vs, es, bs = np.nonzero(state.vehicles)
-    from fleetlab.model import VehicleStatus
-
-    veh = VehicleStatus(int(vs[0]), int(es[0]), int(bs[0]))
+    """Draw frequencies over the feasible actions stay within 4 binomial
+    standard deviations of uniform; infeasible actions are never drawn."""
+    state = _state_with_idle_vehicles(tiny)
+    trips = state.trips.copy()
+    trips[0, 1, :] = 1
+    state = SystemState(state.t, state.vehicles, trips, state.chargers)
+    veh = VehicleStatus(0, 0, tiny.battery_capacity)
     mask = feasible_mask(tiny, state, veh)
-    idx, prob = policy.act(tiny, state, veh, mask, np.random.default_rng(1))
-    assert mask[idx]
-    assert prob == pytest.approx(1.0 / mask.sum())
+    k, n = int(mask.sum()), 8000
+    assert k >= 4
+    policy, rng = RandomFeasiblePolicy(), np.random.default_rng(1)
+    counts = np.bincount([policy.act(tiny, state, veh, mask, rng) for _ in range(n)],
+                         minlength=mask.size)
+    assert (counts[~mask] == 0).all()
+    sd = math.sqrt(n * (1 / k) * (1 - 1 / k))
+    assert np.abs(counts[mask] - n / k).max() < 4 * sd
+
+
+class _CheckedPolicy:
+    """Passes a policy through, asserting that every act returns a Python int
+    the mask allows."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.calls = 0
+
+    def begin_epoch(self, config, state, rng):
+        if hasattr(self.policy, "begin_epoch"):
+            self.policy.begin_epoch(config, state, rng)
+
+    def act(self, config, work, vehicle, mask, rng):
+        idx = self.policy.act(config, work, vehicle, mask, rng)
+        assert type(idx) is int and mask[idx]
+        self.calls += 1
+        return idx
+
+
+def test_every_policy_returns_a_feasible_python_int(tiny):
+    pset, _ = ppo.init_networks(tiny, ppo.PpoConfig(hidden=8))
+    policies = [AlwaysPassPolicy(), RandomFeasiblePolicy(), PowerOfKPolicy(tiny, k=2),
+                FluidRoundingPolicy(tiny, upper_bound(tiny)), ppo.NeuralPolicy(tiny, pset),
+                ppo.NeuralPolicy(tiny, pset, record=True)]
+    for policy in policies:
+        checked = _CheckedPolicy(policy)
+        sim.run_days(tiny, checked, 2, np.random.default_rng(9))
+        assert checked.calls == 2 * tiny.horizon_steps * tiny.fleet_size
 
 
 def test_power_of_k_requires_positive_k(tiny):
@@ -71,12 +106,10 @@ def test_power_of_k_serves_queued_trip(tiny):
     policy = PowerOfKPolicy(tiny, k=2)
     rng = np.random.default_rng(2)
     policy.begin_epoch(tiny, state, rng)
-    from fleetlab.model import VehicleStatus, feasible_mask
-
     veh = VehicleStatus(0, 0, tiny.battery_capacity)
     mask = feasible_mask(tiny, state, veh)
-    idx, _ = policy.act(tiny, state, veh, mask, rng)
-    assert idx == action_to_index(tiny, fulfill(TripStatus(0, 1, 0)))
+    assert policy.act(tiny, state, veh, mask, rng) == action_to_index(
+        tiny, fulfill(TripStatus(0, 1, 0)))
 
 
 def test_power_of_k_passes_without_demand(tiny):
@@ -85,12 +118,9 @@ def test_power_of_k_passes_without_demand(tiny):
     policy = PowerOfKPolicy(tiny, k=2)
     rng = np.random.default_rng(3)
     policy.begin_epoch(tiny, state, rng)
-    from fleetlab.model import VehicleStatus, feasible_mask
-
     veh = VehicleStatus(0, 0, tiny.battery_capacity)
     mask = feasible_mask(tiny, state, veh)
-    idx, _ = policy.act(tiny, state, veh, mask, rng)
-    assert idx == action_to_index(tiny, PASS)
+    assert policy.act(tiny, state, veh, mask, rng) == action_to_index(tiny, PASS)
 
 
 def test_power_of_k_beats_random(tiny):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fleetlab import cli, sim
+from fleetlab import cli, fluid, sim
 from fleetlab.baselines import exact_value_iteration
 from fleetlab.errors import InvalidArgument
 from fleetlab.fluid import (
@@ -63,6 +63,24 @@ def test_reduced_equals_full_for_time_varying_durations(tiny):
 def test_unknown_formulation_rejected(tiny):
     with pytest.raises(InvalidArgument):
         upper_bound(tiny, formulation="auto")
+
+
+def test_bound_callers_reach_the_builders_by_module_name(tiny, tmp_path, monkeypatch):
+    """A wrapper set on fluid.build_reduced_lp or fluid.build_full_lp, the way
+    the benchmark's tracer hooks a layer, is what upper_bound and `fleetlab
+    bound` call."""
+    calls = []
+    for name in ("build_reduced_lp", "build_full_lp"):
+        def wrapper(config, _orig=getattr(fluid, name), _name=name):
+            calls.append(_name)
+            return _orig(config)
+        monkeypatch.setattr(fluid, name, wrapper)
+    path = tmp_path / "tiny.json"
+    path.write_text(tiny.to_json())
+    for form in fluid.FORMULATIONS:
+        upper_bound(tiny, formulation=form)
+        assert cli.main(["bound", "--config", str(path), "--formulation", form]) == 0
+    assert calls == ["build_reduced_lp"] * 2 + ["build_full_lp"] * 2
 
 
 def test_bound_dominates_simulated_policies(tiny):

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from fleetlab import nn, ppo
-from fleetlab.errors import InvalidArgument
+from fleetlab import nn, ppo, sim
+from fleetlab.errors import ContractViolation, InvalidArgument
 from fleetlab.model import action_count
 from fleetlab.reduce import obs_dim, vehicle_feature_dim
 
@@ -71,6 +71,20 @@ def test_collect_trajectory_shapes(tiny):
     # one atomic record per vehicle per epoch
     assert L == 2 * tiny.horizon_steps * tiny.fleet_size
     assert trace.terminal_t == 0
+
+
+def test_collect_trajectory_rejects_a_log_shorter_than_the_records(tiny, monkeypatch):
+    """The sampler's log and the simulator's records are matched by position;
+    a log that lost a sample must not shift every later reward."""
+    def lossy_run_days(config, policy, days, rng):
+        traces = sim.run_days(config, policy, days, rng)
+        policy.log.pop()
+        return traces
+
+    monkeypatch.setattr(ppo, "run_days", lossy_run_days)
+    pset, _ = ppo.init_networks(tiny, ppo.PpoConfig(hidden=8))
+    with pytest.raises(ContractViolation, match="logged samples"):
+        ppo.collect_trajectory(tiny, pset, 1, np.random.default_rng(0))
 
 
 def test_estimate_g_is_mean_daily_reward(tiny):
