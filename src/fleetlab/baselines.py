@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +37,11 @@ from .model import (
     SystemState,
     TripStatus,
     VehicleStatus,
-    action_count,
+    action_table,
     action_to_index,
     charge,
     feasible_mask,
     fulfill,
-    index_to_action,
     reposition,
 )
 from .sim import WorkingState, admitted_arrivals, initial_state, transition
@@ -67,10 +66,7 @@ class IntentQueuePolicy:
     returns its index, or Pass's once the queue is empty."""
 
     def __init__(self):
-        self.intents: dict[VehicleStatus, list[AtomicAction]] = {}
-
-    def _push(self, status: VehicleStatus, action: AtomicAction) -> None:
-        self.intents.setdefault(status, []).append(action)
+        self.intents: defaultdict[VehicleStatus, deque[AtomicAction]] = defaultdict(deque)
 
     def _candidates(self, work, vehicle: VehicleStatus,
                     intent: AtomicAction) -> tuple[AtomicAction, ...]:
@@ -80,7 +76,7 @@ class IntentQueuePolicy:
     def act(self, config, work, vehicle, mask, rng):
         queue = self.intents.get(vehicle)
         while queue:
-            for cand in self._candidates(work, vehicle, queue.pop(0)):
+            for cand in self._candidates(work, vehicle, queue.popleft()):
                 idx = action_to_index(config, cand)
                 if mask[idx]:
                     return idx
@@ -96,52 +92,56 @@ class PowerOfKPolicy(IntentQueuePolicy):
         self.charger_regions = [
             v for v in range(config.num_regions) if config.charger_counts[v].sum() > 0
         ]
+        # rate indices, fastest rate first
+        self.rate_order = [int(ri) for ri in np.argsort(config.charge_rates)[::-1]]
 
     def begin_epoch(self, config, state, rng):
-        self.intents = {}
+        self.intents = defaultdict(deque)
         t = state.t
         pool = dict(state.statuses())
 
-        # serve queued orders, oldest first
-        orders = []
-        us, vvs, ages = np.nonzero(state.trips)
-        for u, v, xi in zip(us, vvs, ages):
-            orders.extend([TripStatus(int(u), int(v), int(xi))] * int(state.trips[u, v, xi]))
-        orders.sort(key=lambda o: (-o.age, o.origin, o.dest))
-        for o in orders:
-            nearby = sorted(
-                (c for c, n in pool.items()
-                 if n > 0 and c.dest == o.origin and c.eta <= config.pickup_patience),
-                key=lambda c: (c.eta, -c.battery, c.dest))
-            window = nearby[: self.k]
-            window.sort(key=lambda c: (-c.battery, c.eta))
-            need = int(config.battery_cost[o.origin, o.dest])
-            for c in window:
-                if c.battery >= need:
-                    self._push(c, fulfill(o))
-                    pool[c] -= 1
-                    break
-
-        # idle leftovers: charge if possible, else chase the nearest chargers
-        free = state.chargers[:, :, 0].copy()
+        # serve queued orders, oldest first. Each origin keeps its dispatchable
+        # statuses nearest first, and a status leaves once the pool runs out of
+        # it. The copies of one trip status are tried in a row, and once one of
+        # them finds no vehicle, neither can the rest.
+        nearby: dict[int, list[VehicleStatus]] = defaultdict(list)
         for c in sorted(pool, key=lambda c: (c.eta, -c.battery, c.dest)):
-            if c.eta != 0:
+            if c.eta <= config.pickup_patience:
+                nearby[c.dest].append(c)
+        us, vs, ages = (a.tolist() for a in np.nonzero(state.trips))
+        queued = sorted(map(TripStatus, us, vs, ages), key=lambda o: (-o.age, o.origin, o.dest))
+        for o in queued:
+            near = nearby[o.origin]
+            need = int(config.battery_cost[o.origin, o.dest])
+            for _ in range(int(state.trips[o.origin, o.dest, o.age])):
+                window = sorted(near[: self.k], key=lambda c: (-c.battery, c.eta))
+                c = next((c for c in window if c.battery >= need), None)
+                if c is None:
+                    break
+                self.intents[c].append(fulfill(o))
+                pool[c] -= 1
+                if not pool[c]:
+                    near.remove(c)
+
+        # idle leftovers: charge if possible, fastest rate first, else chase
+        # the nearest chargers
+        free = state.chargers[:, :, 0].tolist()
+        for c in sorted(pool, key=lambda c: (c.eta, -c.battery, c.dest)):
+            n = pool[c]
+            if c.eta != 0 or not n:
                 continue
-            for _ in range(pool[c]):
-                region_rates = [
-                    ri for ri in np.argsort(config.charge_rates)[::-1]
-                    if free[c.dest, ri] > 0
-                ]
-                if region_rates and c.battery < config.battery_capacity:
-                    ri = int(region_rates[0])
-                    self._push(c, charge(config.charge_rates[ri]))
-                    free[c.dest, ri] -= 1
-                elif not config.charger_counts[c.dest].sum() and self.charger_regions:
-                    dest = min(
-                        self.charger_regions,
-                        key=lambda v: (int(config.trip_duration[c.dest, v, t]), v))
-                    if dest != c.dest and c.battery >= config.battery_cost[c.dest, dest]:
-                        self._push(c, reposition(dest))
+            if c.battery < config.battery_capacity:
+                for ri in self.rate_order:
+                    take = min(n, free[c.dest][ri])
+                    self.intents[c].extend([charge(config.charge_rates[ri])] * take)
+                    free[c.dest][ri] -= take
+                    n -= take
+            if n and c.dest not in self.charger_regions and self.charger_regions:
+                dest = min(
+                    self.charger_regions,
+                    key=lambda v: (int(config.trip_duration[c.dest, v, t]), v))
+                if dest != c.dest and c.battery >= config.battery_cost[c.dest, dest]:
+                    self.intents[c].extend([reposition(dest)] * n)
 
 
 # -- exact solution of tiny instances --------------------------------------------
@@ -177,15 +177,15 @@ def _joint_outcomes(config: NetworkConfig, t: int, cap: int):
     return outcomes if outcomes else [(np.zeros((V, V), dtype=np.int64), 1.0)]
 
 
-def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState,
-                             actions: list[AtomicAction]):
+def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState):
     """All feasible joint assignments, deduplicated over identical vehicles.
 
     Vehicles are assigned one at a time, as in sim.run_epoch: each takes its
     candidates from feasible_mask over what the vehicles before it left.
     Vehicles of one status take candidates in non-decreasing rank (Pass
     first as rank -1, then by action index), so each multiset of actions
-    appears once. ``actions`` lists the atomic action of every index."""
+    appears once."""
+    actions = action_table(config).actions
     units = [c for c, n in state.statuses() for _ in range(n)]
     results: list[FleetAction] = []
 
@@ -248,7 +248,6 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     total = 1
     flat = [([], [], [], [], [0], [0]) for _ in range(T)]
     zero_arr = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
-    actions = [index_to_action(config, j) for j in range(action_count(config))]
     # each layer's arrival outcomes stacked once: (K, V, V) counts, K probabilities
     arrival_stacks = [np.stack([arr for arr, _ in outs]) for outs in outcomes]
     arrival_probs = [[p for _, p in outs] for outs in outcomes]
@@ -257,7 +256,7 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
         t = state.t
         arrivals, probs = arrival_stacks[t], arrival_probs[t]
         rewards, fas, branch_p, branch_j, branch_ptr, state_ptr = flat[t]
-        for fa in _enumerate_fleet_actions(config, state, actions):
+        for fa in _enumerate_fleet_actions(config, state):
             # arrivals only fill the age-0 queue: apply the action once under
             # zero arrivals, then graft every arrival outcome onto the result
             base, info = transition(config, state, fa, zero_arr, validate=False)

@@ -27,7 +27,7 @@ is implied by per-status conservation, is the cross-check for this choice.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,13 +379,13 @@ class FluidRoundingPolicy(IntentQueuePolicy):
                 self._by_time.setdefault(key[-1], []).append((status, action, frac))
 
     def begin_epoch(self, config, state, rng):
-        self.intents = {}
+        self.intents = defaultdict(deque)
         N = config.fleet_size
         for status, action, frac in self._by_time.get(state.t, []):
             target = N * frac
             count = int(target) + (1 if rng.random() < target - int(target) else 0)
             if action.kind != "pass" and count > 0:
-                self.intents.setdefault(status, []).extend([action] * count)
+                self.intents[status].extend([action] * count)
 
     def _candidates(self, work, vehicle, intent):
         if intent.kind != "fulfill":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -79,16 +80,10 @@ class SystemState:
         for v, e, b in zip(vs.tolist(), es.tolist(), bs.tolist()):
             yield VehicleStatus(v, e, b), int(self.vehicles[v, e, b])
 
-    def vehicle_units(self) -> list[VehicleStatus]:
-        """All vehicles expanded one per unit, in canonical assignment order.
-
-        Canonical order: eta ascending, battery descending, region ascending.
-        """
-        out = []
-        for c, n in sorted(self.statuses(),
-                           key=lambda cn: (cn[0].eta, -cn[0].battery, cn[0].dest)):
-            out.extend([c] * n)
-        return out
+    def status_groups(self) -> list[tuple[VehicleStatus, int]]:
+        """(status, vehicle count) of every occupied status, in canonical
+        assignment order: eta ascending, battery descending, region ascending."""
+        return sorted(self.statuses(), key=lambda cn: (cn[0].eta, -cn[0].battery, cn[0].dest))
 
     def key(self) -> tuple:
         """Hashable identity, used by the exact-solution oracle."""
@@ -143,51 +138,65 @@ def all_pass_action(config: NetworkConfig, state: SystemState) -> FleetAction:
 # Policies emit a distribution over a fixed index space:
 #   [fulfill (u, v, xi) for u, v != u, xi]  ++  [reposition v]  ++
 #   [charge rate]  ++  [pass]
+# so the ages of one (u, v) trip pair take consecutive indices. The space is
+# enumerated once per (V, L_c+1, charge rates) by _action_table, and every
+# conversion between an index and an action reads that one table.
+
+
+class ActionTable(NamedTuple):
+    """The atomic action of every index, its inverse, and where feasible_mask
+    sets its bits; shared between callers, so read only."""
+
+    actions: tuple[AtomicAction, ...]
+    index: dict[AtomicAction, int]
+    fulfill_at: tuple[tuple[int, ...], ...]    # [u][v]: fulfilling (u, v, age 0); -1 if u == v
+    reposition_at: tuple[int, ...]             # [v]
+    charge_at: tuple[int, ...]                 # [rate index]
+
+
+@lru_cache(maxsize=64)
+def _action_table(num_regions: int, lc1: int, charge_rates: tuple[int, ...]) -> ActionTable:
+    V = num_regions
+    actions = [fulfill(TripStatus(u, v, xi))
+               for u in range(V) for v in range(V) if v != u for xi in range(lc1)]
+    actions += [reposition(v) for v in range(V)]
+    actions += [charge(rate) for rate in charge_rates]
+    actions.append(PASS)
+    index = {a: j for j, a in enumerate(actions)}
+    return ActionTable(
+        tuple(actions), index,
+        tuple(tuple(index.get(fulfill(TripStatus(u, v, 0)), -1) for v in range(V))
+              for u in range(V)),
+        tuple(index[reposition(v)] for v in range(V)),
+        tuple(index[charge(rate)] for rate in charge_rates))
+
+
+def action_table(config: NetworkConfig) -> ActionTable:
+    """The config's action index space, built on first use."""
+    return _action_table(config.num_regions, config.connection_patience + 1,
+                         config.charge_rates)
 
 
 def action_count(config: NetworkConfig) -> int:
-    V, Lc1, R = config.num_regions, config.connection_patience + 1, config.num_rates
-    return V * (V - 1) * Lc1 + V + R + 1
-
-
-def fulfill_index(config: NetworkConfig, trip: TripStatus) -> int:
-    V, Lc1 = config.num_regions, config.connection_patience + 1
-    u, v, xi = trip
-    voff = v if v < u else v - 1
-    return (u * (V - 1) + voff) * Lc1 + xi
+    return len(action_table(config).actions)
 
 
 def action_to_index(config: NetworkConfig, action: AtomicAction) -> int:
-    V, Lc1, R = config.num_regions, config.connection_patience + 1, config.num_rates
-    nf = V * (V - 1) * Lc1
-    if action.kind == "fulfill":
-        return fulfill_index(config, action.trip)
-    if action.kind == "reposition":
-        return nf + action.region
+    idx = action_table(config).index.get(action)
+    if idx is not None:
+        return idx
+    if action.kind not in ACTION_KINDS:
+        raise InvalidArgument(f"unknown atomic action kind {action.kind!r}")
     if action.kind == "charge":
-        return nf + V + config.rate_index(action.rate)
-    if action.kind == "pass":
-        return nf + V + R
-    raise InvalidArgument(f"unknown atomic action kind {action.kind!r}")
+        config.rate_index(action.rate)              # ConfigError for an unknown rate
+    raise InvalidArgument(f"atomic action {action} is not in the action index space")
 
 
 def index_to_action(config: NetworkConfig, idx: int) -> AtomicAction:
-    V, Lc1, R = config.num_regions, config.connection_patience + 1, config.num_rates
-    nf = V * (V - 1) * Lc1
-    if idx < 0 or idx >= action_count(config):
+    actions = action_table(config).actions
+    if not 0 <= idx < len(actions):
         raise InvalidArgument(f"action index {idx} out of range")
-    if idx < nf:
-        u, rem = divmod(idx, (V - 1) * Lc1)
-        voff, xi = divmod(rem, Lc1)
-        v = voff if voff < u else voff + 1
-        return fulfill(TripStatus(u, v, xi))
-    idx -= nf
-    if idx < V:
-        return reposition(idx)
-    idx -= V
-    if idx < R:
-        return charge(config.charge_rates[idx])
-    return PASS
+    return actions[idx]
 
 
 # -- feasibility --------------------------------------------------------------
@@ -233,26 +242,24 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
     sequential-assignment feasible set.
     """
     _check_vehicle(config, state, vehicle)
-    V, Lc1, R = config.num_regions, config.connection_patience + 1, config.num_rates
-    nf = V * (V - 1) * Lc1
-    mask = np.zeros(action_count(config), dtype=bool)
+    table = action_table(config)
+    mask = np.zeros(len(table.actions), dtype=bool)
     mask[-1] = True                                          # pass, always
     u, eta, b = vehicle
-    if eta <= config.pickup_patience:
-        for v in range(V):
-            if v == u or b < config.battery_cost[u, v]:
-                continue
-            avail = state.trips[u, v, :] > 0
-            if avail.any():
-                base = fulfill_index(config, TripStatus(u, v, 0))
-                mask[base : base + Lc1] = avail
+    if eta > config.pickup_patience:
+        return mask
+    reachable = [v for v in range(config.num_regions)
+                 if v != u and b >= config.battery_cost[u, v]]
+    queued = state.trips[u] > 0
+    fulfill_at = table.fulfill_at[u]
+    for v in reachable:
+        mask[fulfill_at[v] : fulfill_at[v] + queued.shape[1]] = queued[v]
     if eta == 0:
-        for v in range(V):
-            if v != u and b >= config.battery_cost[u, v]:
-                mask[nf + v] = True
-        for r in range(R):
+        for v in reachable:
+            mask[table.reposition_at[v]] = True
+        for r, at in enumerate(table.charge_at):
             if state.chargers[u, r, 0] > 0:
-                mask[nf + V + r] = True
+                mask[at] = True
     return mask
 
 

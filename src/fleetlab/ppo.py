@@ -80,6 +80,7 @@ class NeuralPolicy:
     With record=True it logs each draw in call order: the network's inputs
     (observation, vehicle features, mask, time of day), the action index and
     its probability, so the trainer rebuilds ratios under identical inputs.
+    The log keeps the mask it is handed, which run_epoch makes read-only.
     """
 
     def __init__(self, config: NetworkConfig, pset: nn.MlpSet, record: bool = False):
@@ -93,7 +94,7 @@ class NeuralPolicy:
         probs = nn.forward_policy(self.pset, obs, veh, mask, work.t)
         idx = int(rng.choice(probs.size, p=probs))
         if self.record:
-            self.log.append((obs, veh, mask.copy(), work.t, idx, float(probs[idx])))
+            self.log.append((obs, veh, mask, work.t, idx, float(probs[idx])))
         return idx
 
 

@@ -186,34 +186,64 @@ class WorkingState:
         self.trips = state.trips.copy()
         self.chargers = state.chargers.copy()
 
-    def commit(self, config: NetworkConfig, vehicle: VehicleStatus, action: AtomicAction) -> None:
+    def commit(self, config: NetworkConfig, vehicle: VehicleStatus, action: AtomicAction) -> bool:
+        """Take the vehicle and what its action uses; returns whether that was
+        the last queued trip, or the last free charger, the action drew on."""
         self.vehicles[vehicle.dest, vehicle.eta, vehicle.battery] -= 1
         if action.kind == "fulfill":
             o = action.trip
             self.trips[o.origin, o.dest, o.age] -= 1
-        elif action.kind == "charge":
-            self.chargers[vehicle.dest, config.rate_index(action.rate), 0] -= 1
+            return self.trips[o.origin, o.dest, o.age] == 0
+        if action.kind == "charge":
+            ri = config.rate_index(action.rate)
+            self.chargers[vehicle.dest, ri, 0] -= 1
+            return self.chargers[vehicle.dest, ri, 0] == 0
+        return False
+
+
+def _read_only(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask
 
 
 def run_epoch(
     config: NetworkConfig, state: SystemState, policy, rng: np.random.Generator
 ) -> EpochResult:
-    """Assign every vehicle in canonical order; returns the fleet action built."""
+    """Assign every vehicle in canonical order; returns the fleet action built.
+
+    The units of one status come one after another, and feasible_mask runs
+    once per such group. Each further unit reuses the mask of the unit before
+    it, less the one bit that unit's commit may have used up: the fulfilled
+    trip's, once its queue is empty, or the charge rate's, once the region has
+    no free charger of that rate left. Pass and reposition commits change only
+    the vehicle counts, which feasible_mask reads only to see that the vehicle
+    is present. Policies get the mask read-only: one may keep it, as
+    NeuralPolicy's log does, but none can change what a later unit is handed.
+    """
     work = WorkingState(state)
     action = FleetAction.empty()
-    records: list[AtomicRecord] = []
+    groups = state.status_groups()
+    # one record per vehicle, allocated at once, so that a fleet too large for
+    # memory raises MemoryError before the first vehicle acts
+    records: list[AtomicRecord] = [None] * sum(n for _, n in groups)
+    k = 0
     if hasattr(policy, "begin_epoch"):
         policy.begin_epoch(config, state, rng)
-    for vehicle in state.vehicle_units():
-        mask = feasible_mask(config, work, vehicle)
-        idx = policy.act(config, work, vehicle, mask, rng)
-        if not mask[idx]:
-            raise ContractViolation(f"policy chose infeasible action index {idx}")
-        atomic = index_to_action(config, idx)
-        r = atomic_reward(config, vehicle, atomic, state.t)
-        records.append(AtomicRecord(vehicle, atomic, r))
-        action.add_atomic(vehicle, atomic)
-        work.commit(config, vehicle, atomic)
+    for vehicle, n in groups:
+        mask = _read_only(feasible_mask(config, work, vehicle))
+        for _ in range(n):
+            idx = policy.act(config, work, vehicle, mask, rng)
+            if not mask[idx]:
+                raise ContractViolation(f"policy chose infeasible action index {idx}")
+            atomic = index_to_action(config, idx)
+            r = atomic_reward(config, vehicle, atomic, state.t)
+            records[k] = AtomicRecord(vehicle, atomic, r)
+            k += 1
+            action.add_atomic(vehicle, atomic)
+            if work.commit(config, vehicle, atomic):
+                mask = mask.copy()
+                mask[idx] = False
+                _read_only(mask)
     return EpochResult(action, records)
 
 

@@ -18,6 +18,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def highs_optimum(problem):
+    """scipy HiGHS optimum of an LpProblem: (objective in the problem's own
+    sense, x), or None if it is infeasible."""
+    from scipy.optimize import linprog
+
+    senses = np.asarray(problem.senses)
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    sign = -1.0 if problem.maximize else 1.0
+    res = linprog(sign * problem.objective,
+                  A_ub=np.vstack([problem.A[le], -problem.A[ge]]),
+                  b_ub=np.concatenate([problem.b[le], -problem.b[ge]]),
+                  A_eq=problem.A[eq] if eq.any() else None,
+                  b_eq=problem.b[eq] if eq.any() else None,
+                  bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return sign * float(res.fun), res.x
+
+
 def tiny_config(V=2, T=4, N=2, B=3, J=2, L_p=1, L_c=1, tau=2, seed=None,
                 rates=(1,), chargers=1, lam_scale=1.0) -> NetworkConfig:
     """Small hand-adjustable instance used across the suite."""

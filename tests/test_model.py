@@ -4,26 +4,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetlab.errors import ContractViolation, InvalidArgument
+from fleetlab.errors import ConfigError, ContractViolation, InvalidArgument
 from fleetlab.model import (PASS, AtomicAction, FleetAction, SystemState,
                             TripStatus, VehicleStatus, action_count,
                             action_to_index, atomic_reward, charge,
                             check_fleet_action, epoch_reward, feasible_mask,
                             fulfill, index_to_action, reposition,
                             validate_state)
+from fleetlab.scenarios import TEMPLATES, synth_scenario
 from fleetlab.sim import initial_state
 
 from conftest import tiny_config
 
 
 def test_action_index_bijection(tiny):
-    n = action_count(tiny)
-    seen = set()
-    for idx in range(n):
-        a = index_to_action(tiny, idx)
-        assert action_to_index(tiny, a) == idx
-        assert a not in seen
-        seen.add(a)
+    """On every template, on tiny and on a config with two charge rates, each
+    index maps to a distinct action of the documented layout, and back; one
+    (u, v) pair's ages take consecutive indices."""
+    configs = [synth_scenario(tpl, 0) for tpl in TEMPLATES]
+    configs += [tiny, tiny_config(V=3, L_c=2, rates=(2, 1), chargers=1)]
+    for cfg in configs:
+        V, Lc1 = cfg.num_regions, cfg.connection_patience + 1
+        want = ([fulfill(TripStatus(u, v, xi)) for u in range(V) for v in range(V) if v != u
+                 for xi in range(Lc1)]
+                + [reposition(v) for v in range(V)] + [charge(r) for r in cfg.charge_rates]
+                + [PASS])
+        assert [index_to_action(cfg, idx) for idx in range(action_count(cfg))] == want
+        assert [action_to_index(cfg, a) for a in want] == list(range(len(want)))
+        assert action_to_index(cfg, charge(np.int64(cfg.charge_rates[-1]))) == len(want) - 2
+
+
+def test_action_index_errors():
+    cfg = tiny_config(rates=(1, 2))
+    for idx in (-1, action_count(cfg), 10**6):
+        with pytest.raises(InvalidArgument, match="out of range"):
+            index_to_action(cfg, idx)
+    with pytest.raises(InvalidArgument, match="unknown atomic action kind"):
+        action_to_index(cfg, AtomicAction("teleport"))
+    with pytest.raises(ConfigError, match="unknown charge rate"):
+        action_to_index(cfg, charge(3))
 
 
 def test_action_count_formula(tiny):
@@ -32,16 +51,19 @@ def test_action_count_formula(tiny):
 
 
 def test_canonical_vehicle_order(tiny):
-    state = initial_state(tiny)
-    units = state.vehicle_units()
-    assert len(units) == tiny.fleet_size
-    keys = [(u.eta, -u.battery, u.dest) for u in units]
-    assert keys == sorted(keys)
+    """Status groups come eta ascending, battery descending, region ascending."""
+    s0 = initial_state(tiny)
+    vehicles = np.zeros_like(s0.vehicles)
+    for (v, eta, b), n in {(1, 0, 1): 1, (0, 1, 3): 2, (0, 0, 1): 1, (1, 0, 3): 2}.items():
+        vehicles[v, eta, b] = n
+    state = SystemState(0, vehicles, s0.trips, s0.chargers)
+    assert state.status_groups() == [(VehicleStatus(1, 0, 3), 2), (VehicleStatus(0, 0, 1), 1),
+                                     (VehicleStatus(1, 0, 1), 1), (VehicleStatus(0, 1, 3), 2)]
 
 
 def test_feasible_mask_pass_always_allowed(tiny):
     state = initial_state(tiny)
-    for unit in state.vehicle_units():
+    for unit, _ in state.status_groups():
         mask = feasible_mask(tiny, state, unit)
         assert mask[action_to_index(tiny, PASS)]
 
@@ -137,7 +159,7 @@ def test_feasible_actions_are_always_executable(seed):
     for _ in range(int(rng.integers(0, 4))):
         res = run_epoch(cfg, state, RandomFeasiblePolicy(), rng)
         state, _ = step(cfg, state, res.action, rng)
-    unit = state.vehicle_units()[0]
+    unit = state.status_groups()[0][0]
     mask = feasible_mask(cfg, state, unit)
     for idx in np.nonzero(mask)[0]:
         fa = FleetAction.empty()

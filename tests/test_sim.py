@@ -4,16 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from fleetlab.baselines import RandomFeasiblePolicy
+from fleetlab.baselines import PowerOfKPolicy, RandomFeasiblePolicy
+from fleetlab.calibrate import scale_fleet
 from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
+from fleetlab.fluid import FluidRoundingPolicy, FluidSolution, build_reduced_lp
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus,
-                            VehicleStatus, all_pass_action, charge, feasible_mask,
-                            fulfill, index_to_action, landing, reposition)
+                            VehicleStatus, action_to_index, all_pass_action, charge,
+                            feasible_mask, fulfill, index_to_action, landing, reposition)
+from fleetlab.ppo import NeuralPolicy, PpoConfig, init_networks
+from fleetlab.scenarios import TEMPLATES, synth_scenario
 from fleetlab.sim import (admitted_arrivals, draw_arrivals, initial_state, run_day,
                           run_days, run_epoch, step, transition)
 
-from conftest import random_config, tiny_config
+from conftest import highs_optimum, random_config, tiny_config
 
 
 def test_initial_state_invariants(tiny):
@@ -241,3 +245,118 @@ def test_draw_arrivals_matches_poisson_mean(tiny):
     draws = np.array([draw_arrivals(tiny, 0, rng) for _ in range(4000)])
     mean = draws.mean(axis=0)
     assert np.abs(mean - tiny.arrival_rate[:, :, 0]).max() < 0.1
+
+
+# -- masks handed to policies ------------------------------------------------------
+
+
+def _highs_rounding_policy(config):
+    """FluidRoundingPolicy over a HiGHS optimum of the reduced LP; the
+    program's own simplex takes tens of seconds on two of the templates."""
+    problem, index = build_reduced_lp(config)
+    objective, x = highs_optimum(problem)
+    flows = {key: max(float(x[j]), 0.0) for key, j in index.items()}
+    return FluidRoundingPolicy(config, FluidSolution(objective, flows, "reduced", 0, 0.0))
+
+
+class _MaskSpy:
+    """Passes a policy through, asserting at every atomic step that the mask
+    it is handed is read-only and equals a fresh feasible_mask of the working
+    state. Counts the steps whose mask lost a bit from the unit before it."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.steps = 0
+        self.cleared = 0
+        self.prev = None
+
+    def begin_epoch(self, config, state, rng):
+        self.prev = None
+        if hasattr(self.policy, "begin_epoch"):
+            self.policy.begin_epoch(config, state, rng)
+
+    def act(self, config, work, vehicle, mask, rng):
+        assert not mask.flags.writeable
+        assert (mask == feasible_mask(config, work, vehicle)).all()
+        if self.prev is not None and self.prev[0] == vehicle:
+            self.cleared += int((self.prev[1] != mask).any())
+        self.prev = (vehicle, mask)
+        self.steps += 1
+        return self.policy.act(config, work, vehicle, mask, rng)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_reused_masks_equal_fresh_masks(template):
+    """Every heuristic policy and the neural policy, over two days of each
+    template at four times its fleet, see at each atomic step exactly the
+    mask feasible_mask gives for the working state."""
+    base = synth_scenario(template, 0)
+    config = scale_fleet(base, 4 * base.fleet_size, base.fleet_size)
+    pset, _ = init_networks(config, PpoConfig(hidden=8))
+    policies = [PowerOfKPolicy(config, k=2), RandomFeasiblePolicy(),
+                _highs_rounding_policy(config), NeuralPolicy(config, pset)]
+    cleared = 0
+    for policy in policies:
+        spy = _MaskSpy(policy)
+        days = run_days(config, spy, 2, np.random.default_rng(4))
+        assert spy.steps == sum(len(e.records) for d in days for e in d.epochs)
+        cleared += spy.cleared
+    assert cleared > 0          # some unit saw the bit of a resource used up
+
+
+class _Scripted:
+    """Returns the given action indices in turn and keeps each mask it gets."""
+
+    def __init__(self, indices):
+        self.indices = list(indices)
+        self.masks = []
+
+    def act(self, config, work, vehicle, mask, rng):
+        self.masks.append(mask)
+        assert (mask == feasible_mask(config, work, vehicle)).all()
+        return self.indices.pop(0)
+
+
+@pytest.mark.parametrize("kind", ["fulfill", "charge"])
+@pytest.mark.parametrize("left", [0, 1])
+def test_second_unit_sees_what_the_first_used_up(kind, left):
+    """Two idle vehicles of one status: the first takes a queued trip or a
+    free charger. The second may take the same action only if one is left."""
+    cfg = tiny_config(chargers=1 + left)
+    s0 = initial_state(cfg)
+    vehicles = np.zeros_like(s0.vehicles)
+    vehicles[0, 0, 2] = 2
+    trips = s0.trips.copy()
+    trips[0, 1, 0] = 1 + left
+    state = SystemState(0, vehicles, trips, s0.chargers)
+    taken = fulfill(TripStatus(0, 1, 0)) if kind == "fulfill" else charge(cfg.charge_rates[0])
+    j, p = action_to_index(cfg, taken), action_to_index(cfg, PASS)
+    policy = _Scripted([j, p])
+    run_epoch(cfg, state, policy, np.random.default_rng(0))
+    first, second = policy.masks
+    assert first[j] and second[j] == bool(left)
+    assert np.flatnonzero(first != second).tolist() == ([] if left else [j])
+
+
+def test_policy_cannot_write_the_mask():
+    """A write to the handed mask raises, and later units of the same status
+    still get the true feasible set."""
+
+    class Vandal:
+        def __init__(self):
+            self.steps = 0
+
+        def act(self, config, work, vehicle, mask, rng):
+            before = mask.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                mask[:] = ~mask
+            assert (mask == before).all()
+            assert (mask == feasible_mask(config, work, vehicle)).all()
+            self.steps += 1
+            return int(np.flatnonzero(mask)[0])
+
+    cfg = synth_scenario("two-region-commute", 0)
+    policy = Vandal()
+    day = run_day(cfg, initial_state(cfg), policy, np.random.default_rng(2))
+    assert policy.steps == cfg.fleet_size * cfg.horizon_steps
+    assert sum(e.info.fulfilled for e in day.epochs) > 0

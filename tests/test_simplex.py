@@ -9,7 +9,7 @@ from fleetlab.fluid import build_full_lp, build_reduced_lp
 from fleetlab.scenarios import synth_scenario
 from fleetlab.simplex import LpProblem, export_mps, solve
 
-from conftest import tiny_config
+from conftest import highs_optimum, tiny_config
 from oracles import lp_optimum_exact
 
 
@@ -282,21 +282,8 @@ def test_degenerate_rhs_terminates():
 
 def _highs_objective(problem):
     """scipy HiGHS optimum in the problem's own sense; None if infeasible."""
-    from scipy.optimize import linprog
-
-    senses = np.asarray(problem.senses)
-    le, ge, eq = senses == "<=", senses == ">=", senses == "="
-    sign = -1.0 if problem.maximize else 1.0
-    res = linprog(sign * problem.objective,
-                  A_ub=np.vstack([problem.A[le], -problem.A[ge]]),
-                  b_ub=np.concatenate([problem.b[le], -problem.b[ge]]),
-                  A_eq=problem.A[eq] if eq.any() else None,
-                  b_eq=problem.b[eq] if eq.any() else None,
-                  bounds=(0, None), method="highs")
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    return sign * float(res.fun)
+    optimum = highs_optimum(problem)
+    return None if optimum is None else optimum[0]
 
 
 @pytest.mark.parametrize("template,formulation", [
