@@ -181,15 +181,17 @@ def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState):
     """All feasible joint assignments, deduplicated over identical vehicles.
 
     Vehicles are assigned one at a time, as in sim.run_epoch: each takes its
-    candidates from feasible_mask over what the vehicles before it left.
-    Vehicles of one status take candidates in non-decreasing rank (Pass
-    first as rank -1, then by action index), so each multiset of actions
-    appears once."""
+    candidates from what the vehicles before it left. Vehicles of one status
+    take candidates in non-decreasing rank (Pass first as rank -1, then by
+    action index), so each multiset of actions appears once. feasible_mask
+    runs once per status; each further unit of it keeps the candidates from
+    the rank before it on, less that rank if its commit used up the last
+    queued trip or free charger it drew on (see sim.run_epoch)."""
     actions = action_table(config).actions
     units = [c for c, n in state.statuses() for _ in range(n)]
     results: list[FleetAction] = []
 
-    def recurse(i: int, low: int, work: WorkingState, acc):
+    def recurse(i: int, work: WorkingState, acc, ranks: list[int]):
         if i == len(units):
             fa = FleetAction.empty()
             for c, a in acc:
@@ -198,16 +200,14 @@ def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState):
             return
         c = units[i]
         if i == 0 or units[i - 1] != c:
-            low = -1
-        mask = feasible_mask(config, work, c)
-        for rank in [-1] + np.nonzero(mask[:-1])[0].tolist():
-            if rank < low:
-                continue
+            ranks = [-1] + np.flatnonzero(feasible_mask(config, work, c)[:-1]).tolist()
+        for k, rank in enumerate(ranks):
             nxt = WorkingState(work)
-            nxt.commit(config, c, actions[rank])
-            recurse(i + 1, rank, nxt, acc + [(c, actions[rank])])
+            used_up = nxt.commit(config, c, actions[rank])
+            recurse(i + 1, nxt, acc + [(c, actions[rank])],
+                    ranks[k + 1:] if used_up else ranks[k:])
 
-    recurse(0, -1, WorkingState(state), [])
+    recurse(0, WorkingState(state), [], [])
     return results
 
 

@@ -14,7 +14,7 @@ import numbers
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +45,18 @@ def _table(dtype, axes: str):
 
 #: The size fields, which serialise under "dims".
 _DIMS = ("num_regions", "fleet_size", "battery_capacity", "horizon_steps")
+
+
+class TableLists(NamedTuple):
+    """The tables that per-vehicle code reads one entry at a time, as nested
+    Python lists: ``trip_duration[u][v][t]`` is a list lookup that gives an
+    int, where the array needs a numpy scalar read and a conversion."""
+
+    trip_duration: list
+    battery_cost: list
+    trip_reward: list
+    reposition_reward: list
+    charge_reward: list
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,11 @@ class NetworkConfig:
         """Largest task remaining time any vehicle can carry."""
         tau_max = self.max_offdiag_duration()
         return max(self.pickup_patience + tau_max - 1, self.charge_period - 1, 0)
+
+    @functools.cached_property
+    def lists(self) -> TableLists:
+        """The scalar-read tables as nested lists, built on first use."""
+        return TableLists(*(getattr(self, f).tolist() for f in TableLists._fields))
 
     def max_offdiag_duration(self) -> int:
         V = self.num_regions

@@ -70,15 +70,19 @@ class SystemState:
 
     def __post_init__(self):
         for f in ("vehicles", "trips", "chargers"):
-            arr = np.ascontiguousarray(getattr(self, f), dtype=np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, f, arr)
+            arr = getattr(self, f)
+            if not (type(arr) is np.ndarray and arr.dtype == np.int64
+                    and arr.flags.c_contiguous):
+                arr = np.ascontiguousarray(arr, dtype=np.int64)
+                object.__setattr__(self, f, arr)
+            arr.setflags(write=False)
 
     def statuses(self) -> Iterator[tuple[VehicleStatus, int]]:
         """(status, vehicle count) of every occupied status, in array order."""
         vs, es, bs = np.nonzero(self.vehicles)
-        for v, e, b in zip(vs.tolist(), es.tolist(), bs.tolist()):
-            yield VehicleStatus(v, e, b), int(self.vehicles[v, e, b])
+        counts = self.vehicles[vs, es, bs].tolist()
+        for v, e, b, n in zip(vs.tolist(), es.tolist(), bs.tolist(), counts):
+            yield VehicleStatus(v, e, b), n
 
     def status_groups(self) -> list[tuple[VehicleStatus, int]]:
         """(status, vehicle count) of every occupied status, in canonical
@@ -100,14 +104,14 @@ def validate_state(config: NetworkConfig, state: SystemState) -> None:
         raise ContractViolation(f"chargers array shape {state.chargers.shape}")
     if not (0 <= state.t < config.horizon_steps):
         raise ContractViolation(f"time of day {state.t} out of range")
-    if (state.vehicles < 0).any() or (state.trips < 0).any() or (state.chargers < 0).any():
+    # the charger array is empty when there are no charge rates
+    if min(state.vehicles.min(), state.trips.min(), state.chargers.min(initial=0)) < 0:
         raise ContractViolation("negative counts")
-    if int(state.vehicles.sum()) != config.fleet_size:
+    if state.vehicles.sum() != config.fleet_size:
         raise ContractViolation("fleet size not conserved")
-    per_station = state.chargers.sum(axis=2)
-    if (per_station != config.charger_counts).any():
+    if (state.chargers.sum(axis=2) != config.charger_counts).any():
         raise ContractViolation("charger totals not conserved")
-    if (state.trips > config.trip_cap).any():
+    if state.trips.max() > config.trip_cap:
         raise ContractViolation("trip queue exceeds N(L_c+1) cap")
 
 
@@ -230,8 +234,9 @@ def landing(config: NetworkConfig, vehicle: VehicleStatus, action: AtomicAction,
     if action.kind == "charge":
         return VehicleStatus(u, config.charge_period - 1, config.charge_result(b, action.rate))
     v = action.region if action.trip is None else action.trip.dest
-    return VehicleStatus(v, eta + int(config.trip_duration[u, v, t]) - 1,
-                         b - int(config.battery_cost[u, v]))
+    lists = config.lists
+    return VehicleStatus(v, eta + lists.trip_duration[u][v][t] - 1,
+                         b - lists.battery_cost[u][v])
 
 
 def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleStatus) -> np.ndarray:
@@ -248,8 +253,8 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
     u, eta, b = vehicle
     if eta > config.pickup_patience:
         return mask
-    reachable = [v for v in range(config.num_regions)
-                 if v != u and b >= config.battery_cost[u, v]]
+    cost = config.lists.battery_cost[u]
+    reachable = [v for v in range(config.num_regions) if v != u and b >= cost[v]]
     queued = state.trips[u] > 0
     fulfill_at = table.fulfill_at[u]
     for v in reachable:
@@ -266,6 +271,7 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
 def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetAction) -> None:
     """Verify a fleet flow against the per-status feasibility and resource caps."""
     Lp = config.pickup_patience
+    cost = config.lists.battery_cost
     outgoing: dict[VehicleStatus, int] = {}
     trip_usage: dict[TripStatus, int] = {}
     charger_usage: dict[tuple[int, int], int] = {}
@@ -277,14 +283,14 @@ def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetA
         if a.kind == "fulfill":
             o = a.trip
             if (c.dest != o.origin or c.eta > Lp
-                    or c.battery < config.battery_cost[o.origin, o.dest]):
+                    or c.battery < cost[o.origin][o.dest]):
                 raise ContractViolation(f"infeasible fulfill {c} -> {o}")
             if o.origin == o.dest:
                 raise ContractViolation("intra-region trips are excluded")
             trip_usage[o] = trip_usage.get(o, 0) + n
         elif a.kind == "reposition":
             v = a.region
-            if c.eta != 0 or v == c.dest or c.battery < config.battery_cost[c.dest, v]:
+            if c.eta != 0 or v == c.dest or c.battery < cost[c.dest][v]:
                 raise ContractViolation(f"infeasible reposition {c} -> {v}")
         elif a.kind == "charge":
             if c.eta != 0:
@@ -322,11 +328,11 @@ def atomic_reward(
         o = action.trip
         if o.origin != vehicle.dest:
             raise InvalidArgument(f"vehicle at {vehicle.dest} cannot serve trip from {o.origin}")
-        return float(config.trip_reward[o.origin, o.dest, t])
+        return config.lists.trip_reward[o.origin][o.dest][t]
     if action.kind == "reposition":
-        return float(config.reposition_reward[vehicle.dest, action.region, t])
+        return config.lists.reposition_reward[vehicle.dest][action.region][t]
     if action.kind == "charge":
-        return float(config.charge_reward[config.rate_index(action.rate), t])
+        return config.lists.charge_reward[config.rate_index(action.rate)][t]
     raise InvalidArgument(f"unknown atomic action kind {action.kind!r}")
 
 

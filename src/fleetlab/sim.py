@@ -6,9 +6,18 @@ An epoch proceeds in two stages:
    picks an atomic action (fulfill / reposition / charge / pass) against a
    working copy of the state in which earlier commitments are already
    reflected; atomic rewards sum exactly to the epoch reward;
-2. transition -- committed tasks start, etas and charger clocks tick down,
-   unfulfilled orders age (and abandon past the connection patience), and new
-   orders arrive as Poisson counts truncated at the queue cap.
+2. transition -- the whole state ticks as if every vehicle passed (etas and
+   charger clocks count down, unfulfilled orders age and abandon past the
+   connection patience), then each committed task applies as a few scalar
+   deltas: its vehicles move from their ticked cell to where they land, a
+   fulfilled order leaves its aged queue, an engaged charger starts a full
+   period. New orders arrive as Poisson counts truncated at the queue cap.
+
+Checks: run_epoch checks each policy choice against the mask it handed out.
+``transition`` checks the fleet action with check_fleet_action and the next
+state with validate_state; with ``validate=False`` (the exact solver, whose
+enumeration is feasible by construction) it checks only the entries the
+action touches.
 """
 
 from __future__ import annotations
@@ -49,8 +58,10 @@ def initial_state(config: NetworkConfig) -> SystemState:
 
 
 def draw_arrivals(config: NetworkConfig, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Poisson order arrivals during epoch t, one count per (origin, dest)."""
-    return rng.poisson(config.arrival_rate[:, :, t]).astype(np.int64)
+    """Poisson order arrivals during epoch t, one count per (origin, dest).
+    The sampler draws no random numbers for a zero rate, so drawing over the
+    whole table leaves the stream as drawing only the nonzero rates would."""
+    return rng.poisson(config.arrival_rate[:, :, t]).astype(np.int64, copy=False)
 
 
 def admitted_arrivals(config: NetworkConfig, arrivals: np.ndarray,
@@ -80,65 +91,79 @@ def transition(
 ) -> tuple[SystemState, StepInfo]:
     """Apply a fleet action and an arrival matrix; returns next state and stats.
 
-    ``validate=False`` skips the feasibility/conservation checks for callers
-    that already guarantee them (the exact-solver enumeration)."""
+    The whole state first ticks as if every vehicle passed: etas move down
+    one step, with eta 0 and 1 both landing at 0, queued orders age by one
+    epoch, and charger clocks advance. Each non-pass (status, action, count)
+    entry then moves its vehicles from their ticked cell to where
+    ``landing`` puts them. A fulfill takes its order out of the aged slot
+    age + 1, or out of the abandoned count when its age is L_c; a charge
+    moves a charger from the free slot 0 to slot J - 1, which for J = 1 is
+    the same slot. Arrivals fill the age-0 queues last, up to the cap.
+
+    With ``validate`` the action must first pass check_fleet_action and the
+    next state validate_state. Without it, as the exact-solver enumeration
+    calls it, only the entries the action touches are checked: more vehicles
+    taken from a status than it holds, more charges than free chargers, and
+    a charger slot the action touches going negative."""
     if validate:
         check_fleet_action(config, state, action)
-    V, R, J = config.num_regions, config.num_rates, config.charge_period
     t = state.t
     info = StepInfo(reward=epoch_reward(config, action, t))
+    vehicles0, trips0, chargers0 = state.vehicles, state.trips, state.chargers
 
-    vehicles = np.zeros_like(state.vehicles)
-    trips = state.trips.copy()
-    new_charges = np.zeros((V, R), dtype=np.int64)
-    # vehicles left passing once every assigned one is taken out
-    passing = state.vehicles.copy()
+    # tick: each slot takes the next one's contents and slot 0 keeps its own;
+    # with eta_cap = 0 or J = 1 that leaves the array as it was
+    vehicles = np.zeros(vehicles0.shape, np.int64)
+    vehicles[:, :-1] = vehicles0[:, 1:]
+    vehicles[:, 0] += vehicles0[:, 0]
+    trips = np.zeros(trips0.shape, np.int64)
+    trips[:, :, 1:] = trips0[:, :, :-1]
+    info.abandoned = int(trips0[:, :, -1].sum())
+    chargers = np.zeros(chargers0.shape, np.int64)
+    chargers[:, :, :-1] = chargers0[:, :, 1:]
+    chargers[:, :, 0] += chargers0[:, :, 0]
 
+    Lc = config.connection_patience
+    taken: dict[VehicleStatus, int] = {}
+    charges: dict[tuple[int, int], int] = {}
     for (c, a), n in action.counts.items():
         if a.kind == "pass":
             continue
-        passing[c.dest, c.eta, c.battery] -= n
+        taken[c] = taken.get(c, 0) + n
+        u, eta, b = c
+        vehicles[u, eta - 1 if eta else 0, b] -= n
         vehicles[landing(config, c, a, t)] += n
         if a.kind == "fulfill":
             o = a.trip
-            trips[o.origin, o.dest, o.age] -= n
+            if o.age == Lc:
+                info.abandoned -= n
+            else:
+                trips[o.origin, o.dest, o.age + 1] -= n
             info.fulfilled += n
         elif a.kind == "reposition":
             info.repositioned += n
         else:                                       # charge
-            new_charges[c.dest, config.rate_index(a.rate)] += n
+            k = (u, config.rate_index(a.rate))
+            charges[k] = charges.get(k, 0) + n
             info.charges_started += n
 
-    if (passing < 0).any():
-        raise ContractViolation("more vehicles assigned than present")
-    if (new_charges > state.chargers[:, :, 0]).any():
-        raise ContractViolation("more charges started than free chargers")
+    for c, n in taken.items():
+        if n > vehicles0[c]:
+            raise ContractViolation("more vehicles assigned than present")
+    for (v, r), n in charges.items():
+        if n > chargers0[v, r, 0]:
+            raise ContractViolation("more charges started than free chargers")
+    for (v, r), n in charges.items():
+        chargers[v, r, 0] -= n
+        chargers[v, r, -1] += n
+        if chargers[v, r, 0] < 0 or chargers[v, r, -1] < 0:
+            raise ContractViolation("charger accounting went negative")
 
-    # passing vehicles: eta ticks down toward idle, idle stays put
-    vehicles[:, 0, :] += passing[:, 0, :]
-    if config.eta_cap >= 1:
-        vehicles[:, :-1, :] += passing[:, 1:, :]
-
-    # trips age by one epoch; those past the connection patience abandon
-    Lc = config.connection_patience
-    info.abandoned = int(trips[:, :, Lc].sum())
-    aged = np.empty_like(trips)
-    aged[:, :, 1:] = trips[:, :, :Lc]
     info.arrived = int(arrivals.sum())
-    aged[:, :, 0] = admitted_arrivals(config, arrivals, aged[:, :, 1:].sum(axis=2))
+    if np.count_nonzero(arrivals):                  # the exact solver passes none
+        trips[:, :, 0] = admitted_arrivals(config, arrivals, trips[:, :, 1:].sum(axis=2))
 
-    # charger clocks tick; newly engaged chargers run for a full period, and
-    # with a one-epoch period they are free again by the next epoch
-    chargers = np.empty_like(state.chargers)
-    chargers[:, :, 0] = state.chargers[:, :, 0]
-    if J >= 2:
-        chargers[:, :, 0] += state.chargers[:, :, 1] - new_charges
-        chargers[:, :, 1:-1] = state.chargers[:, :, 2:]
-        chargers[:, :, -1] = new_charges
-    if (chargers < 0).any():
-        raise ContractViolation("charger accounting went negative")
-
-    nxt = SystemState((t + 1) % config.horizon_steps, vehicles, aged, chargers)
+    nxt = SystemState((t + 1) % config.horizon_steps, vehicles, trips, chargers)
     if validate:
         validate_state(config, nxt)
     return nxt, info

@@ -8,6 +8,7 @@ code under test.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -107,3 +108,95 @@ def curve_band_seconds(curve, lo_pct, hi_pct):
             total += (band_hi - band_lo) * sec_per_pct
         prev = bound
     return total
+
+
+# -- per-vehicle epoch transition --------------------------------------------------
+
+
+def _percent_after(curve, p0, seconds):
+    """Percent reached after charging `seconds` from p0%, band by band."""
+    p = min(max(p0, 0.0), 100.0)
+    for hi, sec_per_pct in curve:
+        if p >= hi:
+            continue
+        need = (hi - p) * sec_per_pct
+        if seconds < need:
+            return p + seconds / sec_per_pct
+        seconds -= need
+        p = hi
+    return 100.0
+
+
+def reference_transition(tables, state, assignments, arrivals):
+    """Next state of one epoch, one unit at a time.
+
+    ``tables`` maps names to plain values: ``T``, ``B``, ``L_c``, ``J``,
+    ``trip_cap``, ``rates``, ``curve`` (None for linear charging),
+    ``epoch_minutes`` and the arrays ``trip_duration``, ``battery_cost``,
+    ``trip_reward``, ``reposition_reward``, ``charge_reward``. ``state`` is
+    (t, vehicles, trips, chargers) as arrays; ``assignments`` lists one
+    ((region, eta, battery), (kind, trip, region, rate)) per vehicle.
+    Returns ((t', vehicles', trips', chargers'), counters), where counters
+    holds the epoch's reward and its fulfilled, abandoned, arrived,
+    repositioned and charges_started counts."""
+    t, vehicles, trips, chargers = state
+    V, Lc, J, B = vehicles.shape[0], tables["L_c"], tables["J"], tables["B"]
+    rates = list(tables["rates"])
+    dur, cost = tables["trip_duration"], tables["battery_cost"]
+    count = {k: 0 for k in ("fulfilled", "abandoned", "arrived", "repositioned",
+                            "charges_started")}
+    rewards = []
+    # one entry per queued order, as [origin, dest, age]
+    orders = [[u, v, a] for (u, v, a), n in np.ndenumerate(trips) for _ in range(n)]
+    # one entry per charger, as [region, rate index, epochs until free]
+    units = [[v, r, k] for (v, r, k), n in np.ndenumerate(chargers) for _ in range(n)]
+    landed = []
+    assert sorted(c for c, _ in assignments) == sorted(
+        c for c, n in np.ndenumerate(vehicles) for _ in range(n))
+    for (u, eta, b), (kind, trip, region, rate) in assignments:
+        if kind == "pass":
+            landed.append((u, max(eta - 1, 0), b))
+        elif kind in ("fulfill", "reposition"):
+            v = trip[1] if kind == "fulfill" else region
+            landed.append((v, eta + int(dur[u, v, t]) - 1, b - int(cost[u, v])))
+            if kind == "fulfill":
+                orders.remove(list(trip))
+                rewards.append(float(tables["trip_reward"][u, v, t]))
+                count["fulfilled"] += 1
+            else:
+                rewards.append(float(tables["reposition_reward"][u, v, t]))
+                count["repositioned"] += 1
+        else:                                       # charge
+            r = rates.index(rate)
+            unit = next(x for x in units if x[:2] == [u, r] and x[2] == 0)
+            unit[2] = J                             # free again after J ticks
+            if tables["curve"] is None:
+                after = min(b + rate * J, B)
+            else:
+                pct = _percent_after(tables["curve"], 100.0 * b / B,
+                                     J * tables["epoch_minutes"] * 60.0)
+                after = min(max(math.floor(pct * B / 100.0 + 1e-9), b), B)
+            landed.append((u, J - 1, after))
+            rewards.append(float(tables["charge_reward"][r, t]))
+            count["charges_started"] += 1
+
+    nxt_vehicles = np.zeros_like(vehicles)
+    for c in landed:
+        nxt_vehicles[c] += 1
+    nxt_trips = np.zeros_like(trips)
+    for u, v, a in orders:
+        if a == Lc:
+            count["abandoned"] += 1
+        else:
+            nxt_trips[u, v, a + 1] += 1
+    for u in range(V):
+        for v in range(V):
+            n = int(arrivals[u, v])
+            count["arrived"] += n
+            if u != v:
+                nxt_trips[u, v, 0] = min(n, max(tables["trip_cap"] - int(nxt_trips[u, v].sum()), 0))
+    nxt_chargers = np.zeros_like(chargers)
+    for v, r, k in units:
+        nxt_chargers[v, r, max(k - 1, 0)] += 1
+    count["reward"] = math.fsum(rewards)
+    return ((t + 1) % tables["T"], nxt_vehicles, nxt_trips, nxt_chargers), count

@@ -142,8 +142,70 @@ def test_validate_state_catches_fleet_leak(tiny):
     vehicles = state.vehicles.copy()
     vehicles[0, 0, tiny.battery_capacity] += 1
     bad = SystemState(state.t, vehicles, state.trips, state.chargers)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="fleet size not conserved"):
         validate_state(tiny, bad)
+
+
+def _put(name, *entries):
+    """Edit that sets the given (index, value) entries of one array."""
+    def edit(parts):
+        for index, value in entries:
+            parts[name][index] = value
+    return edit
+
+
+# One bad state per check of validate_state but the fleet total (tested
+# above), each an edit of a valid state's parts (two idle vehicles of battery
+# 1, a free charger per region, two queues at the trip cap of 4), with the
+# message it must raise.
+_STATE_REJECTIONS = {
+    "vehicles shape": (lambda p: p.update(vehicles=p["vehicles"][:, :, :-1]),
+                       r"vehicles array shape \(2, 3, 3\)"),
+    "trips shape": (lambda p: p.update(trips=p["trips"][:1]), r"trips array shape \(1, 2, 2\)"),
+    "chargers shape": (lambda p: p.update(chargers=p["chargers"][:, :, :1]),
+                       r"chargers array shape \(2, 1, 1\)"),
+    "t past the day": (lambda p: p.update(t=4), "time of day 4 out of range"),
+    "t negative": (lambda p: p.update(t=-1), "time of day -1 out of range"),
+    # each negative count keeps the fleet and station totals
+    "negative vehicles": (_put("vehicles", ((0, 1, 0), -1), ((0, 0, 0), 1)), "negative counts"),
+    "negative trips": (_put("trips", ((0, 1, 0), -1)), "negative counts"),
+    "negative chargers": (_put("chargers", ((0, 0, 1), -1), ((0, 0, 0), 2)), "negative counts"),
+    "charger totals": (_put("chargers", ((1, 0, 1), 1)), "charger totals not conserved"),
+    "trip cap": (_put("trips", ((1, 0, 1), 5)), r"trip queue exceeds N\(L_c\+1\) cap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STATE_REJECTIONS))
+def test_validate_state_rejections(case):
+    cfg = tiny_config()                               # N = 2, L_c = 1: trip cap 4
+
+    def valid_parts():
+        s0 = initial_state(cfg)
+        trips = s0.trips.copy()
+        trips[0, 1, 0] = trips[1, 0, 1] = cfg.trip_cap
+        return {"t": 3, "vehicles": s0.vehicles.copy(), "trips": trips,
+                "chargers": s0.chargers.copy()}
+
+    validate_state(cfg, SystemState(**valid_parts()))
+    edit, message = _STATE_REJECTIONS[case]
+    parts = valid_parts()
+    edit(parts)
+    with pytest.raises(ContractViolation, match=message):
+        validate_state(cfg, SystemState(**parts))
+
+
+def test_validate_state_accepts_a_config_without_charge_rates():
+    """With no charge rates the charger array is empty, and that is valid."""
+    from fleetlab.baselines import RandomFeasiblePolicy
+    from fleetlab.sim import run_epoch, step
+    cfg = tiny_config(V=3, N=4, rates=())
+    state = initial_state(cfg)
+    assert state.chargers.shape == (3, 0, cfg.charge_period)
+    validate_state(cfg, state)
+    rng = np.random.default_rng(3)
+    for _ in range(cfg.horizon_steps):
+        state, _ = step(cfg, state, run_epoch(cfg, state, RandomFeasiblePolicy(), rng).action, rng)
+        validate_state(cfg, state)
 
 
 @settings(max_examples=50, deadline=None)

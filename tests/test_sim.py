@@ -18,6 +18,7 @@ from fleetlab.sim import (admitted_arrivals, draw_arrivals, initial_state, run_d
                           run_days, run_epoch, step, transition)
 
 from conftest import highs_optimum, random_config, tiny_config
+from oracles import reference_transition
 
 
 def test_initial_state_invariants(tiny):
@@ -245,6 +246,111 @@ def test_draw_arrivals_matches_poisson_mean(tiny):
     draws = np.array([draw_arrivals(tiny, 0, rng) for _ in range(4000)])
     mean = draws.mean(axis=0)
     assert np.abs(mean - tiny.arrival_rate[:, :, 0]).max() < 0.1
+
+
+def test_draw_arrivals_is_one_poisson_draw_over_the_whole_table():
+    """The draw equals rng.poisson over the epoch's rate table bit for bit, as
+    int64, and zero rates take nothing from the stream: drawing only the
+    nonzero rates leaves the generator where the whole table does."""
+    cfg = synth_scenario("two-region-commute", 0)
+    for t in range(cfg.horizon_steps):
+        rate = cfg.arrival_rate[:, :, t]
+        rng, want_rng, nonzero_rng = (np.random.default_rng([5, t]) for _ in range(3))
+        got = draw_arrivals(cfg, t, rng)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want_rng.poisson(rate))
+        nonzero_rng.poisson(rate[rate > 0])
+        assert rng.bit_generator.state == nonzero_rng.bit_generator.state
+
+
+# -- transition against a per-vehicle reference ------------------------------------
+
+
+def _tables(cfg) -> dict:
+    """What reference_transition reads of a config, as plain values."""
+    return dict(
+        T=cfg.horizon_steps, B=cfg.battery_capacity, L_c=cfg.connection_patience,
+        J=cfg.charge_period, trip_cap=cfg.trip_cap, rates=cfg.charge_rates,
+        curve=cfg.charging_curve, epoch_minutes=cfg.epoch_minutes,
+        trip_duration=cfg.trip_duration, battery_cost=cfg.battery_cost,
+        trip_reward=cfg.trip_reward, reposition_reward=cfg.reposition_reward,
+        charge_reward=cfg.charge_reward)
+
+
+def _four_times_fleet(template):
+    base = synth_scenario(template, 0)
+    return scale_fleet(base, 4 * base.fleet_size, base.fleet_size)
+
+
+_REFERENCE_CONFIGS = {
+    **{template: lambda t=template: _four_times_fleet(t) for template in TEMPLATES},
+    "eta_cap 0": lambda: tiny_config(V=3, N=5, L_p=0, tau=1, J=1, lam_scale=2.0),
+    "J 1": lambda: tiny_config(V=3, N=5, L_p=0, J=1, lam_scale=2.0),
+    "L_c 0": lambda: tiny_config(V=3, N=5, L_c=0, lam_scale=2.0),
+    "two rates": lambda: tiny_config(V=3, N=6, B=6, J=3, rates=(1, 2), chargers=2,
+                                     lam_scale=0.5),
+    "charging curve": lambda: dataclasses.replace(
+        tiny_config(V=3, N=6, B=20, J=2, lam_scale=0.5), charging_curve=DEFAULT_CHARGING_CURVE),
+    "R 0": lambda: tiny_config(V=3, N=5, rates=(), lam_scale=2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CONFIGS))
+def test_transition_matches_per_vehicle_reference(name):
+    """Random feasible epochs from run_epoch: the next state and every
+    StepInfo field, the reward bit for bit, equal the reference's, which
+    moves each vehicle, order and charger on its own; with and without
+    validation."""
+    cfg = _REFERENCE_CONFIGS[name]()
+    tables = _tables(cfg)
+    kinds = set()
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 71])
+        state = initial_state(cfg)
+        for _ in range(2 * cfg.horizon_steps):
+            res = run_epoch(cfg, state, RandomFeasiblePolicy(), rng)
+            arrivals = draw_arrivals(cfg, (state.t + 1) % cfg.horizon_steps, rng)
+            (t, vehicles, trips, chargers), want = reference_transition(
+                tables, (state.t, state.vehicles, state.trips, state.chargers),
+                [(r.vehicle, r.action) for r in res.records], arrivals)
+            for validate in (True, False):
+                nxt, info = transition(cfg, state, res.action, arrivals, validate=validate)
+                assert nxt.t == t
+                np.testing.assert_array_equal(nxt.vehicles, vehicles)
+                np.testing.assert_array_equal(nxt.trips, trips)
+                np.testing.assert_array_equal(nxt.chargers, chargers)
+                assert dataclasses.asdict(info) == want
+            kinds.update(r.action.kind for r in res.records)
+            state = nxt
+    assert kinds == ({"fulfill", "reposition", "pass"} if name == "R 0"
+                     else {"fulfill", "reposition", "charge", "pass"})
+
+
+def test_transition_guards_without_validation():
+    """validate=False still rejects taking more vehicles from a status than it
+    holds, and a charger slot the action touches going negative; validation
+    reports check_fleet_action's message first."""
+    cfg = tiny_config(N=2, J=2, L_p=0)
+    s0 = initial_state(cfg)
+    none = np.zeros((2, 2), dtype=np.int64)
+    c = VehicleStatus(0, 0, 2)
+    vehicles = np.zeros_like(s0.vehicles)
+    vehicles[c] = 1
+    vehicles[1, 0, 2] = 1
+    state = SystemState(0, vehicles, s0.trips, s0.chargers)
+    twice = FleetAction({(c, reposition(1)): 2, (VehicleStatus(1, 0, 2), PASS): 1})
+    with pytest.raises(ContractViolation, match="more vehicles assigned than present"):
+        transition(cfg, state, twice, none, validate=False)
+    with pytest.raises(ContractViolation, match="flow conservation violated"):
+        transition(cfg, state, twice, none)
+
+    chargers = s0.chargers.copy()
+    chargers[0, 0, 1] = -1                            # a negative charger clock
+    bad = SystemState(0, vehicles, s0.trips, chargers)
+    plug = FleetAction({(c, charge(cfg.charge_rates[0])): 1, (VehicleStatus(1, 0, 2), PASS): 1})
+    transition(cfg, state, plug, none)
+    with pytest.raises(ContractViolation, match="charger accounting went negative"):
+        transition(cfg, bad, plug, none, validate=False)
 
 
 # -- masks handed to policies ------------------------------------------------------
