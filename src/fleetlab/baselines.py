@@ -44,7 +44,7 @@ from .model import (
     fulfill,
     reposition,
 )
-from .sim import WorkingState, admitted_arrivals, initial_state, transition
+from .sim import admitted_arrivals, initial_state, transition
 
 
 class AlwaysPassPolicy:
@@ -98,14 +98,15 @@ class PowerOfKPolicy(IntentQueuePolicy):
     def begin_epoch(self, config, state, rng):
         self.intents = defaultdict(deque)
         t = state.t
-        pool = dict(state.statuses())
+        groups = state.status_groups()
+        pool = dict(groups)
 
         # serve queued orders, oldest first. Each origin keeps its dispatchable
         # statuses nearest first, and a status leaves once the pool runs out of
         # it. The copies of one trip status are tried in a row, and once one of
         # them finds no vehicle, neither can the rest.
         nearby: dict[int, list[VehicleStatus]] = defaultdict(list)
-        for c in sorted(pool, key=lambda c: (c.eta, -c.battery, c.dest)):
+        for c, _ in groups:
             if c.eta <= config.pickup_patience:
                 nearby[c.dest].append(c)
         us, vs, ages = (a.tolist() for a in np.nonzero(state.trips))
@@ -126,7 +127,7 @@ class PowerOfKPolicy(IntentQueuePolicy):
         # idle leftovers: charge if possible, fastest rate first, else chase
         # the nearest chargers
         free = state.chargers[:, :, 0].tolist()
-        for c in sorted(pool, key=lambda c: (c.eta, -c.battery, c.dest)):
+        for c, _ in groups:
             n = pool[c]
             if c.eta != 0 or not n:
                 continue
@@ -147,68 +148,67 @@ class PowerOfKPolicy(IntentQueuePolicy):
 # -- exact solution of tiny instances --------------------------------------------
 
 
-def _arrival_distributions(config: NetworkConfig, t: int, cap: int):
-    """Independent per-pair renormalized-Poisson arrival counts for epoch t."""
-    pairs = []
-    for u in range(config.num_regions):
-        for v in range(config.num_regions):
-            lam = float(config.arrival_rate[u, v, t])
-            if lam <= 0.0:
-                continue
-            pmf = np.array([lam ** k / math.factorial(k) * math.exp(-lam)
-                            for k in range(cap + 1)])
-            pmf /= pmf.sum()
-            pairs.append((u, v, pmf))
-    return pairs
-
-
 def _joint_outcomes(config: NetworkConfig, t: int, cap: int):
-    """All arrival matrices for epoch t with their probabilities."""
-    pairs = _arrival_distributions(config, t, cap)
-    V = config.num_regions
-    outcomes = []
-    for counts in itertools.product(*[range(len(p[2])) for p in pairs]):
-        arr = np.zeros((V, V), dtype=np.int64)
-        prob = 1.0
-        for (u, v, pmf), k in zip(pairs, counts):
-            arr[u, v] = k
-            prob *= pmf[k]
-        outcomes.append((arr, prob))
-    return outcomes if outcomes else [(np.zeros((V, V), dtype=np.int64), 1.0)]
+    """Every arrival matrix of epoch t, as a (K, V, V) stack, and the K
+    probabilities. Each (origin, dest) pair with a positive rate draws
+    independently from its Poisson law truncated to 0..cap and renormalized;
+    the outcomes run over the pairs' counts in itertools.product order, pairs
+    in array order. An epoch without arrivals has one all-zero outcome."""
+    lam = config.arrival_rate[:, :, t]
+    us, vs = np.nonzero(lam > 0.0)
+    counts = np.array(list(itertools.product(range(cap + 1), repeat=len(us))), dtype=np.int64)
+    arrivals = np.zeros((len(counts), config.num_regions, config.num_regions), dtype=np.int64)
+    arrivals[:, us, vs] = counts
+    probs = np.ones(len(counts))
+    for i, rate in enumerate(lam[us, vs].tolist()):
+        pmf = np.array([rate ** k / math.factorial(k) * math.exp(-rate)
+                        for k in range(cap + 1)])
+        pmf /= pmf.sum()
+        probs *= pmf[counts[:, i]]
+    return arrivals, probs
 
 
-def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState):
-    """All feasible joint assignments, deduplicated over identical vehicles.
+def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState) -> list[FleetAction]:
+    """Every feasible fleet action of ``state``, each multiset of atomic
+    assignments once.
 
-    Vehicles are assigned one at a time, as in sim.run_epoch: each takes its
-    candidates from what the vehicles before it left. Vehicles of one status
-    take candidates in non-decreasing rank (Pass first as rank -1, then by
-    action index), so each multiset of actions appears once. feasible_mask
-    runs once per status; each further unit of it keeps the candidates from
-    the rank before it on, less that rank if its commit used up the last
-    queued trip or free charger it drew on (see sim.run_epoch)."""
+    Statuses go in array order. A status's n vehicles take every multiset of
+    n of its candidates: Pass, then the indices feasible_mask allows on the
+    epoch state, ascending. The statuses' multisets combine by
+    itertools.product, and a combination is kept if it fits
+    check_fleet_action's caps: no queued trip is fulfilled, and no (region,
+    rate) charger taken, more often than the state holds it."""
     actions = action_table(config).actions
-    units = [c for c, n in state.statuses() for _ in range(n)]
-    results: list[FleetAction] = []
+    # what a candidate draws on, as a position in one list of caps: a cell of
+    # state.trips, or after them a (region, rate) cell of the free chargers
+    trips = state.trips
+    caps = trips.ravel().tolist() + state.chargers[:, :, 0].ravel().tolist()
+    _, V, L = trips.shape
 
-    def recurse(i: int, work: WorkingState, acc, ranks: list[int]):
-        if i == len(units):
-            fa = FleetAction.empty()
-            for c, a in acc:
-                fa.add_atomic(c, a)
-            results.append(fa)
-            return
-        c = units[i]
-        if i == 0 or units[i - 1] != c:
-            ranks = [-1] + np.flatnonzero(feasible_mask(config, work, c)[:-1]).tolist()
-        for k, rank in enumerate(ranks):
-            nxt = WorkingState(work)
-            used_up = nxt.commit(config, c, actions[rank])
-            recurse(i + 1, nxt, acc + [(c, actions[rank])],
-                    ranks[k + 1:] if used_up else ranks[k:])
+    def draws(c: VehicleStatus, a: AtomicAction):
+        if a.kind == "fulfill":
+            return (a.trip.origin * V + a.trip.dest) * L + a.trip.age
+        if a.kind == "charge":
+            return trips.size + c.dest * config.num_rates + config.rate_index(a.rate)
+        return None
 
-    recurse(0, WorkingState(state), [], [])
-    return results
+    def fits(uses: list) -> bool:
+        return all(uses.count(r) <= caps[r] for r in set(uses))
+
+    per_status = []
+    for c, n in state.statuses():
+        cands = [actions[-1]] + [actions[i] for i in
+                                 np.flatnonzero(feasible_mask(config, state, c)[:-1]).tolist()]
+        keys = [(c, a) for a in cands]
+        use = [draws(c, a) for a in cands]
+        # each multiset as its FleetAction.counts items and the cells it draws on
+        per_status.append([
+            ([(keys[k], combo.count(k)) for k in dict.fromkeys(combo)],
+             [use[k] for k in combo if use[k] is not None])
+            for combo in itertools.combinations_with_replacement(range(len(cands)), n)])
+    return [FleetAction(dict(itertools.chain.from_iterable(items for items, _ in choice)))
+            for choice in itertools.product(*per_status)
+            if fits([r for _, uses in choice for r in uses])]
 
 
 @dataclass
@@ -231,7 +231,10 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     day increments move by at most ``tol`` from one sweep to the next.
     Raises ValueIterationNotConverged after ``max_iters`` sweeps without
     that."""
+    if arrival_cap < 0:
+        raise InvalidArgument(f"arrival_cap must be >= 0, got {arrival_cap}")
     T = config.horizon_steps
+    # each layer's arrival outcomes: (K, V, V) counts and K probabilities
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
 
     # breadth-first discovery of the reachable layered state space. A state's
@@ -248,13 +251,10 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     total = 1
     flat = [([], [], [], [], [0], [0]) for _ in range(T)]
     zero_arr = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
-    # each layer's arrival outcomes stacked once: (K, V, V) counts, K probabilities
-    arrival_stacks = [np.stack([arr for arr, _ in outs]) for outs in outcomes]
-    arrival_probs = [[p for _, p in outs] for outs in outcomes]
     while frontier:
         state = frontier.popleft()
         t = state.t
-        arrivals, probs = arrival_stacks[t], arrival_probs[t]
+        arrivals, probs = outcomes[t]
         rewards, fas, branch_p, branch_j, branch_ptr, state_ptr = flat[t]
         for fa in _enumerate_fleet_actions(config, state):
             # arrivals only fill the age-0 queue: apply the action once under
@@ -267,7 +267,7 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             vehicles_bytes = base.vehicles.tobytes()
             chargers_bytes = base.chargers.tobytes()
             lay = layers[t_next]
-            for k, p in enumerate(probs):
+            for k in range(len(probs)):
                 key = (t_next, vehicles_bytes, trips[k].tobytes(), chargers_bytes)
                 j = lay.get(key)
                 if j is None:
@@ -278,13 +278,13 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
                     if total > max_states:
                         raise StateSpaceTooLarge(
                             f"more than {max_states} reachable states")
-                branch_p.append(p)
                 branch_j.append(j)
+            branch_p.append(probs)
             rewards.append(info.reward)
             fas.append(fa)
-            branch_ptr.append(len(branch_p))
+            branch_ptr.append(len(branch_j))
         state_ptr.append(len(rewards))
-    compiled = [(np.array(rewards), np.array(branch_p), np.array(branch_j, dtype=np.int64),
+    compiled = [(np.array(rewards), np.concatenate(branch_p), np.array(branch_j, dtype=np.int64),
                  np.array(branch_ptr, dtype=np.int64), np.array(state_ptr, dtype=np.int64), fas)
                 for rewards, fas, branch_p, branch_j, branch_ptr, state_ptr in flat]
 
@@ -296,11 +296,10 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             # maximum per state over its contiguous action block
             v_cur = np.maximum.reduceat(q, state_ptr[:-1])
             if want_argmax:
-                arg = np.empty(len(state_ptr) - 1, dtype=np.int64)
-                for i in range(len(arg)):
-                    blk = q[state_ptr[i]:state_ptr[i + 1]]
-                    arg[i] = state_ptr[i] + int(np.argmax(blk))
-                choices.append(arg)
+                # the first maximising action of each block, as np.argmax picks
+                best = q == np.repeat(v_cur, np.diff(state_ptr))
+                choices.append(np.minimum.reduceat(np.where(best, np.arange(q.size), q.size),
+                                                   state_ptr[:-1]))
             v_next = v_cur
         choices.reverse()
         return (v_next, choices) if want_argmax else v_next

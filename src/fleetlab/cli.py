@@ -512,6 +512,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except OSError as exc:
+        # an output path that is a directory, a directory path that is a file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ConfigError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -180,6 +180,24 @@ def _occupancy_rows(bld: _Builder, T: int, flows) -> None:
         bld.row(terms, "=", 1.0, f"tot/{t}")
 
 
+def _trip_cap_rows(bld: _Builder, config: NetworkConfig, keys) -> None:
+    """Trip-order cap per (origin, dest) arrival cohort: the cohort arriving
+    at t is served at age xi at time t + xi, by vehicles of any eta <= L_p;
+    ``keys(u, v, eta, xi, t)`` names the fulfill variables of one such
+    service."""
+    V, T, N = config.num_regions, config.horizon_steps, config.fleet_size
+    Lp, Lc = config.pickup_patience, config.connection_patience
+    for t in range(T):
+        for u in range(V):
+            for v in range(V):
+                if u == v:
+                    continue
+                terms = {key: 1.0 for xi in range(Lc + 1) for eta in range(Lp + 1)
+                         for key in keys(u, v, eta, xi, (t + xi) % T)}
+                bld.row(terms, "<=", float(config.arrival_rate[u, v, t]) / N,
+                        f"trip/{u}/{v}/{t}")
+
+
 def _charger_cap_rows(bld: _Builder, config: NetworkConfig, key) -> None:
     """Chargers engaged per (region, rate, time): a charge flow holds its
     charger for the J steps from its start; ``key(v, ri, b, t)`` names the
@@ -235,21 +253,8 @@ def build_full_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]]:
     flows = _vehicle_flows(bld, config, ecap)
     _conservation_rows(bld, config, ecap, flows)
 
-    # trip-order cap: service of the cohort arriving at t, across ages
-    for t in range(T):
-        for u in range(V):
-            for v in range(V):
-                if u == v:
-                    continue
-                terms = {}
-                for xi in range(Lc + 1):
-                    ts = (t + xi) % T
-                    for eta in range(Lp + 1):
-                        for b in range(B + 1):
-                            terms[("x", u, eta, b, v, xi, ts)] = 1.0
-                bld.row(terms, "<=", float(config.arrival_rate[u, v, t]) / N,
-                        f"trip/{u}/{v}/{t}")
-
+    _trip_cap_rows(bld, config, lambda u, v, eta, xi, t: [("x", u, eta, b, v, xi, t)
+                                                          for b in range(B + 1)])
     _charger_cap_rows(bld, config, lambda v, ri, b, t: ("z", v, b, ri, t))
     _occupancy_rows(bld, T, flows)
     return bld.build(), bld.vars
@@ -305,20 +310,7 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
                         terms[("xt", u, v, eta, xi, t)] = -1.0
                     bld.row(terms, "=", 0.0, f"link/{u}/{v}/{eta}/{t}")
 
-    # trip-order cap per arrival cohort
-    for t in range(T):
-        for u in range(V):
-            for v in range(V):
-                if u == v:
-                    continue
-                terms = {}
-                for xi in range(Lc + 1):
-                    ts = (t + xi) % T
-                    for eta in range(Lp + 1):
-                        terms[("xt", u, v, eta, xi, ts)] = 1.0
-                bld.row(terms, "<=", float(config.arrival_rate[u, v, t]) / N,
-                        f"trip/{u}/{v}/{t}")
-
+    _trip_cap_rows(bld, config, lambda u, v, eta, xi, t: [("xt", u, v, eta, xi, t)])
     _charger_cap_rows(bld, config, lambda v, ri, b, t: ("zb", v, ri, b, t))
     _occupancy_rows(bld, T, flows)
     return bld.build(), bld.vars

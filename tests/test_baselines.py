@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,12 +18,14 @@ from fleetlab.baselines import (
     AlwaysPassPolicy,
     PowerOfKPolicy,
     RandomFeasiblePolicy,
+    _enumerate_fleet_actions,
     _joint_outcomes,
     exact_value_iteration,
 )
-from fleetlab.errors import InvalidArgument, ValueIterationNotConverged
+from fleetlab.errors import ContractViolation, InvalidArgument, ValueIterationNotConverged
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
-from fleetlab.model import (PASS, SystemState, TripStatus, VehicleStatus, action_to_index,
+from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
+                            action_table, action_to_index, check_fleet_action,
                             feasible_mask, fulfill)
 from fleetlab.scenarios import synth_scenario
 
@@ -188,8 +191,8 @@ def test_exact_policy_is_simulatable():
         total = 0.0
         for day in range(warmup + days):
             for _ in range(T):
-                outs = outcomes[state.t]
-                arrivals, _ = outs[rng.choice(len(outs), p=[p for _, p in outs])]
+                arrivals, probs = outcomes[state.t]
+                arrivals = arrivals[rng.choice(len(probs), p=probs)]
                 state, info = sim.transition(cfg, state, sol.policy[(state.t, state.key())],
                                              arrivals)
                 if day >= warmup:
@@ -226,6 +229,71 @@ def test_exact_solver_multichain_battery_trap():
     assert sol.gain > 0.0
     assert sol.gain == pytest.approx(0.975, abs=1e-7)
     assert sol.gain_max == pytest.approx(0.975, abs=1e-7)
+
+
+def test_exact_solver_rejects_negative_arrival_cap():
+    cfg = tiny_config(V=2, T=2, N=1, B=2, J=1, L_p=0, L_c=0, tau=1,
+                      lam_scale=0.6)
+    with pytest.raises(InvalidArgument, match="arrival_cap must be >= 0, got -1"):
+        exact_value_iteration(cfg, arrival_cap=-1)
+
+
+def _brute_force_fleet_actions(config, state) -> set:
+    """Every per-status multiset over all atomic actions that
+    check_fleet_action accepts, as frozensets of FleetAction.counts items."""
+    actions = action_table(config).actions
+    per_status = [[(c, combo) for combo in itertools.combinations_with_replacement(actions, n)]
+                  for c, n in state.statuses()]
+    found = set()
+    for choice in itertools.product(*per_status):
+        fa = FleetAction.empty()
+        for c, combo in choice:
+            for a in combo:
+                fa.add_atomic(c, a)
+        try:
+            check_fleet_action(config, state, fa)
+        except ContractViolation:
+            continue
+        found.add(frozenset(fa.counts.items()))
+    return found
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_enumerated_fleet_actions_are_the_feasible_ones(N):
+    """On states of random rollouts with one charger per rate and short
+    queues, the enumerator yields each feasible fleet action exactly once."""
+    capped = 0
+    for seed in range(3):
+        cfg = tiny_config(V=2, T=3, N=N, B=3, J=2, L_p=0, L_c=1, tau=1, rates=(1, 2),
+                          chargers=1, lam_scale=1.5, seed=seed)
+        for tr in sim.run_days(cfg, RandomFeasiblePolicy(), 2, np.random.default_rng(seed)):
+            for state in tr.states:
+                got = [frozenset(fa.counts.items())
+                       for fa in _enumerate_fleet_actions(cfg, state)]
+                assert len(set(got)) == len(got)
+                assert set(got) == _brute_force_fleet_actions(cfg, state)
+                # some queued trip has fewer orders than the idle vehicles at
+                # its origin, so its cap binds
+                idle = state.vehicles[:, 0, :].sum(axis=1)
+                capped += any(0 < n < idle[u] for (u, _, _), n in np.ndenumerate(state.trips))
+    assert capped or N == 1
+
+
+def test_joint_outcomes_are_a_distribution():
+    cfg = tiny_config(V=3, T=2, seed=4)
+    arrivals, probs = _joint_outcomes(cfg, 1, 2)
+    assert arrivals.shape == (3 ** 6, 3, 3)
+    assert probs.shape == (3 ** 6,)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+    assert len({a.tobytes() for a in arrivals}) == len(arrivals)
+    assert arrivals.min() == 0 and arrivals.max() == 2
+
+
+def test_joint_outcomes_without_arrivals():
+    cfg = tiny_config(V=2, T=2, lam_scale=0.0)
+    arrivals, probs = _joint_outcomes(cfg, 0, 2)
+    assert arrivals.shape == (1, 2, 2) and not arrivals.any()
+    assert probs.tolist() == [1.0]
 
 
 def test_exact_solver_raises_at_sweep_limit():

@@ -490,6 +490,24 @@ def test_bad_count_inputs_exit_2(tiny_json, trips, tmp_path, argv):
     assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--config", "{cfg}", "--out", "{tmp}"],
+    ["bound", "--config", "{cfg}", "--mps", "{tmp}"],
+    ["train", "--config", "{cfg}", "--out", "{cfg}", "--iterations", "1"],
+    ["evaluate", "--config", "{cfg}", "--policy", "ppo", "--checkpoint", "{tmp}"],
+    CALIBRATE[:2] + ["{tmp}"] + CALIBRATE[3:],
+], ids=["bound-out-dir", "bound-mps-dir", "train-out-file", "evaluate-checkpoint-dir",
+        "calibrate-records-dir"])
+def test_os_errors_exit_2(tiny_json, trips, tmp_path, argv):
+    """A path of the wrong kind, a directory where a file is read or written
+    or a file where a directory is made, is a bad input."""
+    r = run_cli(*(a.format(cfg=tiny_json, trips=trips, tmp=tmp_path) for a in argv))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+
+
 @pytest.fixture(scope="module")
 def checkpoints(tmp_path_factory):
     """A policy fitting tiny_json, and checkpoints that must not load as one."""
