@@ -25,11 +25,13 @@ import itertools
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import InvalidArgument, StateSpaceTooLarge, ValueIterationNotConverged
+from .errors import (ContractViolation, InvalidArgument, StateSpaceTooLarge,
+                     ValueIterationNotConverged)
 from .model import (
     PASS,
     AtomicAction,
@@ -44,7 +46,7 @@ from .model import (
     fulfill,
     reposition,
 )
-from .sim import admitted_arrivals, initial_state, transition
+from .sim import admitted_arrivals, initial_state, tick, transition
 
 
 class AlwaysPassPolicy:
@@ -168,47 +170,130 @@ def _joint_outcomes(config: NetworkConfig, t: int, cap: int):
     return arrivals, probs
 
 
-def _enumerate_fleet_actions(config: NetworkConfig, state: SystemState) -> list[FleetAction]:
-    """Every feasible fleet action of ``state``, each multiset of atomic
-    assignments once.
+def _row_arrays(row: np.ndarray, like: SystemState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vehicles, trips and chargers arrays of a flat row that holds their
+    cells side by side, each in C order, shaped as ``like``'s; views, so
+    writing them writes the row."""
+    nv, nt = like.vehicles.size, like.trips.size
+    return (row[:nv].reshape(like.vehicles.shape), row[nv:nv + nt].reshape(like.trips.shape),
+            row[nv + nt:].reshape(like.chargers.shape))
+
+
+class _Block(NamedTuple):
+    """Every multiset of one status's n vehicles over its candidates, in
+    itertools.combinations_with_replacement order, as changes to the ticked
+    state's row."""
+
+    status: VehicleStatus
+    cands: tuple[AtomicAction, ...]   # Pass, then what feasible_mask allows
+    combos: list[tuple[int, ...]]     # each multiset as ascending candidate positions
+    rows: np.ndarray                  # (multisets, cells): change to the ticked row
+    uses: np.ndarray                  # (multisets, caps): queued trips and free chargers drawn
+    terms: list[list[float]]          # each multiset's non-pass atomic rewards
+
+
+def _fleet_action(blocks: tuple[_Block, ...], pick) -> FleetAction:
+    """The fleet action taking multiset ``pick[i]`` of each ``blocks[i]``,
+    its counts inserted status by status, candidates in order."""
+    counts = {}
+    for b, j in zip(blocks, pick):
+        combo = b.combos[j]
+        counts.update(((b.status, b.cands[k]), combo.count(k)) for k in dict.fromkeys(combo))
+    return FleetAction(counts)
+
+
+class _Expansion(NamedTuple):
+    """A state's feasible fleet actions, in enumeration order."""
+
+    rows: np.ndarray                  # (actions, cells): next state under zero arrivals
+    rewards: list[float]              # each action's epoch_reward
+    blocks: tuple[_Block, ...]        # one per occupied status, in array order
+    picks: np.ndarray                 # (actions, statuses): each action's multiset per block
+
+
+class _Expander:
+    """Every feasible fleet action of a state, with its next state under zero
+    arrivals, as a flat row (_row_arrays' layout), and its reward.
 
     Statuses go in array order. A status's n vehicles take every multiset of
     n of its candidates: Pass, then the indices feasible_mask allows on the
-    epoch state, ascending. The statuses' multisets combine by
-    itertools.product, and a combination is kept if it fits
-    check_fleet_action's caps: no queued trip is fulfilled, and no (region,
-    rate) charger taken, more often than the state holds it."""
-    actions = action_table(config).actions
-    # what a candidate draws on, as a position in one list of caps: a cell of
-    # state.trips, or after them a (region, rate) cell of the free chargers
-    trips = state.trips
-    caps = trips.ravel().tolist() + state.chargers[:, :, 0].ravel().tolist()
-    _, V, L = trips.shape
+    state, ascending. The statuses' multisets combine in itertools.product
+    order, and a combination is kept if it fits check_fleet_action's caps: no
+    queued trip is fulfilled, and no (region, rate) charger taken, more often
+    than the state holds it.
 
-    def draws(c: VehicleStatus, a: AtomicAction):
-        if a.kind == "fulfill":
-            return (a.trip.origin * V + a.trip.dest) * L + a.trip.age
-        if a.kind == "charge":
-            return trips.size + c.dest * config.num_rates + config.rate_index(a.rate)
-        return None
+    A unit assignment, status c taking atomic action a at epoch t, changes
+    the ticked state by an amount that does not depend on the rest of the
+    state: transition's next state for the one-unit fleet action, less the
+    tick. That change, what the unit draws on and its reward are cached by
+    (t, c, a); each status's multisets, summed over their units, are cached
+    by (t, c, n, candidates). A fleet action's row is then the state's tick
+    plus one row of each status's block, and its reward the exactly rounded
+    sum of its non-pass atomic rewards, as epoch_reward takes it."""
 
-    def fits(uses: list) -> bool:
-        return all(uses.count(r) <= caps[r] for r in set(uses))
+    def __init__(self, config: NetworkConfig):
+        self.config = config
+        self.actions = action_table(config).actions
+        self.zero_arrivals = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
+        self.units: dict = {}
+        self.blocks: dict = {}
 
-    per_status = []
-    for c, n in state.statuses():
-        cands = [actions[-1]] + [actions[i] for i in
-                                 np.flatnonzero(feasible_mask(config, state, c)[:-1]).tolist()]
-        keys = [(c, a) for a in cands]
-        use = [draws(c, a) for a in cands]
-        # each multiset as its FleetAction.counts items and the cells it draws on
-        per_status.append([
-            ([(keys[k], combo.count(k)) for k in dict.fromkeys(combo)],
-             [use[k] for k in combo if use[k] is not None])
-            for combo in itertools.combinations_with_replacement(range(len(cands)), n)])
-    return [FleetAction(dict(itertools.chain.from_iterable(items for items, _ in choice)))
-            for choice in itertools.product(*per_status)
-            if fits([r for _, uses in choice for r in uses])]
+    def expand(self, state: SystemState) -> _Expansion:
+        base = np.zeros(state.vehicles.size + state.trips.size + state.chargers.size, np.int64)
+        tick(state, *_row_arrays(base, state))
+        blocks = tuple(self._block(state, base, c, n) for c, n in state.statuses())
+        picks = np.indices([len(b.combos) for b in blocks]).reshape(len(blocks), -1)
+        uses = sum(b.uses[p] for b, p in zip(blocks, picks))
+        caps = np.concatenate((state.trips.ravel(), state.chargers[:, :, 0].ravel()))
+        keep = (uses <= caps).all(axis=1)
+        picks = picks[:, keep]
+        rows = sum((b.rows[p] for b, p in zip(blocks, picks)), base)
+        # stronger than transition's own check without validation, which
+        # looks only at the cells an action touches
+        if rows.min() < 0:
+            raise ContractViolation(f"a fleet action at epoch {state.t} leaves a negative count")
+        picks = picks.T
+        rewards = [math.fsum(itertools.chain.from_iterable(b.terms[j]
+                                                           for b, j in zip(blocks, pick)))
+                   for pick in picks.tolist()]
+        return _Expansion(rows, rewards, blocks, picks)
+
+    def _block(self, state: SystemState, base: np.ndarray, c: VehicleStatus, n: int) -> _Block:
+        cands = (len(self.actions) - 1,) + tuple(
+            np.flatnonzero(feasible_mask(self.config, state, c)[:-1]).tolist())
+        key = (state.t, c, n, cands)
+        block = self.blocks.get(key)
+        if block is None:
+            units = [self._unit(state, base, c, i) for i in cands]
+            combos = list(itertools.combinations_with_replacement(range(len(cands)), n))
+            counts = np.array([[combo.count(k) for k in range(len(cands))] for combo in combos],
+                              dtype=np.int64)
+            block = self.blocks[key] = _Block(
+                c, tuple(self.actions[i] for i in cands), combos,
+                counts @ np.array([delta for delta, _, _ in units]),
+                counts @ np.array([use for _, use, _ in units]),
+                [[units[k][2] for k in combo if k] for combo in combos])   # k = 0 is Pass
+        return block
+
+    def _unit(self, state: SystemState, base: np.ndarray, c: VehicleStatus, i: int):
+        key = (state.t, c, i)
+        unit = self.units.get(key)
+        if unit is None:
+            a = self.actions[i]
+            nxt, info = transition(self.config, state, FleetAction({(c, a): 1}),
+                                   self.zero_arrivals, validate=False)
+            delta = np.concatenate((nxt.vehicles.ravel(), nxt.trips.ravel(),
+                                    nxt.chargers.ravel())) - base
+            # what it draws on, as a cell of the caps: one of state.trips, or
+            # after them a (region, rate) cell of the free chargers
+            use = np.zeros(state.trips.size + state.chargers[:, :, 0].size, dtype=np.int64)
+            if a.kind == "fulfill":
+                use[np.ravel_multi_index(a.trip, state.trips.shape)] = 1
+            elif a.kind == "charge":
+                use[state.trips.size + c.dest * self.config.num_rates
+                    + self.config.rate_index(a.rate)] = 1
+            unit = self.units[key] = (delta, use, info.reward)
+        return unit
 
 
 @dataclass
@@ -233,66 +318,80 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     that."""
     if arrival_cap < 0:
         raise InvalidArgument(f"arrival_cap must be >= 0, got {arrival_cap}")
-    T = config.horizon_steps
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
+    if max_iters < 1:
+        raise InvalidArgument(f"max_iters must be >= 1, got {max_iters}")
+    if max_states < 1:
+        raise InvalidArgument(f"max_states must be >= 1, got {max_states}")
+    T, V = config.horizon_steps, config.num_regions
     # each layer's arrival outcomes: (K, V, V) counts and K probabilities
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
 
-    # breadth-first discovery of the reachable layered state space. A state's
-    # index is its arrival order in its layer and the queue is first-in
-    # first-out, so each layer's states are expanded in index order and their
-    # actions append straight to the layer's flat arrays: action rewards and
-    # FleetActions, branch probabilities and next-state indices, and the
-    # action -> branches and state -> actions offsets (CSR), so that a sweep
-    # is pure vector work
-    layers: list[dict] = [dict() for _ in range(T)]      # key -> layer index
+    # breadth-first discovery of the reachable layered state space. States
+    # are flat rows in _row_arrays' layout, keyed by their bytes, which are
+    # SystemState.key()'s three byte strings end to end. A state's index is
+    # its arrival order in its layer and the queue is first-in first-out, so
+    # each layer's states are expanded in index order and their actions
+    # append straight to the layer's flat lists: action rewards, the K
+    # next-state indices of each action and the state -> actions offsets
+    # (CSR), so that a sweep is pure vector work
+    expander = _Expander(config)
     start = initial_state(config)
-    frontier = deque([start])
-    layers[0][start.key()] = 0
+    start_row = np.concatenate((start.vehicles.ravel(), start.trips.ravel(),
+                                start.chargers.ravel()))
+    nv, nt = start.vehicles.size, start.trips.size
+    L = config.connection_patience + 1
+    age0 = nv + L * np.arange(V * V)               # the rows' age-0 trip cells
+    row_key = np.dtype((np.void, start_row.nbytes))
+    layers: list[dict] = [dict() for _ in range(T)]      # row bytes -> layer index
+    layers[0][start_row.tobytes()] = 0
+    frontier = deque([(0, start_row)])
     total = 1
-    flat = [([], [], [], [], [0], [0]) for _ in range(T)]
-    zero_arr = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
+    flat = [([], [], [0]) for _ in range(T)]       # rewards, next indices, state_ptr
+    expanded = [[] for _ in range(T)]              # per state: its blocks and picks
     while frontier:
-        state = frontier.popleft()
-        t = state.t
+        t, row = frontier.popleft()
+        exp = expander.expand(SystemState(t, *_row_arrays(row, start)))
         arrivals, probs = outcomes[t]
-        rewards, fas, branch_p, branch_j, branch_ptr, state_ptr = flat[t]
-        for fa in _enumerate_fleet_actions(config, state):
-            # arrivals only fill the age-0 queue: apply the action once under
-            # zero arrivals, then graft every arrival outcome onto the result
-            base, info = transition(config, state, fa, zero_arr, validate=False)
-            trips = np.repeat(base.trips[None], len(probs), axis=0)
-            trips[:, :, :, 0] = admitted_arrivals(config, arrivals, base.trips.sum(axis=2))
-            # the branch keys are SystemState.key() of each outcome's state
-            t_next = base.t
-            vehicles_bytes = base.vehicles.tobytes()
-            chargers_bytes = base.chargers.tobytes()
-            lay = layers[t_next]
-            for k in range(len(probs)):
-                key = (t_next, vehicles_bytes, trips[k].tobytes(), chargers_bytes)
-                j = lay.get(key)
-                if j is None:
-                    j = lay[key] = len(lay)
-                    frontier.append(SystemState(t_next, base.vehicles, trips[k].copy(),
-                                                base.chargers))
-                    total += 1
-                    if total > max_states:
-                        raise StateSpaceTooLarge(
-                            f"more than {max_states} reachable states")
-                branch_j.append(j)
-            branch_p.append(probs)
-            rewards.append(info.reward)
-            fas.append(fa)
-            branch_ptr.append(len(branch_j))
+        A, K = len(exp.rewards), len(probs)
+        # arrivals only fill the age-0 queues, which every action leaves empty
+        carried = exp.rows[:, nv:nv + nt].reshape(A, V, V, L)[..., 1:].sum(axis=3)
+        succ = np.repeat(exp.rows, K, axis=0)
+        succ[:, age0] = admitted_arrivals(config, arrivals, carried[:, None]).reshape(A * K, -1)
+        keys = succ.view(row_key).ravel().tolist()
+        t_next = (t + 1) % T
+        lay = layers[t_next]
+        js = [lay.get(k) for k in keys]
+        for i in [i for i, j in enumerate(js) if j is None]:
+            j = lay.get(keys[i])
+            if j is None:
+                j = lay[keys[i]] = len(lay)
+                frontier.append((t_next, succ[i].copy()))
+                total += 1
+                if total > max_states:
+                    raise StateSpaceTooLarge(f"more than {max_states} reachable states")
+            js[i] = j
+        rewards, nexts, state_ptr = flat[t]
+        rewards.extend(exp.rewards)
+        nexts.extend(js)
         state_ptr.append(len(rewards))
-    compiled = [(np.array(rewards), np.concatenate(branch_p), np.array(branch_j, dtype=np.int64),
-                 np.array(branch_ptr, dtype=np.int64), np.array(state_ptr, dtype=np.int64), fas)
-                for rewards, fas, branch_p, branch_j, branch_ptr, state_ptr in flat]
+        expanded[t].append((exp.blocks, exp.picks))
+    # every action has exactly K branches, so a layer's next indices are one
+    # (actions, K) array and its K probabilities are stored once
+    compiled = []
+    for (rewards, nexts, state_ptr), (_, probs) in zip(flat, outcomes):
+        nexts = np.array(nexts, dtype=np.int64).reshape(-1, len(probs))
+        compiled.append((np.array(rewards), probs, nexts, len(probs) * np.arange(len(nexts)),
+                         np.array(state_ptr, dtype=np.int64)))
 
     def day_pass(v_next: np.ndarray, want_argmax: bool = False):
         choices = []
         for t in reversed(range(T)):
-            rewards, probs, nexts, branch_ptr, state_ptr, _ = compiled[t]
-            q = rewards + np.add.reduceat(probs * v_next[nexts], branch_ptr[:-1])
+            rewards, probs, nexts, starts, state_ptr = compiled[t]
+            # the K products of each action summed by reduceat: its bits
+            # differ from a reshaped sum's or a matrix product's once K >= 4
+            q = rewards + np.add.reduceat((v_next[nexts] * probs).ravel(), starts)
             # maximum per state over its contiguous action block
             v_cur = np.maximum.reduceat(q, state_ptr[:-1])
             if want_argmax:
@@ -323,11 +422,14 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             residual = float(np.abs(diffs - prev).max())
         h = v - v[0]
     _, choices = day_pass(h, want_argmax=True)
+    # the policy maps (t, SystemState.key()) to the chosen FleetAction
     policy: dict = {}
+    v_end, t_end = start_row.itemsize * nv, start_row.itemsize * (nv + nt)
     for t in range(T):
-        fas = compiled[t][5]
-        for key, i in layers[t].items():
-            policy[(t, key)] = fas[choices[t][i]]
+        first = compiled[t][4].tolist()
+        for (blocks, picks), (key, i) in zip(expanded[t], layers[t].items()):
+            fa = _fleet_action(blocks, picks[choices[t][i] - first[i]].tolist())
+            policy[(t, (t, key[:v_end], key[v_end:t_end], key[t_end:]))] = fa
     return ExactSolution(gain=float(diffs[0]), span=residual, states=total, policy=policy,
                          iterations=it, gain_min=float(diffs.min()),
                          gain_max=float(diffs.max()), converged=True)

@@ -13,11 +13,18 @@ An epoch proceeds in two stages:
    fulfilled order leaves its aged queue, an engaged charger starts a full
    period. New orders arrive as Poisson counts truncated at the queue cap.
 
+``tick`` states the first half of stage 2 once. ``transition`` calls it on
+every epoch; the exact solver (baselines.exact_value_iteration) calls it once
+per state it expands, on the three arrays of one flat row, and adds to that
+row the change each of the state's unit assignments makes, which it takes
+from ``transition`` on a one-unit fleet action once per (epoch, status,
+atomic action).
+
 Checks: run_epoch checks each policy choice against the mask it handed out.
 ``transition`` checks the fleet action with check_fleet_action and the next
-state with validate_state; with ``validate=False`` (the exact solver, whose
-enumeration is feasible by construction) it checks only the entries the
-action touches.
+state with validate_state; with ``validate=False`` (the exact solver's unit
+changes, feasible by construction) it checks only the entries the action
+touches.
 """
 
 from __future__ import annotations
@@ -75,6 +82,22 @@ def admitted_arrivals(config: NetworkConfig, arrivals: np.ndarray,
     return admitted
 
 
+def tick(state: SystemState, vehicles: np.ndarray, trips: np.ndarray,
+         chargers: np.ndarray) -> None:
+    """Write into the zeroed ``vehicles``, ``trips`` and ``chargers`` the
+    state one epoch on as if every vehicle passed and no order arrived: etas
+    and charger clocks count down, with eta 0 and 1 both landing at 0, and
+    queued orders age by one epoch, the oldest leaving the queue."""
+    vehicles0, trips0, chargers0 = state.vehicles, state.trips, state.chargers
+    # each slot takes the next one's contents and slot 0 keeps its own; with
+    # eta_cap = 0 or J = 1 that leaves the array as it was
+    vehicles[:, :-1] = vehicles0[:, 1:]
+    vehicles[:, 0] += vehicles0[:, 0]
+    trips[:, :, 1:] = trips0[:, :, :-1]
+    chargers[:, :, :-1] = chargers0[:, :, 1:]
+    chargers[:, :, 0] += chargers0[:, :, 0]
+
+
 @dataclass
 class StepInfo:
     reward: float = 0.0
@@ -101,27 +124,22 @@ def transition(
     the same slot. Arrivals fill the age-0 queues last, up to the cap.
 
     With ``validate`` the action must first pass check_fleet_action and the
-    next state validate_state. Without it, as the exact-solver enumeration
-    calls it, only the entries the action touches are checked: more vehicles
-    taken from a status than it holds, more charges than free chargers, and
-    a charger slot the action touches going negative."""
+    next state validate_state. Without it only the entries the action
+    touches are checked: more vehicles taken from a status than it holds,
+    more charges than free chargers, and a charger slot the action touches
+    going negative. The exact solver calls it that way, on one unit
+    assignment at a time, to learn the change that unit makes to the ticked
+    state and its reward."""
     if validate:
         check_fleet_action(config, state, action)
     t = state.t
     info = StepInfo(reward=epoch_reward(config, action, t))
     vehicles0, trips0, chargers0 = state.vehicles, state.trips, state.chargers
-
-    # tick: each slot takes the next one's contents and slot 0 keeps its own;
-    # with eta_cap = 0 or J = 1 that leaves the array as it was
     vehicles = np.zeros(vehicles0.shape, np.int64)
-    vehicles[:, :-1] = vehicles0[:, 1:]
-    vehicles[:, 0] += vehicles0[:, 0]
     trips = np.zeros(trips0.shape, np.int64)
-    trips[:, :, 1:] = trips0[:, :, :-1]
-    info.abandoned = int(trips0[:, :, -1].sum())
     chargers = np.zeros(chargers0.shape, np.int64)
-    chargers[:, :, :-1] = chargers0[:, :, 1:]
-    chargers[:, :, 0] += chargers0[:, :, 0]
+    tick(state, vehicles, trips, chargers)
+    info.abandoned = int(trips0[:, :, -1].sum())
 
     Lc = config.connection_patience
     taken: dict[VehicleStatus, int] = {}

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -18,19 +19,23 @@ from fleetlab.baselines import (
     AlwaysPassPolicy,
     PowerOfKPolicy,
     RandomFeasiblePolicy,
-    _enumerate_fleet_actions,
+    _Expander,
+    _fleet_action,
     _joint_outcomes,
     exact_value_iteration,
 )
+from fleetlab.config import NetworkConfig
 from fleetlab.errors import ContractViolation, InvalidArgument, ValueIterationNotConverged
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
                             action_table, action_to_index, check_fleet_action,
-                            feasible_mask, fulfill)
+                            epoch_reward, feasible_mask, fulfill)
 from fleetlab.scenarios import synth_scenario
 
 from conftest import tiny_config
+from oracles import reference_transition
 from test_acceptance import _vi_instance
+from test_sim import _tables
 
 
 def test_always_pass_earns_zero(tiny):
@@ -238,13 +243,30 @@ def test_exact_solver_rejects_negative_arrival_cap():
         exact_value_iteration(cfg, arrival_cap=-1)
 
 
-def _brute_force_fleet_actions(config, state) -> set:
+@pytest.mark.parametrize("bad, message", [
+    (dict(tol=math.inf), "tol must be finite and >= 0, got inf"),
+    (dict(tol=math.nan), "tol must be finite and >= 0, got nan"),
+    (dict(tol=-1e-8), "tol must be finite and >= 0, got -1e-08"),
+    (dict(max_iters=0), "max_iters must be >= 1, got 0"),
+    (dict(max_states=0), "max_states must be >= 1, got 0"),
+])
+def test_exact_solver_rejects_bad_arguments(bad, message):
+    cfg = tiny_config(V=2, T=2, N=1, B=2, J=1, L_p=0, L_c=0, tau=1,
+                      lam_scale=0.6)
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        exact_value_iteration(cfg, arrival_cap=1, **bad)
+
+
+def _brute_force_fleet_actions(config, state) -> list:
     """Every per-status multiset over all atomic actions that
-    check_fleet_action accepts, as frozensets of FleetAction.counts items."""
+    check_fleet_action accepts, as frozensets of FleetAction.counts items.
+    Statuses go in array order, each one's candidates Pass first and then by
+    index, and the multisets combine in itertools.product order."""
     actions = action_table(config).actions
-    per_status = [[(c, combo) for combo in itertools.combinations_with_replacement(actions, n)]
+    cands = actions[-1:] + actions[:-1]
+    per_status = [[(c, combo) for combo in itertools.combinations_with_replacement(cands, n)]
                   for c, n in state.statuses()]
-    found = set()
+    found = []
     for choice in itertools.product(*per_status):
         fa = FleetAction.empty()
         for c, combo in choice:
@@ -254,29 +276,101 @@ def _brute_force_fleet_actions(config, state) -> set:
             check_fleet_action(config, state, fa)
         except ContractViolation:
             continue
-        found.add(frozenset(fa.counts.items()))
+        found.append(frozenset(fa.counts.items()))
     return found
 
 
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_enumerated_fleet_actions_are_the_feasible_ones(N):
-    """On states of random rollouts with one charger per rate and short
-    queues, the enumerator yields each feasible fleet action exactly once."""
-    capped = 0
+def _rollout_configs_and_states(N):
+    """Configs with one charger per rate and short queues, and the states of
+    random rollouts on them."""
     for seed in range(3):
         cfg = tiny_config(V=2, T=3, N=N, B=3, J=2, L_p=0, L_c=1, tau=1, rates=(1, 2),
                           chargers=1, lam_scale=1.5, seed=seed)
         for tr in sim.run_days(cfg, RandomFeasiblePolicy(), 2, np.random.default_rng(seed)):
             for state in tr.states:
-                got = [frozenset(fa.counts.items())
-                       for fa in _enumerate_fleet_actions(cfg, state)]
-                assert len(set(got)) == len(got)
-                assert set(got) == _brute_force_fleet_actions(cfg, state)
-                # some queued trip has fewer orders than the idle vehicles at
-                # its origin, so its cap binds
-                idle = state.vehicles[:, 0, :].sum(axis=1)
-                capped += any(0 < n < idle[u] for (u, _, _), n in np.ndenumerate(state.trips))
+                yield cfg, state
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_enumerated_fleet_actions_are_the_feasible_ones(N):
+    """On states of random rollouts, the enumeration yields each feasible
+    fleet action exactly once, in the order of a brute force over the
+    per-status multisets."""
+    capped = 0
+    for cfg, state in _rollout_configs_and_states(N):
+        exp = _Expander(cfg).expand(state)
+        got = [frozenset(_fleet_action(exp.blocks, pick).counts.items())
+               for pick in exp.picks.tolist()]
+        want = _brute_force_fleet_actions(cfg, state)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(want)
+        assert got == want
+        # some queued trip has fewer orders than the idle vehicles at
+        # its origin, so its cap binds
+        idle = state.vehicles[:, 0, :].sum(axis=1)
+        capped += any(0 < n < idle[u] for (u, _, _), n in np.ndenumerate(state.trips))
     assert capped or N == 1
+
+
+def _time_varying_config() -> NetworkConfig:
+    """Two vehicles, two charge rates, a queue that ages once, and trip
+    durations, fares and charge rewards that change with the epoch."""
+    cfg = tiny_config(V=2, T=2, N=2, B=2, J=2, L_p=0, L_c=1, tau=1, rates=(1, 2),
+                      chargers=1, lam_scale=0.5)
+    T = cfg.horizon_steps
+    dur = np.ones((2, 2, T), dtype=np.int64)
+    dur[0, 1, 1] = dur[1, 0, 0] = 2
+    return dataclasses.replace(cfg, trip_duration=dur,
+                               trip_reward=cfg.trip_reward + np.arange(T) * 0.7,
+                               charge_reward=cfg.charge_reward - np.arange(T) * 0.3)
+
+
+def _discovered_states(config, arrival_cap):
+    """Every state exact_value_iteration reaches, from its policy's keys."""
+    sol = exact_value_iteration(config, arrival_cap=arrival_cap)
+    start = sim.initial_state(config)
+    for t, (_, *arrays) in sol.policy:
+        yield SystemState(t, *(np.frombuffer(b, dtype=np.int64).reshape(like.shape)
+                              for b, like in zip(arrays, (start.vehicles, start.trips,
+                                                          start.chargers))))
+
+
+@pytest.mark.parametrize("instance", ["time-varying", "vi-7", "rollouts"])
+def test_composed_successors_follow_the_transition_rule(instance):
+    """Every enumerated fleet action's successor row, composed from the tick
+    and cached unit changes, equals the next state of a validated
+    transition and of the per-vehicle reference under zero arrivals, and
+    its reward equals epoch_reward's bit for bit."""
+    if instance == "rollouts":
+        pairs = [pair for N in (1, 2, 3) for pair in _rollout_configs_and_states(N)]
+    else:
+        cfg = _time_varying_config() if instance == "time-varying" else _vi_instance(7)
+        pairs = [(cfg, state) for state in _discovered_states(cfg, arrival_cap=1)]
+    expander, checked = None, 0
+    for cfg, state in pairs:
+        # one expander per config, so its caches serve many states
+        if expander is None or expander.config is not cfg:
+            expander = _Expander(cfg)
+            zero = np.zeros((cfg.num_regions, cfg.num_regions), dtype=np.int64)
+            tables = _tables(cfg)
+        exp = expander.expand(state)
+        for row, reward, pick in zip(exp.rows, exp.rewards, exp.picks.tolist()):
+            fa = _fleet_action(exp.blocks, pick)
+            nxt, info = sim.transition(cfg, state, fa, zero, validate=True)
+            assert row.tolist() == np.concatenate(
+                [nxt.vehicles.ravel(), nxt.trips.ravel(), nxt.chargers.ravel()]).tolist()
+            assert reward.hex() == info.reward.hex() == epoch_reward(cfg, fa, state.t).hex()
+            assignments = [(c, (a.kind, a.trip, a.region, a.rate))
+                           for (c, a), n in fa.counts.items() for _ in range(n)]
+            (t, vehicles, trips, chargers), want = reference_transition(
+                tables, (state.t, state.vehicles, state.trips, state.chargers), assignments,
+                zero)
+            assert t == nxt.t
+            assert row.tolist() == np.concatenate(
+                [vehicles.ravel(), trips.ravel(), chargers.ravel()]).tolist()
+            assert reward.hex() == want["reward"].hex()
+            checked += 1
+    assert checked > 100
 
 
 def test_joint_outcomes_are_a_distribution():
