@@ -41,6 +41,7 @@ from .model import (
     VehicleStatus,
     action_table,
     action_to_index,
+    all_pass_action,
     charge,
     feasible_mask,
     fulfill,
@@ -224,12 +225,14 @@ class _Expander:
 
     A unit assignment, status c taking atomic action a at epoch t, changes
     the ticked state by an amount that does not depend on the rest of the
-    state: transition's next state for the one-unit fleet action, less the
-    tick. That change, what the unit draws on and its reward are cached by
-    (t, c, a); each status's multisets, summed over their units, are cached
-    by (t, c, n, candidates). A fleet action's row is then the state's tick
-    plus one row of each status's block, and its reward the exactly rounded
-    sum of its non-pass atomic rewards, as epoch_reward takes it."""
+    state: transition's next state when every other vehicle passes, less
+    the tick. That change, what the unit draws on and its reward are cached
+    by (t, c, a). Each status's multisets, summed over their units, are
+    cached by (t, c, n) and which of c's region's queues and free chargers
+    are nonempty, all that feasible_mask reads of the state. A fleet
+    action's row is then the state's tick plus one row of each status's
+    block, and its reward the exactly rounded sum of its non-pass atomic
+    rewards, as epoch_reward takes it."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
@@ -248,8 +251,8 @@ class _Expander:
         keep = (uses <= caps).all(axis=1)
         picks = picks[:, keep]
         rows = sum((b.rows[p] for b, p in zip(blocks, picks)), base)
-        # stronger than transition's own check without validation, which
-        # looks only at the cells an action touches
+        # the composed rows bypass transition's checks; the caps should keep
+        # them from going negative, and this makes sure
         if rows.min() < 0:
             raise ContractViolation(f"a fleet action at epoch {state.t} leaves a negative count")
         picks = picks.T
@@ -259,11 +262,15 @@ class _Expander:
         return _Expansion(rows, rewards, blocks, picks)
 
     def _block(self, state: SystemState, base: np.ndarray, c: VehicleStatus, n: int) -> _Block:
-        cands = (len(self.actions) - 1,) + tuple(
-            np.flatnonzero(feasible_mask(self.config, state, c)[:-1]).tolist())
-        key = (state.t, c, n, cands)
+        # with c present, feasible_mask reads only which of c's region's
+        # queues and free chargers are nonempty
+        u = c.dest
+        key = (state.t, c, n, (state.trips[u] > 0).tobytes(),
+               (state.chargers[u, :, 0] > 0).tobytes())
         block = self.blocks.get(key)
         if block is None:
+            cands = (len(self.actions) - 1,) + tuple(
+                np.flatnonzero(feasible_mask(self.config, state, c)[:-1]).tolist())
             units = [self._unit(state, base, c, i) for i in cands]
             combos = list(itertools.combinations_with_replacement(range(len(cands)), n))
             counts = np.array([[combo.count(k) for k in range(len(cands))] for combo in combos],
@@ -280,8 +287,11 @@ class _Expander:
         unit = self.units.get(key)
         if unit is None:
             a = self.actions[i]
-            nxt, info = transition(self.config, state, FleetAction({(c, a): 1}),
-                                   self.zero_arrivals, validate=False)
+            # every vehicle passes but one of status c, which takes a
+            action = all_pass_action(self.config, state)
+            action.counts[(c, PASS)] -= 1
+            action.add_atomic(c, a)
+            nxt, info = transition(self.config, state, action, self.zero_arrivals)
             delta = np.concatenate((nxt.vehicles.ravel(), nxt.trips.ravel(),
                                     nxt.chargers.ravel())) - base
             # what it draws on, as a cell of the caps: one of state.trips, or

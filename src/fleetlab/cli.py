@@ -403,9 +403,10 @@ def cmd_sweep(args) -> int:
 
 
 def _add_config_args(p):
-    p.add_argument("--config", help="scenario JSON (fleetlab-config-v1)")
-    p.add_argument("--scenario", choices=TEMPLATES,
-                   help="built-in synthetic scenario template")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--config", help="scenario JSON (fleetlab-config-v1)")
+    group.add_argument("--scenario", choices=TEMPLATES,
+                       help="built-in synthetic scenario template")
 
 
 def _add_eval_args(p):

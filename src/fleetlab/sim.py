@@ -17,14 +17,12 @@ An epoch proceeds in two stages:
 every epoch; the exact solver (baselines.exact_value_iteration) calls it once
 per state it expands, on the three arrays of one flat row, and adds to that
 row the change each of the state's unit assignments makes, which it takes
-from ``transition`` on a one-unit fleet action once per (epoch, status,
-atomic action).
+from ``transition`` once per (epoch, status, atomic action): every vehicle
+passes but one, which takes the action.
 
-Checks: run_epoch checks each policy choice against the mask it handed out.
-``transition`` checks the fleet action with check_fleet_action and the next
-state with validate_state; with ``validate=False`` (the exact solver's unit
-changes, feasible by construction) it checks only the entries the action
-touches.
+Checks: run_epoch checks each policy choice against the action space and
+the mask it handed out. Every ``transition`` checks the fleet action with
+check_fleet_action and the next state with validate_state.
 """
 
 from __future__ import annotations
@@ -41,11 +39,11 @@ from .model import (
     FleetAction,
     SystemState,
     VehicleStatus,
+    action_table,
     atomic_reward,
     check_fleet_action,
     epoch_reward,
     feasible_mask,
-    index_to_action,
     landing,
     validate_state,
 )
@@ -109,29 +107,21 @@ class StepInfo:
 
 
 def transition(
-    config: NetworkConfig, state: SystemState, action: FleetAction, arrivals: np.ndarray,
-    validate: bool = True,
+    config: NetworkConfig, state: SystemState, action: FleetAction, arrivals: np.ndarray
 ) -> tuple[SystemState, StepInfo]:
     """Apply a fleet action and an arrival matrix; returns next state and stats.
 
-    The whole state first ticks as if every vehicle passed: etas move down
-    one step, with eta 0 and 1 both landing at 0, queued orders age by one
-    epoch, and charger clocks advance. Each non-pass (status, action, count)
-    entry then moves its vehicles from their ticked cell to where
-    ``landing`` puts them. A fulfill takes its order out of the aged slot
-    age + 1, or out of the abandoned count when its age is L_c; a charge
-    moves a charger from the free slot 0 to slot J - 1, which for J = 1 is
-    the same slot. Arrivals fill the age-0 queues last, up to the cap.
-
-    With ``validate`` the action must first pass check_fleet_action and the
-    next state validate_state. Without it only the entries the action
-    touches are checked: more vehicles taken from a status than it holds,
-    more charges than free chargers, and a charger slot the action touches
-    going negative. The exact solver calls it that way, on one unit
-    assignment at a time, to learn the change that unit makes to the ticked
-    state and its reward."""
-    if validate:
-        check_fleet_action(config, state, action)
+    The action must pass check_fleet_action. The whole state then ticks as
+    if every vehicle passed: etas move down one step, with eta 0 and 1 both
+    landing at 0, queued orders age by one epoch, and charger clocks
+    advance. Each non-pass (status, action, count) entry then moves its
+    vehicles from their ticked cell to where ``landing`` puts them. A
+    fulfill takes its order out of the aged slot age + 1, or out of the
+    abandoned count when its age is L_c; a charge moves a charger from the
+    free slot 0 to slot J - 1, which for J = 1 is the same slot. Arrivals
+    fill the age-0 queues last, up to the cap, and the next state must pass
+    validate_state."""
+    check_fleet_action(config, state, action)
     t = state.t
     info = StepInfo(reward=epoch_reward(config, action, t))
     vehicles0, trips0, chargers0 = state.vehicles, state.trips, state.chargers
@@ -142,12 +132,9 @@ def transition(
     info.abandoned = int(trips0[:, :, -1].sum())
 
     Lc = config.connection_patience
-    taken: dict[VehicleStatus, int] = {}
-    charges: dict[tuple[int, int], int] = {}
     for (c, a), n in action.counts.items():
         if a.kind == "pass":
             continue
-        taken[c] = taken.get(c, 0) + n
         u, eta, b = c
         vehicles[u, eta - 1 if eta else 0, b] -= n
         vehicles[landing(config, c, a, t)] += n
@@ -161,29 +148,15 @@ def transition(
         elif a.kind == "reposition":
             info.repositioned += n
         else:                                       # charge
-            k = (u, config.rate_index(a.rate))
-            charges[k] = charges.get(k, 0) + n
+            r = config.rate_index(a.rate)
+            chargers[u, r, 0] -= n
+            chargers[u, r, -1] += n
             info.charges_started += n
 
-    for c, n in taken.items():
-        if n > vehicles0[c]:
-            raise ContractViolation("more vehicles assigned than present")
-    for (v, r), n in charges.items():
-        if n > chargers0[v, r, 0]:
-            raise ContractViolation("more charges started than free chargers")
-    for (v, r), n in charges.items():
-        chargers[v, r, 0] -= n
-        chargers[v, r, -1] += n
-        if chargers[v, r, 0] < 0 or chargers[v, r, -1] < 0:
-            raise ContractViolation("charger accounting went negative")
-
     info.arrived = int(arrivals.sum())
-    if np.count_nonzero(arrivals):                  # the exact solver passes none
-        trips[:, :, 0] = admitted_arrivals(config, arrivals, trips[:, :, 1:].sum(axis=2))
-
+    trips[:, :, 0] = admitted_arrivals(config, arrivals, trips[:, :, 1:].sum(axis=2))
     nxt = SystemState((t + 1) % config.horizon_steps, vehicles, trips, chargers)
-    if validate:
-        validate_state(config, nxt)
+    validate_state(config, nxt)
     return nxt, info
 
 
@@ -270,15 +243,21 @@ def run_epoch(
     # memory raises MemoryError before the first vehicle acts
     records: list[AtomicRecord] = [None] * sum(n for _, n in groups)
     k = 0
+    actions = action_table(config).actions
     if hasattr(policy, "begin_epoch"):
         policy.begin_epoch(config, state, rng)
     for vehicle, n in groups:
         mask = _read_only(feasible_mask(config, work, vehicle))
         for _ in range(n):
             idx = policy.act(config, work, vehicle, mask, rng)
+            # a bool or a negative index would still pick a mask entry
+            if (type(idx) is not int and not isinstance(idx, np.integer)
+                    or not 0 <= idx < len(actions)):
+                raise ContractViolation(f"policy chose action index {idx!r}, "
+                                        f"outside the action space 0..{len(actions) - 1}")
             if not mask[idx]:
                 raise ContractViolation(f"policy chose infeasible action index {idx}")
-            atomic = index_to_action(config, idx)
+            atomic = actions[idx]
             r = atomic_reward(config, vehicle, atomic, state.t)
             records[k] = AtomicRecord(vehicle, atomic, r)
             k += 1

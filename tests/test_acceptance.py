@@ -67,11 +67,10 @@ def test_01_conservation_100k_random_epochs():
         policy = RandomFeasiblePolicy()
         for _ in range(epochs_per_config):
             res = run_epoch(cfg, state, policy, rng)
-            # the internal validation is off: this loop asserts the
-            # conservation laws itself, on every epoch
+            # transition checks the action and the next state; this loop
+            # asserts the conservation laws itself as well, on every epoch
             arrivals = draw_arrivals(cfg, (state.t + 1) % cfg.horizon_steps, rng)
-            state, _ = transition(cfg, state, res.action, arrivals,
-                                  validate=False)
+            state, _ = transition(cfg, state, res.action, arrivals)
             assert state.vehicles.sum() == cfg.fleet_size
             assert (state.chargers.sum(axis=2) == cfg.charger_counts).all()
             assert (state.trips[:, :, cfg.connection_patience + 1:] == 0).all()

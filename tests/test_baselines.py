@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from fleetlab import ppo, sim
+from fleetlab import baselines, ppo, sim
 from fleetlab.baselines import (
     AlwaysPassPolicy,
     PowerOfKPolicy,
@@ -337,10 +337,11 @@ def _discovered_states(config, arrival_cap):
 
 @pytest.mark.parametrize("instance", ["time-varying", "vi-7", "rollouts"])
 def test_composed_successors_follow_the_transition_rule(instance):
-    """Every enumerated fleet action's successor row, composed from the tick
-    and cached unit changes, equals the next state of a validated
-    transition and of the per-vehicle reference under zero arrivals, and
-    its reward equals epoch_reward's bit for bit."""
+    """Every cached block offers its status the state's feasible actions, and
+    every enumerated fleet action's successor row, composed from the tick
+    and cached unit changes, equals transition's next state and the
+    per-vehicle reference's under zero arrivals, and its reward equals
+    epoch_reward's bit for bit."""
     if instance == "rollouts":
         pairs = [pair for N in (1, 2, 3) for pair in _rollout_configs_and_states(N)]
     else:
@@ -354,9 +355,14 @@ def test_composed_successors_follow_the_transition_rule(instance):
             zero = np.zeros((cfg.num_regions, cfg.num_regions), dtype=np.int64)
             tables = _tables(cfg)
         exp = expander.expand(state)
+        # a cached block's candidates are this state's feasible set
+        actions = action_table(cfg).actions
+        for b in exp.blocks:
+            feasible = np.flatnonzero(feasible_mask(cfg, state, b.status)[:-1])
+            assert b.cands == (PASS,) + tuple(actions[i] for i in feasible)
         for row, reward, pick in zip(exp.rows, exp.rewards, exp.picks.tolist()):
             fa = _fleet_action(exp.blocks, pick)
-            nxt, info = sim.transition(cfg, state, fa, zero, validate=True)
+            nxt, info = sim.transition(cfg, state, fa, zero)
             assert row.tolist() == np.concatenate(
                 [nxt.vehicles.ravel(), nxt.trips.ravel(), nxt.chargers.ravel()]).tolist()
             assert reward.hex() == info.reward.hex() == epoch_reward(cfg, fa, state.t).hex()
@@ -371,6 +377,20 @@ def test_composed_successors_follow_the_transition_rule(instance):
             assert reward.hex() == want["reward"].hex()
             checked += 1
     assert checked > 100
+
+
+def test_exact_solver_calls_feasible_mask_less_often_than_it_expands_states(monkeypatch):
+    """Blocks are cached by what feasible_mask reads of the state, so a state
+    whose blocks are all cached computes no mask."""
+    calls = []
+
+    def counted(config, state, vehicle):
+        calls.append(vehicle)
+        return feasible_mask(config, state, vehicle)
+
+    monkeypatch.setattr(baselines, "feasible_mask", counted)
+    sol = exact_value_iteration(_vi_instance(7), arrival_cap=1)
+    assert 0 < len(calls) < sol.states
 
 
 def test_joint_outcomes_are_a_distribution():

@@ -479,6 +479,10 @@ CALIBRATE = ["calibrate", "--records", "{trips}/r.csv", "--regions", "{trips}/ma
                  id="FLEETLAB_SEED=-1-evaluate"),
     pytest.param(SWEEP[:3] + SWEEP[5:], id="sweep-chargers-without-allocation"),
     pytest.param(["sweep-hardware"] + SWEEP[1:3] + SWEEP[5:], id="sweep-hardware-without-pair"),
+    pytest.param(["bound", "--scenario", "uniform", "--config", "{tmp}/missing.json"],
+                 id="bound-scenario-and-config"),
+    pytest.param(["evaluate", "--config", "{cfg}", "--scenario", "uniform", "--policy", "random"],
+                 id="evaluate-config-and-scenario"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_bad_count_inputs_exit_2(tiny_json, trips, tmp_path, argv):
     """Leading NAME=value words set environment variables, as in a shell."""

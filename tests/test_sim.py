@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from fleetlab.calibrate import scale_fleet
 from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
 from fleetlab.fluid import FluidRoundingPolicy, FluidSolution, build_reduced_lp
-from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus,
-                            VehicleStatus, action_to_index, all_pass_action, charge,
+from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
+                            action_count, action_to_index, all_pass_action, charge,
                             feasible_mask, fulfill, index_to_action, landing, reposition)
 from fleetlab.ppo import NeuralPolicy, PpoConfig, init_networks
 from fleetlab.scenarios import TEMPLATES, synth_scenario
@@ -116,29 +117,29 @@ def test_admitted_arrivals_fill_each_queue_to_the_cap():
     np.testing.assert_array_equal(got, want)
     s = initial_state(cfg)
     for k in range(5):
-        nxt, _ = transition(cfg, s, all_pass_action(cfg, s), arrivals[k], validate=False)
+        nxt, _ = transition(cfg, s, all_pass_action(cfg, s), arrivals[k])
         np.testing.assert_array_equal(nxt.trips[:, :, 0], admitted_arrivals(
             cfg, arrivals[k], np.zeros((3, 3), dtype=np.int64)))
 
 
 @pytest.mark.parametrize("J", [1, 2])
 def test_transition_rejects_more_charges_than_free_chargers(J):
-    # both vehicles charge on a station with one charger; with J = 1 the
-    # charger would be taken and given back within the epoch, so only a
-    # direct check against the free chargers catches the over-commit
+    # two vehicles charge on a station with one charger; with J = 1 the
+    # charger would be taken and given back within the epoch, so the next
+    # state's charger totals hold and only the cap on free chargers catches
+    # the over-commit
     cfg = tiny_config(N=2, J=J, L_p=0)
     s = initial_state(cfg)
     vehicles = np.zeros_like(s.vehicles)
-    vehicles[0, 0, 0] = 2
+    c = VehicleStatus(0, 0, 0)
+    vehicles[c] = 2
     s = SystemState(0, vehicles, np.zeros_like(s.trips), s.chargers)
     none = np.zeros((2, 2), dtype=np.int64)
-    fa = FleetAction.empty()
-    fa.add_atomic(VehicleStatus(0, 0, 0), charge(cfg.charge_rates[0]))
-    _, info = transition(cfg, s, fa, none, validate=False)
+    plug = charge(cfg.charge_rates[0])
+    _, info = transition(cfg, s, FleetAction({(c, plug): 1, (c, PASS): 1}), none)
     assert info.charges_started == 1
-    fa.add_atomic(VehicleStatus(0, 0, 0), charge(cfg.charge_rates[0]))
     with pytest.raises(ContractViolation, match="free chargers"):
-        transition(cfg, s, fa, none, validate=False)
+        transition(cfg, s, FleetAction({(c, plug): 2}), none)
 
 
 def test_transition_lands_every_feasible_action_where_landing_says():
@@ -299,8 +300,7 @@ _REFERENCE_CONFIGS = {
 def test_transition_matches_per_vehicle_reference(name):
     """Random feasible epochs from run_epoch: the next state and every
     StepInfo field, the reward bit for bit, equal the reference's, which
-    moves each vehicle, order and charger on its own; with and without
-    validation."""
+    moves each vehicle, order and charger on its own."""
     cfg = _REFERENCE_CONFIGS[name]()
     tables = _tables(cfg)
     kinds = set()
@@ -313,44 +313,16 @@ def test_transition_matches_per_vehicle_reference(name):
             (t, vehicles, trips, chargers), want = reference_transition(
                 tables, (state.t, state.vehicles, state.trips, state.chargers),
                 [(r.vehicle, r.action) for r in res.records], arrivals)
-            for validate in (True, False):
-                nxt, info = transition(cfg, state, res.action, arrivals, validate=validate)
-                assert nxt.t == t
-                np.testing.assert_array_equal(nxt.vehicles, vehicles)
-                np.testing.assert_array_equal(nxt.trips, trips)
-                np.testing.assert_array_equal(nxt.chargers, chargers)
-                assert dataclasses.asdict(info) == want
+            nxt, info = transition(cfg, state, res.action, arrivals)
+            assert nxt.t == t
+            np.testing.assert_array_equal(nxt.vehicles, vehicles)
+            np.testing.assert_array_equal(nxt.trips, trips)
+            np.testing.assert_array_equal(nxt.chargers, chargers)
+            assert dataclasses.asdict(info) == want
             kinds.update(r.action.kind for r in res.records)
             state = nxt
     assert kinds == ({"fulfill", "reposition", "pass"} if name == "R 0"
                      else {"fulfill", "reposition", "charge", "pass"})
-
-
-def test_transition_guards_without_validation():
-    """validate=False still rejects taking more vehicles from a status than it
-    holds, and a charger slot the action touches going negative; validation
-    reports check_fleet_action's message first."""
-    cfg = tiny_config(N=2, J=2, L_p=0)
-    s0 = initial_state(cfg)
-    none = np.zeros((2, 2), dtype=np.int64)
-    c = VehicleStatus(0, 0, 2)
-    vehicles = np.zeros_like(s0.vehicles)
-    vehicles[c] = 1
-    vehicles[1, 0, 2] = 1
-    state = SystemState(0, vehicles, s0.trips, s0.chargers)
-    twice = FleetAction({(c, reposition(1)): 2, (VehicleStatus(1, 0, 2), PASS): 1})
-    with pytest.raises(ContractViolation, match="more vehicles assigned than present"):
-        transition(cfg, state, twice, none, validate=False)
-    with pytest.raises(ContractViolation, match="flow conservation violated"):
-        transition(cfg, state, twice, none)
-
-    chargers = s0.chargers.copy()
-    chargers[0, 0, 1] = -1                            # a negative charger clock
-    bad = SystemState(0, vehicles, s0.trips, chargers)
-    plug = FleetAction({(c, charge(cfg.charge_rates[0])): 1, (VehicleStatus(1, 0, 2), PASS): 1})
-    transition(cfg, state, plug, none)
-    with pytest.raises(ContractViolation, match="charger accounting went negative"):
-        transition(cfg, bad, plug, none, validate=False)
 
 
 # -- masks handed to policies ------------------------------------------------------
@@ -466,3 +438,19 @@ def test_policy_cannot_write_the_mask():
     day = run_day(cfg, initial_state(cfg), policy, np.random.default_rng(2))
     assert policy.steps == cfg.fleet_size * cfg.horizon_steps
     assert sum(e.info.fulfilled for e in day.epochs) > 0
+
+
+@pytest.mark.parametrize("idx", ["size", 1.0, True, -2])
+def test_run_epoch_rejects_an_index_outside_the_action_space(idx):
+    """An index past the end, a float, a bool or a negative index is a
+    contract violation that names the index, like an infeasible one."""
+
+    class Stray:
+        def act(self, config, work, vehicle, mask, rng):
+            return mask.size if idx == "size" else idx
+
+    cfg = tiny_config()
+    state = initial_state(cfg)
+    shown = repr(action_count(cfg) if idx == "size" else idx)
+    with pytest.raises(ContractViolation, match=f"action index {re.escape(shown)},"):
+        run_epoch(cfg, state, Stray(), np.random.default_rng(0))
