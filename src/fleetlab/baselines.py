@@ -9,7 +9,10 @@ regions head for the nearest region that has chargers.
 exact_value_iteration enumerates the full (truncated-arrival) state space of
 a tiny instance and runs relative value iteration on the one-day Bellman
 operator, giving the optimal average daily reward used as a ground-truth
-comparison point for the fluid bound. Instances may be multichain: a vehicle
+comparison point for the fluid bound. It discovers the states one
+breadth-first depth at a time, in chunks of array work bounded by
+_CHUNK_ROWS candidate successor rows, in the order a first-in first-out
+queue of single states would. Instances may be multichain: a vehicle
 stranded with an empty battery in a region without chargers earns nothing
 for ever, so day-start states can have different gains. The day increment
 v_{n+1} - v_n converges pointwise to each state's gain (Puterman 1994,
@@ -171,13 +174,15 @@ def _joint_outcomes(config: NetworkConfig, t: int, cap: int):
     return arrivals, probs
 
 
-def _row_arrays(row: np.ndarray, like: SystemState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vehicles, trips and chargers arrays of a flat row that holds their
-    cells side by side, each in C order, shaped as ``like``'s; views, so
-    writing them writes the row."""
+def _row_arrays(rows: np.ndarray, like: SystemState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vehicles, trips and chargers arrays of flat rows that hold their
+    cells side by side, each in C order, shaped as ``like``'s after the rows'
+    leading axes; views, so writing them writes the rows."""
     nv, nt = like.vehicles.size, like.trips.size
-    return (row[:nv].reshape(like.vehicles.shape), row[nv:nv + nt].reshape(like.trips.shape),
-            row[nv + nt:].reshape(like.chargers.shape))
+    lead = rows.shape[:-1]
+    return (rows[..., :nv].reshape(*lead, *like.vehicles.shape),
+            rows[..., nv:nv + nt].reshape(*lead, *like.trips.shape),
+            rows[..., nv + nt:].reshape(*lead, *like.chargers.shape))
 
 
 class _Block(NamedTuple):
@@ -193,28 +198,41 @@ class _Block(NamedTuple):
     terms: list[list[float]]          # each multiset's non-pass atomic rewards
 
 
-def _fleet_action(blocks: tuple[_Block, ...], pick) -> FleetAction:
-    """The fleet action taking multiset ``pick[i]`` of each ``blocks[i]``,
-    its counts inserted status by status, candidates in order."""
+class _Composition(NamedTuple):
+    """Every combination of one multiset per block of a state's signature, in
+    itertools.product order over the blocks, summed over its blocks."""
+
+    blocks: tuple[_Block, ...]        # one per occupied status, in array order
+    picks: list[list[int]]            # each combination's multiset per block
+    rows: np.ndarray                  # (combinations, cells): change to the ticked row
+    uses: np.ndarray                  # (combinations, caps)
+    rewards: np.ndarray               # each combination's epoch_reward
+
+
+def _fleet_action(comp: _Composition, j: int) -> FleetAction:
+    """The fleet action of combination ``j`` of ``comp``, its counts
+    inserted status by status, candidates in order."""
     counts = {}
-    for b, j in zip(blocks, pick):
-        combo = b.combos[j]
-        counts.update(((b.status, b.cands[k]), combo.count(k)) for k in dict.fromkeys(combo))
+    for b, k in zip(comp.blocks, comp.picks[j]):
+        combo = b.combos[k]
+        counts.update(((b.status, b.cands[m]), combo.count(m)) for m in dict.fromkeys(combo))
     return FleetAction(counts)
 
 
 class _Expansion(NamedTuple):
-    """A state's feasible fleet actions, in enumeration order."""
+    """The feasible fleet actions of a stack of states, state by state, each
+    state's in enumeration order."""
 
     rows: np.ndarray                  # (actions, cells): next state under zero arrivals
-    rewards: list[float]              # each action's epoch_reward
-    blocks: tuple[_Block, ...]        # one per occupied status, in array order
-    picks: np.ndarray                 # (actions, statuses): each action's multiset per block
+    rewards: np.ndarray               # (actions,): each action's epoch_reward
+    sizes: np.ndarray                 # (states,): each state's action count
+    picks: np.ndarray                 # (actions,): its combination in its state's composition
 
 
 class _Expander:
-    """Every feasible fleet action of a state, with its next state under zero
-    arrivals, as a flat row (_row_arrays' layout), and its reward.
+    """Every feasible fleet action of each of a stack of states of one epoch,
+    with its next state under zero arrivals, as a flat row (_row_arrays'
+    layout), and its reward.
 
     Statuses go in array order. A status's n vehicles take every multiset of
     n of its candidates: Pass, then the indices feasible_mask allows on the
@@ -229,53 +247,96 @@ class _Expander:
     the tick. That change, what the unit draws on and its reward are cached
     by (t, c, a). Each status's multisets, summed over their units, are
     cached by (t, c, n) and which of c's region's queues and free chargers
-    are nonempty, all that feasible_mask reads of the state. A fleet
-    action's row is then the state's tick plus one row of each status's
-    block, and its reward the exactly rounded sum of its non-pass atomic
-    rewards, as epoch_reward takes it."""
+    are nonempty, all that feasible_mask reads of the state: the chargers
+    only while c is idle, and neither once c is past the pickup patience. A
+    state's signature is the tuple of those keys, one per status. Its
+    composition, every combination of its blocks' multisets with the summed
+    rows and uses and the exactly rounded sum of the non-pass atomic rewards
+    (as epoch_reward takes it), is cached by (t, signature).
+
+    ``compose`` ticks a whole stack at once and finds each state's
+    composition by dict lookups alone; ``expand`` adds a stack's
+    compositions to its ticked rows and keeps each state's combinations
+    within its caps, in a few array operations for the whole stack."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
         self.actions = action_table(config).actions
+        self.like = initial_state(config)
         self.zero_arrivals = np.zeros((config.num_regions, config.num_regions), dtype=np.int64)
         self.units: dict = {}
         self.blocks: dict = {}
+        self.compositions: defaultdict[int, dict] = defaultdict(dict)   # t -> signature -> _Composition
 
-    def expand(self, state: SystemState) -> _Expansion:
-        base = np.zeros(state.vehicles.size + state.trips.size + state.chargers.size, np.int64)
-        tick(state, *_row_arrays(base, state))
-        blocks = tuple(self._block(state, base, c, n) for c, n in state.statuses())
-        picks = np.indices([len(b.combos) for b in blocks]).reshape(len(blocks), -1)
-        uses = sum(b.uses[p] for b, p in zip(blocks, picks))
-        caps = np.concatenate((state.trips.ravel(), state.chargers[:, :, 0].ravel()))
-        keep = (uses <= caps).all(axis=1)
-        picks = picks[:, keep]
-        rows = sum((b.rows[p] for b, p in zip(blocks, picks)), base)
+    def compose(self, t: int, rows: np.ndarray) -> tuple[np.ndarray, list[_Composition]]:
+        """The ticked rows of the (states, cells) stack ``rows`` at epoch t,
+        and each state's composition."""
+        src = _row_arrays(rows, self.like)
+        ticked = np.zeros_like(rows)
+        tick(src, _row_arrays(ticked, self.like))
+        vehicles, trips, chargers = src
+        S, V = len(rows), self.config.num_regions
+        s, v, e, b = np.nonzero(vehicles)
+        # which queues from each status's region and free chargers in it are
+        # nonempty, as one byte string, less what feasible_mask does not read
+        # for that status: chargers once it is busy, everything once it is
+        # past the pickup patience
+        queued = trips.reshape(S, V, -1) > 0
+        pattern = np.concatenate((queued, chargers[..., 0] > 0), axis=2)[s, v]
+        pattern[e > 0, queued.shape[2]:] = False
+        pattern[e > self.config.pickup_patience] = False
+        keys = list(zip(v.tolist(), e.tolist(), b.tolist(), vehicles[s, v, e, b].tolist(),
+                        pattern.view(np.dtype((np.void, pattern.shape[1])))[:, 0].tolist()))
+        bounds = np.searchsorted(s, np.arange(S + 1)).tolist()
+        sigs = [tuple(keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        cache = self.compositions[t]
+        for i, sig in enumerate(sigs):
+            if sig not in cache:
+                cache[sig] = self._compose(SystemState(t, *_row_arrays(rows[i], self.like)),
+                                           ticked[i], sig)
+        return ticked, [cache[sig] for sig in sigs]
+
+    def expand(self, rows: np.ndarray, ticked: np.ndarray,
+               comps: list[_Composition]) -> _Expansion:
+        """The feasible fleet actions of the stacked states ``rows``, given
+        their ticked rows and compositions from ``compose``."""
+        counts = [len(c.rewards) for c in comps]
+        starts = np.cumsum(counts) - counts
+        _, trips, chargers = _row_arrays(rows, self.like)
+        S = len(rows)
+        caps = np.concatenate((trips.reshape(S, -1), chargers[..., 0].reshape(S, -1)), axis=1)
+        keep = (np.concatenate([c.uses for c in comps])
+                <= np.repeat(caps, counts, axis=0)).all(axis=1)
+        nexts = (np.repeat(ticked, counts, axis=0) + np.concatenate([c.rows for c in comps]))[keep]
         # the composed rows bypass transition's checks; the caps should keep
         # them from going negative, and this makes sure
-        if rows.min() < 0:
-            raise ContractViolation(f"a fleet action at epoch {state.t} leaves a negative count")
-        picks = picks.T
-        rewards = [math.fsum(itertools.chain.from_iterable(b.terms[j]
-                                                           for b, j in zip(blocks, pick)))
-                   for pick in picks.tolist()]
-        return _Expansion(rows, rewards, blocks, picks)
+        if nexts.min() < 0:
+            raise ContractViolation("a composed fleet action leaves a negative count")
+        picks = np.arange(len(keep)) - np.repeat(starts, counts)
+        return _Expansion(nexts, np.concatenate([c.rewards for c in comps])[keep],
+                          np.add.reduceat(keep, starts, dtype=np.int64), picks[keep])
 
-    def _block(self, state: SystemState, base: np.ndarray, c: VehicleStatus, n: int) -> _Block:
-        # with c present, feasible_mask reads only which of c's region's
-        # queues and free chargers are nonempty
-        u = c.dest
-        key = (state.t, c, n, (state.trips[u] > 0).tobytes(),
-               (state.chargers[u, :, 0] > 0).tobytes())
-        block = self.blocks.get(key)
+    def _compose(self, state: SystemState, base: np.ndarray, sig: tuple) -> _Composition:
+        blocks = tuple(self._block(state, base, key) for key in sig)
+        picks = np.indices([len(b.combos) for b in blocks]).reshape(len(blocks), -1)
+        rows = sum(b.rows[p] for b, p in zip(blocks, picks))
+        uses = sum(b.uses[p] for b, p in zip(blocks, picks))
+        picks = picks.T.tolist()
+        rewards = np.array([math.fsum(itertools.chain.from_iterable(
+            b.terms[j] for b, j in zip(blocks, pick))) for pick in picks])
+        return _Composition(blocks, picks, rows, uses, rewards)
+
+    def _block(self, state: SystemState, base: np.ndarray, key: tuple) -> _Block:
+        block = self.blocks.get((state.t, key))
         if block is None:
+            c, n = VehicleStatus(*key[:3]), key[3]
             cands = (len(self.actions) - 1,) + tuple(
                 np.flatnonzero(feasible_mask(self.config, state, c)[:-1]).tolist())
             units = [self._unit(state, base, c, i) for i in cands]
             combos = list(itertools.combinations_with_replacement(range(len(cands)), n))
             counts = np.array([[combo.count(k) for k in range(len(cands))] for combo in combos],
                               dtype=np.int64)
-            block = self.blocks[key] = _Block(
+            block = self.blocks[(state.t, key)] = _Block(
                 c, tuple(self.actions[i] for i in cands), combos,
                 counts @ np.array([delta for delta, _, _ in units]),
                 counts @ np.array([use for _, use, _ in units]),
@@ -304,6 +365,28 @@ class _Expander:
                     + self.config.rate_index(a.rate)] = 1
             unit = self.units[key] = (delta, use, info.reward)
         return unit
+
+
+# candidate successor rows (fleet actions times arrival outcomes) a chunk of
+# state discovery holds: a chunk takes the next states of a BFS depth while
+# theirs fit, and at least one state
+_CHUNK_ROWS = 1 << 14
+
+
+class _Layer:
+    """What discovery records of one epoch's states, appended chunk by chunk
+    in state index order."""
+
+    def __init__(self):
+        self.states: dict = {}          # state row bytes -> index
+        # next state before arrivals (post-decision row) bytes -> index into post_nexts
+        self.posts: dict = {}
+        self.post_nexts: list = []      # (posts, K) next-state indices
+        self.post_ids: list = []        # per action: its post-decision row
+        self.rewards: list = []         # per action
+        self.picks: list = []           # per action: _Expansion.picks
+        self.sizes: list = []           # per state: its action count
+        self.comps: list = []           # per state: its composition
 
 
 @dataclass
@@ -338,62 +421,79 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     # each layer's arrival outcomes: (K, V, V) counts and K probabilities
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
 
-    # breadth-first discovery of the reachable layered state space. States
-    # are flat rows in _row_arrays' layout, keyed by their bytes, which are
-    # SystemState.key()'s three byte strings end to end. A state's index is
-    # its arrival order in its layer and the queue is first-in first-out, so
-    # each layer's states are expanded in index order and their actions
-    # append straight to the layer's flat lists: action rewards, the K
-    # next-state indices of each action and the state -> actions offsets
-    # (CSR), so that a sweep is pure vector work
+    # breadth-first discovery of the reachable layered state space, one BFS
+    # depth at a time. States are flat rows in _row_arrays' layout, keyed by
+    # their bytes, which are SystemState.key()'s three byte strings end to
+    # end. A state's index is its arrival order in its layer, and the depths
+    # go in order, each one's states in index order and each state's actions
+    # and arrival outcomes in enumeration order: the order of a first-in
+    # first-out queue of single states. An action's K successors are its
+    # post-decision row (its next state before arrivals) with each outcome's
+    # admitted orders in the age-0 queues, which depend on that row alone. So
+    # a post-decision row is keyed once, with its K successors, the first
+    # time an action reaches it; a later action that reaches it takes their
+    # indices, none of which can be new by then
     expander = _Expander(config)
-    start = initial_state(config)
+    start = expander.like
     start_row = np.concatenate((start.vehicles.ravel(), start.trips.ravel(),
                                 start.chargers.ravel()))
     nv, nt = start.vehicles.size, start.trips.size
     L = config.connection_patience + 1
     age0 = nv + L * np.arange(V * V)               # the rows' age-0 trip cells
     row_key = np.dtype((np.void, start_row.nbytes))
-    layers: list[dict] = [dict() for _ in range(T)]      # row bytes -> layer index
-    layers[0][start_row.tobytes()] = 0
-    frontier = deque([(0, start_row)])
-    total = 1
-    flat = [([], [], [0]) for _ in range(T)]       # rewards, next indices, state_ptr
-    expanded = [[] for _ in range(T)]              # per state: its blocks and picks
-    while frontier:
-        t, row = frontier.popleft()
-        exp = expander.expand(SystemState(t, *_row_arrays(row, start)))
+    found = [_Layer() for _ in range(T)]
+    found[0].states[start_row.tobytes()] = 0
+    total, t, frontier = 1, 0, start_row[None]
+    while len(frontier):
+        ticked, comps = expander.compose(t, frontier)
         arrivals, probs = outcomes[t]
-        A, K = len(exp.rewards), len(probs)
-        # arrivals only fill the age-0 queues, which every action leaves empty
-        carried = exp.rows[:, nv:nv + nt].reshape(A, V, V, L)[..., 1:].sum(axis=3)
-        succ = np.repeat(exp.rows, K, axis=0)
-        succ[:, age0] = admitted_arrivals(config, arrivals, carried[:, None]).reshape(A * K, -1)
-        keys = succ.view(row_key).ravel().tolist()
-        t_next = (t + 1) % T
-        lay = layers[t_next]
-        js = [lay.get(k) for k in keys]
-        for i in [i for i, j in enumerate(js) if j is None]:
-            j = lay.get(keys[i])
-            if j is None:
-                j = lay[keys[i]] = len(lay)
-                frontier.append((t_next, succ[i].copy()))
-                total += 1
-                if total > max_states:
-                    raise StateSpaceTooLarge(f"more than {max_states} reachable states")
-            js[i] = j
-        rewards, nexts, state_ptr = flat[t]
-        rewards.extend(exp.rewards)
-        nexts.extend(js)
-        state_ptr.append(len(rewards))
-        expanded[t].append((exp.blocks, exp.picks))
+        K = len(probs)
+        layer, succ_layer = found[t], found[(t + 1) % T]
+        posts, states = layer.posts, succ_layer.states
+        # candidate successor rows before each state
+        before = np.cumsum([0] + [K * len(c.rewards) for c in comps])
+        new_rows = []
+        lo = 0
+        while lo < len(frontier):
+            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + _CHUNK_ROWS, "right")) - 1)
+            exp = expander.expand(frontier[lo:hi], ticked[lo:hi], comps[lo:hi])
+            n_posts = len(posts)
+            ids = np.array([posts.setdefault(k, len(posts))
+                            for k in exp.rows.view(row_key).ravel().tolist()])
+            if len(posts) > n_posts:
+                # the new post-decision rows, in order of first appearance
+                _, first = np.unique(ids, return_index=True)
+                fresh = exp.rows[first[n_posts - len(posts):]]
+                carried = fresh[:, nv:nv + nt].reshape(-1, V, V, L)[..., 1:].sum(axis=3)
+                succ = np.repeat(fresh, K, axis=0)
+                succ[:, age0] = admitted_arrivals(config, arrivals,
+                                                  carried[:, None]).reshape(len(succ), -1)
+                n_states = len(states)
+                js = np.array([states.setdefault(k, len(states))
+                               for k in succ.view(row_key).ravel().tolist()])
+                layer.post_nexts.append(js.reshape(-1, K))
+                if len(states) > n_states:
+                    total += len(states) - n_states
+                    if total > max_states:
+                        raise StateSpaceTooLarge(f"more than {max_states} reachable states")
+                    _, first = np.unique(js, return_index=True)
+                    new_rows.append(succ[first[n_states - len(states):]])
+            layer.post_ids.append(ids)
+            layer.rewards.append(exp.rewards)
+            layer.picks.append(exp.picks)
+            layer.sizes.append(exp.sizes)
+            layer.comps.extend(comps[lo:hi])
+            lo = hi
+        frontier = np.concatenate(new_rows) if new_rows else frontier[:0]
+        t = (t + 1) % T
     # every action has exactly K branches, so a layer's next indices are one
     # (actions, K) array and its K probabilities are stored once
     compiled = []
-    for (rewards, nexts, state_ptr), (_, probs) in zip(flat, outcomes):
-        nexts = np.array(nexts, dtype=np.int64).reshape(-1, len(probs))
-        compiled.append((np.array(rewards), probs, nexts, len(probs) * np.arange(len(nexts)),
-                         np.array(state_ptr, dtype=np.int64)))
+    for layer, (_, probs) in zip(found, outcomes):
+        nexts = np.concatenate(layer.post_nexts)[np.concatenate(layer.post_ids)]
+        state_ptr = np.concatenate(([0], np.cumsum(np.concatenate(layer.sizes))))
+        compiled.append((np.concatenate(layer.rewards), probs, nexts,
+                         len(probs) * np.arange(len(nexts)), state_ptr))
 
     def day_pass(v_next: np.ndarray, want_argmax: bool = False):
         choices = []
@@ -416,7 +516,7 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     # h = v - v[0], so diffs = T(h) - h is the un-normalised day increment
     # v_{n+1} - v_n; it converges pointwise to each state's gain, whether or
     # not the instance is unichain
-    h = np.zeros(len(layers[0]))
+    h = np.zeros(len(found[0].states))
     diffs = None
     residual = math.inf
     it = 0
@@ -435,11 +535,10 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     # the policy maps (t, SystemState.key()) to the chosen FleetAction
     policy: dict = {}
     v_end, t_end = start_row.itemsize * nv, start_row.itemsize * (nv + nt)
-    for t in range(T):
-        first = compiled[t][4].tolist()
-        for (blocks, picks), (key, i) in zip(expanded[t], layers[t].items()):
-            fa = _fleet_action(blocks, picks[choices[t][i] - first[i]].tolist())
-            policy[(t, (t, key[:v_end], key[v_end:t_end], key[t_end:]))] = fa
+    for t, layer in enumerate(found):
+        picks = np.concatenate(layer.picks)[choices[t]].tolist()
+        for comp, j, key in zip(layer.comps, picks, layer.states):
+            policy[(t, (t, key[:v_end], key[v_end:t_end], key[t_end:]))] = _fleet_action(comp, j)
     return ExactSolution(gain=float(diffs[0]), span=residual, states=total, policy=policy,
                          iterations=it, gain_min=float(diffs.min()),
                          gain_max=float(diffs.max()), converged=True)

@@ -13,12 +13,13 @@ An epoch proceeds in two stages:
    fulfilled order leaves its aged queue, an engaged charger starts a full
    period. New orders arrive as Poisson counts truncated at the queue cap.
 
-``tick`` states the first half of stage 2 once. ``transition`` calls it on
-every epoch; the exact solver (baselines.exact_value_iteration) calls it once
-per state it expands, on the three arrays of one flat row, and adds to that
-row the change each of the state's unit assignments makes, which it takes
-from ``transition`` once per (epoch, status, atomic action): every vehicle
-passes but one, which takes the action.
+``tick`` states the first half of stage 2 once, on arrays that may stack
+states on leading axes. ``transition`` calls it on every epoch; the exact
+solver (baselines.exact_value_iteration) calls it once per breadth-first
+depth, on the stacked flat rows of all the depth's states, and adds to each
+ticked row the change each of the state's unit assignments makes, which it
+takes from ``transition`` once per (epoch, status, atomic action): every
+vehicle passes but one, which takes the action.
 
 Checks: run_epoch checks each policy choice against the action space and
 the mask it handed out. Every ``transition`` checks the fleet action with
@@ -80,20 +81,23 @@ def admitted_arrivals(config: NetworkConfig, arrivals: np.ndarray,
     return admitted
 
 
-def tick(state: SystemState, vehicles: np.ndarray, trips: np.ndarray,
-         chargers: np.ndarray) -> None:
-    """Write into the zeroed ``vehicles``, ``trips`` and ``chargers`` the
-    state one epoch on as if every vehicle passed and no order arrived: etas
-    and charger clocks count down, with eta 0 and 1 both landing at 0, and
-    queued orders age by one epoch, the oldest leaving the queue."""
-    vehicles0, trips0, chargers0 = state.vehicles, state.trips, state.chargers
+def tick(src: tuple[np.ndarray, np.ndarray, np.ndarray],
+         out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Write into the zeroed ``out`` arrays (vehicles, trips, chargers) the
+    ``src`` state one epoch on as if every vehicle passed and no order
+    arrived: etas and charger clocks count down, with eta 0 and 1 both
+    landing at 0, and queued orders age by one epoch, the oldest leaving the
+    queue. The arrays may stack states on any leading axes, the same in
+    ``src`` and ``out``."""
+    vehicles0, trips0, chargers0 = src
+    vehicles, trips, chargers = out
     # each slot takes the next one's contents and slot 0 keeps its own; with
     # eta_cap = 0 or J = 1 that leaves the array as it was
-    vehicles[:, :-1] = vehicles0[:, 1:]
-    vehicles[:, 0] += vehicles0[:, 0]
-    trips[:, :, 1:] = trips0[:, :, :-1]
-    chargers[:, :, :-1] = chargers0[:, :, 1:]
-    chargers[:, :, 0] += chargers0[:, :, 0]
+    vehicles[..., :-1, :] = vehicles0[..., 1:, :]
+    vehicles[..., 0, :] += vehicles0[..., 0, :]
+    trips[..., 1:] = trips0[..., :-1]
+    chargers[..., :-1] = chargers0[..., 1:]
+    chargers[..., 0] += chargers0[..., 0]
 
 
 @dataclass
@@ -128,7 +132,7 @@ def transition(
     vehicles = np.zeros(vehicles0.shape, np.int64)
     trips = np.zeros(trips0.shape, np.int64)
     chargers = np.zeros(chargers0.shape, np.int64)
-    tick(state, vehicles, trips, chargers)
+    tick((vehicles0, trips0, chargers0), (vehicles, trips, chargers))
     info.abandoned = int(trips0[:, :, -1].sum())
 
     Lc = config.connection_patience

@@ -2,13 +2,15 @@
 
 Everything here is written for transparency over speed: exact rational
 arithmetic, brute-force enumeration, and O(n^2) scans.  Nothing imports the
-code under test.
+code under test; a reference that walks the library's own checked rule takes
+it as an argument.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -200,3 +202,47 @@ def reference_transition(tables, state, assignments, arrivals):
         nxt_chargers[v, r, max(k - 1, 0)] += 1
     count["reward"] = math.fsum(rewards)
     return ((t + 1) % tables["T"], nxt_vehicles, nxt_trips, nxt_chargers), count
+
+
+# -- reachable states, one at a time -------------------------------------------------
+
+
+def arrival_outcomes(rates, cap):
+    """Every arrival matrix of one epoch with ``rates`` (V, V) truncated at
+    ``cap`` per pair: the pairs with a positive rate, in array order, take
+    their counts 0..cap in itertools.product order; the other pairs stay 0."""
+    pairs = [(u, v) for (u, v), rate in np.ndenumerate(rates) if rate > 0.0]
+    outcomes = []
+    for counts in itertools.product(range(cap + 1), repeat=len(pairs)):
+        arrivals = np.zeros(rates.shape, dtype=np.int64)
+        for (u, v), n in zip(pairs, counts):
+            arrivals[u, v] = n
+        outcomes.append(arrivals)
+    return outcomes
+
+
+def reference_discovery(start, rates, cap, fleet_actions, transition):
+    """The states reachable from ``start`` by a first-in first-out
+    breadth-first search that expands one state at a time: each state's
+    fleet actions in the order ``fleet_actions(state)`` lists them, each
+    action's arrival outcomes in arrival_outcomes' order, drawn at the rates
+    ``rates[:, :, t + 1]`` of the epoch the next state enters (cyclically),
+    and ``transition(state, action, arrivals)`` the next state. States have
+    ``t`` and ``key()``, as SystemState does. Returns, per epoch t, the keys
+    of its states in order of discovery."""
+    T = rates.shape[2]
+    outcomes = [arrival_outcomes(rates[:, :, (t + 1) % T], cap) for t in range(T)]
+    layers = {t: [] for t in range(T)}
+    seen = {start.key()}
+    layers[start.t].append(start.key())
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for action in fleet_actions(state):
+            for arrivals in outcomes[state.t]:
+                nxt = transition(state, action, arrivals)
+                if nxt.key() not in seen:
+                    seen.add(nxt.key())
+                    layers[nxt.t].append(nxt.key())
+                    queue.append(nxt)
+    return layers

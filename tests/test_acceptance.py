@@ -245,7 +245,7 @@ def test_04_exact_gain_below_fluid_bound_on_20_tiny_instances():
         cap = 2 if cfg.fleet_size > 1 else 1
         try:
             exact = exact_value_iteration(cfg, arrival_cap=cap,
-                                          max_states=5_000)
+                                          max_states=20_000)
         except StateSpaceTooLarge:
             continue
         # dominance against the bound of the truncated-arrival instance the

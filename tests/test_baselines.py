@@ -25,7 +25,8 @@ from fleetlab.baselines import (
     exact_value_iteration,
 )
 from fleetlab.config import NetworkConfig
-from fleetlab.errors import ContractViolation, InvalidArgument, ValueIterationNotConverged
+from fleetlab.errors import (ContractViolation, InvalidArgument, StateSpaceTooLarge,
+                             ValueIterationNotConverged)
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
                             action_table, action_to_index, check_fleet_action,
@@ -33,7 +34,7 @@ from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleS
 from fleetlab.scenarios import synth_scenario
 
 from conftest import tiny_config
-from oracles import reference_transition
+from oracles import reference_discovery, reference_transition
 from test_acceptance import _vi_instance
 from test_sim import _tables
 
@@ -257,11 +258,11 @@ def test_exact_solver_rejects_bad_arguments(bad, message):
         exact_value_iteration(cfg, arrival_cap=1, **bad)
 
 
-def _brute_force_fleet_actions(config, state) -> list:
+def _brute_force_fleet_actions(config, state) -> list[FleetAction]:
     """Every per-status multiset over all atomic actions that
-    check_fleet_action accepts, as frozensets of FleetAction.counts items.
-    Statuses go in array order, each one's candidates Pass first and then by
-    index, and the multisets combine in itertools.product order."""
+    check_fleet_action accepts. Statuses go in array order, each one's
+    candidates Pass first and then by index, and the multisets combine in
+    itertools.product order."""
     actions = action_table(config).actions
     cands = actions[-1:] + actions[:-1]
     per_status = [[(c, combo) for combo in itertools.combinations_with_replacement(cands, n)]
@@ -276,8 +277,35 @@ def _brute_force_fleet_actions(config, state) -> list:
             check_fleet_action(config, state, fa)
         except ContractViolation:
             continue
-        found.append(frozenset(fa.counts.items()))
+        found.append(fa)
     return found
+
+
+def _row(state) -> np.ndarray:
+    return np.concatenate([state.vehicles.ravel(), state.trips.ravel(), state.chargers.ravel()])
+
+
+def _expanded(expander, states):
+    """Expand ``states``, all of one epoch, as one stack through
+    compose and expand; yields each state, its composition and its actions
+    as (next row under zero arrivals, reward, fleet action)."""
+    rows = np.stack([_row(state) for state in states])
+    ticked, comps = expander.compose(states[0].t, rows)
+    exp = expander.expand(rows, ticked, comps)
+    assert len(exp.sizes) == len(states) and exp.sizes.sum() == len(exp.rows)
+    lo = 0
+    for state, comp, hi in zip(states, comps, np.cumsum(exp.sizes).tolist()):
+        yield state, comp, [(exp.rows[j], float(exp.rewards[j]),
+                             _fleet_action(comp, int(exp.picks[j]))) for j in range(lo, hi)]
+        lo = hi
+
+
+def _by_epoch(pairs) -> list:
+    """The (config, state) pairs as (config, [states of one epoch]) groups."""
+    groups: dict = {}
+    for cfg, state in pairs:
+        groups.setdefault((id(cfg), state.t), (cfg, []))[1].append(state)
+    return list(groups.values())
 
 
 def _rollout_configs_and_states(N):
@@ -297,18 +325,18 @@ def test_enumerated_fleet_actions_are_the_feasible_ones(N):
     fleet action exactly once, in the order of a brute force over the
     per-status multisets."""
     capped = 0
-    for cfg, state in _rollout_configs_and_states(N):
-        exp = _Expander(cfg).expand(state)
-        got = [frozenset(_fleet_action(exp.blocks, pick).counts.items())
-               for pick in exp.picks.tolist()]
-        want = _brute_force_fleet_actions(cfg, state)
-        assert len(set(got)) == len(got)
-        assert set(got) == set(want)
-        assert got == want
-        # some queued trip has fewer orders than the idle vehicles at
-        # its origin, so its cap binds
-        idle = state.vehicles[:, 0, :].sum(axis=1)
-        capped += any(0 < n < idle[u] for (u, _, _), n in np.ndenumerate(state.trips))
+    for cfg, states in _by_epoch(_rollout_configs_and_states(N)):
+        for state, _, actions in _expanded(_Expander(cfg), states):
+            got = [frozenset(fa.counts.items()) for _, _, fa in actions]
+            want = [frozenset(fa.counts.items())
+                    for fa in _brute_force_fleet_actions(cfg, state)]
+            assert len(set(got)) == len(got)
+            assert set(got) == set(want)
+            assert got == want
+            # some queued trip has fewer orders than the idle vehicles at
+            # its origin, so its cap binds
+            idle = state.vehicles[:, 0, :].sum(axis=1)
+            capped += any(0 < n < idle[u] for (u, _, _), n in np.ndenumerate(state.trips))
     assert capped or N == 1
 
 
@@ -335,48 +363,108 @@ def _discovered_states(config, arrival_cap):
                                                           start.chargers))))
 
 
-@pytest.mark.parametrize("instance", ["time-varying", "vi-7", "rollouts"])
+@pytest.mark.parametrize("instance", ["time-varying", "vi-7", "pickup-patience", "rollouts"])
 def test_composed_successors_follow_the_transition_rule(instance):
     """Every cached block offers its status the state's feasible actions, and
     every enumerated fleet action's successor row, composed from the tick
-    and cached unit changes, equals transition's next state and the
-    per-vehicle reference's under zero arrivals, and its reward equals
-    epoch_reward's bit for bit."""
+    and cached unit changes for a stack of states of one epoch at once,
+    equals transition's next state and the per-vehicle reference's under
+    zero arrivals, and its reward equals epoch_reward's bit for bit."""
     if instance == "rollouts":
         pairs = [pair for N in (1, 2, 3) for pair in _rollout_configs_and_states(N)]
     else:
-        cfg = _time_varying_config() if instance == "time-varying" else _vi_instance(7)
+        # busy vehicles within the pickup patience can fulfil but not charge
+        cfg = {"time-varying": _time_varying_config, "vi-7": lambda: _vi_instance(7),
+               "pickup-patience": lambda: tiny_config(T=2, N=2, B=2, L_c=0)}[instance]()
         pairs = [(cfg, state) for state in _discovered_states(cfg, arrival_cap=1)]
     expander, checked = None, 0
-    for cfg, state in pairs:
+    for cfg, states in _by_epoch(pairs):
         # one expander per config, so its caches serve many states
         if expander is None or expander.config is not cfg:
             expander = _Expander(cfg)
             zero = np.zeros((cfg.num_regions, cfg.num_regions), dtype=np.int64)
             tables = _tables(cfg)
-        exp = expander.expand(state)
-        # a cached block's candidates are this state's feasible set
-        actions = action_table(cfg).actions
-        for b in exp.blocks:
-            feasible = np.flatnonzero(feasible_mask(cfg, state, b.status)[:-1])
-            assert b.cands == (PASS,) + tuple(actions[i] for i in feasible)
-        for row, reward, pick in zip(exp.rows, exp.rewards, exp.picks.tolist()):
-            fa = _fleet_action(exp.blocks, pick)
-            nxt, info = sim.transition(cfg, state, fa, zero)
-            assert row.tolist() == np.concatenate(
-                [nxt.vehicles.ravel(), nxt.trips.ravel(), nxt.chargers.ravel()]).tolist()
-            assert reward.hex() == info.reward.hex() == epoch_reward(cfg, fa, state.t).hex()
-            assignments = [(c, (a.kind, a.trip, a.region, a.rate))
-                           for (c, a), n in fa.counts.items() for _ in range(n)]
-            (t, vehicles, trips, chargers), want = reference_transition(
-                tables, (state.t, state.vehicles, state.trips, state.chargers), assignments,
-                zero)
-            assert t == nxt.t
-            assert row.tolist() == np.concatenate(
-                [vehicles.ravel(), trips.ravel(), chargers.ravel()]).tolist()
-            assert reward.hex() == want["reward"].hex()
-            checked += 1
+            actions = action_table(cfg).actions
+        for state, comp, expanded in _expanded(expander, states):
+            # a cached block's candidates are this state's feasible set
+            assert [b.status for b in comp.blocks] == [c for c, _ in state.statuses()]
+            for b in comp.blocks:
+                feasible = np.flatnonzero(feasible_mask(cfg, state, b.status)[:-1])
+                assert b.cands == (PASS,) + tuple(actions[i] for i in feasible)
+            for row, reward, fa in expanded:
+                nxt, info = sim.transition(cfg, state, fa, zero)
+                assert row.tolist() == _row(nxt).tolist()
+                assert reward.hex() == info.reward.hex() == epoch_reward(cfg, fa, state.t).hex()
+                assignments = [(c, (a.kind, a.trip, a.region, a.rate))
+                               for (c, a), n in fa.counts.items() for _ in range(n)]
+                (t, vehicles, trips, chargers), want = reference_transition(
+                    tables, (state.t, state.vehicles, state.trips, state.chargers), assignments,
+                    zero)
+                assert t == nxt.t
+                assert row.tolist() == np.concatenate(
+                    [vehicles.ravel(), trips.ravel(), chargers.ravel()]).tolist()
+                assert reward.hex() == want["reward"].hex()
+                checked += 1
     assert checked > 100
+
+
+# the instances whose discovery order is checked: a test_04 draw, the
+# time-varying instance, and two-vehicle instances of degenerate shapes
+ORDER_INSTANCES = {
+    "vi-7": lambda: _vi_instance(7),
+    "time-varying": _time_varying_config,
+    "no charge rates": lambda: tiny_config(N=2, B=2, rates=()),
+    "T = 1": lambda: tiny_config(T=1, N=2, B=2),
+    "V = 1": lambda: tiny_config(V=1, N=2, B=2),
+    "L_c = L_p = 0": lambda: tiny_config(N=2, B=2, L_c=0, L_p=0),
+}
+
+
+def _layers(sol) -> dict:
+    """Each epoch's state keys in index order, from the policy's insertion
+    order."""
+    layers: dict = {}
+    for t, key in sol.policy:
+        layers.setdefault(t, []).append(key)
+    return layers
+
+
+@pytest.mark.parametrize("instance", list(ORDER_INSTANCES))
+def test_discovery_matches_a_one_state_at_a_time_reference(instance):
+    """The solver finds the states of each epoch in the order a first-in
+    first-out search finds them, expanding one state at a time over checked
+    transitions of every fleet action check_fleet_action accepts."""
+    cfg = ORDER_INSTANCES[instance]()
+    sol = exact_value_iteration(cfg, arrival_cap=1)
+    want = reference_discovery(
+        sim.initial_state(cfg), cfg.arrival_rate, 1,
+        lambda state: _brute_force_fleet_actions(cfg, state),
+        lambda state, fa, arrivals: sim.transition(cfg, state, fa, arrivals)[0])
+    assert _layers(sol) == want
+    assert sol.states == sum(map(len, want.values()))
+
+
+def _solution_bits(sol) -> tuple:
+    return (sol.gain.hex(), sol.span.hex(), sol.states, sol.iterations, sol.gain_min.hex(),
+            sol.gain_max.hex(), sol.converged, list(sol.policy.items()))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+def test_discovery_is_chunk_invariant(monkeypatch, rows):
+    """However few successor rows a chunk holds, the solutions are bit for
+    bit the same, and max_states bounds the states exactly."""
+    want = _solution_bits(exact_value_iteration(_time_varying_config(), arrival_cap=1))
+    monkeypatch.setattr(baselines, "_CHUNK_ROWS", rows)
+    for seed, (gain, iterations, states, digest) in GOLDEN_VI.items():
+        sol = exact_value_iteration(_vi_instance(seed), arrival_cap=1, max_states=states)
+        assert (sol.gain, sol.iterations, sol.states, _policy_digest(sol.policy)) == (
+            gain, iterations, states, digest)
+        with pytest.raises(StateSpaceTooLarge, match=f"more than {states - 1} "):
+            exact_value_iteration(_vi_instance(seed), arrival_cap=1, max_states=states - 1)
+    sol = exact_value_iteration(_time_varying_config(), arrival_cap=1, max_states=want[2])
+    assert _solution_bits(sol) == want
+    with pytest.raises(StateSpaceTooLarge):
+        exact_value_iteration(_time_varying_config(), arrival_cap=1, max_states=want[2] - 1)
 
 
 def test_exact_solver_calls_feasible_mask_less_often_than_it_expands_states(monkeypatch):
