@@ -12,7 +12,10 @@ operator, giving the optimal average daily reward used as a ground-truth
 comparison point for the fluid bound. It discovers the states one
 breadth-first depth at a time, in chunks of array work bounded by
 _CHUNK_ROWS candidate successor rows, in the order a first-in first-out
-queue of single states would. Instances may be multichain: a vehicle
+queue of single states would. An action's successors depend only on its
+post-decision state (its next state before arrivals), so each sweep sums the
+K arrival outcomes once per post-decision state, and each action reads its
+post-decision state's expected value. Instances may be multichain: a vehicle
 stranded with an empty battery in a region without chargers earns nothing
 for ever, so day-start states can have different gains. The day increment
 v_{n+1} - v_n converges pointwise to each state's gain (Puterman 1994,
@@ -409,14 +412,14 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     day increments move by at most ``tol`` from one sweep to the next.
     Raises ValueIterationNotConverged after ``max_iters`` sweeps without
     that."""
-    if arrival_cap < 0:
-        raise InvalidArgument(f"arrival_cap must be >= 0, got {arrival_cap}")
+    for name, value, least in (("arrival_cap", arrival_cap, 0), ("max_iters", max_iters, 1),
+                               ("max_states", max_states, 1)):
+        if type(value) is not int and not isinstance(value, np.integer):
+            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise InvalidArgument(f"{name} must be >= {least}, got {value}")
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
-    if max_iters < 1:
-        raise InvalidArgument(f"max_iters must be >= 1, got {max_iters}")
-    if max_states < 1:
-        raise InvalidArgument(f"max_states must be >= 1, got {max_states}")
     T, V = config.horizon_steps, config.num_regions
     # each layer's arrival outcomes: (K, V, V) counts and K probabilities
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
@@ -486,22 +489,22 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             lo = hi
         frontier = np.concatenate(new_rows) if new_rows else frontier[:0]
         t = (t + 1) % T
-    # every action has exactly K branches, so a layer's next indices are one
-    # (actions, K) array and its K probabilities are stored once
     compiled = []
     for layer, (_, probs) in zip(found, outcomes):
-        nexts = np.concatenate(layer.post_nexts)[np.concatenate(layer.post_ids)]
         state_ptr = np.concatenate(([0], np.cumsum(np.concatenate(layer.sizes))))
-        compiled.append((np.concatenate(layer.rewards), probs, nexts,
-                         len(probs) * np.arange(len(nexts)), state_ptr))
+        compiled.append((np.concatenate(layer.rewards), probs, np.concatenate(layer.post_nexts),
+                         np.concatenate(layer.post_ids), state_ptr))
 
     def day_pass(v_next: np.ndarray, want_argmax: bool = False):
         choices = []
         for t in reversed(range(T)):
-            rewards, probs, nexts, starts, state_ptr = compiled[t]
-            # the K products of each action summed by reduceat: its bits
-            # differ from a reshaped sum's or a matrix product's once K >= 4
-            q = rewards + np.add.reduceat((v_next[nexts] * probs).ravel(), starts)
+            rewards, probs, post_nexts, post_ids, state_ptr = compiled[t]
+            # each post-decision row's expected value, its K products summed
+            # by reduceat (whose bits differ from a reshaped sum's or a
+            # matrix product's once K >= 4), read by every action reaching it
+            w = np.add.reduceat((v_next[post_nexts] * probs).ravel(),
+                                len(probs) * np.arange(len(post_nexts)))
+            q = rewards + w[post_ids]
             # maximum per state over its contiguous action block
             v_cur = np.maximum.reduceat(q, state_ptr[:-1])
             if want_argmax:

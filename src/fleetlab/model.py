@@ -196,13 +196,6 @@ def action_to_index(config: NetworkConfig, action: AtomicAction) -> int:
     raise InvalidArgument(f"atomic action {action} is not in the action index space")
 
 
-def index_to_action(config: NetworkConfig, idx: int) -> AtomicAction:
-    actions = action_table(config).actions
-    if not 0 <= idx < len(actions):
-        raise InvalidArgument(f"action index {idx} out of range")
-    return actions[idx]
-
-
 # -- feasibility --------------------------------------------------------------
 
 

@@ -193,9 +193,6 @@ class EpochResult:
     records: list[AtomicRecord]
     info: StepInfo = field(default=None)  # filled in by run_day
 
-    def atomic_reward_sum(self) -> float:
-        return math.fsum(r.reward for r in self.records)
-
 
 class WorkingState:
     """Mutable intra-epoch view; reflects commitments made so far this epoch."""

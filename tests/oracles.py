@@ -246,3 +246,29 @@ def reference_discovery(start, rates, cap, fleet_actions, transition):
                     layers[nxt.t].append(nxt.key())
                     queue.append(nxt)
     return layers
+
+
+# -- rollouts under truncated arrivals -------------------------------------------------
+
+
+def truncated_rollout(start, outcomes, decide, transition, rng, chains, warmup, days):
+    """The mean daily reward of each of ``chains`` runs from ``start``, scored
+    over ``days`` days after ``warmup`` unscored ones, a day being
+    ``len(outcomes)`` epochs. Each epoch takes the fleet action
+    ``decide(state, rng)``, then draws the arrivals by ``rng.choice`` from
+    ``outcomes[state.t]``, an (arrival stack, probabilities) pair, and moves
+    to the state ``transition(state, action, arrivals)`` returns with its
+    reward."""
+    means = []
+    for _ in range(chains):
+        state, total = start, 0.0
+        for day in range(warmup + days):
+            for _ in range(len(outcomes)):
+                action = decide(state, rng)
+                arrivals, probs = outcomes[state.t]
+                pick = rng.choice(len(probs), p=probs)
+                state, reward = transition(state, action, arrivals[pick])
+                if day >= warmup:
+                    total += reward
+        means.append(total / days)
+    return means

@@ -93,7 +93,8 @@ def test_02_atomic_fleet_equivalence_1000_epochs():
         for _ in range(min(200, 1000 - done)):
             res = run_epoch(cfg, state, policy, rng)
             check_fleet_action(cfg, state, res.action)
-            assert res.atomic_reward_sum() == epoch_reward(cfg, res.action, state.t)
+            reward = math.fsum(r.reward for r in res.records)
+            assert reward == epoch_reward(cfg, res.action, state.t)
             state, _ = step(cfg, state, res.action, rng)
             done += 1
 

@@ -34,7 +34,7 @@ from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleS
 from fleetlab.scenarios import synth_scenario
 
 from conftest import tiny_config
-from oracles import reference_discovery, reference_transition
+from oracles import reference_discovery, reference_transition, truncated_rollout
 from test_acceptance import _vi_instance
 from test_sim import _tables
 
@@ -186,28 +186,52 @@ def test_exact_policy_is_simulatable():
     cap = 2
     sol = exact_value_iteration(cfg, arrival_cap=cap)
     assert sol.converged and sol.span <= 1e-8
-    T = cfg.horizon_steps
-    # the queue entering epoch t+1 is drawn at epoch t+1's rates, as in the solver
-    outcomes = [_joint_outcomes(cfg, (t + 1) % T, cap) for t in range(T)]
-    rng = np.random.default_rng(5)
-    warmup, days = 5, 40
-    chain_means = []
-    for _ in range(20):
-        state = sim.initial_state(cfg)
-        total = 0.0
-        for day in range(warmup + days):
-            for _ in range(T):
-                arrivals, probs = outcomes[state.t]
-                arrivals = arrivals[rng.choice(len(probs), p=probs)]
-                state, info = sim.transition(cfg, state, sol.policy[(state.t, state.key())],
-                                             arrivals)
-                if day >= warmup:
-                    total += info.reward
-        chain_means.append(total / days)
-    mean = float(np.mean(chain_means))
-    stderr = float(np.std(chain_means, ddof=1)) / math.sqrt(len(chain_means))
+    mean, stderr = _rolled_gain(cfg, cap, lambda state, rng: sol.policy[(state.t, state.key())],
+                                np.random.default_rng(5), chains=20, warmup=5, days=40)
     assert stderr > 0.0
     assert abs(mean - sol.gain) <= 5 * stderr, (mean, stderr, sol.gain)
+
+
+def _rolled_gain(cfg, cap, decide, rng, chains, warmup, days) -> tuple[float, float]:
+    """Mean daily reward and its stderr over chains from the start state that
+    take the fleet actions ``decide(state, rng)``, under the solver's arrival
+    outcomes truncated at ``cap``: the queue entering epoch t+1 is drawn at
+    epoch t+1's rates."""
+    T = cfg.horizon_steps
+    outcomes = [_joint_outcomes(cfg, (t + 1) % T, cap) for t in range(T)]
+
+    def step(state, action, arrivals):
+        nxt, info = sim.transition(cfg, state, action, arrivals)
+        return nxt, info.reward
+
+    means = truncated_rollout(sim.initial_state(cfg), outcomes, decide, step, rng,
+                              chains, warmup, days)
+    return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(chains)
+
+
+# instances and arrival caps the built-in policies are refereed on: test_04's
+# caps for its draws (1 for one vehicle, 2 for two) and cap 2 for tiny
+REFEREED = {"tiny N=1": (lambda: tiny_config(N=1), 2), "vi-1": (lambda: _vi_instance(1), 1),
+            "vi-7": (lambda: _vi_instance(7), 2)}
+
+
+@pytest.mark.parametrize("instance", list(REFEREED))
+def test_no_policy_beats_the_exact_optimum(instance):
+    """Every built-in policy, rolled under the truncated arrivals the solver
+    assumes, earns at most the largest per-state gain it finds, within three
+    standard errors: a solver that missed a fleet action could fall below a
+    policy that takes it."""
+    build, cap = REFEREED[instance]
+    cfg = build()
+    sol = exact_value_iteration(cfg, arrival_cap=cap)
+    policies = {"always-pass": AlwaysPassPolicy(), "random": RandomFeasiblePolicy(),
+                "power-of-2": PowerOfKPolicy(cfg, k=2),
+                "fluid": FluidRoundingPolicy(cfg, upper_bound(cfg))}
+    for k, (name, policy) in enumerate(policies.items()):
+        mean, stderr = _rolled_gain(
+            cfg, cap, lambda state, rng: sim.run_epoch(cfg, state, policy, rng).action,
+            np.random.default_rng([61, k]), chains=8, warmup=10, days=30)
+        assert mean <= sol.gain_max + 3 * stderr, (name, mean, stderr, sol.gain_max)
 
 
 def test_exact_solver_multichain_battery_trap():
@@ -250,12 +274,18 @@ def test_exact_solver_rejects_negative_arrival_cap():
     (dict(tol=-1e-8), "tol must be finite and >= 0, got -1e-08"),
     (dict(max_iters=0), "max_iters must be >= 1, got 0"),
     (dict(max_states=0), "max_states must be >= 1, got 0"),
+    (dict(arrival_cap=1.5), "arrival_cap must be an integer, got 1.5"),
+    (dict(arrival_cap=True), "arrival_cap must be an integer, got True"),
+    (dict(max_iters=1.5), "max_iters must be an integer, got 1.5"),
+    (dict(max_iters=True), "max_iters must be an integer, got True"),
+    (dict(max_states=2.5), "max_states must be an integer, got 2.5"),
+    (dict(max_states=False), "max_states must be an integer, got False"),
 ])
 def test_exact_solver_rejects_bad_arguments(bad, message):
     cfg = tiny_config(V=2, T=2, N=1, B=2, J=1, L_p=0, L_c=0, tau=1,
                       lam_scale=0.6)
     with pytest.raises(InvalidArgument, match=re.escape(message)):
-        exact_value_iteration(cfg, arrival_cap=1, **bad)
+        exact_value_iteration(cfg, **{"arrival_cap": 1, **bad})
 
 
 def _brute_force_fleet_actions(config, state) -> list[FleetAction]:
@@ -455,12 +485,13 @@ def test_discovery_is_chunk_invariant(monkeypatch, rows):
     bit the same, and max_states bounds the states exactly."""
     want = _solution_bits(exact_value_iteration(_time_varying_config(), arrival_cap=1))
     monkeypatch.setattr(baselines, "_CHUNK_ROWS", rows)
-    for seed, (gain, iterations, states, digest) in GOLDEN_VI.items():
-        sol = exact_value_iteration(_vi_instance(seed), arrival_cap=1, max_states=states)
+    for key, (gain, iterations, states, digest) in GOLDEN_VI.items():
+        config, cap = _golden_vi_input(key)
+        sol = exact_value_iteration(config, arrival_cap=cap, max_states=states)
         assert (sol.gain, sol.iterations, sol.states, _policy_digest(sol.policy)) == (
             gain, iterations, states, digest)
         with pytest.raises(StateSpaceTooLarge, match=f"more than {states - 1} "):
-            exact_value_iteration(_vi_instance(seed), arrival_cap=1, max_states=states - 1)
+            exact_value_iteration(config, arrival_cap=cap, max_states=states - 1)
     sol = exact_value_iteration(_time_varying_config(), arrival_cap=1, max_states=want[2])
     assert _solution_bits(sol) == want
     with pytest.raises(StateSpaceTooLarge):
@@ -563,14 +594,22 @@ def test_trajectories_match_recorded_digests(scenario):
         assert got == want, (policy, seed)
 
 
-# exact_value_iteration on unichain _vi_instance draws (arrival cap 1): gain,
-# iterations, reachable states, and SHA-256 of the sorted policy table.
+# exact_value_iteration's gain, iterations, reachable states, and SHA-256 of
+# the sorted policy table: unichain _vi_instance draws at arrival cap 1, whose
+# actions sum K = 4 arrival outcomes, and tiny_config(N=1) at cap 2, K = 9.
 GOLDEN_VI = {
     7: (2.560693154701007, 57, 608,
         "4da03f7e94918e60471e8f88d46b912955d85bc19a4de1a8ff82903b2ca6998a"),
     20: (4.412605553068814, 30, 1152,
          "49165cb61e3ffa148bfd11f6c118ba041b4ac39521d93edc8e17ffe2302ef447"),
+    "tiny N=1 cap 2": (6.321724052658164, 205, 3312,
+                       "a1bd4887a7ec66850ad4d3d1af049f28e204e246b6208f0059b84c3893e3f9fb"),
 }
+
+
+def _golden_vi_input(key) -> tuple[NetworkConfig, int]:
+    """The config and arrival cap GOLDEN_VI[key] was recorded from."""
+    return (tiny_config(N=1), 2) if key == "tiny N=1 cap 2" else (_vi_instance(key), 1)
 
 
 def _by_kind(fa) -> list:
@@ -590,9 +629,10 @@ def _policy_digest(policy: dict) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_VI))
-def test_exact_vi_matches_recorded_digests(seed):
-    sol = exact_value_iteration(_vi_instance(seed), arrival_cap=1)
+@pytest.mark.parametrize("key", list(GOLDEN_VI))
+def test_exact_vi_matches_recorded_digests(key):
+    config, cap = _golden_vi_input(key)
+    sol = exact_value_iteration(config, arrival_cap=cap)
     assert sol.converged and sol.span <= 1e-8
     got = (sol.gain, sol.iterations, sol.states, _policy_digest(sol.policy))
-    assert got == GOLDEN_VI[seed]
+    assert got == GOLDEN_VI[key]

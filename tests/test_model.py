@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fleetlab.errors import ConfigError, ContractViolation, InvalidArgument
 from fleetlab.model import (PASS, AtomicAction, FleetAction, SystemState,
                             TripStatus, VehicleStatus, action_count,
-                            action_to_index, atomic_reward, charge,
+                            action_table, action_to_index, atomic_reward, charge,
                             check_fleet_action, epoch_reward, feasible_mask,
-                            fulfill, index_to_action, reposition,
-                            validate_state)
+                            fulfill, reposition, validate_state)
 from fleetlab.scenarios import TEMPLATES, synth_scenario
 from fleetlab.sim import initial_state
 
@@ -29,16 +28,14 @@ def test_action_index_bijection(tiny):
                  for xi in range(Lc1)]
                 + [reposition(v) for v in range(V)] + [charge(r) for r in cfg.charge_rates]
                 + [PASS])
-        assert [index_to_action(cfg, idx) for idx in range(action_count(cfg))] == want
+        assert list(action_table(cfg).actions) == want
+        assert len(want) == action_count(cfg)
         assert [action_to_index(cfg, a) for a in want] == list(range(len(want)))
         assert action_to_index(cfg, charge(np.int64(cfg.charge_rates[-1]))) == len(want) - 2
 
 
 def test_action_index_errors():
     cfg = tiny_config(rates=(1, 2))
-    for idx in (-1, action_count(cfg), 10**6):
-        with pytest.raises(InvalidArgument, match="out of range"):
-            index_to_action(cfg, idx)
     with pytest.raises(InvalidArgument, match="unknown atomic action kind"):
         action_to_index(cfg, AtomicAction("teleport"))
     with pytest.raises(ConfigError, match="unknown charge rate"):
@@ -225,7 +222,7 @@ def test_feasible_actions_are_always_executable(seed):
     mask = feasible_mask(cfg, state, unit)
     for idx in np.nonzero(mask)[0]:
         fa = FleetAction.empty()
-        fa.add_atomic(unit, index_to_action(cfg, int(idx)))
+        fa.add_atomic(unit, action_table(cfg).actions[idx])
         check_fleet_action(cfg, state, fa)
 
 

@@ -11,8 +11,8 @@ from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
 from fleetlab.fluid import FluidRoundingPolicy, FluidSolution, build_reduced_lp
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
-                            action_count, action_to_index, all_pass_action, charge,
-                            feasible_mask, fulfill, index_to_action, landing, reposition)
+                            action_count, action_table, action_to_index, all_pass_action,
+                            charge, feasible_mask, fulfill, landing, reposition)
 from fleetlab.ppo import NeuralPolicy, PpoConfig, init_networks
 from fleetlab.scenarios import TEMPLATES, synth_scenario
 from fleetlab.sim import (admitted_arrivals, draw_arrivals, initial_state, run_day,
@@ -162,7 +162,7 @@ def test_transition_lands_every_feasible_action_where_landing_says():
             t = int(rng.integers(cfg.horizon_steps))
             state = SystemState(t, vehicles, trips, base.chargers)
             for j in np.flatnonzero(feasible_mask(cfg, state, c)):
-                a = index_to_action(cfg, int(j))
+                a = action_table(cfg).actions[j]
                 fa = FleetAction({(c, PASS): N - 1})
                 fa.add_atomic(c, a)
                 nxt, _ = transition(cfg, state, fa, np.zeros((V, V), dtype=np.int64))
@@ -223,7 +223,7 @@ def test_atomic_rewards_sum_to_epoch_reward_exactly():
     policy = RandomFeasiblePolicy()
     for _ in range(3 * cfg.horizon_steps):
         res = run_epoch(cfg, state, policy, rng)
-        assert res.atomic_reward_sum() == epoch_reward(cfg, res.action, state.t)
+        assert math.fsum(r.reward for r in res.records) == epoch_reward(cfg, res.action, state.t)
         state, _ = step(cfg, state, res.action, rng)
 
 
