@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import (ContractViolation, InvalidArgument, StateSpaceTooLarge,
-                     ValueIterationNotConverged)
+from .errors import (ContractViolation, StateSpaceTooLarge, ValueIterationNotConverged,
+                     require_int, require_real)
 from .model import (
     PASS,
     AtomicAction,
@@ -95,8 +95,7 @@ class IntentQueuePolicy:
 class PowerOfKPolicy(IntentQueuePolicy):
     def __init__(self, config: NetworkConfig, k: int = 2):
         super().__init__()
-        if k < 1:
-            raise InvalidArgument("k must be >= 1")
+        require_int("k", k, 1)
         self.k = k
         self.charger_regions = [
             v for v in range(config.num_regions) if config.charger_counts[v].sum() > 0
@@ -395,7 +394,8 @@ class _Layer:
 @dataclass
 class ExactSolution:
     gain: float                     # optimal average daily reward from the start state
-    span: float                     # stopping residual: last max change of the day increments
+    span: float                     # last max change of the day increments between two
+                                    # sweeps, not a bound on the gains' error
     states: int
     policy: dict                    # (t, state key) -> FleetAction
     iterations: int                 # day sweeps run
@@ -412,14 +412,10 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     day increments move by at most ``tol`` from one sweep to the next.
     Raises ValueIterationNotConverged after ``max_iters`` sweeps without
     that."""
-    for name, value, least in (("arrival_cap", arrival_cap, 0), ("max_iters", max_iters, 1),
-                               ("max_states", max_states, 1)):
-        if type(value) is not int and not isinstance(value, np.integer):
-            raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise InvalidArgument(f"{name} must be >= {least}, got {value}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
+    require_int("arrival_cap", arrival_cap, 0)
+    require_int("max_iters", max_iters, 1)
+    require_int("max_states", max_states, 1)
+    require_real("tol", tol, 0)
     T, V = config.horizon_steps, config.num_regions
     # each layer's arrival outcomes: (K, V, V) counts and K probabilities
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]

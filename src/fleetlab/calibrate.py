@@ -174,7 +174,6 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     fares = np.zeros((V, V, T))
     durations = np.zeros((V, V, T))
     distances = np.zeros((V, V))
-    dist_counts = np.zeros((V, V))
     for r, u, v in trips:
         minute_of_day = (r.pickup_timestamp.hour * 60 + r.pickup_timestamp.minute
                          + r.pickup_timestamp.second / 60)
@@ -183,9 +182,10 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
         fares[u, v, t] += r.base_fare
         durations[u, v, t] += r.duration_min
         distances[u, v] += r.distance_miles
-        dist_counts[u, v] += 1
+    dist_counts = counts.sum(axis=2)
+    diagonal = np.eye(V, dtype=bool)
 
-    arrival = counts / len(days)
+    arrival = counts / len(days)            # kept trips join distinct regions
     with np.errstate(invalid="ignore"):
         mean_fare = np.where(counts > 0, fares / np.maximum(counts, 1), 0.0)
         mean_dur = np.where(counts > 0, durations / np.maximum(counts, 1), 0.0)
@@ -193,26 +193,16 @@ def calibrate(records: list[TripRecord], region_map: dict[str, int],
     mean_dur = _backfill(mean_dur, counts, default=epoch_minutes)
 
     tau = np.ceil(mean_dur / epoch_minutes - 1e-9).astype(np.int64)
-    tau = np.maximum(tau, PICKUP_PATIENCE + 1)
-    for t in range(T):
-        np.fill_diagonal(tau[:, :, t], 1)
+    tau = np.where(diagonal[:, :, None], 1, np.maximum(tau, PICKUP_PATIENCE + 1))
 
     mean_dist = np.where(dist_counts > 0, distances / np.maximum(dist_counts, 1), 0.0)
     cost = np.ceil(mean_dist * KWH_PER_MILE - 1e-9).astype(np.int64)
-    cost = np.maximum(cost, 1)
-    np.fill_diagonal(cost, 0)
+    cost = np.where(diagonal, 0, np.maximum(cost, 1))
     cost = np.minimum(cost, BATTERY_CAPACITY)
 
-    reposition = np.zeros((V, V, T))
-    for t in range(T):
-        reposition[:, :, t] = -PER_MILE_COST * mean_dist
-        np.fill_diagonal(reposition[:, :, t], 0.0)
-    charge_reward = np.zeros((len(CHARGE_RATES), T))
-    for ri, rate in enumerate(CHARGE_RATES):
-        charge_reward[ri, :] = -ENERGY_PRICE_PER_UNIT * rate
-
-    for t in range(T):
-        np.fill_diagonal(arrival[:, :, t], 0.0)
+    reposition = np.where(diagonal, 0.0, -PER_MILE_COST * mean_dist)
+    reposition = np.repeat(reposition[:, :, None], T, axis=2)
+    charge_reward = np.repeat([[-ENERGY_PRICE_PER_UNIT * r] for r in CHARGE_RATES], T, axis=1)
 
     return NetworkConfig(
         num_regions=V, fleet_size=fleet_size, battery_capacity=BATTERY_CAPACITY,

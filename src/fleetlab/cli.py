@@ -513,18 +513,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except OSError as exc:
-        # an output path that is a directory, a directory path that is a file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConfigError, InvalidArgument) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (LpInfeasible, LpUnbounded, TrainingDiagnostic, ContractViolation,
             StateSpaceTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FleetlabError as exc:
+    except (OSError, FleetlabError) as exc:
+        # bad input, or an output path that is a directory, a directory path
+        # that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

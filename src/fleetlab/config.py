@@ -332,21 +332,6 @@ _AXES = tuple((f.name, f.metadata["axes"]) for f in fields(NetworkConfig) if f.m
 # -- charging-curve arithmetic ---------------------------------------------
 
 
-def curve_seconds(curve: ChargingCurve, p0: float, p1: float) -> float:
-    """Seconds needed to charge from p0% to p1% along the piecewise profile."""
-    if p1 <= p0:
-        return 0.0
-    total = 0.0
-    lo = 0.0
-    for hi, sec_per_pct in curve:
-        seg_lo = max(lo, p0)
-        seg_hi = min(hi, p1)
-        if seg_hi > seg_lo:
-            total += (seg_hi - seg_lo) * sec_per_pct
-        lo = hi
-    return total
-
-
 def curve_percent_after(curve: ChargingCurve, p0: float, seconds: float) -> float:
     """Battery percentage reached after charging for `seconds` from p0%."""
     p = min(max(p0, 0.0), 100.0)

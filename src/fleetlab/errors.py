@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its argument checks."""
+
+import math
+import numbers
 
 
 class FleetlabError(Exception):
@@ -35,3 +38,24 @@ class StateSpaceTooLarge(FleetlabError):
 
 class ValueIterationNotConverged(FleetlabError):
     """Exact value iteration reached its sweep limit before converging."""
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise InvalidArgument unless ``value`` is an integer (an int or numpy
+    integer, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidArgument(f"{name} must be >= {least}, got {value}")
+
+
+def require_real(name: str, value, least: float, most: float = math.inf,
+                 strict: bool = False) -> None:
+    """Raise InvalidArgument unless ``value`` is a finite real number, not a
+    bool, of at least ``least`` (above it if ``strict``) and at most ``most``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and least <= value <= most and not (strict and value == least)):
+        op = ">" if strict else ">="
+        upper = f" and <= {most}" if most < math.inf else ""
+        raise InvalidArgument(f"{name} must be finite and {op} {least}{upper}, got {value}")

@@ -20,16 +20,23 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
 from .config import NetworkConfig
-from .errors import ContractViolation, InvalidArgument, TrainingDiagnostic
+from .errors import (ContractViolation, InvalidArgument, TrainingDiagnostic, require_int,
+                     require_real)
 from .model import action_count
 from .reduce import obs_dim, reduce_vector, vehicle_feature_dim, vehicle_features
 from .sim import run_days, score_trajectory, summarize_scores
+
+
+#: PpoConfig's counts that may be 0; the other counts must be at least 1
+_MAY_BE_ZERO = {"policy_iterations", "policy_update_steps", "value_update_steps", "seed"}
+#: PpoConfig's reals that lie in (0, 1]; the learning rates need only be > 0
+_FRACTIONS = {"initial_clip", "clip_decay", "clip_floor"}
 
 
 @dataclass
@@ -52,22 +59,14 @@ class PpoConfig:
     early_stop_patience: int = 3
 
     def validate(self) -> None:
-        if self.policy_iterations < 0 or self.trajectories_per_iter < 1:
-            raise InvalidArgument("need >= 1 trajectory and >= 0 iterations")
-        if self.days_per_trajectory < 1:
-            raise InvalidArgument("days_per_trajectory must be >= 1")
-        if not (0 < self.initial_clip <= 1 and 0 < self.clip_decay <= 1):
-            raise InvalidArgument("clip parameters out of range")
-        if self.batch_policy < 1 or self.batch_value < 1:
-            raise InvalidArgument("batch_policy and batch_value must be >= 1")
-        if self.policy_update_steps < 0 or self.value_update_steps < 0:
-            raise InvalidArgument("policy_update_steps and value_update_steps must be >= 0")
-        if self.hidden < 1:
-            raise InvalidArgument("hidden must be >= 1")
-        if self.eval_days < 1:
-            raise InvalidArgument("eval_days must be >= 1")
-        if not (self.lr_policy > 0 and self.lr_value > 0):
-            raise InvalidArgument("learning rates must be > 0")
+        """Counts are integers, not bools; reals are finite and above 0."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                require_int(f.name, value, 0 if f.name in _MAY_BE_ZERO else 1)
+            else:
+                most = 1 if f.name in _FRACTIONS else math.inf
+                require_real(f.name, value, 0, most, strict=True)
 
 
 def clip_schedule(m: int, eps: float, gamma: float, floor: float = 0.01) -> float:
@@ -153,14 +152,11 @@ def value_targets(trace: EpisodeTrace, g: float, config: NetworkConfig) -> np.nd
     return adj[::-1].cumsum()[::-1]
 
 
-def fit_value(vset: nn.MlpSet, obs: np.ndarray, t: np.ndarray, targets: np.ndarray,
-              ppo: PpoConfig, rng: np.random.Generator,
-              adam: nn.AdamState | None = None) -> tuple[nn.AdamState, list[float]]:
+def fit_value(vset: nn.MlpSet, adam: nn.AdamState, obs: np.ndarray, t: np.ndarray,
+              targets: np.ndarray, ppo: PpoConfig, rng: np.random.Generator) -> list[float]:
     """Minibatch Adam on mean squared error; returns losses per step. Given
     ``obs`` in the networks' dtype (``train`` casts it once), no step casts
     its minibatch; the errors are float64 like ``targets``."""
-    if adam is None:
-        adam = nn.AdamState.for_set(vset)
     losses = []
     n = len(targets)
     for _ in range(ppo.value_update_steps):
@@ -178,7 +174,7 @@ def fit_value(vset: nn.MlpSet, obs: np.ndarray, t: np.ndarray, targets: np.ndarr
             raise TrainingDiagnostic("value loss diverged (NaN/inf)")
         losses.append(loss)
         nn.adam_step(vset.flat, grad, adam, ppo.lr_value)
-    return adam, losses
+    return losses
 
 
 def compute_advantages(trace: EpisodeTrace, vset: nn.MlpSet, g: float,
@@ -192,10 +188,8 @@ def compute_advantages(trace: EpisodeTrace, vset: nn.MlpSet, g: float,
     return trace.reward - bias + h_next - h
 
 
-def surrogate_terms(probs_new: np.ndarray, old_prob: np.ndarray, adv: np.ndarray,
-                    eps: float) -> tuple[np.ndarray, np.ndarray]:
+def surrogate_terms(rho: np.ndarray, adv: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample min(rho*A, clip(rho)*A) and whether the clip bound binds."""
-    rho = probs_new / old_prob
     t1 = rho * adv
     t2 = np.clip(rho, 1.0 - eps, 1.0 + eps) * adv
     return np.minimum(t1, t2), t2 < t1
@@ -208,9 +202,9 @@ class PolicyUpdateStats:
     dropped: int
 
 
-def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarray,
-               eps_m: float, ppo: PpoConfig, rng: np.random.Generator,
-               adam: nn.AdamState | None = None) -> tuple[nn.AdamState, PolicyUpdateStats]:
+def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
+               advantages: np.ndarray, eps_m: float, ppo: PpoConfig,
+               rng: np.random.Generator) -> PolicyUpdateStats:
     """Clipped-surrogate ascent over the pooled atomic dataset."""
     obs = np.vstack([tr.obs for tr in traces])
     veh = np.vstack([tr.veh for tr in traces])
@@ -225,8 +219,6 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
         obs, veh, mask, t, act = obs[keep], veh[keep], mask[keep], t[keep], act[keep]
         old_prob, advantages = old_prob[keep], advantages[keep]
 
-    if adam is None:
-        adam = nn.AdamState.for_set(pset)
     n = len(act)
     xfull = np.hstack([obs, veh], dtype=pset.flat.dtype)
     clip_fracs, surrogates = [], []
@@ -246,7 +238,7 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
             pa = p[np.arange(len(sel)), act[sel]]
             rho = pa / old_prob[sel]
             adv = advantages[sel]
-            terms, clipped = surrogate_terms(pa, old_prob[sel], adv, eps_m)
+            terms, clipped = surrogate_terms(rho, adv, eps_m)
             clipped_ct += int(clipped.sum())
             surrogate_sum += float(terms.sum())
             # d/dlogits of mean surrogate; zero where the clip bound binds
@@ -259,12 +251,11 @@ def ppo_update(pset: nn.MlpSet, traces: list[EpisodeTrace], advantages: np.ndarr
         clip_fracs.append(clipped_ct / len(idx))
         surrogates.append(surrogate_sum / len(idx))
         nn.adam_step(pset.flat, grad, adam, ppo.lr_policy)
-    stats = PolicyUpdateStats(
+    return PolicyUpdateStats(
         clip_fraction=float(np.mean(clip_fracs)) if clip_fracs else 0.0,
         surrogate=float(np.mean(surrogates)) if surrogates else 0.0,
         dropped=dropped,
     )
-    return adam, stats
 
 
 # -- evaluation and the outer loop ---------------------------------------------
@@ -333,7 +324,7 @@ def train(config: NetworkConfig, ppo: PpoConfig,
     """Full training loop; returns the final policy and per-iteration reports."""
     ppo.validate()
     pset, vset = init_networks(config, ppo)
-    value_adam = policy_adam = None
+    value_adam, policy_adam = nn.AdamState.for_set(vset), nn.AdamState.for_set(pset)
     reports: list[IterationReport] = []
     best = -math.inf
     stale = 0
@@ -348,16 +339,14 @@ def train(config: NetworkConfig, ppo: PpoConfig,
         targets = np.concatenate([value_targets(tr, g, config) for tr in traces])
         all_obs = np.vstack([tr.obs for tr in traces], dtype=vset.flat.dtype)
         all_t = np.concatenate([tr.t for tr in traces])
-        value_adam, losses = fit_value(
-            vset, all_obs, all_t, targets, ppo, np.random.default_rng([ppo.seed, 3, m]),
-            adam=value_adam)
+        losses = fit_value(vset, value_adam, all_obs, all_t, targets, ppo,
+                           np.random.default_rng([ppo.seed, 3, m]))
         adv = np.concatenate([compute_advantages(tr, vset, g, config) for tr in traces])
         if adv.std() > 0:
             adv = (adv - adv.mean()) / adv.std()
         eps_m = clip_schedule(m, ppo.initial_clip, ppo.clip_decay, ppo.clip_floor)
-        policy_adam, stats = ppo_update(
-            pset, traces, adv, eps_m, ppo, np.random.default_rng([ppo.seed, 4, m]),
-            adam=policy_adam)
+        stats = ppo_update(pset, policy_adam, traces, adv, eps_m, ppo,
+                           np.random.default_rng([ppo.seed, 4, m]))
         ev = evaluate_policy(config, NeuralPolicy(config, pset), ppo.eval_days,
                              seed=ppo.seed + 1000 + m)
         report = IterationReport(

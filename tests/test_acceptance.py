@@ -148,13 +148,12 @@ def _surrogate_draws(seed, n_probes):
             p = nn.forward_policy(pset, trace.obs[i], trace.veh[i],
                                   trace.mask[i], int(trace.t[i]))
             term, _ = ppo.surrogate_terms(
-                np.array([p[trace.action[i]]]),
-                np.array([trace.old_prob[i]]), np.array([adv[i]]), eps_m)
+                np.array([p[trace.action[i]] / trace.old_prob[i]]), np.array([adv[i]]), eps_m)
             terms.append(float(term[0]))
         return math.fsum(terms) / len(trace)
 
-    adam, _ = ppo.ppo_update(pset, [trace], adv, eps_m, pcfg,
-                             np.random.default_rng(0))
+    adam = nn.AdamState.for_set(pset)
+    ppo.ppo_update(pset, adam, [trace], adv, eps_m, pcfg, np.random.default_rng(0))
     params = [p for net in pset.nets for p in net.params()]
     m_bufs = [a for net in pset.views(adam.m) for a in net]
     rng = np.random.default_rng([56, seed])

@@ -94,8 +94,9 @@ def test_every_policy_returns_a_feasible_python_int(tiny):
 
 
 def test_power_of_k_requires_positive_k(tiny):
-    with pytest.raises(InvalidArgument):
-        PowerOfKPolicy(tiny, k=0)
+    for k, message in ((0, "k must be >= 1, got 0"), (2.5, "k must be an integer, got 2.5")):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            PowerOfKPolicy(tiny, k=k)
 
 
 def _state_with_idle_vehicles(config):
@@ -280,6 +281,9 @@ def test_exact_solver_rejects_negative_arrival_cap():
     (dict(max_iters=True), "max_iters must be an integer, got True"),
     (dict(max_states=2.5), "max_states must be an integer, got 2.5"),
     (dict(max_states=False), "max_states must be an integer, got False"),
+    (dict(tol="1e-8"), "tol must be a real number, got '1e-8'"),
+    (dict(tol=None), "tol must be a real number, got None"),
+    (dict(tol=True), "tol must be a real number, got True"),
 ])
 def test_exact_solver_rejects_bad_arguments(bad, message):
     cfg = tiny_config(V=2, T=2, N=1, B=2, J=1, L_p=0, L_c=0, tau=1,

@@ -254,3 +254,34 @@ def test_commute_scenario_shape():
     assert am.sum() > 0 and pm.sum() > 0
     # morning demand precedes evening demand
     assert am.argmax() < pm.argmax()
+
+
+# config.digest() of calibrate() on _digest_records(), recorded before
+# calibrate built its epoch-constant tables once instead of once per epoch and
+# took the per-pair trip counts from the (u, v, t) counts; neither may move a bit.
+GOLDEN_CALIBRATION_DIGEST = "98603a70f47e25ee"
+
+
+def _digest_records():
+    """Two weeks of random trips between four zones in three regions, with
+    weekend and intra-region trips that calibration drops, and no trip from
+    region 2 to region 0, whose tables then take their defaults."""
+    rng = np.random.default_rng(2024)
+    zones = ("A", "B", "C", "D")
+    recs = []
+    for _ in range(400):
+        u, v = rng.choice(4, size=2)
+        if zones[u] == "D" and zones[v] == "A":
+            continue
+        when = MONDAY + timedelta(days=int(rng.integers(0, 14)),
+                                  minutes=float(rng.uniform(0, 24 * 60)))
+        recs.append(_rec(u=zones[u], v=zones[v], when=when,
+                         fare=float(rng.uniform(5, 40)), dur=float(rng.uniform(2, 70)),
+                         dist=float(rng.uniform(0.1, 30))))
+    return recs
+
+
+def test_calibration_matches_recorded_digest():
+    region_map = {"A": 0, "B": 1, "C": 1, "D": 2}
+    cfg = calibrate(_digest_records(), region_map, epoch_minutes=15.0, fleet_size=40)
+    assert cfg.digest() == GOLDEN_CALIBRATION_DIGEST

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fleetlab.config import (DEFAULT_CHARGING_CURVE, NetworkConfig,
-                             curve_percent_after, curve_seconds)
+                             curve_percent_after)
 from fleetlab.errors import ConfigError
 from fleetlab.scenarios import synth_scenario
 
@@ -87,18 +87,23 @@ def test_eta_cap_covers_all_tasks(tiny):
 
 def test_charging_curve_band_durations_match_direct_integration():
     # 0 -> 10% crosses only the first band: 10 * 47 s
-    assert curve_seconds(DEFAULT_CHARGING_CURVE, 0.0, 10.0) == pytest.approx(470.0)
     assert curve_band_seconds(DEFAULT_CHARGING_CURVE, 0.0, 10.0) == pytest.approx(470.0)
+
+    def per_percent(lo, hi):
+        """Sum of each whole percent's rate, the band that holds it."""
+        return sum(next(rate for bound, rate in DEFAULT_CHARGING_CURVE if p < bound)
+                   for p in range(lo, hi))
+
     for lo, hi in ((0, 40), (10, 60), (55, 95), (0, 100), (80, 90)):
-        assert curve_seconds(DEFAULT_CHARGING_CURVE, lo, hi) == pytest.approx(
-            curve_band_seconds(DEFAULT_CHARGING_CURVE, lo, hi))
+        assert curve_band_seconds(DEFAULT_CHARGING_CURVE, lo, hi) == pytest.approx(
+            per_percent(lo, hi))
 
 
 def test_curve_percent_after_inverts_curve_seconds():
     for start in (0.0, 25.0, 70.0):
         for seconds in (60.0, 470.0, 1200.0):
             pct = curve_percent_after(DEFAULT_CHARGING_CURVE, start, seconds)
-            assert curve_seconds(DEFAULT_CHARGING_CURVE, start, pct) == pytest.approx(
+            assert curve_band_seconds(DEFAULT_CHARGING_CURVE, start, pct) == pytest.approx(
                 seconds, abs=1e-6) or pct == 100.0
 
 

@@ -43,13 +43,20 @@ def test_config_validation():
                 dict(days_per_trajectory=0), dict(batch_policy=0), dict(batch_value=0),
                 dict(policy_update_steps=-1), dict(value_update_steps=-1), dict(hidden=0),
                 dict(lr_policy=0.0), dict(lr_value=-1.0), dict(lr_value=float("nan")),
-                dict(eval_days=0)):
-        with pytest.raises(InvalidArgument):
+                dict(eval_days=0), dict(hidden=2.5), dict(batch_value=True),
+                dict(trajectories_per_iter=np.float64(2.0)), dict(seed=-1),
+                dict(early_stop_patience=0), dict(clip_floor=0.0), dict(clip_floor=1.5),
+                dict(clip_floor=float("nan")), dict(clip_decay=True),
+                dict(lr_policy=float("inf")), dict(lr_value="3e-4"), dict(eval_days="4")):
+        field, = bad
+        with pytest.raises(InvalidArgument, match=f"^{field} must be "):
             ppo.PpoConfig(**bad).validate()
         # train() validates before any work
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match=f"^{field} must be "):
             ppo.train(tiny_config(), ppo.PpoConfig(policy_iterations=1, **bad))
     ppo.PpoConfig(policy_update_steps=0, value_update_steps=0).validate()
+    ppo.PpoConfig(policy_iterations=0, seed=np.int64(7), initial_clip=1, clip_floor=1.0,
+                  early_stop_patience=1).validate()
 
 
 def _collect(cfg, seed=0, days=2, hidden=8):
@@ -128,7 +135,7 @@ def test_surrogate_terms_clip_only_above():
     old = np.array([0.5, 0.5, 0.5])
     new = np.array([0.9, 0.5, 0.1])       # rho = 1.8, 1.0, 0.2
     adv = np.array([1.0, 1.0, -1.0])
-    terms, clipped = ppo.surrogate_terms(new, old, adv, eps=0.2)
+    terms, clipped = ppo.surrogate_terms(new / old, adv, eps=0.2)
     # rho=1.8, A>0: clipped at 1.2
     assert terms[0] == pytest.approx(1.2)
     assert clipped[0]
@@ -159,15 +166,14 @@ def test_ppo_update_gradient_matches_finite_difference(tiny):
             p = nn.forward_policy(pset, trace.obs[i], trace.veh[i],
                                   trace.mask[i], int(trace.t[i]))
             term, _ = ppo.surrogate_terms(
-                np.array([p[trace.action[i]]]),
-                np.array([trace.old_prob[i]]), np.array([adv[i]]), eps_m)
+                np.array([p[trace.action[i]] / trace.old_prob[i]]), np.array([adv[i]]), eps_m)
             terms.append(float(term[0]))
         return math.fsum(terms) / len(trace)
 
     # analytic gradient: run one update step with lr=0 and capture Adam's m
     # buffer (after one step m = 0.1 * grad of the *descent* objective)
-    adam, _ = ppo.ppo_update(pset, [trace], adv, eps_m, pcfg,
-                             np.random.default_rng(0))
+    adam = nn.AdamState.for_set(pset)
+    ppo.ppo_update(pset, adam, [trace], adv, eps_m, pcfg, np.random.default_rng(0))
     params = [p for net in pset.nets for p in net.params()]
     checked = 0
     for p, m_buf in zip(params, [a for net in pset.views(adam.m) for a in net]):
@@ -209,7 +215,8 @@ def test_ppo_update_drops_vanishing_old_probabilities(tiny):
     results = []
     for tr, a in ((tainted, adv), (clean, adv[keep])):
         pset, _ = ppo.init_networks(tiny, pcfg)
-        _, stats = ppo.ppo_update(pset, [tr], a, 0.2, pcfg, np.random.default_rng(5))
+        stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), [tr], a, 0.2, pcfg,
+                               np.random.default_rng(5))
         results.append((pset.flat, stats))
     (flat_t, stats_t), (flat_c, stats_c) = results
     assert stats_t.dropped == 3 and stats_c.dropped == 0
@@ -226,7 +233,8 @@ def test_surrogate_reports_the_minibatch_mean_at_zero_step_size(tiny):
                          batch_policy=7)
     pset, _, trace = _collect(tiny, seed=3, days=1, hidden=6)
     adv = np.random.default_rng(9).normal(size=len(trace))
-    _, stats = ppo.ppo_update(pset, [trace], adv, 0.2, pcfg, np.random.default_rng(5))
+    stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), [trace], adv, 0.2, pcfg,
+                           np.random.default_rng(5))
     rng = np.random.default_rng(5)
     want = np.mean([adv[rng.choice(len(trace), size=7, replace=False)].mean()
                     for _ in range(5)])
@@ -234,7 +242,8 @@ def test_surrogate_reports_the_minibatch_mean_at_zero_step_size(tiny):
     assert abs(stats.surrogate - want) < 1e-9 + 1e-5 * np.abs(adv).mean()
     assert abs(want) > 1e-3                     # far from the normalised mean, 0
     idle = dataclasses.replace(pcfg, policy_update_steps=0)
-    _, stats = ppo.ppo_update(pset, [trace], adv, 0.2, idle, np.random.default_rng(5))
+    stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), [trace], adv, 0.2, idle,
+                           np.random.default_rng(5))
     assert stats.surrogate == 0.0 and stats.clip_fraction == 0.0
 
 
@@ -244,8 +253,8 @@ def test_fit_value_reduces_loss(tiny):
     targets = ppo.value_targets(trace, g, tiny)
     pcfg = ppo.PpoConfig(hidden=8, value_update_steps=60, lr_value=3e-3,
                          batch_value=4096)
-    _, losses = ppo.fit_value(vset, trace.obs, trace.t, targets, pcfg,
-                              np.random.default_rng(0))
+    losses = ppo.fit_value(vset, nn.AdamState.for_set(vset), trace.obs, trace.t, targets,
+                           pcfg, np.random.default_rng(0))
     assert losses[-1] < losses[0]
 
 
