@@ -21,8 +21,10 @@ for ever, so day-start states can have different gains. The day increment
 v_{n+1} - v_n converges pointwise to each state's gain (Puterman 1994,
 ch. 9), so the sweeps stop once no increment moves by more than ``tol``
 between two sweeps. The solution reports the start state's gain, the range
-of per-state gains (``gain_min``, ``gain_max``) and that last movement
-(``span``); reaching ``max_iters`` first raises ValueIterationNotConverged.
+of per-state gains (``gain_min``, ``gain_max``), that last movement
+(``span``) and the argmax policy, which builds a state's fleet action when
+it is looked up; reaching ``max_iters`` first raises
+ValueIterationNotConverged.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -247,14 +250,16 @@ class _Expander:
     the ticked state by an amount that does not depend on the rest of the
     state: transition's next state when every other vehicle passes, less
     the tick. That change, what the unit draws on and its reward are cached
-    by (t, c, a). Each status's multisets, summed over their units, are
-    cached by (t, c, n) and which of c's region's queues and free chargers
-    are nonempty, all that feasible_mask reads of the state: the chargers
-    only while c is idle, and neither once c is past the pickup patience. A
-    state's signature is the tuple of those keys, one per status. Its
-    composition, every combination of its blocks' multisets with the summed
-    rows and uses and the exactly rounded sum of the non-pass atomic rewards
-    (as epoch_reward takes it), is cached by (t, signature).
+    by (t, c, a), and Pass's, all zero, by t alone. Each status's
+    multisets, summed over their units, are cached by (t, c, n) and which of
+    c's region's queues and free chargers are nonempty, all that
+    feasible_mask reads of the state: the chargers only while c is idle, and
+    neither once c is past the pickup patience. A state's signature is the
+    tuple of those keys, one per status. Its composition, every combination
+    of its blocks' multisets with the summed rows and uses and the exactly
+    rounded sum of the non-pass atomic rewards (as epoch_reward takes it), is
+    cached by (t, signature). The rows and uses take the dtype of the stack
+    given to ``compose``.
 
     ``compose`` ticks a whole stack at once and finds each state's
     composition by dict lookups alone; ``expand`` adds a stack's
@@ -294,8 +299,8 @@ class _Expander:
         cache = self.compositions[t]
         for i, sig in enumerate(sigs):
             if sig not in cache:
-                cache[sig] = self._compose(SystemState(t, *_row_arrays(rows[i], self.like)),
-                                           ticked[i], sig)
+                state = SystemState(t, *_row_arrays(rows[i].astype(np.int64), self.like))
+                cache[sig] = self._compose(state, ticked[i], sig)
         return ticked, [cache[sig] for sig in sigs]
 
     def expand(self, rows: np.ndarray, ticked: np.ndarray,
@@ -320,10 +325,12 @@ class _Expander:
 
     def _compose(self, state: SystemState, base: np.ndarray, sig: tuple) -> _Composition:
         blocks = tuple(self._block(state, base, key) for key in sig)
-        picks = np.indices([len(b.combos) for b in blocks]).reshape(len(blocks), -1)
-        rows = sum(b.rows[p] for b, p in zip(blocks, picks))
-        uses = sum(b.uses[p] for b, p in zip(blocks, picks))
-        picks = picks.T.tolist()
+        # broadcast sums over the blocks, the last block varying fastest
+        rows, uses = blocks[0].rows, blocks[0].uses
+        for b in blocks[1:]:
+            rows = (rows[:, None] + b.rows).reshape(-1, rows.shape[1])
+            uses = (uses[:, None] + b.uses).reshape(-1, uses.shape[1])
+        picks = list(itertools.product(*(range(len(b.combos)) for b in blocks)))
         rewards = np.array([math.fsum(itertools.chain.from_iterable(
             b.terms[j] for b, j in zip(blocks, pick))) for pick in picks])
         return _Composition(blocks, picks, rows, uses, rewards)
@@ -340,13 +347,15 @@ class _Expander:
                               dtype=np.int64)
             block = self.blocks[(state.t, key)] = _Block(
                 c, tuple(self.actions[i] for i in cands), combos,
-                counts @ np.array([delta for delta, _, _ in units]),
-                counts @ np.array([use for _, use, _ in units]),
+                (counts @ np.array([delta for delta, _, _ in units])).astype(base.dtype),
+                (counts @ np.array([use for _, use, _ in units])).astype(base.dtype),
                 [[units[k][2] for k in combo if k] for combo in combos])   # k = 0 is Pass
         return block
 
     def _unit(self, state: SystemState, base: np.ndarray, c: VehicleStatus, i: int):
-        key = (state.t, c, i)
+        # Pass changes nothing beyond the tick and draws on nothing, whatever
+        # the status, so its unit is cached by the epoch alone
+        key = (state.t, i) if self.actions[i] == PASS else (state.t, c, i)
         unit = self.units.get(key)
         if unit is None:
             a = self.actions[i]
@@ -375,6 +384,17 @@ class _Expander:
 _CHUNK_ROWS = 1 << 14
 
 
+def _row_dtype(config: NetworkConfig, arrival_cap: int) -> np.dtype:
+    """The dtype of discovery's flat rows: int8 when twice the largest count
+    a state can hold fits it, so that no sum of a ticked row and a
+    composition (whose cells move at most N vehicles) wraps, else int64. A
+    cell holds at most the fleet, a queue cell the arrivals admitted in one
+    epoch, and a charger cell its (region, rate)'s charger count."""
+    most = max(config.fleet_size, min(arrival_cap, config.trip_cap),
+               int(config.charger_counts.max(initial=0)))
+    return np.dtype(np.int8 if 2 * most <= np.iinfo(np.int8).max else np.int64)
+
+
 class _Layer:
     """What discovery records of one epoch's states, appended chunk by chunk
     in state index order."""
@@ -391,13 +411,59 @@ class _Layer:
         self.comps: list = []           # per state: its composition
 
 
+class _Policy(Mapping):
+    """A solve's argmax policy, read only: (t, SystemState.key()) -> the
+    chosen FleetAction, each epoch's states in discovery order. It keeps
+    each layer's state dict, the states' compositions and chosen
+    combinations, and builds a state's FleetAction with _fleet_action when
+    it is looked up. The state dicts key the solve's rows, so keys are
+    translated from and to key()'s int64 bytes."""
+
+    def __init__(self, layers: list, like: SystemState, dtype: np.dtype):
+        self._layers = layers   # per epoch: (row bytes -> index, compositions, combinations)
+        self._widths = [a.nbytes for a in (like.vehicles, like.trips, like.chargers)]
+        self._dtype = dtype
+
+    def _index(self, key) -> tuple[int, int]:
+        """The epoch and index of the state ``key`` names; KeyError if none."""
+        try:
+            t, (t_state, *arrays) = key
+            if (t == t_state and 0 <= t < len(self._layers)
+                    and [len(a) for a in arrays] == self._widths):
+                wide = np.frombuffer(b"".join(arrays), dtype=np.int64)
+                row = wide.astype(self._dtype)
+                i = self._layers[t][0].get(row.tobytes())
+                # a count the dtype cannot hold wraps round to another count
+                if i is not None and (row == wide).all():
+                    return t, i
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __getitem__(self, key) -> FleetAction:
+        t, i = self._index(key)
+        _, comps, picks = self._layers[t]
+        return _fleet_action(comps[i], int(picks[i]))
+
+    def __iter__(self):
+        v_end = self._widths[0]
+        t_end = v_end + self._widths[1]
+        for t, (states, _, _) in enumerate(self._layers):
+            for row in states:
+                wide = np.frombuffer(row, dtype=self._dtype).astype(np.int64).tobytes()
+                yield t, (t, wide[:v_end], wide[v_end:t_end], wide[t_end:])
+
+    def __len__(self) -> int:
+        return sum(len(states) for states, _, _ in self._layers)
+
+
 @dataclass
 class ExactSolution:
     gain: float                     # optimal average daily reward from the start state
     span: float                     # last max change of the day increments between two
                                     # sweeps, not a bound on the gains' error
     states: int
-    policy: dict                    # (t, state key) -> FleetAction
+    policy: Mapping                 # (t, SystemState.key()) -> FleetAction, built on lookup
     iterations: int                 # day sweeps run
     gain_min: float                 # smallest per-state gain over day-start states
     gain_max: float                 # largest per-state gain over day-start states
@@ -421,21 +487,22 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
     outcomes = [_joint_outcomes(config, (t + 1) % T, arrival_cap) for t in range(T)]
 
     # breadth-first discovery of the reachable layered state space, one BFS
-    # depth at a time. States are flat rows in _row_arrays' layout, keyed by
-    # their bytes, which are SystemState.key()'s three byte strings end to
-    # end. A state's index is its arrival order in its layer, and the depths
-    # go in order, each one's states in index order and each state's actions
-    # and arrival outcomes in enumeration order: the order of a first-in
-    # first-out queue of single states. An action's K successors are its
-    # post-decision row (its next state before arrivals) with each outcome's
-    # admitted orders in the age-0 queues, which depend on that row alone. So
-    # a post-decision row is keyed once, with its K successors, the first
-    # time an action reaches it; a later action that reaches it takes their
-    # indices, none of which can be new by then
+    # depth at a time. States are flat rows in _row_arrays' layout and
+    # _row_dtype's dtype, keyed by their bytes. A state's index is its
+    # arrival order in its layer, and the depths go in order, each one's
+    # states in index order and each state's actions and arrival outcomes in
+    # enumeration order: the order of a first-in first-out queue of single
+    # states. An action's K successors are its post-decision row (its next
+    # state before arrivals) with each outcome's admitted orders in the age-0
+    # queues, which depend on that row alone. So a post-decision row is keyed
+    # once, with its K successors, the first time an action reaches it; a
+    # later action that reaches it takes their indices, none of which can be
+    # new by then
     expander = _Expander(config)
     start = expander.like
+    dtype = _row_dtype(config, arrival_cap)
     start_row = np.concatenate((start.vehicles.ravel(), start.trips.ravel(),
-                                start.chargers.ravel()))
+                                start.chargers.ravel())).astype(dtype)
     nv, nt = start.vehicles.size, start.trips.size
     L = config.connection_patience + 1
     age0 = nv + L * np.arange(V * V)               # the rows' age-0 trip cells
@@ -531,13 +598,8 @@ def exact_value_iteration(config: NetworkConfig, arrival_cap: int = 2,
             residual = float(np.abs(diffs - prev).max())
         h = v - v[0]
     _, choices = day_pass(h, want_argmax=True)
-    # the policy maps (t, SystemState.key()) to the chosen FleetAction
-    policy: dict = {}
-    v_end, t_end = start_row.itemsize * nv, start_row.itemsize * (nv + nt)
-    for t, layer in enumerate(found):
-        picks = np.concatenate(layer.picks)[choices[t]].tolist()
-        for comp, j, key in zip(layer.comps, picks, layer.states):
-            policy[(t, (t, key[:v_end], key[v_end:t_end], key[t_end:]))] = _fleet_action(comp, j)
+    policy = _Policy([(layer.states, layer.comps, np.concatenate(layer.picks)[best])
+                      for layer, best in zip(found, choices)], start, dtype)
     return ExactSolution(gain=float(diffs[0]), span=residual, states=total, policy=policy,
                          iterations=it, gain_min=float(diffs.min()),
                          gain_max=float(diffs.max()), converged=True)

@@ -19,7 +19,8 @@ solver (baselines.exact_value_iteration) calls it once per breadth-first
 depth, on the stacked flat rows of all the depth's states, and adds to each
 ticked row the change each of the state's unit assignments makes, which it
 takes from ``transition`` once per (epoch, status, atomic action): every
-vehicle passes but one, which takes the action.
+vehicle passes but one, which takes the action. Pass changes nothing beyond
+the tick, so its unit is taken once per epoch.
 
 Checks: run_epoch checks each policy choice against the action space and
 the mask it handed out. Every ``transition`` checks the fleet action with

@@ -8,7 +8,6 @@ command line.
 
 import dataclasses
 import functools
-import json
 import math
 import os
 import subprocess
@@ -22,8 +21,8 @@ from conftest import float64_copy, random_config, tiny_config
 from oracles import central_difference, curve_band_seconds, lp_optimum_exact
 
 from fleetlab import nn, ppo, sim, simplex
-from fleetlab.baselines import (AlwaysPassPolicy, ExactSolution, PowerOfKPolicy,
-                                RandomFeasiblePolicy, exact_value_iteration)
+from fleetlab.baselines import (AlwaysPassPolicy, PowerOfKPolicy, RandomFeasiblePolicy,
+                                exact_value_iteration)
 from fleetlab.config import DEFAULT_CHARGING_CURVE, NetworkConfig
 from fleetlab.errors import LpInfeasible, StateSpaceTooLarge
 from fleetlab.fluid import (FluidRoundingPolicy, build_full_lp, build_reduced_lp,

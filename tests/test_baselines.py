@@ -10,6 +10,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from fleetlab.baselines import (
     _Expander,
     _fleet_action,
     _joint_outcomes,
+    _row_arrays,
+    _row_dtype,
     exact_value_iteration,
 )
 from fleetlab.config import NetworkConfig
@@ -443,7 +446,8 @@ def test_composed_successors_follow_the_transition_rule(instance):
 
 
 # the instances whose discovery order is checked: a test_04 draw, the
-# time-varying instance, and two-vehicle instances of degenerate shapes
+# time-varying instance, two-vehicle instances of degenerate shapes, and one
+# whose charger counts int8 rows cannot hold
 ORDER_INSTANCES = {
     "vi-7": lambda: _vi_instance(7),
     "time-varying": _time_varying_config,
@@ -451,7 +455,22 @@ ORDER_INSTANCES = {
     "T = 1": lambda: tiny_config(T=1, N=2, B=2),
     "V = 1": lambda: tiny_config(V=1, N=2, B=2),
     "L_c = L_p = 0": lambda: tiny_config(N=2, B=2, L_c=0, L_p=0),
+    "200 chargers": lambda: tiny_config(N=2, B=2, chargers=200),
 }
+
+
+def _spy_row_dtypes(monkeypatch) -> set:
+    """The dtypes of the rows discovery hands _Expander.compose, filled in
+    as solves run."""
+    seen = set()
+    compose = _Expander.compose
+
+    def spied(self, t, rows):
+        seen.add(rows.dtype)
+        return compose(self, t, rows)
+
+    monkeypatch.setattr(_Expander, "compose", spied)
+    return seen
 
 
 def _layers(sol) -> dict:
@@ -464,12 +483,15 @@ def _layers(sol) -> dict:
 
 
 @pytest.mark.parametrize("instance", list(ORDER_INSTANCES))
-def test_discovery_matches_a_one_state_at_a_time_reference(instance):
+def test_discovery_matches_a_one_state_at_a_time_reference(monkeypatch, instance):
     """The solver finds the states of each epoch in the order a first-in
     first-out search finds them, expanding one state at a time over checked
-    transitions of every fleet action check_fleet_action accepts."""
+    transitions of every fleet action check_fleet_action accepts. Its rows
+    are int8 unless the instance holds counts int8 sums cannot."""
     cfg = ORDER_INSTANCES[instance]()
+    dtypes = _spy_row_dtypes(monkeypatch)
     sol = exact_value_iteration(cfg, arrival_cap=1)
+    assert dtypes == {np.dtype(np.int64 if instance == "200 chargers" else np.int8)}
     want = reference_discovery(
         sim.initial_state(cfg), cfg.arrival_rate, 1,
         lambda state: _brute_force_fleet_actions(cfg, state),
@@ -514,6 +536,90 @@ def test_exact_solver_calls_feasible_mask_less_often_than_it_expands_states(monk
     monkeypatch.setattr(baselines, "feasible_mask", counted)
     sol = exact_value_iteration(_vi_instance(7), arrival_cap=1)
     assert 0 < len(calls) < sol.states
+
+
+def test_exact_solver_takes_the_pass_unit_once_per_epoch(monkeypatch):
+    """Pass changes nothing beyond the tick for any status, so the solver
+    takes its unit from one checked transition per epoch, and each other
+    unit, one status taking one atomic action, from one transition. On this
+    instance (T = 2) the solver once took 52 transitions, 28 non-pass units
+    and 24 Pass units, one per epoch and status; now it takes 30."""
+    units = []
+
+    def counted(config, state, action, arrivals):
+        units.append((state.t, frozenset((c, a) for (c, a), n in action.counts.items()
+                                         if n and a != PASS)))
+        return sim.transition(config, state, action, arrivals)
+
+    monkeypatch.setattr(baselines, "transition", counted)
+    cfg = _vi_instance(7)
+    exact_value_iteration(cfg, arrival_cap=1)
+    passes = [t for t, moved in units if not moved]
+    assert sorted(passes) == list(range(cfg.horizon_steps))
+    assert all(len(moved) == 1 for _, moved in units if moved)
+    assert len(set(units)) == len(units) == 30
+
+
+def test_row_dtype_rule():
+    """Rows are int8 while twice the largest count a state holds (the fleet,
+    the admitted arrivals of one epoch, a charger count) fits in 127."""
+    int8, int64 = np.dtype(np.int8), np.dtype(np.int64)
+    assert _row_dtype(tiny_config(N=2), 2) == int8
+    assert _row_dtype(tiny_config(N=2, chargers=63), 2) == int8
+    assert _row_dtype(tiny_config(N=2, chargers=64), 2) == int64
+    assert _row_dtype(tiny_config(N=63), 2) == int8
+    assert _row_dtype(tiny_config(N=64), 2) == int64
+    # a queue cell holds at most the arrival cap and the queue cap N(L_c + 1)
+    assert _row_dtype(tiny_config(N=2), 1000) == int8
+    assert _row_dtype(tiny_config(N=2, rates=()), 63) == int8
+    # every instance test_04 draws runs on int8
+    for seed in range(100):
+        cfg = _vi_instance(seed)
+        assert _row_dtype(cfg, 2 if cfg.fleet_size > 1 else 1) == int8
+
+
+def test_exact_policy_is_a_lazy_read_only_mapping(monkeypatch):
+    """The policy builds a state's fleet action only when it is looked up.
+    Its keys, their order and its items are those of an eager table built
+    from the solution's layers with SystemState.key(), and keys of states
+    the solve never reached raise KeyError, counts int8 rows would wrap
+    included."""
+    builds = []
+
+    def counted(counts):
+        builds.append(counts)
+        return FleetAction(counts)
+
+    monkeypatch.setattr(baselines, "FleetAction", counted)
+    cfg = _time_varying_config()
+    sol = exact_value_iteration(cfg, arrival_cap=1)
+    policy = sol.policy
+    assert builds == []
+    assert isinstance(policy, Mapping) and len(policy) == sol.states
+    start = sim.initial_state(cfg)
+    with pytest.raises(TypeError):
+        policy[(0, start.key())] = policy[(0, start.key())]
+    assert len(builds) == 1
+
+    eager = {}
+    for t, (states, comps, picks) in enumerate(policy._layers):
+        for row, comp, j in zip(states, comps, picks):
+            wide = np.frombuffer(row, dtype=np.int8).astype(np.int64)
+            eager[(t, SystemState(t, *_row_arrays(wide, start)).key())] = _fleet_action(comp, j)
+    assert list(policy) == list(eager)
+    assert [(k, list(fa.counts.items())) for k, fa in policy.items()] == [
+        (k, list(fa.counts.items())) for k, fa in eager.items()]
+
+    wrapped = start.vehicles.copy()
+    wrapped[start.vehicles > 0] += 256     # the start state's int8 row
+    unreached = [(1, start.key()), (2, (2, *start.key()[1:])), (-1, (-1, *start.key()[1:])),
+                 (0, (0, wrapped.tobytes(), *start.key()[2:])),
+                 (0, (0, start.key()[1][:-8], start.key()[2] + bytes(8), start.key()[3])),
+                 (0, start.key()[1:]), "start", None]
+    for key in unreached:
+        with pytest.raises(KeyError):
+            policy[key]
+        assert key not in policy
 
 
 def test_joint_outcomes_are_a_distribution():
@@ -634,9 +740,11 @@ def _policy_digest(policy: dict) -> str:
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_VI))
-def test_exact_vi_matches_recorded_digests(key):
+def test_exact_vi_matches_recorded_digests(monkeypatch, key):
     config, cap = _golden_vi_input(key)
+    dtypes = _spy_row_dtypes(monkeypatch)
     sol = exact_value_iteration(config, arrival_cap=cap)
+    assert dtypes == {np.dtype(np.int8)}
     assert sol.converged and sol.span <= 1e-8
     got = (sol.gain, sol.iterations, sol.states, _policy_digest(sol.policy))
     assert got == GOLDEN_VI[key]

@@ -1,4 +1,4 @@
-"""Every name a source module imports is used in that module."""
+"""Every name a source or test module imports is used in that module."""
 
 import ast
 import pathlib
@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fleetlab"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +30,11 @@ def unused_imports(source: str) -> list[str]:
                                         if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_unused_imports_in_tests(path):
+    assert unused_imports((TESTS / path).read_text()) == []
 
 
 def test_unused_import_scan_sees_a_dead_name():

@@ -12,7 +12,7 @@ from fleetlab.errors import ContractViolation
 from fleetlab.fluid import FluidRoundingPolicy, FluidSolution, build_reduced_lp
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
                             action_count, action_table, action_to_index, all_pass_action,
-                            charge, feasible_mask, fulfill, landing, reposition)
+                            charge, feasible_mask, fulfill, landing)
 from fleetlab.ppo import NeuralPolicy, PpoConfig, init_networks
 from fleetlab.scenarios import TEMPLATES, synth_scenario
 from fleetlab.sim import (admitted_arrivals, draw_arrivals, initial_state, run_day,
