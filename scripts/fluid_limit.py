@@ -19,7 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import tiny_config  # noqa: E402
-from test_acceptance import _truncated_mean_rates  # noqa: E402
+from oracles import truncated_mean_rates  # noqa: E402
 from fleetlab.baselines import exact_value_iteration  # noqa: E402
 from fleetlab.calibrate import scale_fleet  # noqa: E402
 from fleetlab.fluid import upper_bound  # noqa: E402
@@ -33,7 +33,7 @@ def main(n: int) -> None:
     sol = exact_value_iteration(config, arrival_cap=CAP)
     cpu = time.process_time() - start
     bound = upper_bound(config.with_updates(
-        arrival_rate=_truncated_mean_rates(config, CAP))).objective
+        arrival_rate=truncated_mean_rates(config.arrival_rate, CAP))).objective
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"| {n} | {sol.states:,} | {sol.gain / n:.3f} | {bound / n:.3f} | "
           f"{sol.gain / bound:.3f} | {cpu:.1f} s | {rss:.0f} MB |")

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -247,7 +248,7 @@ def cmd_train(args) -> int:
         "stopped_early": result.stopped_early,
         "best_iteration": best.iteration,
         "best_eval_reward": best.eval_reward,
-        "reports": [r.to_dict() for r in result.reports],
+        "reports": [asdict(r) for r in result.reports],
     })
     print(f"trained {len(result.reports)} iterations; best eval reward "
           f"{best.eval_reward:.6g} at iteration {best.iteration}")
@@ -283,7 +284,7 @@ def cmd_evaluate(args) -> int:
 def cmd_bound(args) -> int:
     config = _load_config(args)
     prob, index = fluid.build_lp(config, args.formulation)
-    sol = fluid.solve_fluid(prob, index, args.formulation)
+    sol = fluid.solve_fluid(prob, index)
     if args.out:
         with open(args.out, "w") as f:
             f.write(sol.to_json())

@@ -101,10 +101,9 @@ class _Builder:
         rows = np.repeat(np.arange(len(self.rows)), [len(e) for e in self.rows])
         cols = np.fromiter((j for e in self.rows for j in e), np.intp, rows.size)
         vals = np.fromiter((c for e in self.rows for c in e.values()), float, rows.size)
-        names = ["/".join(map(str, k)) for k in self.vars]
         return LpProblem.from_entries(np.asarray(self.obj), rows, cols, vals, self.senses,
-                                      np.asarray(self.rhs), var_names=names,
-                                      row_names=self.row_names, name=self.name)
+                                      np.asarray(self.rhs), row_names=self.row_names,
+                                      name=self.name)
 
 
 # -- shared row pieces ------------------------------------------------------------
@@ -319,15 +318,15 @@ def build_reduced_lp(config: NetworkConfig) -> tuple[LpProblem, dict[tuple, int]
 # -- solving and the bound -------------------------------------------------------
 
 
-def solve_fluid(problem: LpProblem, index: dict[tuple, int],
-                formulation: str) -> FluidSolution:
+def solve_fluid(problem: LpProblem, index: dict[tuple, int]) -> FluidSolution:
+    """The built LP's optimum as flows by ``index`` key, its formulation the LP's name."""
     sol: LpSolution = solve(problem)
     x = np.where(np.abs(sol.x) < 1e-12, 0.0, sol.x)
     flows = {key: float(x[j]) for key, j in index.items()}
     residual = float(problem.residuals(sol.x).max(initial=0.0))
     if residual > 1e-8 * max(1.0, float(np.abs(problem.b).max(initial=0.0))):
         raise ContractViolation(f"fluid solution residual {residual:.3e}")
-    return FluidSolution(sol.objective, flows, formulation, sol.iterations, residual)
+    return FluidSolution(sol.objective, flows, problem.name, sol.iterations, residual)
 
 
 FORMULATIONS = ("reduced", "full")
@@ -344,7 +343,7 @@ def build_lp(config: NetworkConfig, formulation: str) -> tuple[LpProblem, dict[t
 def upper_bound(config: NetworkConfig, formulation: str = "reduced") -> FluidSolution:
     """Daily-reward upper bound R-bar from the named formulation's LP."""
     prob, index = build_lp(config, formulation)
-    return solve_fluid(prob, index, formulation)
+    return solve_fluid(prob, index)
 
 
 # -- randomized-rounding policy ---------------------------------------------------

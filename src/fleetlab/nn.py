@@ -105,9 +105,6 @@ class Mlp:
     def dims(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def param_count(self) -> int:
-        return self.flat.size
-
     def params(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -189,16 +186,13 @@ class MlpSet:
     def horizon(self) -> int:
         return len(self.nets)
 
-    def param_count(self) -> int:
-        return self.flat.size
-
     def __reduce__(self):
         # pickle the buffer once; the nets are rebuilt as views of it
         return _new_set, (self.kind, self.nets[0].dims, len(self.nets), None, self.flat)
 
     def views(self, buf: np.ndarray) -> list[list[np.ndarray]]:
         """Per net, the views of ``buf`` (laid out like ``flat``) in .params() order."""
-        size, dims = self.nets[0].param_count(), self.nets[0].dims
+        size, dims = self.nets[0].flat.size, self.nets[0].dims
         return [split_params(buf[k * size:(k + 1) * size], dims) for k in range(len(self.nets))]
 
     @property
@@ -268,10 +262,6 @@ def create_value_set(obs_dim: int, horizon: int, rng: np.random.Generator,
 def forward_policy(pset: MlpSet, obs: np.ndarray, veh: np.ndarray, mask: np.ndarray,
                    t: int) -> np.ndarray:
     return masked_softmax(pset.nets[t].forward(np.concatenate([obs, veh])), mask)
-
-
-def forward_value(vset: MlpSet, obs: np.ndarray, t: int) -> float:
-    return float(vset.nets[t].forward(obs)[0])
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class PpoConfig:
                 require_real(f.name, value, 0, most, strict=True)
 
 
-def clip_schedule(m: int, eps: float, gamma: float, floor: float = 0.01) -> float:
+def clip_schedule(m: int, eps: float, gamma: float, floor: float) -> float:
     return max(eps * gamma ** m, floor)
 
 
@@ -183,7 +183,7 @@ def compute_advantages(trace: EpisodeTrace, vset: nn.MlpSet, g: float,
     the trajectory's terminal observation."""
     bias = g / (config.horizon_steps * config.fleet_size)
     h = vset.forward_grouped(trace.obs, trace.t)[:, 0]
-    h_term = nn.forward_value(vset, trace.terminal_obs, trace.terminal_t)
+    h_term = vset.nets[trace.terminal_t].forward(trace.terminal_obs)[0]
     h_next = np.append(h[1:], h_term)
     return trace.reward - bias + h_next - h
 
@@ -230,7 +230,9 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
         def head(sel, logits):
             nonlocal clipped_ct, surrogate_sum
             m = mask[sel]
-            # float64, as masked_softmax computed old_prob from these logits
+            # float64, as masked_softmax computed old_prob, but not its bits: the
+            # row sums add in another order, and the rollout's one-row forward
+            # rounds unlike this batched one, so rho at the first step is ~1
             z = np.where(m, logits.astype(np.float64), -np.inf)
             z = z - z.max(axis=1, keepdims=True)
             ez = np.where(m, np.exp(z), 0.0)
@@ -279,9 +281,6 @@ class IterationReport:
     eval_reward: float
     dropped_samples: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainResult:
@@ -302,8 +301,8 @@ def _write_checkpoint(directory: str, m: int, pset: nn.MlpSet, vset: nn.MlpSet,
         "config_digest": config.digest(),
         "g_estimate": report.g_estimate,
         "eval_reward": report.eval_reward,
-        "policy_params": pset.param_count(),
-        "value_params": vset.param_count(),
+        "policy_params": pset.flat.size,
+        "value_params": vset.flat.size,
     }
     with open(os.path.join(d, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)

@@ -280,10 +280,6 @@ class DayTrace:
     states: list[SystemState]          # length T+1: state before each epoch + final
     total_reward: float
 
-    @property
-    def infos(self) -> list[StepInfo]:
-        return [e.info for e in self.epochs]
-
 
 def run_day(
     config: NetworkConfig, state: SystemState, policy, rng: np.random.Generator
@@ -329,7 +325,7 @@ def score_trajectory(config: NetworkConfig, policy, days: int, seed_words,
     fleet split before it. Plain data, so worker processes can return it."""
     rng = np.random.default_rng(list(seed_words))
     scored = run_days(config, policy, warmup_days + days, rng)[warmup_days:]
-    infos = [i for tr in scored for i in tr.infos]
+    infos = [e.info for tr in scored for e in tr.epochs]
     score = {name: sum(getattr(i, name) for i in infos) for name in SERVICE_COUNTERS}
     score["daily_rewards"] = [tr.total_reward for tr in scored]
     score["rewards_by_epoch"] = [i.reward for i in infos]

@@ -62,7 +62,6 @@ class LpProblem:
     senses: list[str]                 # per row: "<=", "=", ">="
     b: np.ndarray
     maximize: bool = True
-    var_names: list[str] = field(default_factory=list)
     row_names: list[str] = field(default_factory=list)
     name: str = "lp"
 
@@ -98,12 +97,8 @@ class LpProblem:
         for s in self.senses:
             if s not in ("<=", "=", ">="):
                 raise InvalidArgument(f"unknown row sense {s!r}")
-        if not self.var_names:
-            self.var_names = [f"x{j}" for j in range(n)]
         if not self.row_names:
             self.row_names = [f"r{i}" for i in range(m)]
-        if len(self.var_names) != n or len(set(self.var_names)) != n:
-            raise InvalidArgument("variable names must be unique and match columns")
         if len(self.row_names) != m or len(set(self.row_names)) != m:
             raise InvalidArgument("row names must be unique and match rows")
 

@@ -76,7 +76,7 @@ def float64_copy(mset: nn.MlpSet) -> nn.MlpSet:
     """The set's weights upcast into a float64 buffer, for tests that compare
     the networks with float64 math (finite differences, reference Adam)."""
     flat = mset.flat.astype(np.float64)
-    size = mset.nets[0].param_count()
+    size = mset.nets[0].flat.size
     nets = [nn.Mlp(flat[k * size:(k + 1) * size], net.dims, net.activations)
             for k, net in enumerate(mset.nets)]
     return nn.MlpSet(nets, mset.kind, flat)

@@ -248,7 +248,23 @@ def reference_discovery(start, rates, cap, fleet_actions, transition):
     return layers
 
 
-# -- rollouts under truncated arrivals -------------------------------------------------
+# -- truncated arrivals -------------------------------------------------------------
+
+
+def truncated_mean_rates(rates, cap):
+    """The mean of each Poisson rate in ``rates`` once its count is truncated
+    at ``cap``: the Poisson pmf over 0..cap, renormalised. Zero rates stay 0."""
+    ks = np.arange(cap + 1)
+    out = np.zeros_like(rates)
+    it = np.nditer(rates, flags=["multi_index"])
+    for lam in it:
+        lam = float(lam)
+        if lam > 0.0:
+            pmf = np.array([lam ** k / math.factorial(k) * math.exp(-lam)
+                            for k in ks])
+            pmf /= pmf.sum()
+            out[it.multi_index] = float(ks @ pmf)
+    return out
 
 
 def truncated_rollout(start, outcomes, decide, transition, rng, chains, warmup, days):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import float64_copy, random_config, tiny_config
-from oracles import central_difference, curve_band_seconds, lp_optimum_exact
+from oracles import (central_difference, curve_band_seconds, lp_optimum_exact,
+                     truncated_mean_rates)
 
 from fleetlab import nn, ppo, sim, simplex
 from fleetlab.baselines import (AlwaysPassPolicy, PowerOfKPolicy, RandomFeasiblePolicy,
@@ -220,20 +221,6 @@ def _vi_instance(seed) -> NetworkConfig:
         charging_curve=None, demand_scale=1.0, name=f"vi-{seed}")
 
 
-def _truncated_mean_rates(cfg: NetworkConfig, cap: int) -> np.ndarray:
-    ks = np.arange(cap + 1)
-    out = np.zeros_like(cfg.arrival_rate)
-    it = np.nditer(cfg.arrival_rate, flags=["multi_index"])
-    for lam in it:
-        lam = float(lam)
-        if lam > 0.0:
-            pmf = np.array([lam ** k / math.factorial(k) * math.exp(-lam)
-                            for k in ks])
-            pmf /= pmf.sum()
-            out[it.multi_index] = float(ks @ pmf)
-    return out
-
-
 @criterion(4)
 def test_04_exact_gain_below_fluid_bound_on_20_tiny_instances():
     checked = 0
@@ -249,7 +236,7 @@ def test_04_exact_gain_below_fluid_bound_on_20_tiny_instances():
             continue
         # dominance against the bound of the truncated-arrival instance the
         # value iteration actually solves
-        trunc = dataclasses.replace(cfg, arrival_rate=_truncated_mean_rates(cfg, cap))
+        trunc = dataclasses.replace(cfg, arrival_rate=truncated_mean_rates(cfg.arrival_rate, cap))
         rb_trunc = upper_bound(trunc).objective
         # gain_max covers every day-start state's gain, not only the start
         # state's: multichain instances have battery traps of gain 0
@@ -421,7 +408,7 @@ def test_08_default_hyperparameters_exact():
     assert d.policy_update_steps == 20
     assert d.value_update_steps == 100
     for m in range(0, 200):
-        assert clip_schedule(m, d.initial_clip, d.clip_decay) == \
+        assert clip_schedule(m, d.initial_clip, d.clip_decay, d.clip_floor) == \
             max(0.1 * 0.97 ** m, 0.01)
 
 

@@ -193,9 +193,10 @@ def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
 
 def _malformed_configs() -> dict[str, bytes]:
     """Config files that must exit 2 with one line: wrong schema, not JSON,
-    not text, not an object, a missing field, badly typed fields, a
-    num_rates that disagrees with charge_rates, a fleet too large for the
-    int64 count tables and one that fits them but not in memory."""
+    not text, not an object, a missing field, badly typed fields, values
+    that break a validation rule, a num_rates that disagrees with
+    charge_rates, a fleet too large for the int64 count tables and one that
+    fits them but not in memory."""
     def variant(edit):
         doc = tiny_config().to_dict()
         edit(doc)
@@ -226,6 +227,8 @@ def _malformed_configs() -> dict[str, bytes]:
         "string-demand-scale": variant(lambda d: d.update(demand_scale="x")),
         "bool-pickup-patience": variant(lambda d: d.update(pickup_patience=True)),
         "numeric-name": variant(lambda d: d.update(name=5)),
+        "zero-epoch-minutes": variant(lambda d: d.update(epoch_minutes=0)),
+        "positive-reposition-reward": variant(entry("reposition_reward", 1.0)),
         "wrong-num-rates": variant(lambda d: d["dims"].update(num_rates=7)),
         "int64-overflowing-fleet": variant(lambda d: d["dims"].update(fleet_size=10**30)),
         "memory-exceeding-fleet": variant(lambda d: d["dims"].update(fleet_size=10**15)),
@@ -525,12 +528,14 @@ def checkpoints(tmp_path_factory):
     good = (d / "policy.bin").read_bytes()
     (d / "truncated.bin").write_bytes(good[:-7])
     (d / "header-only.bin").write_bytes(good[:20])
-    kind = bytearray(good)
-    kind[8:12] = (7).to_bytes(4, "little")          # header: magic, version, kind, ...
-    (d / "kind.bin").write_bytes(bytes(kind))
-    shared = bytearray(good)
-    shared[12:16] = (1).to_bytes(4, "little")       # ..., shared, horizon, ...
-    (d / "shared.bin").write_bytes(bytes(shared))
+    # header words after the magic: version, kind, shared, horizon, net count,
+    # layer count, then the layer sizes
+    for name, word, value in (("version", 0, 2), ("kind", 1, 7), ("shared", 2, 1),
+                              ("net-count", 4, 5), ("layer-count", 5, 4),
+                              ("layer-size", 7, 0)):
+        bad = bytearray(good)
+        bad[4 + 4 * word:8 + 4 * word] = value.to_bytes(4, "little")
+        (d / f"{name}.bin").write_bytes(bytes(bad))
     return d
 
 
@@ -544,13 +549,29 @@ def test_fitting_checkpoint_evaluates(tiny_json, checkpoints):
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("name", ["truncated", "header-only", "kind", "shared", "value",
-                                  "other", "longer"])
+# what each bad checkpoint's one-line error names after its path
+BAD_CHECKPOINTS = {
+    "truncated": "truncated checkpoint",
+    "header-only": "truncated checkpoint",
+    "kind": "unknown network kind 7",
+    "shared": "(header shared=1) are not supported",
+    "value": "a value network, not a policy",
+    "other": "policy for horizon 4 with 46 inputs and 17 actions",
+    "longer": "policy for horizon 5 with 33 inputs and 8 actions",
+    "version": "unsupported checkpoint version 2",
+    "net-count": "5 nets for horizon 4",
+    "layer-count": "4 layer sizes for a policy network",
+    "layer-size": "bad layer sizes [33, 0, 4, 4, 8]",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CHECKPOINTS))
 def test_bad_checkpoint_exits_2(tiny_json, checkpoints, name):
     r = _evaluate_checkpoint(tiny_json, checkpoints / f"{name}.bin")
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+    assert BAD_CHECKPOINTS[name] in r.stderr
 
 
 def test_readme_policy_tokens_parse():

@@ -79,6 +79,39 @@ def test_validation_requires_charge_period_above_patience():
         tiny_config(J=1, L_p=1)
 
 
+def _entry(name, index, value):
+    """tiny_config's table ``name`` with ``value`` at ``index``, as an update."""
+    table = getattr(tiny_config(), name).copy()
+    table[index] = value
+    return {name: table}
+
+
+# one case per NetworkConfig.validate rule, each breaking that rule alone
+@pytest.mark.parametrize("update, message", [
+    ({"fleet_size": 0}, "V, N, B, T must all be positive"),
+    ({"battery_cost": np.zeros((3, 3), dtype=np.int64)}, "battery_cost shape (3, 3) != (2, 2)"),
+    ({"epoch_minutes": 0}, "epoch_minutes and demand_scale must be positive"),
+    ({"charge_rates": (0,)}, "charge_rates must be distinct positive integers"),
+    (_entry("trip_reward", (0, 1, 0), -1.0), "trip_reward must be nonnegative"),
+    (_entry("battery_cost", (0, 1), 4), "battery_cost must not exceed battery_capacity"),
+    (_entry("arrival_rate", (0, 1, 0), -0.5), "arrival_rate must be nonnegative"),
+    (_entry("battery_cost", (0, 0), 1), "battery_cost diagonal must be 0"),
+    (_entry("reposition_reward", (0, 0, 0), -1.0), "reposition_reward diagonal must be 0"),
+    (_entry("reposition_reward", (0, 1, 0), 1.0), "reposition_reward must be nonpositive"),
+    (_entry("charge_reward", (0, 0), 1.0), "charge_reward must be nonpositive"),
+    (_entry("charger_counts", (0, 0), -1), "charger_counts must be nonnegative"),
+    (_entry("trip_duration", (0, 0, 0), 0), "trip_duration must be at least 1 step"),
+    ({"connection_patience": -1}, "patience windows must be nonnegative"),
+], ids=["positive-dims", "table-shapes", "positive-epoch-minutes", "positive-charge-rates",
+        "trip-reward", "battery-cost-cap", "arrival-rate", "battery-cost-diagonal",
+        "reposition-diagonal", "reposition-reward", "charge-reward", "charger-counts",
+        "trip-duration", "patience"])
+def test_validation_rule_rejects_its_breach(tiny, update, message):
+    with pytest.raises(ConfigError) as err:
+        tiny.with_updates(**update)
+    assert str(err.value) == message
+
+
 def test_eta_cap_covers_all_tasks(tiny):
     tau_max = tiny.max_offdiag_duration()
     assert tiny.eta_cap >= tiny.pickup_patience + tau_max - 1

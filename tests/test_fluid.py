@@ -162,8 +162,9 @@ def test_lp_shapes_scale_with_config(tiny):
     assert prob_r.shape[1] <= prob_f.shape[1]
 
 
-# SHA-256 over A, objective, b, then the JSON of senses, var_names and
-# row_names; recorded before the LP builders shared their window arithmetic.
+# SHA-256 over A, objective, b, then the JSON of senses, the columns' names
+# ("/"-joined index keys, in column order) and row_names; recorded before the
+# LP builders shared their window arithmetic.
 GOLDEN_LP_DIGESTS = {
     ("tiny", "full"):
         "381cdce96e4ac81b091f11f5b92b11776c204648ff34977b6e8abee9b347d699",
@@ -176,11 +177,14 @@ GOLDEN_LP_DIGESTS = {
 }
 
 
-def _lp_digest(problem) -> str:
+def _lp_digest(problem, index) -> str:
     h = hashlib.sha256()
     for arr in (problem.A, problem.objective, problem.b):
         h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(json.dumps([problem.senses, problem.var_names, problem.row_names]).encode())
+    keys = sorted(index, key=index.get)
+    assert [index[k] for k in keys] == list(range(problem.shape[1]))   # one key per column
+    columns = ["/".join(map(str, k)) for k in keys]
+    h.update(json.dumps([problem.senses, columns, problem.row_names]).encode())
     return h.hexdigest()
 
 
@@ -188,8 +192,8 @@ def _lp_digest(problem) -> str:
 def test_lps_match_recorded_digests(scenario, formulation):
     config = tiny_config() if scenario == "tiny" else synth_scenario(scenario, seed=0)
     build = build_full_lp if formulation == "full" else build_reduced_lp
-    problem, _ = build(config)
-    assert _lp_digest(problem) == GOLDEN_LP_DIGESTS[(scenario, formulation)]
+    problem, index = build(config)
+    assert _lp_digest(problem, index) == GOLDEN_LP_DIGESTS[(scenario, formulation)]
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])

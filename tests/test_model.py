@@ -95,6 +95,21 @@ def test_feasible_mask_busy_vehicle_only_passes_or_fulfills(tiny):
     assert mask2.sum() == 1                 # only pass
 
 
+@pytest.mark.parametrize("status, message", [
+    ((2, 0, 3), "vehicle status {} out of range"),
+    ((0, -1, 3), "vehicle status {} out of range"),
+    ((0, 0, 4), "vehicle status {} out of range"),
+    ((0, 1, 3), "no vehicle with status {} in state"),
+], ids=["region", "eta", "battery", "absent"])
+def test_feasible_mask_rejects_a_vehicle_status_it_cannot_see(tiny, status, message):
+    vehicle = VehicleStatus(*status)
+    state = initial_state(tiny)
+    assert state.vehicles[0, 1, 3] == 0
+    with pytest.raises(InvalidArgument) as err:
+        feasible_mask(tiny, state, vehicle)
+    assert str(err.value) == message.format(vehicle)
+
+
 def test_atomic_rewards_match_config_tables(tiny):
     t = 1
     v = VehicleStatus(0, 0, 3)

@@ -120,8 +120,7 @@ def test_policy_set_per_time_nets_are_independent():
 def test_value_set_scalar_output():
     rng = np.random.default_rng(5)
     vset = nn.create_value_set(obs_dim=6, horizon=2, rng=rng, hidden=8)
-    val = nn.forward_value(vset, rng.normal(size=6), 1)
-    assert isinstance(val, float)
+    assert vset.nets[1].forward(rng.normal(size=6)).shape == (1,)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -231,9 +230,9 @@ def test_adam_on_flat_buffer_matches_per_array_loop(monkeypatch):
         for step in range(1, 5):
             grad = rng.normal(size=pset.flat.size).astype(dtype)
             if step == 3:
-                grad[:pset.nets[0].param_count()] = 0.0
+                grad[:pset.nets[0].flat.size] = 0.0
             nn.adam_step(pset.flat, grad, state, lr)
-            size, dims = pset.nets[0].param_count(), pset.nets[0].dims
+            size, dims = pset.nets[0].flat.size, pset.nets[0].dims
             grads = [g.copy() for k in range(len(pset.nets))
                      for g in nn.split_params(grad[k * size:(k + 1) * size], dims)]
             corr1, corr2 = 1.0 - b1 ** step, 1.0 - b2 ** step
@@ -275,7 +274,7 @@ def test_grouped_gradient_matches_per_net_backward():
 
     grad = vset.grouped_gradient(x, t, rows, head)
     want = np.zeros_like(vset.flat)
-    size = vset.nets[0].param_count()
+    size = vset.nets[0].flat.size
     for sel in heads:
         tt = int(t[sel[0]])
         assert (t[sel] == tt).all()

@@ -18,11 +18,11 @@ from oracles import central_difference
 
 
 def test_clip_schedule_decays_geometrically_to_floor():
-    assert ppo.clip_schedule(1, 0.1, 0.97) == pytest.approx(0.097)
-    assert ppo.clip_schedule(2, 0.1, 0.97) == pytest.approx(0.1 * 0.97 ** 2)
+    assert ppo.clip_schedule(1, 0.1, 0.97, 0.01) == pytest.approx(0.097)
+    assert ppo.clip_schedule(2, 0.1, 0.97, 0.01) == pytest.approx(0.1 * 0.97 ** 2)
     # far enough out the floor binds
-    assert ppo.clip_schedule(500, 0.1, 0.97) == 0.01
-    assert ppo.clip_schedule(10, 0.2, 0.5, floor=0.05) == pytest.approx(0.05)
+    assert ppo.clip_schedule(500, 0.1, 0.97, 0.01) == 0.01
+    assert ppo.clip_schedule(10, 0.2, 0.5, 0.05) == pytest.approx(0.05)
 
 
 def test_default_config_values():
@@ -122,12 +122,12 @@ def test_advantages_use_next_observation(tiny):
     bias = g / (tiny.horizon_steps * tiny.fleet_size)
     # check one interior step by hand
     i = 3
-    h_i = nn.forward_value(vset, trace.obs[i], int(trace.t[i]))
-    h_n = nn.forward_value(vset, trace.obs[i + 1], int(trace.t[i + 1]))
+    h_i = vset.nets[trace.t[i]].forward(trace.obs[i])[0]
+    h_n = vset.nets[trace.t[i + 1]].forward(trace.obs[i + 1])[0]
     assert adv[i] == pytest.approx(trace.reward[i] - bias + h_n - h_i)
     # the final step bootstraps on the terminal observation
-    h_last = nn.forward_value(vset, trace.obs[-1], int(trace.t[-1]))
-    h_term = nn.forward_value(vset, trace.terminal_obs, trace.terminal_t)
+    h_last = vset.nets[trace.t[-1]].forward(trace.obs[-1])[0]
+    h_term = vset.nets[trace.terminal_t].forward(trace.terminal_obs)[0]
     assert adv[-1] == pytest.approx(trace.reward[-1] - bias + h_term - h_last)
 
 
@@ -358,7 +358,7 @@ def test_train_output_is_bit_identical_to_recorded_digests(tiny, tmp_path):
                          hidden=8, eval_days=1, value_update_steps=6, policy_update_steps=4,
                          batch_value=16, batch_policy=6, early_stop_patience=10, seed=7)
     result = ppo.train(tiny, pcfg)
-    reports = json.dumps([r.to_dict() for r in result.reports], sort_keys=True)
+    reports = json.dumps([dataclasses.asdict(r) for r in result.reports], sort_keys=True)
     digests = [hashlib.sha256(reports.encode()).hexdigest()]
     for name, mset in (("policy", result.policy), ("value", result.value)):
         nn.save_set(tmp_path / f"{name}.bin", mset)

@@ -232,7 +232,7 @@ def test_run_day_totals(tiny):
     tr = run_day(tiny, initial_state(tiny), RandomFeasiblePolicy(), rng)
     assert len(tr.epochs) == tiny.horizon_steps
     assert len(tr.states) == tiny.horizon_steps + 1
-    assert tr.total_reward == math.fsum(i.reward for i in tr.infos)
+    assert tr.total_reward == math.fsum(e.info.reward for e in tr.epochs)
 
 
 def test_same_seed_same_trace(tiny):
@@ -454,3 +454,19 @@ def test_run_epoch_rejects_an_index_outside_the_action_space(idx):
     shown = repr(action_count(cfg) if idx == "size" else idx)
     with pytest.raises(ContractViolation, match=f"action index {re.escape(shown)},"):
         run_epoch(cfg, state, Stray(), np.random.default_rng(0))
+
+
+def test_run_epoch_rejects_an_infeasible_index():
+    """An index inside the action space whose mask entry is False is a
+    contract violation that names the index."""
+
+    class Masked:
+        def act(self, config, work, vehicle, mask, rng):
+            return int(np.flatnonzero(~mask)[0])
+
+    cfg = tiny_config()
+    state = initial_state(cfg)
+    vehicle = state.status_groups()[0][0]
+    idx = int(np.flatnonzero(~feasible_mask(cfg, state, vehicle))[0])
+    with pytest.raises(ContractViolation, match=f"^policy chose infeasible action index {idx}$"):
+        run_epoch(cfg, state, Masked(), np.random.default_rng(0))
