@@ -49,19 +49,15 @@ from .model import (
     TripStatus,
     VehicleStatus,
     action_table,
-    action_to_index,
     all_pass_action,
-    charge,
     feasible_mask,
-    fulfill,
-    reposition,
 )
 from .sim import admitted_arrivals, initial_state, tick, transition
 
 
 class AlwaysPassPolicy:
     def act(self, config, work, vehicle, mask, rng):
-        return action_to_index(config, PASS)
+        return len(mask) - 1                          # Pass, the table's last row
 
 
 class RandomFeasiblePolicy:
@@ -73,31 +69,31 @@ class RandomFeasiblePolicy:
 
 
 class IntentQueuePolicy:
-    """Shared plumbing: begin_epoch fills per-status intent queues; act pops
-    intents for the acting vehicle's exact status until one is feasible and
-    returns its index, or Pass's once the queue is empty."""
+    """Shared plumbing: begin_epoch fills per-status queues of intents, each
+    an index into ``action_table(config)``; act pops intents for the acting
+    vehicle's exact status until the mask allows one and returns it, or
+    Pass's, the table's last row, once the queue is empty."""
 
-    def __init__(self):
-        self.intents: defaultdict[VehicleStatus, deque[AtomicAction]] = defaultdict(deque)
+    def __init__(self, config: NetworkConfig):
+        self.table = action_table(config)
+        self.intents: defaultdict[VehicleStatus, deque[int]] = defaultdict(deque)
 
-    def _candidates(self, work, vehicle: VehicleStatus,
-                    intent: AtomicAction) -> tuple[AtomicAction, ...]:
-        """Atomic actions one popped intent stands for, in the order tried."""
+    def _candidates(self, work, vehicle: VehicleStatus, intent: int) -> tuple[int, ...]:
+        """Action indices one popped intent stands for, in the order tried."""
         return (intent,)
 
     def act(self, config, work, vehicle, mask, rng):
         queue = self.intents.get(vehicle)
         while queue:
-            for cand in self._candidates(work, vehicle, queue.popleft()):
-                idx = action_to_index(config, cand)
+            for idx in self._candidates(work, vehicle, queue.popleft()):
                 if mask[idx]:
                     return idx
-        return action_to_index(config, PASS)
+        return len(mask) - 1
 
 
 class PowerOfKPolicy(IntentQueuePolicy):
     def __init__(self, config: NetworkConfig, k: int = 2):
-        super().__init__()
+        super().__init__(config)
         require_int("k", k, 1)
         self.k = k
         self.charger_regions = [
@@ -120,17 +116,19 @@ class PowerOfKPolicy(IntentQueuePolicy):
         for c, _ in groups:
             if c.eta <= config.pickup_patience:
                 nearby[c.dest].append(c)
+        lists, table = config.lists, self.table
         us, vs, ages = (a.tolist() for a in np.nonzero(state.trips))
         queued = sorted(map(TripStatus, us, vs, ages), key=lambda o: (-o.age, o.origin, o.dest))
         for o in queued:
             near = nearby[o.origin]
-            need = int(config.battery_cost[o.origin, o.dest])
+            need = lists.battery_cost[o.origin][o.dest]
+            serve = table.fulfill_at[o.origin][o.dest] + o.age
             for _ in range(int(state.trips[o.origin, o.dest, o.age])):
                 window = sorted(near[: self.k], key=lambda c: (-c.battery, c.eta))
                 c = next((c for c in window if c.battery >= need), None)
                 if c is None:
                     break
-                self.intents[c].append(fulfill(o))
+                self.intents[c].append(serve)
                 pool[c] -= 1
                 if not pool[c]:
                     near.remove(c)
@@ -145,15 +143,14 @@ class PowerOfKPolicy(IntentQueuePolicy):
             if c.battery < config.battery_capacity:
                 for ri in self.rate_order:
                     take = min(n, free[c.dest][ri])
-                    self.intents[c].extend([charge(config.charge_rates[ri])] * take)
+                    self.intents[c].extend([table.charge_at[ri]] * take)
                     free[c.dest][ri] -= take
                     n -= take
             if n and c.dest not in self.charger_regions and self.charger_regions:
-                dest = min(
-                    self.charger_regions,
-                    key=lambda v: (int(config.trip_duration[c.dest, v, t]), v))
-                if dest != c.dest and c.battery >= config.battery_cost[c.dest, dest]:
-                    self.intents[c].extend([reposition(dest)] * n)
+                duration = lists.trip_duration[c.dest]
+                dest = min(self.charger_regions, key=lambda v: (duration[v][t], v))
+                if c.battery >= lists.battery_cost[c.dest][dest]:
+                    self.intents[c].extend([table.reposition_at[dest]] * n)
 
 
 # -- exact solution of tiny instances --------------------------------------------

@@ -35,8 +35,7 @@ import numpy as np
 from .baselines import IntentQueuePolicy
 from .config import NetworkConfig
 from .errors import ContractViolation, InvalidArgument
-from .model import (PASS, AtomicAction, TripStatus, VehicleStatus, charge, fulfill,
-                    landing, reposition)
+from .model import PASS, TripStatus, VehicleStatus, charge, fulfill, landing, reposition
 from .simplex import LpProblem, LpSolution, solve
 
 
@@ -109,17 +108,15 @@ class _Builder:
 # -- shared row pieces ------------------------------------------------------------
 
 
-def _toward(region: int) -> AtomicAction:
-    """A fulfill toward ``region``, its trip's age left open."""
-    return AtomicAction("fulfill", region=region)
-
-
 # variable kind -> (status, action) of one vehicle on that flow, from the
-# variable keys of build_full_lp and build_reduced_lp; xt, the trip-side age
-# split of xb, moves no vehicle
+# variable keys of build_full_lp and build_reduced_lp, each action a row of
+# model.action_table; xt, the trip-side age split of xb, moves no vehicle.
+# xb sums its pair's ages, which all land alike, so it takes age 0's action
 _FLOWS = {
-    "x": lambda rates, k: (VehicleStatus(k[1], k[2], k[3]), _toward(k[4])),       # u eta b v xi t
-    "xb": lambda rates, k: (VehicleStatus(k[1], k[4], k[3]), _toward(k[2])),      # u v b eta t
+    "x": lambda rates, k: (VehicleStatus(k[1], k[2], k[3]),                       # u eta b v xi t
+                           fulfill(TripStatus(k[1], k[4], k[5]))),
+    "xb": lambda rates, k: (VehicleStatus(k[1], k[4], k[3]),                      # u v b eta t
+                            fulfill(TripStatus(k[1], k[2], 0))),
     "y": lambda rates, k: (VehicleStatus(k[1], 0, k[2]), reposition(k[3])),       # u b v t
     "yb": lambda rates, k: (VehicleStatus(k[1], 0, k[3]),                         # u v b t
                             PASS if k[1] == k[2] else reposition(k[2])),
@@ -355,33 +352,36 @@ class FluidRoundingPolicy(IntentQueuePolicy):
     At each epoch the target count for every (status, action) flow but the
     pass flows w and wb is N*fraction, rounded by floor plus a Bernoulli
     trial on the remainder, and that many intents join the queue of the
-    flow's exact status. Idle flows draw their trial but add no intent. A
-    vehicle pops intents until one is feasible: a fulfill intent toward
-    region v tries the oldest queued trip to v, then a reposition to v; if no
-    intent is feasible the vehicle passes.
+    flow's exact status as the index of the flow's action-table row. Idle
+    flows draw their trial but add no intent. A vehicle pops intents until
+    the mask allows one: a fulfill intent of the pair (u, v), whatever its
+    age, tries the pair's oldest queued age, then the reposition to v; if
+    the mask allows no intent the vehicle passes.
     """
 
     def __init__(self, config: NetworkConfig, solution: FluidSolution):
-        super().__init__()
-        self._by_time: dict[int, list[tuple[VehicleStatus, AtomicAction, float]]] = {}
+        super().__init__(config)
+        index = self.table.index
+        self._by_time: dict[int, list[tuple[VehicleStatus, int, float]]] = {}
         for key, frac in sorted(solution.nonzero_flows().items()):
             if key[0] in _FLOWS and key[0] not in ("w", "wb"):
                 status, action = _FLOWS[key[0]](config.charge_rates, key)
-                self._by_time.setdefault(key[-1], []).append((status, action, frac))
+                self._by_time.setdefault(key[-1], []).append((status, index[action], frac))
 
     def begin_epoch(self, config, state, rng):
         self.intents = defaultdict(deque)
-        N = config.fleet_size
-        for status, action, frac in self._by_time.get(state.t, []):
+        N, pass_at = config.fleet_size, len(self.table.actions) - 1
+        for status, idx, frac in self._by_time.get(state.t, []):
             target = N * frac
             count = int(target) + (1 if rng.random() < target - int(target) else 0)
-            if action.kind != "pass" and count > 0:
-                self.intents[status].extend([action] * count)
+            if idx != pass_at and count > 0:
+                self.intents[status].extend([idx] * count)
 
     def _candidates(self, work, vehicle, intent):
-        if intent.kind != "fulfill":
+        action = self.table.actions[intent]
+        if action.kind != "fulfill":
             return (intent,)
-        u, v = vehicle.dest, intent.region
-        ages = np.nonzero(work.trips[u, v, :] > 0)[0]
-        oldest = (fulfill(TripStatus(u, v, int(ages[-1]))),) if ages.size else ()
-        return oldest + (reposition(v),)
+        _, v, age = action.trip
+        ages = np.nonzero(work.trips[vehicle.dest, v, :] > 0)[0]
+        oldest = (intent - age + int(ages[-1]),) if ages.size else ()
+        return oldest + (self.table.reposition_at[v],)

@@ -185,17 +185,6 @@ def action_count(config: NetworkConfig) -> int:
     return len(action_table(config).actions)
 
 
-def action_to_index(config: NetworkConfig, action: AtomicAction) -> int:
-    idx = action_table(config).index.get(action)
-    if idx is not None:
-        return idx
-    if action.kind not in ACTION_KINDS:
-        raise InvalidArgument(f"unknown atomic action kind {action.kind!r}")
-    if action.kind == "charge":
-        config.rate_index(action.rate)              # ConfigError for an unknown rate
-    raise InvalidArgument(f"atomic action {action} is not in the action index space")
-
-
 # -- feasibility --------------------------------------------------------------
 
 
@@ -213,20 +202,20 @@ def _check_vehicle(config: NetworkConfig, state: SystemState, vehicle: VehicleSt
 
 def landing(config: NetworkConfig, vehicle: VehicleStatus, action: AtomicAction,
             t: int) -> VehicleStatus:
-    """Status at t+1 of a vehicle that takes ``action`` at time-of-day t.
+    """Status at t+1 of a vehicle that takes ``action``, a row of the action
+    table, at time-of-day t.
 
     A pass ticks the remaining time down toward idle. A charge holds the
     vehicle for the charging period and ends at ``config.charge_result``. A
     fulfill or reposition from u to v adds the u -> v duration at t to what
-    is left of the current task and spends the u -> v battery cost. A fulfill
-    may name only its destination ``region``, as a fluid flow does.
+    is left of the current task and spends the u -> v battery cost.
     """
     u, eta, b = vehicle
     if action.kind == "pass":
         return VehicleStatus(u, eta - 1 if eta else 0, b)
     if action.kind == "charge":
         return VehicleStatus(u, config.charge_period - 1, config.charge_result(b, action.rate))
-    v = action.region if action.trip is None else action.trip.dest
+    v = action.trip.dest if action.kind == "fulfill" else action.region
     lists = config.lists
     return VehicleStatus(v, eta + lists.trip_duration[u][v][t] - 1,
                          b - lists.battery_cost[u][v])
@@ -262,15 +251,24 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
 
 
 def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetAction) -> None:
-    """Verify a fleet flow against the per-status feasibility and resource caps."""
+    """Verify a fleet flow: its actions are action-table rows and its counts
+    integers, against the per-status feasibility and resource caps."""
     Lp = config.pickup_patience
     cost = config.lists.battery_cost
+    index = action_table(config).index
     outgoing: dict[VehicleStatus, int] = {}
     trip_usage: dict[TripStatus, int] = {}
     charger_usage: dict[tuple[int, int], int] = {}
     for (c, a), n in action.counts.items():
-        if a.kind not in ACTION_KINDS:
-            raise ContractViolation(f"unknown atomic action kind {a.kind!r}")
+        if a not in index:
+            if a.kind not in ACTION_KINDS:
+                raise ContractViolation(f"unknown atomic action kind {a.kind!r}")
+            if a.kind == "fulfill" and isinstance(a.trip, TripStatus) and a.trip[0] == a.trip[1]:
+                raise ContractViolation("intra-region trips are excluded")
+            raise ContractViolation(f"atomic action {a} is not in the action space")
+        # counts are whole vehicles: a fractional split can conserve the flow
+        if type(n) is not int and not isinstance(n, np.integer):
+            raise ContractViolation(f"{a.kind} count {n!r} is not an integer")
         if n < 0:
             raise ContractViolation(f"negative {a.kind} count")
         if a.kind == "fulfill":
@@ -278,8 +276,6 @@ def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetA
             if (c.dest != o.origin or c.eta > Lp
                     or c.battery < cost[o.origin][o.dest]):
                 raise ContractViolation(f"infeasible fulfill {c} -> {o}")
-            if o.origin == o.dest:
-                raise ContractViolation("intra-region trips are excluded")
             trip_usage[o] = trip_usage.get(o, 0) + n
         elif a.kind == "reposition":
             v = a.region

@@ -24,7 +24,8 @@ the tick, so its unit is taken once per epoch.
 
 Checks: run_epoch checks each policy choice against the action space and
 the mask it handed out. Every ``transition`` checks the fleet action with
-check_fleet_action and the next state with validate_state.
+check_fleet_action, the arrivals' shape and dtype, and the next state with
+validate_state.
 """
 
 from __future__ import annotations
@@ -124,9 +125,13 @@ def transition(
     fulfill takes its order out of the aged slot age + 1, or out of the
     abandoned count when its age is L_c; a charge moves a charger from the
     free slot 0 to slot J - 1, which for J = 1 is the same slot. Arrivals
-    fill the age-0 queues last, up to the cap, and the next state must pass
-    validate_state."""
+    fill the age-0 queues last, up to the cap; they must be a (V, V) integer
+    array, and the next state must pass validate_state."""
     check_fleet_action(config, state, action)
+    arrivals = np.asarray(arrivals)
+    if arrivals.shape != (config.num_regions,) * 2 or arrivals.dtype.kind not in "iu":
+        raise ContractViolation(f"arrivals of shape {arrivals.shape} and dtype "
+                                f"{arrivals.dtype}, not a (V, V) integer array")
     t = state.t
     info = StepInfo(reward=epoch_reward(config, action, t))
     vehicles0, trips0, chargers0 = state.vehicles, state.trips, state.chargers

@@ -32,7 +32,7 @@ from fleetlab.errors import (ContractViolation, InvalidArgument, StateSpaceTooLa
                              ValueIterationNotConverged)
 from fleetlab.fluid import FluidRoundingPolicy, upper_bound
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
-                            action_table, action_to_index, check_fleet_action,
+                            action_table, check_fleet_action,
                             epoch_reward, feasible_mask, fulfill)
 from fleetlab.scenarios import synth_scenario
 
@@ -121,8 +121,8 @@ def test_power_of_k_serves_queued_trip(tiny):
     policy.begin_epoch(tiny, state, rng)
     veh = VehicleStatus(0, 0, tiny.battery_capacity)
     mask = feasible_mask(tiny, state, veh)
-    assert policy.act(tiny, state, veh, mask, rng) == action_to_index(
-        tiny, fulfill(TripStatus(0, 1, 0)))
+    assert policy.act(tiny, state, veh, mask, rng) == action_table(tiny).index[
+        fulfill(TripStatus(0, 1, 0))]
 
 
 def test_power_of_k_passes_without_demand(tiny):
@@ -133,7 +133,7 @@ def test_power_of_k_passes_without_demand(tiny):
     policy.begin_epoch(tiny, state, rng)
     veh = VehicleStatus(0, 0, tiny.battery_capacity)
     mask = feasible_mask(tiny, state, veh)
-    assert policy.act(tiny, state, veh, mask, rng) == action_to_index(tiny, PASS)
+    assert policy.act(tiny, state, veh, mask, rng) == action_table(tiny).index[PASS]
 
 
 def test_power_of_k_beats_random(tiny):

@@ -17,7 +17,8 @@ from fleetlab.fluid import (
     build_reduced_lp,
     upper_bound,
 )
-from fleetlab.scenarios import synth_scenario
+from fleetlab.model import action_table
+from fleetlab.scenarios import TEMPLATES, synth_scenario
 from fleetlab.simplex import LpProblem, export_mps
 
 from conftest import random_config, tiny_config
@@ -160,6 +161,21 @@ def test_lp_shapes_scale_with_config(tiny):
     assert prob_r.shape[1] == len(idx_r)
     # the reduced form tracks aggregate battery, so it is no larger
     assert prob_r.shape[1] <= prob_f.shape[1]
+
+
+@pytest.mark.parametrize("formulation, kinds", [("full", "x y z w"),
+                                                ("reduced", "xb yb zb wb")])
+def test_every_lp_flow_names_an_action_table_row(formulation, kinds):
+    """Each vehicle flow of the LP, read through fluid._FLOWS, moves its
+    vehicle by a row of the action table, so LP flows and trajectories name
+    the same actions; each of the formulation's flow kinds occurs."""
+    for config in [synth_scenario(tpl, seed=0) for tpl in TEMPLATES] + [tiny_config()]:
+        _, index = fluid.build_lp(config, formulation)
+        rows = action_table(config).index
+        flows = [key for key in index if key[0] in fluid._FLOWS]
+        assert {key[0] for key in flows} == set(kinds.split())
+        for key in flows:
+            assert fluid._FLOWS[key[0]](config.charge_rates, key)[1] in rows, key
 
 
 # SHA-256 over A, objective, b, then the JSON of senses, the columns' names

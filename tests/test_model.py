@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fleetlab.errors import ConfigError, ContractViolation, InvalidArgument
+from fleetlab.errors import ContractViolation, InvalidArgument
 from fleetlab.model import (PASS, AtomicAction, FleetAction, SystemState,
                             TripStatus, VehicleStatus, action_count,
-                            action_table, action_to_index, atomic_reward, charge,
+                            action_table, atomic_reward, charge,
                             check_fleet_action, epoch_reward, feasible_mask,
                             fulfill, reposition, validate_state)
 from fleetlab.scenarios import TEMPLATES, synth_scenario
@@ -30,16 +31,8 @@ def test_action_index_bijection(tiny):
                 + [PASS])
         assert list(action_table(cfg).actions) == want
         assert len(want) == action_count(cfg)
-        assert [action_to_index(cfg, a) for a in want] == list(range(len(want)))
-        assert action_to_index(cfg, charge(np.int64(cfg.charge_rates[-1]))) == len(want) - 2
-
-
-def test_action_index_errors():
-    cfg = tiny_config(rates=(1, 2))
-    with pytest.raises(InvalidArgument, match="unknown atomic action kind"):
-        action_to_index(cfg, AtomicAction("teleport"))
-    with pytest.raises(ConfigError, match="unknown charge rate"):
-        action_to_index(cfg, charge(3))
+        assert [action_table(cfg).index[a] for a in want] == list(range(len(want)))
+        assert action_table(cfg).index[charge(np.int64(cfg.charge_rates[-1]))] == len(want) - 2
 
 
 def test_action_count_formula(tiny):
@@ -62,7 +55,7 @@ def test_feasible_mask_pass_always_allowed(tiny):
     state = initial_state(tiny)
     for unit, _ in state.status_groups():
         mask = feasible_mask(tiny, state, unit)
-        assert mask[action_to_index(tiny, PASS)]
+        assert mask[action_table(tiny).index[PASS]]
 
 
 def test_feasible_mask_requires_battery_and_queue(tiny):
@@ -75,9 +68,9 @@ def test_feasible_mask_requires_battery_and_queue(tiny):
     s2 = SystemState(state.t, vehicles, trips, state.chargers)
     mask = feasible_mask(tiny, s2, unit)
     # battery 0 < battery_cost 1: neither fulfill nor reposition allowed
-    assert not mask[action_to_index(tiny, fulfill(TripStatus(0, 1, 0)))]
-    assert not mask[action_to_index(tiny, reposition(1))]
-    assert mask[action_to_index(tiny, charge(tiny.charge_rates[0]))]
+    assert not mask[action_table(tiny).index[fulfill(TripStatus(0, 1, 0))]]
+    assert not mask[action_table(tiny).index[reposition(1)]]
+    assert mask[action_table(tiny).index[charge(tiny.charge_rates[0])]]
 
 
 def test_feasible_mask_busy_vehicle_only_passes_or_fulfills(tiny):
@@ -88,8 +81,8 @@ def test_feasible_mask_busy_vehicle_only_passes_or_fulfills(tiny):
     s2 = SystemState(state.t, vehicles, state.trips, state.chargers)
     busy = VehicleStatus(0, tiny.pickup_patience, tiny.battery_capacity)
     mask = feasible_mask(tiny, s2, busy)
-    assert not mask[action_to_index(tiny, reposition(1))]
-    assert not mask[action_to_index(tiny, charge(tiny.charge_rates[0]))]
+    assert not mask[action_table(tiny).index[reposition(1)]]
+    assert not mask[action_table(tiny).index[charge(tiny.charge_rates[0])]]
     very_busy = VehicleStatus(0, tiny.pickup_patience + 1, tiny.battery_capacity)
     mask2 = feasible_mask(tiny, s2, very_busy)
     assert mask2.sum() == 1                 # only pass
@@ -246,6 +239,19 @@ def test_feasible_actions_are_always_executable(seed):
 _A, _P, _Q, _L = (VehicleStatus(0, 0, 3), VehicleStatus(0, 1, 3),
                   VehicleStatus(0, 2, 3), VehicleStatus(0, 0, 0))
 _TRIP = TripStatus(0, 1, 0)
+
+
+def _outside(action):
+    """Vehicle A takes ``action``, which is not a row of the action table."""
+    return [(_A, action, 1)], re.escape(f"atomic action {action} is not in the action space")
+
+
+def _counts(n, *more):
+    """Vehicle A's one unit counted as ``n``, then ``more`` entries of A;
+    every other vehicle passes."""
+    return [(_A, PASS, n), *more] + [(c, PASS, 1) for c in (_P, _Q, _L)]
+
+
 _REJECTIONS = {
     "negative fulfill": ([(_A, fulfill(_TRIP), -1)], "negative fulfill count"),
     "negative reposition": ([(_A, reposition(1), -1)], "negative reposition count"),
@@ -271,6 +277,18 @@ _REJECTIONS = {
     "unknown kind": ([(_A, AtomicAction("teleport"), 1)], "unknown atomic action kind"),
     "negative unknown kind": ([(_A, AtomicAction("teleport"), -1)],
                               "unknown atomic action kind"),
+    # outside the table, whatever the kind; a charge at an unknown rate too
+    "trip age -1": _outside(fulfill(TripStatus(0, 1, -1))),
+    "trip age past L_c": _outside(fulfill(TripStatus(0, 1, 2))),
+    "trip destination -1": _outside(fulfill(TripStatus(0, -1, 0))),
+    "trip destination V": _outside(fulfill(TripStatus(0, 2, 0))),
+    "reposition -1": _outside(reposition(-1)),
+    "reposition -2": _outside(reposition(-2)),
+    "reposition V": _outside(reposition(2)),
+    "unknown charge rate": _outside(charge(5)),
+    "fractional split": (_counts(0.5, (_A, reposition(1), 0.5)),
+                         "pass count 0.5 is not an integer"),
+    "bool count": (_counts(True), "pass count True is not an integer"),
 }
 
 

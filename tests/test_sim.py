@@ -11,7 +11,7 @@ from fleetlab.config import DEFAULT_CHARGING_CURVE, curve_percent_after
 from fleetlab.errors import ContractViolation
 from fleetlab.fluid import FluidRoundingPolicy, FluidSolution, build_reduced_lp
 from fleetlab.model import (PASS, FleetAction, SystemState, TripStatus, VehicleStatus,
-                            action_count, action_table, action_to_index, all_pass_action,
+                            action_count, action_table, all_pass_action,
                             charge, feasible_mask, fulfill, landing)
 from fleetlab.ppo import NeuralPolicy, PpoConfig, init_networks
 from fleetlab.scenarios import TEMPLATES, synth_scenario
@@ -120,6 +120,22 @@ def test_admitted_arrivals_fill_each_queue_to_the_cap():
         nxt, _ = transition(cfg, s, all_pass_action(cfg, s), arrivals[k])
         np.testing.assert_array_equal(nxt.trips[:, :, 0], admitted_arrivals(
             cfg, arrivals[k], np.zeros((3, 3), dtype=np.int64)))
+
+
+@pytest.mark.parametrize("arrivals, shape, dtype", [
+    (np.array([1, 0]), (2,), "int64"),
+    (np.array([[0, 0.7], [0.9, 0]]), (2, 2), "float64"),
+    (np.zeros((2, 2), dtype=bool), (2, 2), "bool"),
+    (np.zeros((1, 2, 2), dtype=np.int64), (1, 2, 2), "int64"),
+], ids=["vector", "fractional", "bool", "stacked"])
+def test_transition_rejects_malformed_arrivals(tiny, arrivals, shape, dtype):
+    """Arrivals are one (V, V) integer matrix: a vector once broadcast into
+    a queue, and fractions once counted as arrived but admitted nothing."""
+    s = initial_state(tiny)
+    with pytest.raises(ContractViolation) as err:
+        transition(tiny, s, all_pass_action(tiny, s), arrivals)
+    assert str(err.value) == (f"arrivals of shape {shape} and dtype {dtype}, "
+                              "not a (V, V) integer array")
 
 
 @pytest.mark.parametrize("J", [1, 2])
@@ -408,7 +424,7 @@ def test_second_unit_sees_what_the_first_used_up(kind, left):
     trips[0, 1, 0] = 1 + left
     state = SystemState(0, vehicles, trips, s0.chargers)
     taken = fulfill(TripStatus(0, 1, 0)) if kind == "fulfill" else charge(cfg.charge_rates[0])
-    j, p = action_to_index(cfg, taken), action_to_index(cfg, PASS)
+    j, p = action_table(cfg).index[taken], action_table(cfg).index[PASS]
     policy = _Scripted([j, p])
     run_epoch(cfg, state, policy, np.random.default_rng(0))
     first, second = policy.masks
