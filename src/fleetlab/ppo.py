@@ -80,6 +80,13 @@ class NeuralPolicy:
     (observation, vehicle features, mask, time of day), the action index and
     its probability, so the trainer rebuilds ratios under identical inputs.
     The log keeps the mask it is handed, which run_epoch makes read-only.
+
+    A forced step, whose mask has one feasible entry, skips the network: the
+    masked softmax would give that entry probability exactly 1, and
+    ``rng.choice(n, p=one_hot)`` would return it after drawing exactly one
+    uniform, so the step draws that one uniform with ``rng.random()`` and
+    takes the entry. Every later draw, and so the whole rollout, is as if
+    the network had run. A forced step featurises only to fill the log.
     """
 
     def __init__(self, config: NetworkConfig, pset: nn.MlpSet, record: bool = False):
@@ -88,12 +95,19 @@ class NeuralPolicy:
         self.log: list[tuple[np.ndarray, np.ndarray, np.ndarray, int, int, float]] = []
 
     def act(self, config, work, vehicle, mask, rng):
-        obs = reduce_vector(config, work)
-        veh = vehicle_features(config, vehicle)
-        probs = nn.forward_policy(self.pset, obs, veh, mask, work.t)
-        idx = int(rng.choice(probs.size, p=probs))
+        forced = np.count_nonzero(mask) == 1
+        if self.record or not forced:
+            obs = reduce_vector(config, work)
+            veh = vehicle_features(config, vehicle)
+        if forced:
+            rng.random()
+            idx, prob = int(mask.argmax()), 1.0
+        else:
+            probs = nn.forward_policy(self.pset, obs, veh, mask, work.t)
+            idx = int(rng.choice(probs.size, p=probs))
+            prob = float(probs[idx])
         if self.record:
-            self.log.append((obs, veh, mask, work.t, idx, float(probs[idx])))
+            self.log.append((obs, veh, mask, work.t, idx, prob))
         return idx
 
 

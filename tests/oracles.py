@@ -288,3 +288,29 @@ def truncated_rollout(start, outcomes, decide, transition, rng, chains, warmup, 
                     total += reward
         means.append(total / days)
     return means
+
+
+# -- the neural sampler, every step through the network ------------------------------
+
+
+class AlwaysForwardPolicy:
+    """A masked-softmax sampler that runs the network on every atomic step,
+    a forced one (one feasible entry) too: ``featurise(config, work,
+    vehicle)`` gives the (observation, vehicle features) pair, ``forward(obs,
+    veh, mask, t)`` the action probabilities, and ``rng.choice`` draws the
+    index. With ``record`` it logs (obs, veh, mask, t, index, probability)
+    per step, as the library's sampler does."""
+
+    def __init__(self, featurise, forward, record=False):
+        self.featurise = featurise
+        self.forward = forward
+        self.record = record
+        self.log = []
+
+    def act(self, config, work, vehicle, mask, rng):
+        obs, veh = self.featurise(config, work, vehicle)
+        probs = self.forward(obs, veh, mask, work.t)
+        idx = int(rng.choice(probs.size, p=probs))
+        if self.record:
+            self.log.append((obs, veh, mask, work.t, idx, float(probs[idx])))
+        return idx

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from fleetlab import nn, ppo, sim
-from fleetlab.errors import ContractViolation, InvalidArgument
-from fleetlab.model import action_count
-from fleetlab.reduce import obs_dim, vehicle_feature_dim
+from fleetlab.errors import ContractViolation, InvalidArgument, TrainingDiagnostic
+from fleetlab.model import action_count, feasible_mask
+from fleetlab.reduce import obs_dim, reduce_vector, vehicle_feature_dim, vehicle_features
+from fleetlab.scenarios import synth_scenario
+from fleetlab.sim import WorkingState, initial_state
 
 from conftest import float64_copy, tiny_config
-from oracles import central_difference
+from oracles import AlwaysForwardPolicy, central_difference
 
 
 def test_clip_schedule_decays_geometrically_to_floor():
@@ -92,6 +94,107 @@ def test_collect_trajectory_rejects_a_log_shorter_than_the_records(tiny, monkeyp
     pset, _ = ppo.init_networks(tiny, ppo.PpoConfig(hidden=8))
     with pytest.raises(ContractViolation, match="logged samples"):
         ppo.collect_trajectory(tiny, pset, 1, np.random.default_rng(0))
+
+
+def _always_forward(pset, record=False):
+    """The reference sampler over ``pset``: the network runs on every step."""
+    return AlwaysForwardPolicy(
+        lambda config, work, vehicle: (reduce_vector(config, work),
+                                       vehicle_features(config, vehicle)),
+        lambda obs, veh, mask, t: nn.forward_policy(pset, obs, veh, mask, t), record)
+
+
+@pytest.mark.parametrize("scenario", ["tiny", "two-region-commute"])
+def test_rollouts_match_the_always_forward_reference(scenario, monkeypatch):
+    """Forced steps skip the network yet draw the one uniform rng.choice
+    would, so collected trajectories and evaluation scores are bit for bit
+    those of a sampler that runs the network on every step."""
+    cfg = tiny_config() if scenario == "tiny" else synth_scenario(scenario, seed=1)
+    pset, _ = ppo.init_networks(cfg, ppo.PpoConfig(seed=1, hidden=8))
+    got = ppo.collect_trajectory(cfg, pset, 2, np.random.default_rng(3))
+    got_eval = ppo.evaluate_policy(cfg, ppo.NeuralPolicy(cfg, pset), 2, seed=5)
+    want_eval = ppo.evaluate_policy(cfg, _always_forward(pset), 2, seed=5)
+    monkeypatch.setattr(ppo, "NeuralPolicy",
+                        lambda config, pset, record=False: _always_forward(pset, record))
+    want = ppo.collect_trajectory(cfg, pset, 2, np.random.default_rng(3))
+    forced = got.mask.sum(axis=1) == 1
+    assert 0 < forced.sum() < len(got)          # both kinds of step occur
+    for f in dataclasses.fields(ppo.EpisodeTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    assert json.dumps(got_eval, sort_keys=True) == json.dumps(want_eval, sort_keys=True)
+
+
+def test_a_forced_step_skips_the_network(tiny, monkeypatch):
+    """A mask with one feasible entry returns that entry with probability 1
+    after one uniform, without a forward, and featurises only to log."""
+    calls = {"reduce_vector": 0, "forward_policy": 0}
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ppo, "reduce_vector")
+    counting(nn, "forward_policy")
+    pset, _ = ppo.init_networks(tiny, ppo.PpoConfig(hidden=6))
+    state = initial_state(tiny)
+    work = WorkingState(state)
+    vehicle = state.status_groups()[0][0]
+    free = feasible_mask(tiny, work, vehicle)
+    assert free.sum() > 1
+    for at in (len(free) - 1, 2):               # Pass, or any lone entry
+        forced = np.zeros_like(free)
+        forced[at] = True
+        for record in (False, True):
+            policy = ppo.NeuralPolicy(tiny, pset, record)
+            rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+            calls.update(reduce_vector=0, forward_policy=0)
+            assert policy.act(tiny, work, vehicle, forced, rng) == at
+            assert calls == {"reduce_vector": int(record), "forward_policy": 0}
+            twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            if record:
+                (obs, veh, mask, t, idx, prob), = policy.log
+                assert obs.tobytes() == reduce_vector(tiny, work).tobytes()
+                assert veh.tobytes() == vehicle_features(tiny, vehicle).tobytes()
+                assert (mask is forced, t, idx, prob) == (True, state.t, at, 1.0)
+    calls.update(reduce_vector=0, forward_policy=0)
+    ppo.NeuralPolicy(tiny, pset).act(tiny, work, vehicle, free, np.random.default_rng(4))
+    assert calls == {"reduce_vector": 1, "forward_policy": 1}
+
+
+@pytest.mark.parametrize("n, at", [(1, 0), (2, 1), (7, 0), (7, 3), (40, 39)])
+def test_one_uniform_is_what_a_one_hot_choice_draws(n, at):
+    """The numpy behaviour forced-step elision rests on: rng.choice(n, p)
+    with a one-hot p returns the hot entry and advances the generator by
+    exactly what one rng.random() does."""
+    a, b = np.random.default_rng(17), np.random.default_rng(17)
+    p = np.zeros(n)
+    p[at] = 1.0
+    for _ in range(5):
+        a.random()
+        assert b.choice(n, p=p) == at
+        assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+
+
+def test_a_nan_weight_still_raises(tiny, monkeypatch):
+    """Forced steps no longer reach the network, but the other steps do, so
+    a non-finite policy still stops evaluation and training."""
+    pcfg = ppo.PpoConfig(policy_iterations=1, trajectories_per_iter=1, days_per_trajectory=1,
+                         hidden=6, eval_days=1, value_update_steps=1, policy_update_steps=1)
+    pset, vset = ppo.init_networks(tiny, pcfg)
+    pset.flat[0] = np.nan                       # one weight of the t = 0 net
+    with pytest.raises(TrainingDiagnostic, match="non-finite network output"):
+        ppo.evaluate_policy(tiny, ppo.NeuralPolicy(tiny, pset), 1, seed=0)
+    monkeypatch.setattr(ppo, "init_networks", lambda config, ppo_config: (pset, vset))
+    with pytest.raises(TrainingDiagnostic, match="non-finite network output"):
+        ppo.train(tiny, pcfg)
 
 
 def test_estimate_g_is_mean_daily_reward(tiny):
