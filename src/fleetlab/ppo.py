@@ -13,6 +13,11 @@ Both network sets hold one net per time-of-day step, and each keeps one Adam
 state over its flat float32 parameter buffer across iterations. The pooled
 observations are cast to the networks' dtype once per iteration; the loss
 heads compute targets, ratios and advantages in float64.
+
+A forced atomic step, whose mask leaves one action, has probability exactly 1
+and policy gradient exactly 0, so neither the sampler nor the update runs the
+network on it. The sampler still draws the one uniform that rng.choice would
+have drawn, so the random stream, and with it every rollout, is unchanged.
 """
 
 from __future__ import annotations
@@ -219,7 +224,14 @@ class PolicyUpdateStats:
 def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
                advantages: np.ndarray, eps_m: float, ppo: PpoConfig,
                rng: np.random.Generator) -> PolicyUpdateStats:
-    """Clipped-surrogate ascent over the pooled atomic dataset."""
+    """Clipped-surrogate ascent over the pooled atomic dataset.
+
+    A forced row, whose logged mask has one feasible entry and whose logged
+    action is that entry, has probability exactly 1 under any network, so
+    its d(surrogate)/d(logits) is exactly 0. It skips the network: it counts
+    in its minibatch's size, and its surrogate term and clip flag are those
+    of rho = 1 / old_prob, as the network pass would give. Only the rows
+    left go through ``grouped_gradient``."""
     obs = np.vstack([tr.obs for tr in traces])
     veh = np.vstack([tr.veh for tr in traces])
     mask = np.vstack([tr.mask for tr in traces])
@@ -235,11 +247,14 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
 
     n = len(act)
     xfull = np.hstack([obs, veh], dtype=pset.flat.dtype)
+    forced = (mask.sum(axis=1) == 1) & mask[np.arange(n), act]
     clip_fracs, surrogates = [], []
     for _ in range(ppo.policy_update_steps):
         idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)
-        clipped_ct = 0
-        surrogate_sum = 0.0
+        lone = idx[forced[idx]]
+        terms, clipped = surrogate_terms(1.0 / old_prob[lone], advantages[lone], eps_m)
+        clipped_ct = int(clipped.sum())
+        surrogate_sum = float(terms.sum())
 
         def head(sel, logits):
             nonlocal clipped_ct, surrogate_sum
@@ -263,7 +278,7 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
             dlogits[np.arange(len(sel)), act[sel]] += coef
             return -dlogits                     # ascend: negate for Adam
 
-        grad = pset.grouped_gradient(xfull, t, idx, head)
+        grad = pset.grouped_gradient(xfull, t, idx[~forced[idx]], head)
         clip_fracs.append(clipped_ct / len(idx))
         surrogates.append(surrogate_sum / len(idx))
         nn.adam_step(pset.flat, grad, adam, ppo.lr_policy)

@@ -314,3 +314,52 @@ class AlwaysForwardPolicy:
         if self.record:
             self.log.append((obs, veh, mask, work.t, idx, float(probs[idx])))
         return idx
+
+
+def always_forward_update(pset, adam, traces, advantages, eps_m, ppo, rng, surrogate_terms,
+                          adam_step):
+    """One clipped-surrogate update as the library's ppo_update does it, but
+    with every kept row of every minibatch through the network, forced rows
+    too: rows with old_prob <= 1e-12 are dropped, each of
+    ``ppo.policy_update_steps`` minibatches of ``ppo.batch_policy`` rows is
+    drawn by ``rng.choice`` without replacement, and ``adam_step(flat, grad,
+    adam, lr)`` ascends the mean clipped surrogate that ``surrogate_terms(rho,
+    adv, eps)`` gives per row. Returns (clip fraction, surrogate, dropped)."""
+    obs = np.vstack([tr.obs for tr in traces])
+    veh = np.vstack([tr.veh for tr in traces])
+    mask = np.vstack([tr.mask for tr in traces])
+    t = np.concatenate([tr.t for tr in traces])
+    act = np.concatenate([tr.action for tr in traces])
+    old_prob = np.concatenate([tr.old_prob for tr in traces])
+    keep = old_prob > 1e-12
+    obs, veh, mask, t, act = obs[keep], veh[keep], mask[keep], t[keep], act[keep]
+    old_prob, advantages = old_prob[keep], advantages[keep]
+    n = len(act)
+    x = np.hstack([obs, veh], dtype=pset.flat.dtype)
+    clip_fracs, surrogates = [], []
+    for _ in range(ppo.policy_update_steps):
+        idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)
+        sums = {"clipped": 0, "surrogate": 0.0}
+
+        def head(sel, logits):
+            m = mask[sel]
+            z = np.where(m, logits.astype(np.float64), -np.inf)
+            z = z - z.max(axis=1, keepdims=True)
+            ez = np.where(m, np.exp(z), 0.0)
+            p = ez / ez.sum(axis=1, keepdims=True)
+            rho = p[np.arange(len(sel)), act[sel]] / old_prob[sel]
+            adv = advantages[sel]
+            terms, clipped = surrogate_terms(rho, adv, eps_m)
+            sums["clipped"] += int(clipped.sum())
+            sums["surrogate"] += float(terms.sum())
+            coef = np.where(clipped, 0.0, adv * rho) / len(idx)
+            dlogits = -coef[:, None] * p
+            dlogits[np.arange(len(sel)), act[sel]] += coef
+            return -dlogits
+
+        grad = pset.grouped_gradient(x, t, idx, head)
+        clip_fracs.append(sums["clipped"] / len(idx))
+        surrogates.append(sums["surrogate"] / len(idx))
+        adam_step(pset.flat, grad, adam, ppo.lr_policy)
+    return (float(np.mean(clip_fracs)) if clip_fracs else 0.0,
+            float(np.mean(surrogates)) if surrogates else 0.0, int((~keep).sum()))

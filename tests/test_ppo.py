@@ -16,7 +16,7 @@ from fleetlab.scenarios import synth_scenario
 from fleetlab.sim import WorkingState, initial_state
 
 from conftest import float64_copy, tiny_config
-from oracles import AlwaysForwardPolicy, central_difference
+from oracles import AlwaysForwardPolicy, always_forward_update, central_difference
 
 
 def test_clip_schedule_decays_geometrically_to_floor():
@@ -328,6 +328,61 @@ def test_ppo_update_drops_vanishing_old_probabilities(tiny):
     np.testing.assert_array_equal(flat_t, flat_c)
 
 
+def test_forced_rows_skip_the_network_in_the_update(tiny):
+    """Rows with one feasible action, the one taken, leave the network pass
+    of ppo_update, and the update still agrees with one that runs every row
+    through it: Adam's first moment to float32 rounding (the grouped
+    products round with their row counts), the clip fraction and the dropped
+    count exactly, the surrogate to 1e-12. A forced row may have old_prob
+    below 1 (rho above 1, so the clip can bind); a row whose one feasible
+    action is not its logged action stays in the network pass."""
+    pcfg = ppo.PpoConfig(seed=4, hidden=8, lr_policy=0.0, policy_update_steps=6,
+                         batch_policy=60)
+    _, _, trace = _collect(tiny, seed=4, days=12, hidden=8)
+    rng = np.random.default_rng(21)
+    n = len(trace)
+    forced = trace.mask.sum(axis=1) == 1
+    free = np.flatnonzero(~forced & (trace.action != trace.mask.shape[1] - 1))
+    mask, old_prob = trace.mask.copy(), trace.old_prob * rng.uniform(0.8, 1.2, size=n)
+    odd = free[0]                               # one feasible action, not the logged one
+    mask[odd] = False
+    mask[odd, -1] = True
+    old_prob[free[1]] = 0.0                     # dropped
+    tr = dataclasses.replace(trace, mask=mask, old_prob=old_prob)
+    adv = rng.normal(size=n)
+    adv[odd] = -1.0                             # rho = 0 with A < 0: the clip binds
+    elided = forced & (old_prob > 0)
+    assert elided.sum() > 10 and (old_prob[elided] != 1.0).all()
+
+    pset, _ = ppo.init_networks(tiny, pcfg)
+    seen = []
+    grouped_gradient = pset.grouped_gradient
+
+    def recording(x, t, rows, head):
+        seen.append(rows)
+        return grouped_gradient(x, t, rows, head)
+
+    pset.grouped_gradient = recording
+    adam = nn.AdamState.for_set(pset)
+    stats = ppo.ppo_update(pset, adam, [tr], adv, 0.2, pcfg, np.random.default_rng(6))
+    ref_set, _ = ppo.init_networks(tiny, pcfg)
+    ref_adam = nn.AdamState.for_set(ref_set)
+    clip_fraction, surrogate, dropped = always_forward_update(
+        ref_set, ref_adam, [tr], adv, 0.2, pcfg, np.random.default_rng(6),
+        ppo.surrogate_terms, nn.adam_step)
+
+    # the kept rows are renumbered once the dropped row leaves
+    kept = np.flatnonzero(old_prob > 1e-12)
+    rows = kept[np.concatenate(seen)]
+    assert not elided[rows].any() and odd in rows
+    assert (stats.clip_fraction, stats.dropped) == (clip_fraction, dropped)
+    assert 0.0 < clip_fraction < 1.0 and dropped == 1
+    assert stats.surrogate == pytest.approx(surrogate, rel=1e-12, abs=0.0)
+    scale = np.abs(ref_adam.m).max()
+    assert scale > 0
+    np.testing.assert_allclose(adam.m, ref_adam.m, rtol=1e-5, atol=1e-6 * scale)
+
+
 def test_surrogate_reports_the_minibatch_mean_at_zero_step_size(tiny):
     """With lr_policy 0 the policy never moves, so rho stays 1 up to float32
     rounding and each step's clipped surrogate is its minibatch's mean
@@ -449,9 +504,13 @@ def test_training_keeps_every_buffer_float32(tiny, monkeypatch):
 # BLAS or tanh may round differently. The reports' digest was re-recorded
 # alone when `surrogate` became the mean clipped surrogate of the update's
 # minibatches (it was the mean of the normalised advantages, rounding noise).
+# The reports' and the policy's digests were re-recorded when ppo_update's
+# forced rows left the network pass: its grouped products then have fewer
+# rows and round differently in the last bits, so the policy weights and
+# the reported surrogates move by float32 rounding; the value set held.
 GOLDEN_TRAIN_DIGESTS = (
-    "68515706f66750e2439dba10c988587d928080da557f3609f78786acb95f8905",
-    "3831c7674fe49460f74593e7818236f96a7773555f8572d6a8f60fdf0cd9c8c4",
+    "a7954947339735945e1ed3d94846843f7d4d640a19a80a32cf66686c33de8d43",
+    "f404d9cf408b5275cfc51d4aacc65a098ad0c828cfd9aacf91602f3aa7bb1a18",
     "9fe9e9ca35eca9bf17da5e90804a579cf4e69966ffaa87aab5d18b69d3528927",
 )
 
