@@ -250,24 +250,47 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
     return mask
 
 
+def _integers(values) -> bool:
+    """Every value is an int or numpy integer, not a bool."""
+    for x in values:
+        if type(x) is not int and not isinstance(x, np.integer):
+            return False
+    return True
+
+
+def _integer_fields(a: AtomicAction) -> bool:
+    """The trip, region and rate that ``a`` names are integers."""
+    if a.trip is not None and not (isinstance(a.trip, TripStatus) and _integers(a.trip)):
+        return False
+    return _integers(x for x in (a.region, a.rate) if x is not None)
+
+
 def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetAction) -> None:
-    """Verify a fleet flow: its actions are action-table rows and its counts
-    integers, against the per-status feasibility and resource caps."""
+    """Verify a fleet flow: its statuses, actions and counts are integers and
+    its actions action-table rows, against the per-status feasibility and
+    resource caps. Membership compares by value, so an action with a float or
+    bool field equal to a row's field would pass it; the field check stops it."""
     Lp = config.pickup_patience
     cost = config.lists.battery_cost
-    index = action_table(config).index
+    table = action_table(config)
     outgoing: dict[VehicleStatus, int] = {}
     trip_usage: dict[TripStatus, int] = {}
     charger_usage: dict[tuple[int, int], int] = {}
     for (c, a), n in action.counts.items():
-        if a not in index:
+        row = table.index.get(a)
+        if row is None:
             if a.kind not in ACTION_KINDS:
                 raise ContractViolation(f"unknown atomic action kind {a.kind!r}")
             if a.kind == "fulfill" and isinstance(a.trip, TripStatus) and a.trip[0] == a.trip[1]:
                 raise ContractViolation("intra-region trips are excluded")
             raise ContractViolation(f"atomic action {a} is not in the action space")
+        if not (isinstance(c, VehicleStatus) and _integers(c)):
+            raise ContractViolation(f"vehicle status {c!r} is not a VehicleStatus of integers")
+        # the table's own rows, which policies return, need no field check
+        if a is not table.actions[row] and not _integer_fields(a):
+            raise ContractViolation(f"atomic action {a!r} has fields that are not integers")
         # counts are whole vehicles: a fractional split can conserve the flow
-        if type(n) is not int and not isinstance(n, np.integer):
+        if not _integers((n,)):
             raise ContractViolation(f"{a.kind} count {n!r} is not an integer")
         if n < 0:
             raise ContractViolation(f"negative {a.kind} count")

@@ -289,6 +289,19 @@ _REJECTIONS = {
     "fractional split": (_counts(0.5, (_A, reposition(1), 0.5)),
                          "pass count 0.5 is not an integer"),
     "bool count": (_counts(True), "pass count True is not an integer"),
+    # a float or bool field equals a row's and passes the membership test
+    "float reposition": ([(_A, reposition(1.0), 1)], re.escape(
+        f"atomic action {reposition(1.0)!r} has fields that are not integers")),
+    "bool reposition": ([(_A, reposition(True), 1)], re.escape(
+        f"atomic action {reposition(True)!r} has fields that are not integers")),
+    "float trip age": ([(_A, fulfill(TripStatus(0, 1, 0.0)), 1)], re.escape(
+        f"atomic action {fulfill(TripStatus(0, 1, 0.0))!r} has fields that are not integers")),
+    "float status": ([(VehicleStatus(0.0, 0, 3), PASS, 1)], re.escape(
+        "vehicle status VehicleStatus(dest=0.0, eta=0, battery=3) is not a VehicleStatus "
+        "of integers")),
+    "bool status": ([(VehicleStatus(False, 0, 3), PASS, 1)], re.escape(
+        "vehicle status VehicleStatus(dest=False, eta=0, battery=3) is not a VehicleStatus "
+        "of integers")),
 }
 
 
@@ -296,8 +309,9 @@ def _fleet_action(entries) -> FleetAction:
     return FleetAction({(c, a): n for c, a, n in entries})
 
 
-@pytest.mark.parametrize("case", sorted(_REJECTIONS))
-def test_check_fleet_action_rejections(case):
+def _four_vehicle_state():
+    """The config and state the rejection cases edit: A, P, Q and L, one
+    order queued each way."""
     cfg = tiny_config(N=4)
     vehicles = np.zeros((2, cfg.eta_cap + 1, cfg.battery_capacity + 1), dtype=np.int64)
     for c in (_A, _P, _Q, _L):
@@ -306,7 +320,26 @@ def test_check_fleet_action_rejections(case):
     trips[0, 1, 0] = trips[1, 0, 0] = 1
     state = SystemState(0, vehicles, trips, initial_state(cfg).chargers)
     validate_state(cfg, state)
+    return cfg, state
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTIONS))
+def test_check_fleet_action_rejections(case):
+    cfg, state = _four_vehicle_state()
     check_fleet_action(cfg, state, _fleet_action([(c, PASS, 1) for c in (_A, _P, _Q, _L)]))
     entries, message = _REJECTIONS[case]
     with pytest.raises(ContractViolation, match=message):
         check_fleet_action(cfg, state, _fleet_action(entries))
+
+
+def test_check_fleet_action_accepts_numpy_integer_fields():
+    """Statuses, actions and counts built of numpy integers are integers."""
+    from fleetlab.sim import transition
+    cfg, state = _four_vehicle_state()
+    i32, i64 = np.int32, np.int64
+    fa = _fleet_action([(VehicleStatus(i64(0), i64(0), i64(3)), reposition(i64(1)), i64(1)),
+                        (_P, fulfill(TripStatus(i32(0), i32(1), i64(0))), 1),
+                        (_Q, PASS, i32(1)), (_L, charge(i64(1)), 1)])
+    check_fleet_action(cfg, state, fa)
+    nxt, _ = transition(cfg, state, fa, np.zeros((2, 2), dtype=np.int64))
+    assert nxt.vehicles.sum() == 4 and nxt.trips[0, 1].sum() == 0
