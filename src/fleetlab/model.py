@@ -250,19 +250,16 @@ def feasible_mask(config: NetworkConfig, state: SystemState, vehicle: VehicleSta
     return mask
 
 
-def _integers(values) -> bool:
-    """Every value is an int or numpy integer, not a bool."""
-    for x in values:
-        if type(x) is not int and not isinstance(x, np.integer):
-            return False
-    return True
+def _integer(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return type(x) is int or isinstance(x, np.integer)
 
 
 def _integer_fields(a: AtomicAction) -> bool:
     """The trip, region and rate that ``a`` names are integers."""
-    if a.trip is not None and not (isinstance(a.trip, TripStatus) and _integers(a.trip)):
+    if a.trip is not None and not (isinstance(a.trip, TripStatus) and all(map(_integer, a.trip))):
         return False
-    return _integers(x for x in (a.region, a.rate) if x is not None)
+    return all(_integer(x) for x in (a.region, a.rate) if x is not None)
 
 
 def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetAction) -> None:
@@ -284,13 +281,13 @@ def check_fleet_action(config: NetworkConfig, state: SystemState, action: FleetA
             if a.kind == "fulfill" and isinstance(a.trip, TripStatus) and a.trip[0] == a.trip[1]:
                 raise ContractViolation("intra-region trips are excluded")
             raise ContractViolation(f"atomic action {a} is not in the action space")
-        if not (isinstance(c, VehicleStatus) and _integers(c)):
+        if not (isinstance(c, VehicleStatus) and all(map(_integer, c))):
             raise ContractViolation(f"vehicle status {c!r} is not a VehicleStatus of integers")
         # the table's own rows, which policies return, need no field check
         if a is not table.actions[row] and not _integer_fields(a):
             raise ContractViolation(f"atomic action {a!r} has fields that are not integers")
         # counts are whole vehicles: a fractional split can conserve the flow
-        if not _integers((n,)):
+        if not _integer(n):
             raise ContractViolation(f"{a.kind} count {n!r} is not an integer")
         if n < 0:
             raise ContractViolation(f"negative {a.kind} count")

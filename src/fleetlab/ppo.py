@@ -251,8 +251,8 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
     clip_fracs, surrogates = [], []
     for _ in range(ppo.policy_update_steps):
         idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)
-        lone = idx[forced[idx]]
-        terms, clipped = surrogate_terms(1.0 / old_prob[lone], advantages[lone], eps_m)
+        skip = forced[idx]
+        terms, clipped = surrogate_terms(1.0 / old_prob[idx[skip]], advantages[idx[skip]], eps_m)
         clipped_ct = int(clipped.sum())
         surrogate_sum = float(terms.sum())
 
@@ -278,7 +278,7 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
             dlogits[np.arange(len(sel)), act[sel]] += coef
             return -dlogits                     # ascend: negate for Adam
 
-        grad = pset.grouped_gradient(xfull, t, idx[~forced[idx]], head)
+        grad = pset.grouped_gradient(xfull, t, idx[~skip], head)
         clip_fracs.append(clipped_ct / len(idx))
         surrogates.append(surrogate_sum / len(idx))
         nn.adam_step(pset.flat, grad, adam, ppo.lr_policy)
