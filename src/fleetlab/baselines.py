@@ -357,7 +357,7 @@ class _Expander:
         if unit is None:
             a = self.actions[i]
             # every vehicle passes but one of status c, which takes a
-            action = all_pass_action(self.config, state)
+            action = all_pass_action(state)
             action.counts[(c, PASS)] -= 1
             action.add_atomic(c, a)
             nxt, info = transition(self.config, state, action, self.zero_arrivals)

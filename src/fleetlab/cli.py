@@ -152,14 +152,15 @@ def parse_policy(token: str):
 
 def evaluate(config: NetworkConfig, label: str, policy, trajectories: int,
              days: int, seed: int, jobs: int = 1) -> dict:
-    """Independent seeded trajectories of one policy instance; results
-    identical for any job count. Sharing the instance is safe: the
-    intent-queue policies refill their queues in every begin_epoch, and a
-    NeuralPolicy that does not record holds no state."""
+    """Independent seeded trajectories of one policy instance, on at most
+    ``jobs`` worker processes and one per CPU; results identical for any
+    job count. Sharing the instance is safe: the intent-queue policies
+    refill their queues in every begin_epoch, and a NeuralPolicy that does
+    not record holds no state."""
     score = partial(sim.score_trajectory, config, policy, days)
     seeds = [(seed, 5, k, 11) for k in range(trajectories)]
-    if jobs > 1 and trajectories > 1:
-        workers = min(jobs, trajectories)
+    workers = min(jobs, trajectories, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # one chunk per worker, so each receives the policy once
             results = list(pool.map(score, seeds, chunksize=math.ceil(trajectories / workers)))
@@ -415,7 +416,7 @@ def _add_eval_args(p):
     p.add_argument("--days", type=positive_int, default=10,
                    help="days per trajectory")
     p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
-                   help="worker processes for independent trajectories")
+                   help="worker processes for independent trajectories, at most one per CPU")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,7 +516,9 @@ def main(argv=None) -> int:
         print(f"error: missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (LpInfeasible, LpUnbounded, TrainingDiagnostic, ContractViolation,
-            StateSpaceTooLarge) as exc:
+            StateSpaceTooLarge, OverflowError) as exc:
+        # OverflowError: a valid config's one-day rewards are finite, a sum
+        # over many days may not be
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, FleetlabError) as exc:

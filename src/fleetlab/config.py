@@ -46,6 +46,11 @@ def _table(dtype, axes: str):
 #: The size fields, which serialise under "dims".
 _DIMS = ("num_regions", "fleet_size", "battery_capacity", "horizon_steps")
 
+#: The reward tables; a day earns at most N * T times their largest |entry|.
+_REWARDS = ("trip_reward", "reposition_reward", "charge_reward")
+#: The largest mean numpy's Poisson sampler takes, INT64_MAX - 10 sqrt(INT64_MAX).
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 class TableLists(NamedTuple):
     """The tables that per-vehicle code reads one entry at a time, as nested
@@ -167,6 +172,8 @@ class NetworkConfig:
                 problems.append("arrival_rate must be nonnegative")
         if self.charge_period <= self.pickup_patience:
             problems.append("charge_period must exceed pickup_patience")
+        if (self.arrival_rate > _POISSON_MAX).any():
+            problems.append(f"arrival_rate must not exceed {_POISSON_MAX!r}, numpy's Poisson limit")
         if (np.diagonal(self.arrival_rate, axis1=0, axis2=1) != 0).any():
             problems.append("intra-region trips are excluded: arrival_rate diagonal must be 0")
         if (np.diagonal(self.battery_cost) != 0).any():
@@ -185,6 +192,10 @@ class NetworkConfig:
             problems.append("patience windows must be nonnegative")
         if self.trip_cap > np.iinfo(np.int64).max:
             problems.append("fleet_size * (connection_patience + 1) must fit an int64 count")
+        elif not np.isfinite(self.fleet_size * T * max(   # N < 2**63 here: it converts to a float
+                float(np.abs(getattr(self, f)).max(initial=0.0)) for f in _REWARDS)):
+            problems.append(f"{', '.join(_REWARDS)}: a day's largest reward, "
+                            "N * T * max |entry|, must be finite")
         if self.charging_curve is not None:
             bounds = [p for p, _ in self.charging_curve]
             if bounds != sorted(bounds) or bounds[-1:] != [100.0] or any(s <= 0 for _, s in self.charging_curve):

@@ -133,7 +133,7 @@ class FleetAction:
         self.counts[k] = self.counts.get(k, 0) + 1
 
 
-def all_pass_action(config: NetworkConfig, state: SystemState) -> FleetAction:
+def all_pass_action(state: SystemState) -> FleetAction:
     return FleetAction({(c, PASS): n for c, n in state.statuses()})
 
 

@@ -158,15 +158,17 @@ class Mlp:
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over unmasked entries, in float64 whatever the logits' dtype;
-    masked entries exactly 0."""
-    if not mask.any():
+    """Softmax over the unmasked entries of one row (n,) or of each row of a
+    batch (m, n), in float64 whatever the logits' dtype; masked entries are
+    exactly 0. A row sums its exponentials with the masked zeros in place,
+    so a batch gives each row the bits of a one-row call."""
+    if not mask.any(axis=-1).all():
         raise ContractViolation("feasibility mask is empty")
-    probs = np.zeros(logits.shape)
-    z = logits[mask].astype(np.float64, copy=False)
-    z = np.exp(z - z.max())
-    probs[mask] = z / z.sum()
-    return probs
+    z = np.where(mask, logits.astype(np.float64, copy=False), -np.inf)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 @dataclass

@@ -9,10 +9,11 @@ mean(min(rho*A, clip(rho, 1-eps, 1+eps)*A)) with a decaying clip radius
 eps_m = max(eps * gamma^m, floor). Advantages are normalised to zero mean and
 unit variance over each iteration's pooled samples (Schulman et al. 2017).
 
-Both network sets hold one net per time-of-day step, and each keeps one Adam
-state over its flat float32 parameter buffer across iterations. The pooled
-observations are cast to the networks' dtype once per iteration; the loss
-heads compute targets, ratios and advantages in float64.
+An iteration's K trajectories form one table, ``EpisodeTrace``, whose float32
+block ``x`` holds every sample's network input: observation columns, then
+vehicle columns. Both network sets hold one net per time-of-day step, and
+each keeps one Adam state over its flat float32 parameter buffer across
+iterations. The loss heads compute targets, ratios and advantages in float64.
 
 A forced atomic step, whose mask leaves one action, has probability exactly 1
 and policy gradient exactly 0, so neither the sampler nor the update runs the
@@ -118,20 +119,34 @@ class NeuralPolicy:
 
 @dataclass
 class EpisodeTrace:
-    """Flat per-atomic-step arrays for one K-trajectory member."""
+    """One row per atomic step of K trajectories of D days, one after
+    another: L = K * D * T * N rows; the terminal fields have K."""
 
-    obs: np.ndarray          # (L, obs_dim)
-    veh: np.ndarray          # (L, veh_dim)
+    x: np.ndarray            # (L, obs_dim + veh_dim) float32 network input
     mask: np.ndarray         # (L, n_actions) bool
     t: np.ndarray            # (L,) time of day
     action: np.ndarray       # (L,) atomic action index
     old_prob: np.ndarray     # (L,)
     reward: np.ndarray       # (L,)
-    terminal_obs: np.ndarray
-    terminal_t: int
+    terminal_obs: np.ndarray  # (K, obs_dim) float32, after each last step
+    terminal_t: np.ndarray   # (K,)
 
     def __len__(self) -> int:
         return self.action.size
+
+    @property
+    def obs(self) -> np.ndarray:
+        """The observation columns of ``x``, a view."""
+        return self.x[:, :self.terminal_obs.shape[1]]
+
+    @classmethod
+    def stack(cls, traces: list["EpisodeTrace"]) -> "EpisodeTrace":
+        """One table of the rows of one or more equally long traces, in order."""
+        if len({len(tr) for tr in traces}) != 1:
+            raise InvalidArgument(f"need one or more traces of one length, got lengths "
+                                  f"{[len(tr) for tr in traces]}")
+        return cls(*(np.concatenate([getattr(tr, f.name) for tr in traces])
+                     for f in fields(cls)))
 
 
 def collect_trajectory(config: NetworkConfig, pset: nn.MlpSet, days: int,
@@ -145,37 +160,35 @@ def collect_trajectory(config: NetworkConfig, pset: nn.MlpSet, days: int,
     obs, veh, mask, t, act, prob = zip(*policy.log)
     final = day_traces[-1].states[-1]
     return EpisodeTrace(
-        obs=np.asarray(obs),
-        veh=np.asarray(veh),
+        x=np.hstack([np.asarray(obs), np.asarray(veh)], dtype=np.float32),
         mask=np.asarray(mask, dtype=bool),
         t=np.asarray(t, dtype=np.int64),
         action=np.asarray(act, dtype=np.int64),
         old_prob=np.asarray(prob),
         reward=np.asarray(rew),
-        terminal_obs=reduce_vector(config, final),
-        terminal_t=final.t,
+        terminal_obs=reduce_vector(config, final)[None].astype(np.float32),
+        terminal_t=np.array([final.t]),
     )
 
 
-def estimate_g(traces: list[EpisodeTrace], days: int) -> float:
-    if not traces:
-        raise InvalidArgument("no traces")
-    total = math.fsum(math.fsum(tr.reward.tolist()) for tr in traces)
-    return total / (len(traces) * days)
+def estimate_g(trace: EpisodeTrace, days: int) -> float:
+    """Mean daily reward: each trajectory's fsum, then their fsum."""
+    rewards = trace.reward.reshape(len(trace.terminal_t), -1).tolist()
+    return math.fsum(math.fsum(r) for r in rewards) / (len(rewards) * days)
 
 
 def value_targets(trace: EpisodeTrace, g: float, config: NetworkConfig) -> np.ndarray:
-    """Tail sums of (r - g/(T*N)), one reverse pass."""
+    """Tail sums of (r - g/(T*N)) within each trajectory, one reverse pass."""
     bias = g / (config.horizon_steps * config.fleet_size)
-    adj = trace.reward - bias
-    return adj[::-1].cumsum()[::-1]
+    adj = (trace.reward - bias).reshape(len(trace.terminal_t), -1)
+    return adj[:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
 
 
 def fit_value(vset: nn.MlpSet, adam: nn.AdamState, obs: np.ndarray, t: np.ndarray,
               targets: np.ndarray, ppo: PpoConfig, rng: np.random.Generator) -> list[float]:
     """Minibatch Adam on mean squared error; returns losses per step. Given
-    ``obs`` in the networks' dtype (``train`` casts it once), no step casts
-    its minibatch; the errors are float64 like ``targets``."""
+    ``obs`` in the networks' dtype (the table's float32 columns), no step
+    casts its minibatch; the errors are float64 like ``targets``."""
     losses = []
     n = len(targets)
     for _ in range(ppo.value_update_steps):
@@ -198,13 +211,17 @@ def fit_value(vset: nn.MlpSet, adam: nn.AdamState, obs: np.ndarray, t: np.ndarra
 
 def compute_advantages(trace: EpisodeTrace, vset: nn.MlpSet, g: float,
                        config: NetworkConfig) -> np.ndarray:
-    """A = r - g/(T*N) + h(next obs) - h(obs); the final step bootstraps on
-    the trajectory's terminal observation."""
+    """A = r - g/(T*N) + h(next obs) - h(obs); each trajectory's final step
+    bootstraps on its terminal observation. Each trajectory goes forward
+    alone: a float32 one-column product rounds with its row count."""
     bias = g / (config.horizon_steps * config.fleet_size)
-    h = vset.forward_grouped(trace.obs, trace.t)[:, 0]
-    h_term = vset.nets[trace.terminal_t].forward(trace.terminal_obs)[0]
-    h_next = np.append(h[1:], h_term)
-    return trace.reward - bias + h_next - h
+    K = len(trace.terminal_t)
+    obs, t = trace.obs.reshape(K, -1, trace.obs.shape[1]), trace.t.reshape(K, -1)
+    h = np.empty((K, t.shape[1] + 1))
+    for k in range(K):
+        h[k, :-1] = vset.forward_grouped(obs[k], t[k])[:, 0]
+        h[k, -1] = vset.nets[trace.terminal_t[k]].forward(trace.terminal_obs[k])[0]
+    return (trace.reward.reshape(K, -1) - bias + h[:, 1:] - h[:, :-1]).ravel()
 
 
 def surrogate_terms(rho: np.ndarray, adv: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,10 +238,11 @@ class PolicyUpdateStats:
     dropped: int
 
 
-def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
+def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, trace: EpisodeTrace,
                advantages: np.ndarray, eps_m: float, ppo: PpoConfig,
                rng: np.random.Generator) -> PolicyUpdateStats:
-    """Clipped-surrogate ascent over the pooled atomic dataset.
+    """Clipped-surrogate ascent over the table's rows with old_prob above
+    1e-12, given one advantage per row.
 
     A forced row, whose logged mask has one feasible entry and whose logged
     action is that entry, has probability exactly 1 under any network, so
@@ -232,25 +250,13 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
     in its minibatch's size, and its surrogate term and clip flag are those
     of rho = 1 / old_prob, as the network pass would give. Only the rows
     left go through ``grouped_gradient``."""
-    obs = np.vstack([tr.obs for tr in traces])
-    veh = np.vstack([tr.veh for tr in traces])
-    mask = np.vstack([tr.mask for tr in traces])
-    t = np.concatenate([tr.t for tr in traces])
-    act = np.concatenate([tr.action for tr in traces])
-    old_prob = np.concatenate([tr.old_prob for tr in traces])
-
-    keep = old_prob > 1e-12
-    dropped = int((~keep).sum())
-    if dropped:
-        obs, veh, mask, t, act = obs[keep], veh[keep], mask[keep], t[keep], act[keep]
-        old_prob, advantages = old_prob[keep], advantages[keep]
-
-    n = len(act)
-    xfull = np.hstack([obs, veh], dtype=pset.flat.dtype)
-    forced = (mask.sum(axis=1) == 1) & mask[np.arange(n), act]
+    mask, act, old_prob = trace.mask, trace.action, trace.old_prob
+    kept = np.flatnonzero(old_prob > 1e-12)
+    n = kept.size
+    forced = (mask.sum(axis=1) == 1) & mask[np.arange(len(act)), act]
     clip_fracs, surrogates = [], []
     for _ in range(ppo.policy_update_steps):
-        idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)
+        idx = kept[rng.choice(n, size=min(ppo.batch_policy, n), replace=False)]
         skip = forced[idx]
         terms, clipped = surrogate_terms(1.0 / old_prob[idx[skip]], advantages[idx[skip]], eps_m)
         clipped_ct = int(clipped.sum())
@@ -258,14 +264,9 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
 
         def head(sel, logits):
             nonlocal clipped_ct, surrogate_sum
-            m = mask[sel]
-            # float64, as masked_softmax computed old_prob, but not its bits: the
-            # row sums add in another order, and the rollout's one-row forward
-            # rounds unlike this batched one, so rho at the first step is ~1
-            z = np.where(m, logits.astype(np.float64), -np.inf)
-            z = z - z.max(axis=1, keepdims=True)
-            ez = np.where(m, np.exp(z), 0.0)
-            p = ez / ez.sum(axis=1, keepdims=True)
+            # the rollout's one-row forward rounds unlike this batched one,
+            # so rho at the first step is 1 only to float32 rounding
+            p = nn.masked_softmax(logits, mask[sel])
             pa = p[np.arange(len(sel)), act[sel]]
             rho = pa / old_prob[sel]
             adv = advantages[sel]
@@ -278,14 +279,14 @@ def ppo_update(pset: nn.MlpSet, adam: nn.AdamState, traces: list[EpisodeTrace],
             dlogits[np.arange(len(sel)), act[sel]] += coef
             return -dlogits                     # ascend: negate for Adam
 
-        grad = pset.grouped_gradient(xfull, t, idx[~skip], head)
+        grad = pset.grouped_gradient(trace.x, trace.t, idx[~skip], head)
         clip_fracs.append(clipped_ct / len(idx))
         surrogates.append(surrogate_sum / len(idx))
         nn.adam_step(pset.flat, grad, adam, ppo.lr_policy)
     return PolicyUpdateStats(
         clip_fraction=float(np.mean(clip_fracs)) if clip_fracs else 0.0,
         surrogate=float(np.mean(surrogates)) if surrogates else 0.0,
-        dropped=dropped,
+        dropped=len(act) - n,
     )
 
 
@@ -358,22 +359,20 @@ def train(config: NetworkConfig, ppo: PpoConfig,
     stale = 0
     stopped = False
     for m in range(1, ppo.policy_iterations + 1):
-        traces = [
+        trace = EpisodeTrace.stack([
             collect_trajectory(config, pset, ppo.days_per_trajectory,
                                np.random.default_rng([ppo.seed, 2, m, k]))
             for k in range(ppo.trajectories_per_iter)
-        ]
-        g = estimate_g(traces, ppo.days_per_trajectory)
-        targets = np.concatenate([value_targets(tr, g, config) for tr in traces])
-        all_obs = np.vstack([tr.obs for tr in traces], dtype=vset.flat.dtype)
-        all_t = np.concatenate([tr.t for tr in traces])
-        losses = fit_value(vset, value_adam, all_obs, all_t, targets, ppo,
+        ])
+        g = estimate_g(trace, ppo.days_per_trajectory)
+        targets = value_targets(trace, g, config)
+        losses = fit_value(vset, value_adam, trace.obs, trace.t, targets, ppo,
                            np.random.default_rng([ppo.seed, 3, m]))
-        adv = np.concatenate([compute_advantages(tr, vset, g, config) for tr in traces])
+        adv = compute_advantages(trace, vset, g, config)
         if adv.std() > 0:
             adv = (adv - adv.mean()) / adv.std()
         eps_m = clip_schedule(m, ppo.initial_clip, ppo.clip_decay, ppo.clip_floor)
-        stats = ppo_update(pset, policy_adam, traces, adv, eps_m, ppo,
+        stats = ppo_update(pset, policy_adam, trace, adv, eps_m, ppo,
                            np.random.default_rng([ppo.seed, 4, m]))
         ev = evaluate_policy(config, NeuralPolicy(config, pset), ppo.eval_days,
                              seed=ppo.seed + 1000 + m)

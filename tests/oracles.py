@@ -316,26 +316,20 @@ class AlwaysForwardPolicy:
         return idx
 
 
-def always_forward_update(pset, adam, traces, advantages, eps_m, ppo, rng, surrogate_terms,
+def always_forward_update(pset, adam, trace, advantages, eps_m, ppo, rng, surrogate_terms,
                           adam_step):
-    """One clipped-surrogate update as the library's ppo_update does it, but
-    with every kept row of every minibatch through the network, forced rows
-    too: rows with old_prob <= 1e-12 are dropped, each of
-    ``ppo.policy_update_steps`` minibatches of ``ppo.batch_policy`` rows is
-    drawn by ``rng.choice`` without replacement, and ``adam_step(flat, grad,
-    adam, lr)`` ascends the mean clipped surrogate that ``surrogate_terms(rho,
-    adv, eps)`` gives per row. Returns (clip fraction, surrogate, dropped)."""
-    obs = np.vstack([tr.obs for tr in traces])
-    veh = np.vstack([tr.veh for tr in traces])
-    mask = np.vstack([tr.mask for tr in traces])
-    t = np.concatenate([tr.t for tr in traces])
-    act = np.concatenate([tr.action for tr in traces])
-    old_prob = np.concatenate([tr.old_prob for tr in traces])
-    keep = old_prob > 1e-12
-    obs, veh, mask, t, act = obs[keep], veh[keep], mask[keep], t[keep], act[keep]
-    old_prob, advantages = old_prob[keep], advantages[keep]
+    """One clipped-surrogate update of the table ``trace`` as the library's
+    ppo_update does it, but with every kept row of every minibatch through
+    the network, forced rows too: rows with old_prob <= 1e-12 are dropped,
+    each of ``ppo.policy_update_steps`` minibatches of ``ppo.batch_policy``
+    rows is drawn by ``rng.choice`` without replacement, and
+    ``adam_step(flat, grad, adam, lr)`` ascends the mean clipped surrogate
+    that ``surrogate_terms(rho, adv, eps)`` gives per row. Returns (clip
+    fraction, surrogate, dropped)."""
+    keep = trace.old_prob > 1e-12
+    x, mask, t, act = trace.x[keep], trace.mask[keep], trace.t[keep], trace.action[keep]
+    old_prob, advantages = trace.old_prob[keep], advantages[keep]
     n = len(act)
-    x = np.hstack([obs, veh], dtype=pset.flat.dtype)
     clip_fracs, surrogates = [], []
     for _ in range(ppo.policy_update_steps):
         idx = rng.choice(n, size=min(ppo.batch_policy, n), replace=False)

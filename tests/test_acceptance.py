@@ -138,22 +138,21 @@ def _surrogate_draws(seed, n_probes):
     pset, vset = ppo.init_networks(cfg, pcfg)
     pset = float64_copy(pset)                   # probed in float64 below
     trace = ppo.collect_trajectory(cfg, pset, 1, np.random.default_rng([55, seed]))
-    g = ppo.estimate_g([trace], 1)
+    g = ppo.estimate_g(trace, 1)
     adv = ppo.compute_advantages(trace, vset, g, cfg)
     eps_m = 0.2
 
     def objective():
         terms = []
         for i in range(len(trace)):
-            p = nn.forward_policy(pset, trace.obs[i], trace.veh[i],
-                                  trace.mask[i], int(trace.t[i]))
+            p = nn.masked_softmax(pset.nets[trace.t[i]].forward(trace.x[i]), trace.mask[i])
             term, _ = ppo.surrogate_terms(
                 np.array([p[trace.action[i]] / trace.old_prob[i]]), np.array([adv[i]]), eps_m)
             terms.append(float(term[0]))
         return math.fsum(terms) / len(trace)
 
     adam = nn.AdamState.for_set(pset)
-    ppo.ppo_update(pset, adam, [trace], adv, eps_m, pcfg, np.random.default_rng(0))
+    ppo.ppo_update(pset, adam, trace, adv, eps_m, pcfg, np.random.default_rng(0))
     params = [p for net in pset.nets for p in net.params()]
     m_bufs = [a for net in pset.views(adam.m) for a in net]
     rng = np.random.default_rng([56, seed])

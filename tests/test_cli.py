@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from fleetlab import fluid, nn, ppo, sim
+from fleetlab import cli, fluid, nn, ppo, sim
 from fleetlab.baselines import RandomFeasiblePolicy
 from fleetlab.calibrate import estimate_reference_fleet, read_trip_records
 from fleetlab.cli import evaluate, main, parse_policy
@@ -176,12 +176,44 @@ class _CountedPickles(RandomFeasiblePolicy):
         return type(self), ()
 
 
-def test_evaluate_sends_the_policy_once_per_worker():
+def test_evaluate_sends_the_policy_once_per_worker(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     config = synth_scenario("uniform", 0)
     _CountedPickles.pickles = 0
     report = evaluate(config, "random", _CountedPickles(), 6, 1, seed=0, jobs=2)
     assert _CountedPickles.pickles == 2
     assert report == evaluate(config, "random", RandomFeasiblePolicy(), 6, 1, seed=0)
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its worker count
+    and maps in this process."""
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+def test_evaluate_caps_workers_at_the_cpu_count(monkeypatch, cpus, workers):
+    """--jobs asks for at most one worker per CPU (one in all when the count
+    is unknown, so no pool); no process is started here."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    _SerialPool.workers = []
+    config = tiny_config()
+    report = evaluate(config, "random", RandomFeasiblePolicy(), 5, 1, seed=0, jobs=10 ** 5)
+    assert _SerialPool.workers == workers
+    assert report == evaluate(config, "random", RandomFeasiblePolicy(), 5, 1, seed=0)
 
 
 def test_missing_checkpoint_exit_3(tiny_json, tmp_path):
@@ -196,7 +228,8 @@ def _malformed_configs() -> dict[str, bytes]:
     not text, not an object, a missing field, badly typed fields, values
     that break a validation rule, a num_rates that disagrees with
     charge_rates, a fleet too large for the int64 count tables and one that
-    fits them but not in memory."""
+    fits them but not in memory, an arrival rate above numpy's Poisson limit
+    and fares whose one-day sum overflows."""
     def variant(edit):
         doc = tiny_config().to_dict()
         edit(doc)
@@ -220,6 +253,8 @@ def _malformed_configs() -> dict[str, bytes]:
         "fractional-connection-patience": variant(lambda d: d.update(connection_patience=1.5)),
         "empty-charging-curve": variant(lambda d: d.update(charging_curve=[])),
         "nan-arrival-rate": variant(entry("arrival_rate", float("nan"))),
+        "poisson-limit-arrival-rate": variant(entry("arrival_rate", 1e19)),
+        "day-overflowing-trip-reward": variant(entry("trip_reward", 1e308)),
         "infinite-trip-reward": variant(entry("trip_reward", float("inf"))),
         "fractional-charge-rate": variant(lambda d: d.update(charge_rates=[2.5])),
         "fractional-trip-duration": variant(entry("trip_duration", 2.7)),
@@ -245,6 +280,20 @@ def test_bad_config_exit_2(tmp_path):
                     "--trajectories", "1", "--days", "1", "--jobs", "1")
         assert r.returncode == 2, (name, r.stderr)
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (name, r.stderr)
+
+
+def test_overflowing_reward_sum_exits_4(tmp_path, capsys):
+    """A config whose one-day rewards are finite passes validation, yet the
+    sum over many days can overflow: exit 4 with one line, no traceback."""
+    cfg = tiny_config(lam_scale=0.8)
+    most = sys.float_info.max / (cfg.fleet_size * cfg.horizon_steps)
+    fare = np.full(cfg.trip_reward.shape, most / 4)
+    path = tmp_path / "big.json"
+    path.write_text(cfg.with_updates(trip_reward=fare).to_json())
+    code = main(["evaluate", "--config", str(path), "--policy", "power-of-2",
+                 "--trajectories", "1", "--days", "20", "--jobs", "1"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: OverflowError: intermediate overflow in fsum\n"
 
 
 def test_unknown_scenario_exit_2():

@@ -1,9 +1,10 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
-from fleetlab.config import (DEFAULT_CHARGING_CURVE, NetworkConfig,
+from fleetlab.config import (_POISSON_MAX, DEFAULT_CHARGING_CURVE, NetworkConfig,
                              curve_percent_after)
 from fleetlab.errors import ConfigError
 from fleetlab.scenarios import synth_scenario
@@ -102,14 +103,33 @@ def _entry(name, index, value):
     (_entry("charger_counts", (0, 0), -1), "charger_counts must be nonnegative"),
     (_entry("trip_duration", (0, 0, 0), 0), "trip_duration must be at least 1 step"),
     ({"connection_patience": -1}, "patience windows must be nonnegative"),
+    (_entry("arrival_rate", (0, 1, 0), 1e19),
+     "arrival_rate must not exceed 9.223372006484771e+18, numpy's Poisson limit"),
+    (_entry("trip_reward", (0, 1, 0), 1e308),
+     "trip_reward, reposition_reward, charge_reward: a day's largest reward, "
+     "N * T * max |entry|, must be finite"),
 ], ids=["positive-dims", "table-shapes", "positive-epoch-minutes", "positive-charge-rates",
         "trip-reward", "battery-cost-cap", "arrival-rate", "battery-cost-diagonal",
         "reposition-diagonal", "reposition-reward", "charge-reward", "charger-counts",
-        "trip-duration", "patience"])
+        "trip-duration", "patience", "poisson-limit", "day-reward-overflow"])
 def test_validation_rule_rejects_its_breach(tiny, update, message):
     with pytest.raises(ConfigError) as err:
         tiny.with_updates(**update)
     assert str(err.value) == message
+
+
+def test_arrival_and_reward_limits_are_where_sampling_and_sums_fail(tiny):
+    """The largest Poisson mean numpy samples passes and the next float is
+    refused. Negative reward entries count by magnitude: a day of N * T
+    times the largest |entry| must stay finite."""
+    lam = tiny.with_updates(**_entry("arrival_rate", (0, 1, 0), _POISSON_MAX)).arrival_rate
+    assert np.random.default_rng(0).poisson(lam)[0, 1, 0] > 0
+    with pytest.raises(ConfigError, match="^arrival_rate must not exceed"):
+        tiny.with_updates(**_entry("arrival_rate", (0, 1, 0), np.nextafter(_POISSON_MAX, 2e19)))
+    most = sys.float_info.max / (tiny.fleet_size * tiny.horizon_steps)
+    tiny.with_updates(**_entry("reposition_reward", (0, 1, 0), -most / 2))
+    with pytest.raises(ConfigError, match="must be finite$"):
+        tiny.with_updates(**_entry("reposition_reward", (0, 1, 0), -most * 2))
 
 
 def test_eta_cap_covers_all_tasks(tiny):

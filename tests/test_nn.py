@@ -44,6 +44,24 @@ def test_masked_softmax_empty_mask_rejected():
         nn.masked_softmax(np.zeros(3), np.zeros(3, dtype=bool))
 
 
+def test_masked_softmax_batch_matches_one_row_calls_bit_for_bit():
+    """A (m, n) batch gives each row the bits of a one-row call, at 8 and
+    more actions with a different mask per row; one empty row is refused."""
+    rng = np.random.default_rng(3)
+    for n in (8, 10, 17):
+        logits = rng.normal(size=(300, n)).astype(np.float32)
+        mask = rng.random((300, n)) < 0.6
+        mask[np.arange(300), rng.integers(n, size=300)] = True
+        batch = nn.masked_softmax(logits, mask)
+        rows = np.array([nn.masked_softmax(z, m) for z, m in zip(logits, mask)])
+        assert batch.dtype == rows.dtype == np.float64
+        assert batch.tobytes() == rows.tobytes()
+        assert (batch[~mask] == 0.0).all()
+    mask[7] = False
+    with pytest.raises(ContractViolation, match="mask is empty"):
+        nn.masked_softmax(logits, mask)
+
+
 def test_masked_softmax_overflow_safe():
     p = nn.masked_softmax(np.array([1000.0, 999.0]), np.array([True, True]))
     assert np.isfinite(p).all()

@@ -71,15 +71,17 @@ def _collect(cfg, seed=0, days=2, hidden=8):
 def test_collect_trajectory_shapes(tiny):
     pset, vset, trace = _collect(tiny)
     L = len(trace)
-    assert trace.obs.shape == (L, obs_dim(tiny))
-    assert trace.veh.shape == (L, vehicle_feature_dim(tiny))
+    assert trace.x.shape == (L, obs_dim(tiny) + vehicle_feature_dim(tiny))
+    assert trace.x.dtype == np.float32
+    assert trace.obs.shape == (L, obs_dim(tiny)) and trace.obs.base is trace.x
     assert trace.mask.shape == (L, action_count(tiny))
     assert trace.old_prob.shape == (L,)
     assert (trace.old_prob > 0).all()
     assert trace.mask[np.arange(L), trace.action].all()
     # one atomic record per vehicle per epoch
     assert L == 2 * tiny.horizon_steps * tiny.fleet_size
-    assert trace.terminal_t == 0
+    assert trace.terminal_t.tolist() == [0]
+    assert trace.terminal_obs.shape == (1, obs_dim(tiny))
 
 
 def test_collect_trajectory_rejects_a_log_shorter_than_the_records(tiny, monkeypatch):
@@ -199,15 +201,15 @@ def test_a_nan_weight_still_raises(tiny, monkeypatch):
 
 def test_estimate_g_is_mean_daily_reward(tiny):
     _, _, trace = _collect(tiny, days=3)
-    g = ppo.estimate_g([trace], 3)
+    g = ppo.estimate_g(trace, 3)
     assert g == pytest.approx(math.fsum(trace.reward.tolist()) / 3)
-    with pytest.raises(InvalidArgument):
-        ppo.estimate_g([], 3)
+    with pytest.raises(InvalidArgument, match=r"^need one or more traces .* lengths \[\]$"):
+        ppo.EpisodeTrace.stack([])
 
 
 def test_value_targets_are_bias_adjusted_tail_sums(tiny):
     _, _, trace = _collect(tiny, days=2)
-    g = ppo.estimate_g([trace], 2)
+    g = ppo.estimate_g(trace, 2)
     targets = ppo.value_targets(trace, g, tiny)
     bias = g / (tiny.horizon_steps * tiny.fleet_size)
     adj = trace.reward - bias
@@ -220,7 +222,7 @@ def test_value_targets_are_bias_adjusted_tail_sums(tiny):
 
 def test_advantages_use_next_observation(tiny):
     pset, vset, trace = _collect(tiny, days=2)
-    g = ppo.estimate_g([trace], 2)
+    g = ppo.estimate_g(trace, 2)
     adv = ppo.compute_advantages(trace, vset, g, tiny)
     bias = g / (tiny.horizon_steps * tiny.fleet_size)
     # check one interior step by hand
@@ -230,8 +232,32 @@ def test_advantages_use_next_observation(tiny):
     assert adv[i] == pytest.approx(trace.reward[i] - bias + h_n - h_i)
     # the final step bootstraps on the terminal observation
     h_last = vset.nets[trace.t[-1]].forward(trace.obs[-1])[0]
-    h_term = vset.nets[trace.terminal_t].forward(trace.terminal_obs)[0]
+    h_term = vset.nets[trace.terminal_t[0]].forward(trace.terminal_obs[0])[0]
     assert adv[-1] == pytest.approx(trace.reward[-1] - bias + h_term - h_last)
+
+
+def test_stack_matches_single_trajectories_bit_for_bit(tiny):
+    """estimate_g, value_targets and compute_advantages on a K-trajectory
+    table give the bits of the same trajectories one table each: the mean
+    of their reward fsums, and their targets and advantages end to end.
+    Each trajectory's value forward stays its own, so its row count and
+    the products' rounding do not depend on K."""
+    days = 3
+    pcfg = ppo.PpoConfig(seed=8)
+    pset, vset = ppo.init_networks(tiny, pcfg)
+    singles = [ppo.collect_trajectory(tiny, pset, days, np.random.default_rng([8, k]))
+               for k in range(4)]
+    table = ppo.EpisodeTrace.stack(singles)
+    assert len(table) == 4 * days * tiny.horizon_steps * tiny.fleet_size
+    assert table.terminal_t.shape == (4,) and table.terminal_obs.shape == (4, obs_dim(tiny))
+    g = ppo.estimate_g(table, days)
+    assert g == math.fsum(math.fsum(tr.reward.tolist()) for tr in singles) / (4 * days)
+    for fn in (ppo.value_targets, lambda tr, g, cfg: ppo.compute_advantages(tr, vset, g, cfg)):
+        want = np.concatenate([fn(tr, g, tiny) for tr in singles])
+        assert fn(table, g, tiny).tobytes() == want.tobytes()
+    with pytest.raises(InvalidArgument, match=r"^need one .* got lengths \[24, 8\]$"):
+        ppo.EpisodeTrace.stack([singles[0], ppo.collect_trajectory(
+            tiny, pset, 1, np.random.default_rng(0))])
 
 
 def test_surrogate_terms_clip_only_above():
@@ -259,15 +285,14 @@ def test_ppo_update_gradient_matches_finite_difference(tiny):
     pset, vset = ppo.init_networks(tiny, ppo.PpoConfig(seed=1, hidden=6))
     pset = float64_copy(pset)                   # probed in float64 below
     trace = ppo.collect_trajectory(tiny, pset, 1, np.random.default_rng(1))
-    g = ppo.estimate_g([trace], 1)
+    g = ppo.estimate_g(trace, 1)
     adv = ppo.compute_advantages(trace, vset, g, tiny)
     eps_m = 0.2
 
     def objective() -> float:
         terms = []
         for i in range(len(trace)):
-            p = nn.forward_policy(pset, trace.obs[i], trace.veh[i],
-                                  trace.mask[i], int(trace.t[i]))
+            p = nn.masked_softmax(pset.nets[trace.t[i]].forward(trace.x[i]), trace.mask[i])
             term, _ = ppo.surrogate_terms(
                 np.array([p[trace.action[i]] / trace.old_prob[i]]), np.array([adv[i]]), eps_m)
             terms.append(float(term[0]))
@@ -276,7 +301,7 @@ def test_ppo_update_gradient_matches_finite_difference(tiny):
     # analytic gradient: run one update step with lr=0 and capture Adam's m
     # buffer (after one step m = 0.1 * grad of the *descent* objective)
     adam = nn.AdamState.for_set(pset)
-    ppo.ppo_update(pset, adam, [trace], adv, eps_m, pcfg, np.random.default_rng(0))
+    ppo.ppo_update(pset, adam, trace, adv, eps_m, pcfg, np.random.default_rng(0))
     params = [p for net in pset.nets for p in net.params()]
     checked = 0
     for p, m_buf in zip(params, [a for net in pset.views(adam.m) for a in net]):
@@ -312,13 +337,12 @@ def test_ppo_update_drops_vanishing_old_probabilities(tiny):
     tainted = dataclasses.replace(trace, old_prob=old_prob)
     keep = ~drop
     clean = dataclasses.replace(
-        trace, obs=trace.obs[keep], veh=trace.veh[keep], mask=trace.mask[keep],
-        t=trace.t[keep], action=trace.action[keep], old_prob=trace.old_prob[keep],
-        reward=trace.reward[keep])
+        trace, x=trace.x[keep], mask=trace.mask[keep], t=trace.t[keep],
+        action=trace.action[keep], old_prob=trace.old_prob[keep], reward=trace.reward[keep])
     results = []
     for tr, a in ((tainted, adv), (clean, adv[keep])):
         pset, _ = ppo.init_networks(tiny, pcfg)
-        stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), [tr], a, 0.2, pcfg,
+        stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), tr, a, 0.2, pcfg,
                                np.random.default_rng(5))
         results.append((pset.flat, stats))
     (flat_t, stats_t), (flat_c, stats_c) = results
@@ -364,16 +388,15 @@ def test_forced_rows_skip_the_network_in_the_update(tiny):
 
     pset.grouped_gradient = recording
     adam = nn.AdamState.for_set(pset)
-    stats = ppo.ppo_update(pset, adam, [tr], adv, 0.2, pcfg, np.random.default_rng(6))
+    stats = ppo.ppo_update(pset, adam, tr, adv, 0.2, pcfg, np.random.default_rng(6))
     ref_set, _ = ppo.init_networks(tiny, pcfg)
     ref_adam = nn.AdamState.for_set(ref_set)
     clip_fraction, surrogate, dropped = always_forward_update(
-        ref_set, ref_adam, [tr], adv, 0.2, pcfg, np.random.default_rng(6),
+        ref_set, ref_adam, tr, adv, 0.2, pcfg, np.random.default_rng(6),
         ppo.surrogate_terms, nn.adam_step)
 
-    # the kept rows are renumbered once the dropped row leaves
-    kept = np.flatnonzero(old_prob > 1e-12)
-    rows = kept[np.concatenate(seen)]
+    rows = np.concatenate(seen)
+    assert free[1] not in rows                  # the dropped row
     assert not elided[rows].any() and odd in rows
     assert (stats.clip_fraction, stats.dropped) == (clip_fraction, dropped)
     assert 0.0 < clip_fraction < 1.0 and dropped == 1
@@ -391,7 +414,7 @@ def test_surrogate_reports_the_minibatch_mean_at_zero_step_size(tiny):
                          batch_policy=7)
     pset, _, trace = _collect(tiny, seed=3, days=1, hidden=6)
     adv = np.random.default_rng(9).normal(size=len(trace))
-    stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), [trace], adv, 0.2, pcfg,
+    stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), trace, adv, 0.2, pcfg,
                            np.random.default_rng(5))
     rng = np.random.default_rng(5)
     want = np.mean([adv[rng.choice(len(trace), size=7, replace=False)].mean()
@@ -400,14 +423,14 @@ def test_surrogate_reports_the_minibatch_mean_at_zero_step_size(tiny):
     assert abs(stats.surrogate - want) < 1e-9 + 1e-5 * np.abs(adv).mean()
     assert abs(want) > 1e-3                     # far from the normalised mean, 0
     idle = dataclasses.replace(pcfg, policy_update_steps=0)
-    stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), [trace], adv, 0.2, idle,
+    stats = ppo.ppo_update(pset, nn.AdamState.for_set(pset), trace, adv, 0.2, idle,
                            np.random.default_rng(5))
     assert stats.surrogate == 0.0 and stats.clip_fraction == 0.0
 
 
 def test_fit_value_reduces_loss(tiny):
     pset, vset, trace = _collect(tiny, days=2)
-    g = ppo.estimate_g([trace], 2)
+    g = ppo.estimate_g(trace, 2)
     targets = ppo.value_targets(trace, g, tiny)
     pcfg = ppo.PpoConfig(hidden=8, value_update_steps=60, lr_value=3e-3,
                          batch_value=4096)

@@ -117,7 +117,7 @@ def test_admitted_arrivals_fill_each_queue_to_the_cap():
     np.testing.assert_array_equal(got, want)
     s = initial_state(cfg)
     for k in range(5):
-        nxt, _ = transition(cfg, s, all_pass_action(cfg, s), arrivals[k])
+        nxt, _ = transition(cfg, s, all_pass_action(s), arrivals[k])
         np.testing.assert_array_equal(nxt.trips[:, :, 0], admitted_arrivals(
             cfg, arrivals[k], np.zeros((3, 3), dtype=np.int64)))
 
@@ -133,7 +133,7 @@ def test_transition_rejects_malformed_arrivals(tiny, arrivals, shape, dtype):
     a queue, and fractions once counted as arrived but admitted nothing."""
     s = initial_state(tiny)
     with pytest.raises(ContractViolation) as err:
-        transition(tiny, s, all_pass_action(tiny, s), arrivals)
+        transition(tiny, s, all_pass_action(s), arrivals)
     assert str(err.value) == (f"arrivals of shape {shape} and dtype {dtype}, "
                               "not a (V, V) integer array")
 
@@ -196,7 +196,7 @@ def test_trips_age_and_abandon(tiny):
     trips[0, 1, tiny.connection_patience] = 2        # at the patience limit
     trips[0, 1, 0] = 1
     s = SystemState(0, s.vehicles, trips, s.chargers)
-    fa = all_pass_action(tiny, s)
+    fa = all_pass_action(s)
     nxt, info = transition(tiny, s, fa, np.zeros((2, 2), dtype=np.int64))
     assert info.abandoned == 2
     assert nxt.trips[0, 1, 1] == 1                   # the fresh one aged
@@ -211,9 +211,9 @@ def test_arrivals_use_next_epoch_rate(tiny):
     cfg = tiny.with_updates(arrival_rate=lam)
     rng = np.random.default_rng(0)
     s = initial_state(cfg)
-    nxt, _ = step(cfg, s, all_pass_action(cfg, s), rng)   # t=0 -> t=1, lam[1]
+    nxt, _ = step(cfg, s, all_pass_action(s), rng)   # t=0 -> t=1, lam[1]
     assert nxt.t == 1 and nxt.trips[0, 1, 0] > 0
-    nxt2, _ = step(cfg, nxt, all_pass_action(cfg, nxt), rng)  # draws lam[2]=0
+    nxt2, _ = step(cfg, nxt, all_pass_action(nxt), rng)  # draws lam[2]=0
     assert nxt2.trips[0, 1, 0] == 0
 
 
